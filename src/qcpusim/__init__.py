@@ -72,7 +72,6 @@ from .grid import (
     com_reduction,
     dft_operator,
     kinetic_eigenvalue,
-    kinetic_exchange_payload,
     kinetic_operator,
     lift_one,
     momentum_eigenvalue,

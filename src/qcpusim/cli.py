@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -36,11 +37,10 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import EvolutionConfig, euler_step, evolve_euler, whole_network
+from .evolve import EvolutionReport, evolve_euler, norm_drift, report_rows
 from .grid import (
     GridSpec,
     Wavefunction,
-    dft_operator,
     kinetic_eigenvalue,
     kinetic_operator,
     momentum_eigenvalue,
@@ -61,11 +61,7 @@ from .qcpu import (
     project_aux,
     raising_block,
 )
-from .systems import (
-    harmonic_energies,
-    spectral_kinetic_matrix,
-    spectral_momentum_values,
-)
+from .systems import system_route
 
 IDENTITY_TOLERANCE = 1e-12
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
@@ -266,101 +262,47 @@ def _cmd_verify_identities(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _route_for(cfg: RunConfig) -> tuple[np.ndarray, str]:
-    """Dense Hamiltonian and the evolution method used by `simulate`.
-
-    Each built-in system is run in its natural representation: the free
-    particle and constant field through the Fourier pipeline, the
-    oscillator in its eigenbasis, and the generic grid system through the
-    Euler network semantics.
-    """
-    system, grid = cfg.system, cfg.grid
-    if system.kind == "free_particle":
-        return spectral_kinetic_matrix(grid, system.mu), "spectral_momentum"
-    if system.kind == "harmonic":
-        return (
-            np.diag(harmonic_energies(system.omega, grid.size)).astype(complex),
-            "energy_eigenbasis",
-        )
-    if system.kind == "constant_field":
-        h = spectral_kinetic_matrix(grid, system.mu)
-        return h + system.u * np.eye(grid.size), "interaction_picture"
-    values = system.potential.values_on(grid)
-    h = densify(kinetic_operator(grid, system.mu)) + np.diag(values).astype(complex)
-    return h, "euler_network"
-
-
-def _simulate_states(cfg: RunConfig, evo: EvolutionConfig, psi0: np.ndarray, h: np.ndarray,
-                     method: str):
-    """Yield (step, state) pairs for steps 0..steps along the chosen route."""
-    system, grid = cfg.system, cfg.grid
-    sign = evo.sign
-    yield 0, psi0
-    if method == "euler_network":
-        omega = euler_step(h, evo.dt, sign)
-        state = psi0
-        for i in range(1, evo.steps + 1):
-            state = omega @ state
-            yield i, state
-        return
-    if method == "energy_eigenbasis":
-        energies = harmonic_energies(system.omega, grid.size)
-        for i in range(1, evo.steps + 1):
-            yield i, np.exp((sign * 1j * (i * evo.dt)) * energies) * psi0
-        return
-    fourier = dft_operator(grid)
-    momentum_state = fourier @ psi0
-    energies = spectral_momentum_values(grid) ** 2 / (2.0 * system.mu)
-    for i in range(1, evo.steps + 1):
-        t = i * evo.dt
-        state = fourier.conj().T @ (np.exp((sign * 1j * t) * energies) * momentum_state)
-        if method == "interaction_picture":
-            state = np.exp(sign * 1j * system.u * t) * state
-        yield i, state
-
-
 def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     started = time.perf_counter()
     grid = cfg.grid
     psi0 = cfg.initial_state.build(grid)
-    h, method = _route_for(cfg)
+    route = system_route(cfg.system, grid)
+    h = route.hamiltonian()
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h), mu=cfg.system.mu or 1.0)
 
     norm_sq = []
-    final_state = psi0
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, state in _simulate_states(cfg, evo, psi0, h, method):
+        for step, state in route.states(h, psi0, evo):
             _check_finite(state, step)
             ns = float(np.vdot(state, state).real)
             if not math.isfinite(ns):
                 raise NumericalFailure(f"non-finite norm at step {step}")
             norm_sq.append(ns)
-            final_state = state
             if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
                 _write_snapshot(
                     out_dir / f"snapshot_{step:06d}.jsonl",
                     Wavefunction(grid=grid, amplitudes=state, time=step * evo.dt),
                 )
 
-    drift = [ns - norm_sq[0] for ns in norm_sq]
-    _write_csv_atomic(
-        out_dir / "diagnostics.csv",
-        ["step", "time", "norm_sq", "drift"],
-        [
-            {"step": i, "time": i * evo.dt, "norm_sq": norm_sq[i], "drift": drift[i]}
-            for i in range(len(norm_sq))
-        ],
-    )
-
     oracle = exact_evolution(h, evo.steps * evo.dt, evo.sign) @ psi0
+    report = EvolutionReport(
+        norm_sq=np.array(norm_sq),
+        final_fidelity=fidelity(state, oracle),
+        steps=evo.steps,
+        dt=evo.dt,
+        sign=evo.sign,
+    )
+    _write_csv_atomic(
+        out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], report_rows(report)
+    )
     summary = {
         "config": cfg.to_dict(),
         "steps": evo.steps,
         "dt": evo.dt,
         "sign": evo.sign,
-        "method": method,
-        "final_fidelity": fidelity(final_state, oracle),
-        "max_norm_drift": max(abs(d) for d in drift),
+        "method": route.method,
+        "final_fidelity": report.final_fidelity,
+        "max_norm_drift": float(np.max(np.abs(norm_drift(report)))),
         "wall_time_s": time.perf_counter() - started,
     }
     _write_json_atomic(out_dir / "summary.json", summary)
@@ -383,35 +325,9 @@ def _cmd_simulate(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def _euler_problem(cfg: RunConfig) -> tuple[np.ndarray, object]:
-    """Hamiltonian and potential-table pair for the network/Euler routes.
-
-    Grid systems use the shift-stencil kinetic operator here because that is
-    the payload the step networks are assembled from; the oscillator, having
-    no grid, contributes its diagonal energy matrix and no potential.
-    """
-    system, grid = cfg.system, cfg.grid
-    if system.kind == "harmonic":
-        return np.diag(harmonic_energies(system.omega, grid.size)).astype(complex), None
-    kinetic = densify(kinetic_operator(grid, system.mu))
-    if system.kind == "free_particle":
-        return kinetic, None
-    if system.kind == "constant_field":
-        values = np.full(grid.size, float(system.u))
-    else:
-        values = cfg.system.potential.values_on(grid)
-    return kinetic + np.diag(values).astype(complex), values
-
-
-def _network_block(cfg: RunConfig, h: np.ndarray, v, evo: EvolutionConfig) -> np.ndarray:
-    if cfg.system.kind == "harmonic":
-        step = build_network(euler_step(h, evo.dt, evo.sign))
-        return raising_block(compose_product([step] * evo.steps))
-    return raising_block(whole_network(cfg.grid, cfg.system.mu, v, evo))
-
-
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    h, values = _euler_problem(cfg)
+    route = system_route(cfg.system, cfg.grid)
+    h = route.euler_hamiltonian()
     psi0 = cfg.initial_state.build(cfg.grid)
     base = cfg.evolution.resolve(spectral_norm_upper_bound(h), mu=cfg.system.mu or 1.0)
     if base.steps < 1:
@@ -419,28 +335,21 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
 
     oracle = exact_evolution(h, base.total_time, base.sign) @ psi0
     rungs = []
-    errors = []
     for rung in range(ladder):
-        evo = EvolutionConfig(
-            dt=base.dt / (2 ** rung),
-            total_time=base.total_time,
-            mu=base.mu,
-            sign=base.sign,
-        )
+        evo = dataclasses.replace(base, dt=base.dt / (2 ** rung))
         euler_state, _ = evolve_euler(h, psi0, evo)
-        network_state = _network_block(cfg, h, values, evo) @ psi0
-        err = float(np.linalg.norm(euler_state - oracle))
-        errors.append(err)
+        network_state = route.network_block(h, evo) @ psi0
         rungs.append(
             {
                 "dt": evo.dt,
                 "steps": evo.steps,
                 "fidelity_network_vs_euler": fidelity(network_state, euler_state),
                 "fidelity_euler_vs_exact": fidelity(euler_state, oracle),
-                "error_euler_vs_exact": err,
+                "error_euler_vs_exact": float(np.linalg.norm(euler_state - oracle)),
             }
         )
 
+    errors = [r["error_euler_vs_exact"] for r in rungs]
     ratios = [
         math.log2(errors[i] / errors[i + 1])
         for i in range(len(errors) - 1)

@@ -159,6 +159,24 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
+def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int, renormalize: bool = False):
+    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state.
+
+    `renormalize` rescales each new state to unit norm before it is yielded
+    and stepped again.
+    """
+    state = psi0
+    yield 0, state
+    for i in range(1, steps + 1):
+        state = omega @ state
+        if renormalize:
+            nrm = np.linalg.norm(state)
+            if nrm == 0.0:
+                raise ZeroVector("state collapsed to zero during renormalized evolution")
+            state = state / nrm
+        yield i, state
+
+
 def evolve_euler(
     h,
     psi,
@@ -183,17 +201,10 @@ def evolve_euler(
     omega = euler_step(h, cfg.dt, cfg.sign)
 
     def _run(step_matrix: np.ndarray, count: int, rescale: bool) -> tuple[np.ndarray, list[float]]:
-        state = psi0.copy()
-        norms = [float(np.vdot(state, state).real)]
-        for i in range(count):
-            state = step_matrix @ state
-            if not np.all(np.isfinite(state.real) & np.isfinite(state.imag)):
-                raise NumericalFailure(f"non-finite amplitude after step {i + 1}")
-            if rescale:
-                nrm = np.linalg.norm(state)
-                if nrm == 0.0:
-                    raise ZeroVector("state collapsed to zero during renormalized evolution")
-                state = state / nrm
+        norms = []
+        for i, state in euler_states(step_matrix, psi0.copy(), count, rescale):
+            if i and not np.all(np.isfinite(state.real) & np.isfinite(state.imag)):
+                raise NumericalFailure(f"non-finite amplitude after step {i}")
             norms.append(float(np.vdot(state, state).real))
         return state, norms
 
@@ -227,12 +238,7 @@ def evolve_euler(
 # ---------------------------------------------------------------------------
 
 def kinetic_network(grid: GridSpec, mu: float) -> QcpuNetwork:
-    """Network whose payload is the shift-by-two kinetic operator.
-
-    The payload also admits an exchange-permutation factorization (projector
-    times transposition per off-diagonal dyad, plus an identity-proportional
-    term); see grid.kinetic_exchange_payload, which agrees entry for entry.
-    """
+    """Network whose payload is the shift-by-two kinetic operator."""
     return build_network(densify(kinetic_operator(grid, mu)))
 
 

@@ -32,7 +32,7 @@ from .errors import (
     NonPositiveMass,
     ZeroResultWarning,
 )
-from .numerics import CyclicShift, Diagonal, Dense, Transposition, densify, operator_dim, tensor
+from .numerics import Diagonal, Dense, densify, operator_dim, tensor
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,9 @@ def momentum_operator(grid: GridSpec) -> Dense:
         raise DegenerateGrid(
             f"momentum needs at least 3 grid points (shift-by-one stencil collides), got {n}"
         )
-    s_plus = densify(CyclicShift(offset=1, dim=n))
-    s_minus = densify(CyclicShift(offset=-1, dim=n))
+    eye = np.eye(n, dtype=complex)
     scale = -0.5j * (n / grid.length)
-    return Dense(scale * (s_plus - s_minus))
+    return Dense(scale * (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)))
 
 
 def kinetic_operator(grid: GridSpec, mu: float) -> Dense:
@@ -196,38 +195,9 @@ def kinetic_operator(grid: GridSpec, mu: float) -> Dense:
         raise DegenerateGrid(
             f"kinetic needs at least 4 grid points (shift-by-two stencil collides), got {n}"
         )
-    s_plus = densify(CyclicShift(offset=1, dim=n))
-    s_minus = densify(CyclicShift(offset=-1, dim=n))
+    eye = np.eye(n, dtype=complex)
     pref = (n / grid.length) ** 2
-    mat = -(pref / (8.0 * mu)) * (s_plus @ s_plus + s_minus @ s_minus - 2.0 * np.eye(n))
-    return Dense(mat)
-
-
-def kinetic_exchange_payload(grid: GridSpec, mu: float) -> np.ndarray:
-    """Kinetic matrix assembled dyad by dyad from exchange permutations.
-
-    Each off-diagonal term |x_m><x_{m+/-2}| is realized as the projector
-    |x_m><x_m| times the transposition exchanging basis states m and m+/-2;
-    the diagonal part is the identity-proportional remainder.  Agrees with
-    kinetic_operator entry for entry.
-    """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
-    n = grid.size
-    if n < 4:
-        raise DegenerateGrid(
-            f"kinetic needs at least 4 grid points (shift-by-two stencil collides), got {n}"
-        )
-    pref = (n / grid.length) ** 2
-    coef = -(pref / (8.0 * mu))
-    out = (pref / (4.0 * mu)) * np.eye(n, dtype=float)
-    for m in range(n):
-        projector = np.zeros((n, n))
-        projector[m, m] = 1.0
-        for shift in (2, -2):
-            target = (m + shift) % n
-            out = out + coef * (projector @ densify(Transposition(a=m, b=target, dim=n)).real)
-    return out.astype(complex)
+    return Dense(-(pref / (8.0 * mu)) * (np.roll(eye, 2, axis=1) + np.roll(eye, -2, axis=1) - 2.0 * eye))
 
 
 def potential_operator(grid: GridSpec, v: Callable[[float], float]) -> Diagonal:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonSquareInput
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NonSquareInput
 from .numerics import as_complex_matrix, as_state, tensor
 
 # Auxiliary-qubit ladder pair: the lowering operator |0><1| and raising
@@ -225,15 +225,30 @@ def network_to_dict(net: QcpuNetwork) -> dict:
     }
 
 
+def _complex_pair(value, where: str) -> complex:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        return complex(value[0], value[1])
+    raise InvalidSpec(f"{where} must be an [re, im] pair of real numbers, got {value!r}")
+
+
 def network_from_dict(data: dict) -> QcpuNetwork:
+    """Inverse of network_to_dict.  Rejects malformed [re, im] pairs and any
+    factor list other than the payload's nonzeros in row-major order."""
     dim = int(data["register_dim"])
-    flat = np.array([complex(re, im) for re, im in data["payload"]], dtype=complex)
+    flat = np.array(
+        [_complex_pair(z, f"payload[{i}]") for i, z in enumerate(data["payload"])], dtype=complex
+    )
     if flat.shape[0] != dim * dim:
         raise DimensionMismatch(
             f"payload length {flat.shape[0]} != register_dim^2 = {dim * dim}"
         )
+    net = build_network(flat.reshape(dim, dim))
     factors = tuple(
-        QcpuFactor(m=int(f["m"]), n=int(f["n"]), u=complex(f["u"][0], f["u"][1]))
-        for f in data["factors"]
+        QcpuFactor(m=f["m"], n=f["n"], u=_complex_pair(f["u"], f"factors[{i}].u"))
+        for i, f in enumerate(data["factors"])
     )
-    return QcpuNetwork(register_dim=dim, payload=flat.reshape(dim, dim), factors=factors)
+    if factors != net.factors:
+        raise InvalidSpec("factors differ from the payload's nonzeros in row-major order")
+    return net

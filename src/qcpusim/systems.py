@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import warnings
@@ -33,9 +33,10 @@ from .errors import (
     PacketWidthWarning,
     ZeroVector,
 )
-from .grid import GridSpec, Wavefunction, dft_operator, signed_momentum
-from .numerics import as_state
-from .qcpu import QcpuNetwork, build_network, compose_product
+from .evolve import EvolutionConfig, euler_states, euler_step, whole_network
+from .grid import GridSpec, Wavefunction, dft_operator, kinetic_operator, signed_momentum
+from .numerics import as_state, densify
+from .qcpu import QcpuNetwork, build_network, compose_product, raising_block
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +399,97 @@ def constant_field_evolution(
         raise DimensionMismatch(f"state dim {state.shape[0]} != grid size {grid.size}")
     phase = np.exp(sign * 1j * u * t)
     return phase * (spectral_free_propagator(grid, mu, t, sign) @ state)
+
+
+# ---------------------------------------------------------------------------
+# Propagation routes: the one place a system kind picks its physics
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Route:
+    """How `simulate` and `compare` propagate one system kind.
+
+    `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
+    and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
+    for steps 0..evo.steps.  `compare` uses `euler_hamiltonian()` and
+    `network_block(h, evo)`, the raising block of the chained step networks
+    for that H.  Matrices are built only on call.
+    """
+
+    method: str
+    hamiltonian: Callable[[], np.ndarray]
+    states: Callable[[np.ndarray, np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
+    euler_hamiltonian: Callable[[], np.ndarray]
+    network_block: Callable[[np.ndarray, EvolutionConfig], np.ndarray]
+
+
+def system_route(system: SystemSpec, grid: GridSpec) -> Route:
+    """The propagation route of each system kind.
+
+    `simulate` runs each kind in its natural representation: the free
+    particle and constant field through the Fourier pipeline, the
+    oscillator in its energy eigenbasis, and the generic grid system by
+    Euler stepping.  `compare` steps every grid kind with the shift-stencil
+    kinetic, because that is the payload the step networks are assembled
+    from; the oscillator, having no grid, steps its diagonal energy matrix.
+    """
+    mu, u = system.mu, system.u
+    if system.kind == "harmonic":
+        energies = harmonic_energies(system.omega, grid.size)
+
+        def energy_matrix():
+            return np.diag(energies).astype(complex)
+
+        def phases(h, psi0, evo):
+            yield 0, psi0
+            for i in range(1, evo.steps + 1):
+                yield i, np.exp((evo.sign * 1j * (i * evo.dt)) * energies) * psi0
+
+        def chained_steps(h, evo):
+            step = build_network(euler_step(h, evo.dt, evo.sign))
+            return raising_block(compose_product([step] * evo.steps))
+
+        return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix, chained_steps)
+
+    if system.kind == "grid_schrodinger":
+        values = system.potential.values_on(grid)
+    elif system.kind == "constant_field":
+        values = np.full(grid.size, float(u))
+    else:
+        values = None
+
+    def stencil_matrix():
+        # One expression frees the densified kinetic before the sum returns; a
+        # local kept ~7 MB more heap resident for the rest of an N = 1024 run.
+        if values is None:
+            return densify(kinetic_operator(grid, mu))
+        return densify(kinetic_operator(grid, mu)) + np.diag(values).astype(complex)
+
+    def step_chain(h, evo):
+        return raising_block(whole_network(grid, mu, values, evo))
+
+    if system.kind == "grid_schrodinger":
+        def euler(h, psi0, evo):
+            return euler_states(euler_step(h, evo.dt, evo.sign), psi0, evo.steps)
+
+        return Route("euler_network", stencil_matrix, euler, stencil_matrix, step_chain)
+
+    def spectral_matrix():
+        h = spectral_kinetic_matrix(grid, mu)
+        return h if u is None else h + u * np.eye(grid.size)
+
+    def fourier_phases(h, psi0, evo):
+        """Free spectral evolution, times the global phase e^{sign i u t} in a field."""
+        yield 0, psi0
+        fourier = dft_operator(grid)
+        momentum_state = fourier @ psi0
+        energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+        for i in range(1, evo.steps + 1):
+            t = i * evo.dt
+            state = fourier.conj().T @ (np.exp((evo.sign * 1j * t) * energies) * momentum_state)
+            if u is not None:
+                state = np.exp(evo.sign * 1j * u * t) * state
+            yield i, state
+
+    method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
+    return Route(method, spectral_matrix, fourier_phases, stencil_matrix, step_chain)

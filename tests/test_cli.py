@@ -299,6 +299,31 @@ def test_compare_harmonic_system(tmp_path):
     assert report["min_fidelity_network_vs_euler"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "system, order",
+    [
+        ({"kind": "free_particle", "mu": 1.0}, 1.001),
+        ({"kind": "constant_field", "mu": 1.0, "u": 2.0}, 1.037),
+    ],
+)
+def test_compare_stencil_systems(tmp_path, system, order):
+    """Free particle and constant field step with the stencil kinetic, not
+    the spectral one that `simulate` uses; the network chain tracks the loop."""
+    out_dir = tmp_path / "cmpstencil"
+    data = {
+        "system": system,
+        "grid": {"L": 16.0, "k": 4},
+        "evolution": {"dt": 0.0625, "total_time": 1.0},
+        "initial_state": {"gaussian": {"x0": 8.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(out_dir)},
+    }
+    config = write_config(tmp_path, data)
+    assert main(["compare", "--config", str(config), "--ladder", "3"]) == 0
+    report = json.loads((out_dir / "compare_report.json").read_text())
+    assert report["convergence_order"] == pytest.approx(order, abs=1e-3)
+    assert report["min_fidelity_network_vs_euler"] >= 1.0 - 1e-15
+
+
 def test_compare_ladder_minimum(tmp_path):
     config = write_config(tmp_path, grid_config(tmp_path / "x"))
     assert main(["compare", "--config", str(config), "--ladder", "1"]) == 2

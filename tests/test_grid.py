@@ -24,7 +24,6 @@ from qcpusim import (
     dft_operator,
     hermiticity_defect,
     kinetic_eigenvalue,
-    kinetic_exchange_payload,
     kinetic_operator,
     lift_one,
     momentum_eigenvalue,
@@ -40,7 +39,7 @@ from qcpusim import (
     wavefunction_header,
     wavefunction_records,
 )
-from qcpusim.grid import Transposition
+from qcpusim.numerics import CyclicShift, Transposition
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +170,61 @@ def test_kinetic_rejects_bad_mass(mu):
         kinetic_operator(GridSpec(length=1.0, qubits=3), mu)
 
 
+def _shift_product_stencils(grid, mu):
+    """Momentum and kinetic matrices as products of densified cyclic shifts."""
+    n = grid.size
+    s_plus = densify(CyclicShift(offset=1, dim=n))
+    s_minus = densify(CyclicShift(offset=-1, dim=n))
+    momentum = -0.5j * (n / grid.length) * (s_plus - s_minus)
+    pref = (n / grid.length) ** 2
+    kinetic = -(pref / (8.0 * mu)) * (s_plus @ s_plus + s_minus @ s_minus - 2.0 * np.eye(n))
+    return momentum, kinetic
+
+
+@pytest.mark.parametrize("qubits, mu", [(2, 1.0), (3, 0.5), (4, 1.7), (8, 2.25)])
+def test_stencils_match_shift_products(qubits, mu):
+    """The rolled-identity stencils equal the shift products bit for bit,
+    signed zeros included.  At N = 4 the +2 and -2 shifts land on the same
+    entry and must add up."""
+    g = GridSpec(length=7.0, qubits=qubits, centered=True)
+    momentum, kinetic = _shift_product_stencils(g, mu)
+    for fast, reference in (
+        (densify(momentum_operator(g)), momentum),
+        (densify(kinetic_operator(g, mu)), kinetic),
+    ):
+        assert np.array_equal(fast, reference)
+        assert fast.tobytes() == reference.tobytes()
+    if qubits == 2:
+        assert kinetic[0, 2] == -kinetic[0, 0]  # both shifts: 2 * coefficient
+
+
+def _kinetic_exchange_payload(grid, mu):
+    """Kinetic matrix assembled dyad by dyad from exchange permutations.
+
+    Each off-diagonal term |x_m><x_{m+/-2}| is the projector |x_m><x_m|
+    times the transposition exchanging basis states m and m+/-2; the
+    diagonal part is the identity-proportional remainder.
+    """
+    n = grid.size
+    pref = (n / grid.length) ** 2
+    coef = -(pref / (8.0 * mu))
+    out = (pref / (4.0 * mu)) * np.eye(n, dtype=float)
+    for m in range(n):
+        projector = np.zeros((n, n))
+        projector[m, m] = 1.0
+        for shift in (2, -2):
+            target = (m + shift) % n
+            out = out + coef * (projector @ densify(Transposition(a=m, b=target, dim=n)).real)
+    return out.astype(complex)
+
+
 def test_kinetic_exchange_payload_matches_exactly():
     """The dyad-by-dyad exchange assembly reproduces the stencil matrix
     entry for entry, with no floating-point discrepancy at all."""
     for qubits, mu in ((2, 1.0), (3, 0.5), (5, 2.25)):
         g = GridSpec(length=7.0, qubits=qubits)
         assert np.array_equal(
-            kinetic_exchange_payload(g, mu), densify(kinetic_operator(g, mu))
+            _kinetic_exchange_payload(g, mu), densify(kinetic_operator(g, mu))
         )
 
 

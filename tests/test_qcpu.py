@@ -17,6 +17,7 @@ from qcpusim import (
     AUX_CREATE,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidSpec,
     NonSquareInput,
     QcpuFactor,
     QcpuNetwork,
@@ -261,4 +262,34 @@ def test_network_from_dict_length_check():
     data = network_to_dict(build_network(np.eye(2)))
     data["payload"] = data["payload"][:-1]
     with pytest.raises(DimensionMismatch):
+        network_from_dict(data)
+
+
+def test_network_from_dict_rejects_factors_that_disagree_with_payload():
+    data = network_to_dict(build_network(np.eye(2)))
+    data["factors"][1]["m"] = 0  # a factor at (0, 1) where the payload holds 0
+    with pytest.raises(InvalidSpec, match="factors differ"):
+        network_from_dict(data)
+    data = network_to_dict(build_network(np.eye(2)))
+    data["factors"] = data["factors"][:1]
+    with pytest.raises(InvalidSpec, match="factors differ"):
+        network_from_dict(data)
+
+
+def test_network_from_dict_rejects_out_of_range_factor_index():
+    data = network_to_dict(build_network(np.eye(2)))
+    data["factors"][0]["m"] = 5
+    with pytest.raises(InvalidSpec, match="factors differ"):
+        network_from_dict(data)
+
+
+@pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 0.0], "ab", [None, 0.0], [True, 0.0]])
+def test_network_from_dict_rejects_malformed_pairs(pair):
+    data = network_to_dict(build_network(np.eye(2)))
+    data["payload"][0] = pair
+    with pytest.raises(InvalidSpec, match=r"payload\[0\]"):
+        network_from_dict(data)
+    data = network_to_dict(build_network(np.eye(2)))
+    data["factors"][0]["u"] = pair
+    with pytest.raises(InvalidSpec, match=r"factors\[0\]\.u"):
         network_from_dict(data)
