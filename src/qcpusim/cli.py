@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import EvolutionReport, evolve_euler, norm_drift, report_rows
+from .evolve import checked_states, evolve_euler, report_rows, report_summary, run_report
 from .grid import (
     GridSpec,
     Wavefunction,
@@ -129,18 +129,6 @@ def _directory_lock(out_dir: Path):
             lock.unlink()
         except OSError:
             pass
-
-
-def _check_finite(state: np.ndarray, step: int) -> None:
-    """Reject states whose amplitudes, or probabilities, left double range.
-
-    Probabilities are checked too so a snapshot never records an `inf`
-    (JSON has no representation for it).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = state.real**2 + state.imag**2
-    if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
-        raise NumericalFailure(f"non-finite amplitude detected at step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,41 +256,25 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     psi0 = cfg.initial_state.build(grid)
     route = system_route(cfg.system, grid)
     h = route.hamiltonian()
-    evo = cfg.evolution.resolve(spectral_norm_upper_bound(h), mu=cfg.system.mu or 1.0)
+    evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
 
     norm_sq = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, state in route.states(h, psi0, evo):
-            _check_finite(state, step)
-            ns = float(np.vdot(state, state).real)
-            if not math.isfinite(ns):
-                raise NumericalFailure(f"non-finite norm at step {step}")
+        for step, state, ns in checked_states(route.states(h, psi0, evo)):
             norm_sq.append(ns)
             if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
                 _write_snapshot(
                     out_dir / f"snapshot_{step:06d}.jsonl",
                     Wavefunction(grid=grid, amplitudes=state, time=step * evo.dt),
                 )
-
-    oracle = exact_evolution(h, evo.steps * evo.dt, evo.sign) @ psi0
-    report = EvolutionReport(
-        norm_sq=np.array(norm_sq),
-        final_fidelity=fidelity(state, oracle),
-        steps=evo.steps,
-        dt=evo.dt,
-        sign=evo.sign,
-    )
+    report = run_report(h, psi0, evo, state, norm_sq)
     _write_csv_atomic(
         out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], report_rows(report)
     )
     summary = {
         "config": cfg.to_dict(),
-        "steps": evo.steps,
-        "dt": evo.dt,
-        "sign": evo.sign,
+        **report_summary(report),
         "method": route.method,
-        "final_fidelity": report.final_fidelity,
-        "max_norm_drift": float(np.max(np.abs(norm_drift(report)))),
         "wall_time_s": time.perf_counter() - started,
     }
     _write_json_atomic(out_dir / "summary.json", summary)
@@ -329,7 +301,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     route = system_route(cfg.system, cfg.grid)
     h = route.euler_hamiltonian()
     psi0 = cfg.initial_state.build(cfg.grid)
-    base = cfg.evolution.resolve(spectral_norm_upper_bound(h), mu=cfg.system.mu or 1.0)
+    base = cfg.evolution.resolve(spectral_norm_upper_bound(h))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
 

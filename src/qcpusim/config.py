@@ -71,21 +71,18 @@ class EvolutionSettings:
     auto_epsilon: float | None = None
     sign: int = -1
 
-    def resolve(self, norm_bound: float, mu: float = 1.0) -> EvolutionConfig:
+    def resolve(self, norm_bound: float) -> EvolutionConfig:
         """Turn the settings into a concrete EvolutionConfig.
 
         Explicit dt is validated against the whole-number-of-steps rule;
         the auto policy sizes dt so dt * norm_bound <= auto_epsilon.
         """
         if self.dt is not None:
-            return EvolutionConfig(
-                dt=self.dt, total_time=self.total_time, mu=mu, sign=self.sign
-            )
+            return EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
         return EvolutionConfig.auto(
             total_time=self.total_time,
             norm_bound=norm_bound,
             epsilon=self.auto_epsilon,
-            mu=mu,
             sign=self.sign,
         )
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidSpec,
-    NonPositiveMass,
-    NumericalFailure,
-    ResidualTimeError,
-    ZeroVector,
-)
+from .errors import DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError
 from .grid import GridSpec, kinetic_operator, potential_operator
 from .numerics import (
     Diagonal,
@@ -40,7 +33,7 @@ _RESIDUAL_FRACTION = 1e-9
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time-stepping parameters: step size, horizon, mass, and phase sign.
+    """Time-stepping parameters: step size, horizon, and phase sign.
 
     The horizon must be a whole number of steps: a leftover fraction of a
     step is rejected rather than silently evolved or dropped.  dt_policy
@@ -50,7 +43,6 @@ class EvolutionConfig:
 
     dt: float
     total_time: float
-    mu: float = 1.0
     sign: int = -1
     dt_policy: str = "explicit"
     epsilon: float | None = None
@@ -60,8 +52,6 @@ class EvolutionConfig:
             raise InvalidSpec(f"dt must be finite and positive, got {self.dt!r}")
         if not math.isfinite(self.total_time) or self.total_time < 0.0:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {self.total_time!r}")
-        if not (self.mu > 0.0) or not math.isfinite(self.mu):
-            raise NonPositiveMass(f"mass must be positive and finite, got {self.mu!r}")
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
         if self.dt_policy not in ("explicit", "auto"):
@@ -84,7 +74,6 @@ class EvolutionConfig:
         total_time: float,
         norm_bound: float,
         epsilon: float = 0.01,
-        mu: float = 1.0,
         sign: int = -1,
     ) -> "EvolutionConfig":
         """Pick dt so that dt * norm_bound <= epsilon, commensurate with total_time."""
@@ -95,12 +84,11 @@ class EvolutionConfig:
         if not math.isfinite(total_time) or total_time < 0.0:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {total_time!r}")
         if total_time == 0.0:
-            return cls(dt=1.0, total_time=0.0, mu=mu, sign=sign, dt_policy="auto", epsilon=epsilon)
+            return cls(dt=1.0, total_time=0.0, sign=sign, dt_policy="auto", epsilon=epsilon)
         steps = max(1, math.ceil(total_time * norm_bound / epsilon))
         return cls(
             dt=total_time / steps,
             total_time=total_time,
-            mu=mu,
             sign=sign,
             dt_policy="auto",
             epsilon=epsilon,
@@ -109,14 +97,13 @@ class EvolutionConfig:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionReport:
-    """Diagnostics of one Euler run: squared norms per step and oracle fidelity."""
+    """Diagnostics of one run: squared norms per step and oracle fidelity."""
 
     norm_sq: np.ndarray
     final_fidelity: float
     steps: int
     dt: float
     sign: int
-    convergence_order: float | None = None
 
 
 def norm_drift(report: EvolutionReport) -> np.ndarray:
@@ -144,7 +131,7 @@ def report_summary(report: EvolutionReport) -> dict:
         "dt": report.dt,
         "sign": report.sign,
         "final_fidelity": report.final_fidelity,
-        "convergence_order": report.convergence_order,
+        "max_norm_drift": float(np.max(np.abs(norm_drift(report)))),
     }
 
 
@@ -159,78 +146,62 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
-def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int, renormalize: bool = False):
-    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state.
-
-    `renormalize` rescales each new state to unit norm before it is yielded
-    and stepped again.
-    """
+def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int):
+    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state."""
     state = psi0
     yield 0, state
     for i in range(1, steps + 1):
         state = omega @ state
-        if renormalize:
-            nrm = np.linalg.norm(state)
-            if nrm == 0.0:
-                raise ZeroVector("state collapsed to zero during renormalized evolution")
-            state = state / nrm
         yield i, state
 
 
-def evolve_euler(
-    h,
-    psi,
-    cfg: EvolutionConfig,
-    renormalize: bool = False,
-    estimate_order: bool = False,
-):
+def checked_states(states):
+    """Yield (step, state, norm_sq) for each (step, state) a propagator yields.
+
+    Raises NumericalFailure at the first state whose amplitudes,
+    probabilities or norm left double range, so no artifact records an inf.
+    Callers step under np.errstate(over="ignore", invalid="ignore").
+    """
+    for step, state in states:
+        probs = state.real**2 + state.imag**2
+        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
+            raise NumericalFailure(f"non-finite amplitude detected at step {step}")
+        norm_sq = float(np.vdot(state, state).real)
+        if not math.isfinite(norm_sq):
+            raise NumericalFailure(f"non-finite norm at step {step}")
+        yield step, state, norm_sq
+
+
+def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> EvolutionReport:
+    """Squared norms of a finished run, and its final state's fidelity
+    against the exact propagator for the same h and horizon."""
+    oracle = exact_evolution(h, cfg.steps * cfg.dt, cfg.sign) @ psi0
+    return EvolutionReport(
+        norm_sq=np.array(norm_sq),
+        final_fidelity=fidelity(final, oracle),
+        steps=cfg.steps,
+        dt=cfg.dt,
+        sign=cfg.sign,
+    )
+
+
+def evolve_euler(h, psi, cfg: EvolutionConfig):
     """Apply the Euler step cfg.steps times; returns (final state, report).
 
-    The report's fidelity compares the final state against the exact
-    spectral propagator for the same h and horizon.  `renormalize` rescales
-    to unit norm after every step; it is an extension beyond the plain
-    power-of-Omega evolution and is off by default.  `estimate_order` runs a
-    halved-dt companion evolution and reports the observed convergence
-    order (about 1 for this method).
+    Raises NumericalFailure as soon as a state leaves double range.  The
+    report's fidelity compares the final state against the exact spectral
+    propagator for the same h and horizon.
     """
     h = as_complex_matrix(h)
     psi0 = as_state(psi)
     if h.shape[0] != psi0.shape[0]:
         raise DimensionMismatch(f"state dim {psi0.shape[0]} != operator dim {h.shape[0]}")
-    steps = cfg.steps
     omega = euler_step(h, cfg.dt, cfg.sign)
-
-    def _run(step_matrix: np.ndarray, count: int, rescale: bool) -> tuple[np.ndarray, list[float]]:
-        norms = []
-        for i, state in euler_states(step_matrix, psi0.copy(), count, rescale):
-            if i and not np.all(np.isfinite(state.real) & np.isfinite(state.imag)):
-                raise NumericalFailure(f"non-finite amplitude after step {i}")
-            norms.append(float(np.vdot(state, state).real))
-        return state, norms
-
-    final, norms = _run(omega, steps, renormalize)
-    oracle = exact_evolution(h, steps * cfg.dt, cfg.sign) @ psi0
-    fid = fidelity(final, oracle)
-
-    order = None
-    if estimate_order and steps >= 1:
-        raw = final if not renormalize else _run(omega, steps, False)[0]
-        half = euler_step(h, cfg.dt / 2.0, cfg.sign)
-        raw_half = _run(half, 2 * steps, False)[0]
-        err_full = float(np.linalg.norm(raw - oracle))
-        err_half = float(np.linalg.norm(raw_half - oracle))
-        if err_full > 0.0 and err_half > 0.0:
-            order = math.log2(err_full / err_half)
-
-    report = EvolutionReport(
-        norm_sq=np.array(norms),
-        final_fidelity=fid,
-        steps=steps,
-        dt=cfg.dt,
-        sign=cfg.sign,
-        convergence_order=order,
-    )
-    return final, report
+    norm_sq = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, state, ns in checked_states(euler_states(omega, psi0.copy(), cfg.steps)):
+            norm_sq.append(ns)
+    return state, run_report(h, psi0, cfg, state, norm_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ input branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +81,15 @@ class QcpuNetwork:
 
     register_dim: int
     payload: np.ndarray
-    factors: tuple[QcpuFactor, ...]
+
+    @cached_property
+    def factors(self) -> tuple[QcpuFactor, ...]:
+        """One factor per nonzero payload entry, in row-major order."""
+        rows, cols = np.nonzero(self.payload)
+        return tuple(
+            QcpuFactor(m=int(m), n=int(n), u=complex(self.payload[m, n]))
+            for m, n in zip(rows, cols)
+        )
 
     def dense(self) -> np.ndarray:
         """Closed form I (x) I + payload (x) |1><0| by direct block assembly."""
@@ -95,11 +104,7 @@ def build_network(u) -> QcpuNetwork:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NonSquareInput(f"payload must be square, got {u.shape}")
-    rows, cols = np.nonzero(u)
-    factors = tuple(
-        QcpuFactor(m=int(m), n=int(n), u=complex(u[m, n])) for m, n in zip(rows, cols)
-    )
-    return QcpuNetwork(register_dim=u.shape[0], payload=u.copy(), factors=factors)
+    return QcpuNetwork(register_dim=u.shape[0], payload=u.copy())
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -233,10 +238,25 @@ def _complex_pair(value, where: str) -> complex:
     raise InvalidSpec(f"{where} must be an [re, im] pair of real numbers, got {value!r}")
 
 
+def _wire_factor(entry, i: int) -> QcpuFactor:
+    if not isinstance(entry, dict) or not {"m", "n", "u"} <= entry.keys():
+        raise InvalidSpec(f"factors[{i}] must be an object with keys m, n and u, got {entry!r}")
+    m, n = entry["m"], entry["n"]
+    if type(m) is not int or type(n) is not int:
+        raise InvalidSpec(f"factors[{i}] indices must be integers, got m={m!r}, n={n!r}")
+    return QcpuFactor(m=m, n=n, u=_complex_pair(entry["u"], f"factors[{i}].u"))
+
+
 def network_from_dict(data: dict) -> QcpuNetwork:
-    """Inverse of network_to_dict.  Rejects malformed [re, im] pairs and any
-    factor list other than the payload's nonzeros in row-major order."""
-    dim = int(data["register_dim"])
+    """Inverse of network_to_dict.  Rejects with InvalidSpec any input it does
+    not write, including factors other than the payload's row-major nonzeros."""
+    if not isinstance(data, dict) or not {"register_dim", "payload", "factors"} <= data.keys():
+        raise InvalidSpec("a network is an object with keys register_dim, payload and factors")
+    dim = data["register_dim"]
+    if type(dim) is not int or dim < 0:
+        raise InvalidSpec(f"register_dim must be a nonnegative integer, got {dim!r}")
+    if not (isinstance(data["payload"], list) and isinstance(data["factors"], list)):
+        raise InvalidSpec("network payload and factors must be lists")
     flat = np.array(
         [_complex_pair(z, f"payload[{i}]") for i, z in enumerate(data["payload"])], dtype=complex
     )
@@ -245,10 +265,7 @@ def network_from_dict(data: dict) -> QcpuNetwork:
             f"payload length {flat.shape[0]} != register_dim^2 = {dim * dim}"
         )
     net = build_network(flat.reshape(dim, dim))
-    factors = tuple(
-        QcpuFactor(m=f["m"], n=f["n"], u=_complex_pair(f["u"], f"factors[{i}].u"))
-        for i, f in enumerate(data["factors"])
-    )
+    factors = tuple(_wire_factor(f, i) for i, f in enumerate(data["factors"]))
     if factors != net.factors:
         raise InvalidSpec("factors differ from the payload's nonzeros in row-major order")
     return net

@@ -482,11 +482,12 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         """Free spectral evolution, times the global phase e^{sign i u t} in a field."""
         yield 0, psi0
         fourier = dft_operator(grid)
+        inverse = fourier.conj().T
         momentum_state = fourier @ psi0
         energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
         for i in range(1, evo.steps + 1):
             t = i * evo.dt
-            state = fourier.conj().T @ (np.exp((evo.sign * 1j * t) * energies) * momentum_state)
+            state = inverse @ (np.exp((evo.sign * 1j * t) * energies) * momentum_state)
             if u is not None:
                 state = np.exp(evo.sign * 1j * u * t) * state
             yield i, state

@@ -4,13 +4,16 @@ Every test drives the real entry point in process via main(argv) and reads
 back the files it writes; nothing here monkeypatches internals.
 """
 
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
+from qcpusim import evolve_euler, load_run_config, spectral_norm_upper_bound
 from qcpusim.cli import LOCK_NAME, main
+from qcpusim.systems import system_route
 
 
 def write_config(tmp_path, data, name="run.json"):
@@ -226,7 +229,8 @@ def test_simulate_overflow_exits_1_without_bad_snapshot(tmp_path, capsys):
     }
     config = write_config(tmp_path, data)
     assert main(["simulate", "--config", str(config)]) == 1
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
     for snap in out_dir.glob("snapshot_*.jsonl"):
         for line in snap.read_text().splitlines():
             record = json.loads(line)  # strict JSON: inf would fail here
@@ -234,6 +238,25 @@ def test_simulate_overflow_exits_1_without_bad_snapshot(tmp_path, capsys):
                 if isinstance(value, float):
                     assert math.isfinite(value)
     assert not (out_dir / LOCK_NAME).exists()
+    # compare's Euler rungs stop at the same step with the same message
+    assert main(["compare", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == err
+    assert not (out_dir / "compare_report.json").exists()
+    assert not (out_dir / LOCK_NAME).exists()
+
+
+def test_simulate_diagnostics_match_evolve_euler(tmp_path):
+    """The grid route's diagnostics.csv records evolve_euler's squared norms."""
+    out_dir = tmp_path / "diag"
+    config = write_config(tmp_path, grid_config(out_dir))
+    assert main(["simulate", "--config", str(config)]) == 0
+    cfg = load_run_config(config)
+    h = system_route(cfg.system, cfg.grid).hamiltonian()
+    evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
+    _, report = evolve_euler(h, cfg.initial_state.build(cfg.grid), evo)
+    with open(out_dir / "diagnostics.csv", newline="") as handle:
+        norm_sq = [float(row["norm_sq"]) for row in csv.DictReader(handle)]
+    assert norm_sq == report.norm_sq.tolist()
 
 
 def test_lock_blocks_concurrent_run(tmp_path, capsys):

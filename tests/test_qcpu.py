@@ -283,6 +283,32 @@ def test_network_from_dict_rejects_out_of_range_factor_index():
         network_from_dict(data)
 
 
+_UNIT = {"register_dim": 1, "payload": [[2.0, 0.0]], "factors": [{"m": 0, "n": 0, "u": [2.0, 0.0]}]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [_UNIT],
+        "network",
+        *({k: v for k, v in _UNIT.items() if k != key} for key in _UNIT),
+        {**_UNIT, "payload": 5},
+        {**_UNIT, "factors": [1]},
+        {**_UNIT, "factors": [{"m": 0, "n": 0}]},
+        *({**_UNIT, "register_dim": dim} for dim in (1.7, True, "x", -1)),
+        *(
+            {**_UNIT, "factors": [{**_UNIT["factors"][0], key: index}]}
+            for key in ("m", "n")
+            for index in (0.0, False)
+        ),
+    ],
+)
+def test_network_from_dict_rejects_malformed_structure(data):
+    assert network_to_dict(network_from_dict(_UNIT)) == _UNIT
+    with pytest.raises(InvalidSpec):
+        network_from_dict(data)
+
+
 @pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 0.0], "ab", [None, 0.0], [True, 0.0]])
 def test_network_from_dict_rejects_malformed_pairs(pair):
     data = network_to_dict(build_network(np.eye(2)))
