@@ -29,17 +29,9 @@ from .errors import (
     ZeroVector,
 )
 from .numerics import (
-    CyclicShift,
-    Dense,
-    Diagonal,
-    SpectralDecomposition,
-    Transposition,
-    decompose_hermitian,
-    densify,
     exact_evolution,
     fidelity,
     hermiticity_defect,
-    operator_dim,
     require_hermitian,
     spectral_norm_upper_bound,
     tensor,

@@ -49,7 +49,7 @@ from .grid import (
     wavefunction_header,
     wavefunction_records,
 )
-from .numerics import densify, exact_evolution, fidelity, spectral_norm_upper_bound, tensor
+from .numerics import exact_evolution, fidelity, spectral_norm_upper_bound, tensor
 from .qcpu import (
     AUX_ANNIHILATE,
     AUX_CREATE,
@@ -363,8 +363,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     grid = GridSpec(length=args.L, qubits=args.k)
-    momentum = densify(momentum_operator(grid))
-    kinetic = densify(kinetic_operator(grid, args.mu))
+    momentum = momentum_operator(grid)
+    kinetic = kinetic_operator(grid, args.mu)
     rows = []
     for n in range(grid.size):
         mode = plane_wave_mode(grid, n)

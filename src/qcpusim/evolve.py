@@ -17,15 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError
 from .grid import GridSpec, kinetic_operator, potential_operator
-from .numerics import (
-    Diagonal,
-    as_complex_matrix,
-    as_state,
-    densify,
-    exact_evolution,
-    fidelity,
-    require_hermitian,
-)
+from .numerics import as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian
 from .qcpu import QcpuNetwork, build_network, compose_product, compose_sum
 
 _RESIDUAL_FRACTION = 1e-9
@@ -186,11 +178,12 @@ def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> EvolutionReport
 
 
 def evolve_euler(h, psi, cfg: EvolutionConfig):
-    """Apply the Euler step cfg.steps times; returns (final state, report).
+    """Apply the Euler step cfg.steps times; returns (final state, squared
+    norms of steps 0..cfg.steps).
 
-    Raises NumericalFailure as soon as a state leaves double range.  The
-    report's fidelity compares the final state against the exact spectral
-    propagator for the same h and horizon.
+    Raises NumericalFailure as soon as a state leaves double range.  Pass
+    both to run_report to compare the final state against the exact
+    propagator.
     """
     h = as_complex_matrix(h)
     psi0 = as_state(psi)
@@ -201,7 +194,7 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for _, state, ns in checked_states(euler_states(omega, psi0.copy(), cfg.steps)):
             norm_sq.append(ns)
-    return state, run_report(h, psi0, cfg, state, norm_sq)
+    return state, np.array(norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +203,22 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 
 def kinetic_network(grid: GridSpec, mu: float) -> QcpuNetwork:
     """Network whose payload is the shift-by-two kinetic operator."""
-    return build_network(densify(kinetic_operator(grid, mu)))
+    return build_network(kinetic_operator(grid, mu))
 
 
 def potential_network(grid: GridSpec, v) -> QcpuNetwork:
     """Network for a diagonal potential; v is a callable of position or a
     length-N sequence of per-point values."""
     if callable(v):
-        diag = potential_operator(grid, v)
-    else:
-        values = np.asarray(v, dtype=complex)
-        if values.ndim != 1 or values.shape[0] != grid.size:
-            raise DimensionMismatch(
-                f"potential table must have length {grid.size}, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-            raise InvalidSpec("potential table contains non-finite values")
-        diag = Diagonal(values)
-    return build_network(densify(diag))
+        return build_network(potential_operator(grid, v))
+    values = np.asarray(v, dtype=complex)
+    if values.ndim != 1 or values.shape[0] != grid.size:
+        raise DimensionMismatch(
+            f"potential table must have length {grid.size}, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
+        raise InvalidSpec("potential table contains non-finite values")
+    return build_network(np.diag(values))
 
 
 def step_network(grid: GridSpec, mu: float, v, dt: float, sign: int = -1) -> QcpuNetwork:
@@ -245,7 +236,7 @@ def step_network(grid: GridSpec, mu: float, v, dt: float, sign: int = -1) -> Qcp
     scale = sign * 1j * dt
     pieces = [
         build_network(np.eye(n, dtype=complex)),
-        build_network(scale * densify(kinetic_operator(grid, mu))),
+        build_network(scale * kinetic_operator(grid, mu)),
     ]
     if v is not None:
         pieces.append(build_network(scale * potential_network(grid, v).payload))

@@ -2,11 +2,12 @@
 
 A grid has N = 2^k points spaced L/N apart, either starting at the origin
 (default) or centered on it.  Wavefunctions are plain amplitude vectors over
-the grid points with periodic indexing.  The momentum operator is the
-Hermitian central difference built from cyclic shifts; the kinetic operator
-is its exact square over shift-by-two stencils.  Two-particle helpers cover
-operator lifting, (anti)symmetrization, and the center-of-mass/relative
-splitting of a pair problem.
+the grid points with periodic indexing, and every operator is a dense
+complex matrix.  The momentum operator is the Hermitian central difference
+of cyclic shifts by one point; the kinetic operator is its exact square over
+shift-by-two stencils; potentials are diagonal matrices.  Two-particle
+helpers cover operator lifting, (anti)symmetrization, and the
+center-of-mass/relative splitting of a pair problem.
 
 Natural units throughout (hbar = 1); lengths, times, and masses are in
 mutually consistent units.
@@ -32,7 +33,7 @@ from .errors import (
     NonPositiveMass,
     ZeroResultWarning,
 )
-from .numerics import Diagonal, Dense, densify, operator_dim, tensor
+from .numerics import tensor
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def sample(f, grid: GridSpec, t: float = 0.0) -> Wavefunction:
 # Single-particle operators
 # ---------------------------------------------------------------------------
 
-def momentum_operator(grid: GridSpec) -> Dense:
+def momentum_operator(grid: GridSpec) -> np.ndarray:
     """Hermitian central-difference momentum: -(i/2)(N/L)(S+ - S-).
 
     S+ and S- are the cyclic shifts by one grid point in either direction;
@@ -179,10 +180,10 @@ def momentum_operator(grid: GridSpec) -> Dense:
         )
     eye = np.eye(n, dtype=complex)
     scale = -0.5j * (n / grid.length)
-    return Dense(scale * (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)))
+    return scale * (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1))
 
 
-def kinetic_operator(grid: GridSpec, mu: float) -> Dense:
+def kinetic_operator(grid: GridSpec, mu: float) -> np.ndarray:
     """Kinetic energy -(1/8 mu)(N/L)^2 (S+^2 + S-^2 - 2I), the exact square
     of the central-difference momentum divided by 2 mu.
 
@@ -197,22 +198,22 @@ def kinetic_operator(grid: GridSpec, mu: float) -> Dense:
         )
     eye = np.eye(n, dtype=complex)
     pref = (n / grid.length) ** 2
-    return Dense(-(pref / (8.0 * mu)) * (np.roll(eye, 2, axis=1) + np.roll(eye, -2, axis=1) - 2.0 * eye))
+    return -(pref / (8.0 * mu)) * (np.roll(eye, 2, axis=1) + np.roll(eye, -2, axis=1) - 2.0 * eye)
 
 
-def potential_operator(grid: GridSpec, v: Callable[[float], float]) -> Diagonal:
-    """Diagonal multiplication operator with entries v(x_m)."""
+def potential_operator(grid: GridSpec, v: Callable[[float], float]) -> np.ndarray:
+    """Multiplication operator as a diagonal matrix, entries v(x_m)."""
     values = np.empty(grid.size, dtype=float)
     for m, x in enumerate(grid.points):
         values[m] = float(v(x))
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteValue(f"potential at grid point {bad} (x = {grid.points[bad]}) is not finite")
-    return Diagonal(values.astype(complex))
+    return np.diag(values.astype(complex))
 
 
-def two_body_potential(grid1: GridSpec, grid2: GridSpec, u) -> Diagonal:
-    """Diagonal pair interaction with entries u(x_{m1}, x_{m2}).
+def two_body_potential(grid1: GridSpec, grid2: GridSpec, u) -> np.ndarray:
+    """Pair interaction as a diagonal matrix, entries u(x_{m1}, x_{m2}).
 
     Index convention matches TwoParticleWavefunction: particle 1 is the slow
     index, so entry m1 * N2 + m2 holds u evaluated at the pair of points.
@@ -224,7 +225,7 @@ def two_body_potential(grid1: GridSpec, grid2: GridSpec, u) -> Diagonal:
             values[m1 * grid2.size + m2] = float(u(a, b))
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("two-body potential takes a non-finite value on the grid product")
-    return Diagonal(values.astype(complex))
+    return np.diag(values.astype(complex))
 
 
 def lift_one(op, slot: int, dims: tuple[int, int]) -> np.ndarray:
@@ -233,13 +234,13 @@ def lift_one(op, slot: int, dims: tuple[int, int]) -> np.ndarray:
         raise IndexOutOfRange(f"slot must be 1 or 2, got {slot}")
     n1, n2 = dims
     own = n1 if slot == 1 else n2
-    if operator_dim(op) != own:
+    if np.shape(op) != (own, own):
         raise DimensionMismatch(
-            f"operator dim {operator_dim(op)} does not match slot {slot} size {own}"
+            f"operator shape {np.shape(op)} does not match slot {slot} size {own}"
         )
     if slot == 1:
-        return tensor(densify(op), np.eye(n2))
-    return tensor(np.eye(n1), densify(op))
+        return tensor(op, np.eye(n2))
+    return tensor(np.eye(n1), op)
 
 
 def symmetrize(psi: TwoParticleWavefunction, sign: int) -> TwoParticleWavefunction:

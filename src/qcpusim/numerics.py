@@ -1,18 +1,15 @@
 """Dense complex linear algebra substrate.
 
-Everything downstream (network assembly, discretized operators, time
-evolution) is expressed over plain ``numpy`` complex matrices and vectors.
-This module adds the few structured operator variants the simulator needs
-(diagonal, cyclic shift, transposition), the Hermitian-eigendecomposition
-evolution oracle, and the fidelity metric used for all comparisons.
+Every operator (network payloads, discretized operators, time evolution)
+is a plain N x N complex128 ``numpy`` array, and every state a complex
+vector.  This module holds the coercions and checks on those arrays, the
+Hermitian-eigendecomposition evolution oracle, and the fidelity metric used
+for all comparisons.
 
 All functions are pure; values are never mutated after construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -34,107 +31,6 @@ def as_state(v) -> np.ndarray:
     if out.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got ndim={out.ndim}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Structured operator variants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Diagonal:
-    """Diagonal operator; stores exactly its N diagonal values."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise DimensionMismatch("Diagonal needs a nonempty 1-D value array")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class CyclicShift:
-    """Periodic shift by `offset`: acting on components, psi'[m] = psi[(m + offset) % dim].
-
-    The stored offset is normalized into [0, dim).
-    """
-
-    offset: int
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch("CyclicShift dimension must be >= 1")
-        object.__setattr__(self, "offset", self.offset % self.dim)
-
-
-@dataclass(frozen=True)
-class Transposition:
-    """Permutation exchanging basis states `a` and `b`, identity elsewhere."""
-
-    a: int
-    b: int
-    dim: int
-
-    def __post_init__(self):
-        for idx in (self.a, self.b):
-            if not 0 <= idx < self.dim:
-                raise DimensionMismatch(
-                    f"transposition index {idx} outside dimension {self.dim}"
-                )
-
-
-@dataclass(frozen=True, eq=False)
-class Dense:
-    """Catch-all dense operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_complex_matrix(self.matrix))
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise NonSquareInput(f"Dense operator must be square, got {self.matrix.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-StructuredOperator = Union[Diagonal, CyclicShift, Transposition, Dense]
-
-
-def operator_dim(op: StructuredOperator) -> int:
-    return op.dim
-
-
-def densify(op: StructuredOperator) -> np.ndarray:
-    """Expand a structured operator to its dense N x N matrix.
-
-    CyclicShift(+1) has its one-entries at [m, m+1 mod N], so that the
-    matrix-vector product implements psi'[m] = psi[m+1].
-    """
-    if isinstance(op, Diagonal):
-        return np.diag(op.values)
-    if isinstance(op, CyclicShift):
-        n = op.dim
-        out = np.zeros((n, n), dtype=complex)
-        cols = (np.arange(n) + op.offset) % n
-        out[np.arange(n), cols] = 1.0
-        return out
-    if isinstance(op, Transposition):
-        out = np.eye(op.dim, dtype=complex)
-        if op.a != op.b:
-            out[op.a, op.a] = out[op.b, op.b] = 0.0
-            out[op.a, op.b] = out[op.b, op.a] = 1.0
-        return out
-    if isinstance(op, Dense):
-        return op.matrix.copy()
-    raise TypeError(f"not a structured operator: {type(op)!r}")
 
 
 def tensor(a, b) -> np.ndarray:
@@ -166,30 +62,6 @@ def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix: columns of `eigenvectors`
-    are orthonormal, `eigenvalues` real and ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def apply_function(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """V diag(fn(lambda)) V^dag."""
-        v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ v.conj().T
-
-
-def decompose_hermitian(h, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
-    h = require_hermitian(h, tol)
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
 def exact_evolution(h, t: float, sign: int = -1) -> np.ndarray:
     """Unitary exp(sign * i * h * t) for Hermitian h, via eigendecomposition.
 
@@ -198,8 +70,8 @@ def exact_evolution(h, t: float, sign: int = -1) -> np.ndarray:
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    dec = decompose_hermitian(h)
-    return dec.apply_function(lambda lam: np.exp(1j * sign * lam * t))
+    eigenvalues, v = np.linalg.eigh(require_hermitian(h))
+    return (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
 
 
 def spectral_norm_upper_bound(h) -> float:

@@ -23,7 +23,6 @@ from qcpusim import (
     compose_sum,
     constant_field_evolution,
     dense_from_factors,
-    densify,
     euler_step,
     evolve_euler,
     exact_evolution,
@@ -127,8 +126,8 @@ def test_acceptance_03_spectral_checks():
     started = time.perf_counter()
     g = GridSpec(length=10.0, qubits=5)
     mu = 1.0
-    p = densify(momentum_operator(g))
-    t = densify(kinetic_operator(g, mu))
+    p = momentum_operator(g)
+    t = kinetic_operator(g, mu)
 
     worst = 0.0
     for n in range(g.size):
@@ -181,8 +180,8 @@ def test_acceptance_05_euler_first_order_convergence():
     g = GridSpec(length=16.0, qubits=4, centered=True)
     mu = 1.0
     psi0 = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=1.5)).amplitudes
-    kinetic = densify(kinetic_operator(g, mu))
-    quadratic = kinetic + densify(potential_operator(g, lambda x: 0.05 * x * x))
+    kinetic = kinetic_operator(g, mu)
+    quadratic = kinetic + potential_operator(g, lambda x: 0.05 * x * x)
 
     ratios = []
     for h in (kinetic, quadratic):
@@ -230,7 +229,7 @@ def test_acceptance_06_whole_network_equivalence():
     cfg = EvolutionConfig(dt=1.0 / 64.0, total_time=1.0)
 
     network = whole_network(g, mu, v, cfg)
-    h = densify(kinetic_operator(g, mu)) + densify(potential_operator(g, v))
+    h = kinetic_operator(g, mu) + potential_operator(g, v)
     direct = np.linalg.matrix_power(euler_step(h, cfg.dt), cfg.steps)
     block_err = float(np.max(np.abs(raising_block(network) - direct)))
 
@@ -338,7 +337,7 @@ def test_acceptance_10_two_particle_reduction():
     h_direct = (
         lift_one(kinetic, 1, (n, n))
         + lift_one(kinetic, 2, (n, n))
-        + densify(two_body_potential(g, g, lambda a, b: kappa * (a - b) ** 2))
+        + two_body_potential(g, g, lambda a, b: kappa * (a - b) ** 2)
     )
     packet = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=sigma)).amplitudes
     psi0 = np.kron(packet, packet)
@@ -365,8 +364,8 @@ def test_acceptance_10_two_particle_reduction():
     initial_fid = fidelity(compose(pc, pr), psi0)
     assert initial_fid >= 1.0 - 1e-12
 
-    h_com = densify(kinetic_operator(com_grid, 2.0 * mu))
-    h_rel = densify(kinetic_operator(rel_grid, mu / 2.0)) + np.diag(
+    h_com = kinetic_operator(com_grid, 2.0 * mu)
+    h_rel = kinetic_operator(rel_grid, mu / 2.0) + np.diag(
         kappa * rel_grid.points ** 2
     ).astype(complex)
     pc_final = exact_evolution(h_com, t) @ pc

@@ -253,10 +253,10 @@ def test_simulate_diagnostics_match_evolve_euler(tmp_path):
     cfg = load_run_config(config)
     h = system_route(cfg.system, cfg.grid).hamiltonian()
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
-    _, report = evolve_euler(h, cfg.initial_state.build(cfg.grid), evo)
+    _, euler_norm_sq = evolve_euler(h, cfg.initial_state.build(cfg.grid), evo)
     with open(out_dir / "diagnostics.csv", newline="") as handle:
         norm_sq = [float(row["norm_sq"]) for row in csv.DictReader(handle)]
-    assert norm_sq == report.norm_sq.tolist()
+    assert norm_sq == euler_norm_sq.tolist()
 
 
 def test_lock_blocks_concurrent_run(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Euler stepping, its diagnostics, and the network realization of a run."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from qcpusim import (
     NonHermitianInput,
     NumericalFailure,
     ResidualTimeError,
-    densify,
     euler_step,
     evolve_euler,
     exact_evolution,
@@ -29,6 +30,8 @@ from qcpusim import (
     step_network,
     whole_network,
 )
+from qcpusim.cli import main
+from qcpusim.evolve import run_report
 
 
 def random_hermitian(rng, n):
@@ -153,20 +156,23 @@ def test_evolve_euler_matches_matrix_power():
     h = random_hermitian(rng, 6)
     psi = random_state(rng, 6)
     cfg = EvolutionConfig(dt=0.02, total_time=0.2)
-    final, report = evolve_euler(h, psi, cfg)
+    final, norm_sq = evolve_euler(h, psi, cfg)
     direct = np.linalg.matrix_power(euler_step(h, 0.02), 10) @ psi
     assert np.max(np.abs(final - direct)) < 1e-12
-    assert report.steps == 10
-    assert len(report.norm_sq) == 11
+    assert len(norm_sq) == 11
 
 
 def test_evolve_euler_fidelity_improves_with_smaller_dt():
     rng = np.random.default_rng(32)
     h = random_hermitian(rng, 6)
     psi = random_state(rng, 6)
-    coarse = evolve_euler(h, psi, EvolutionConfig(dt=0.1, total_time=1.0))[1]
-    fine = evolve_euler(h, psi, EvolutionConfig(dt=0.01, total_time=1.0))[1]
-    assert fine.final_fidelity > coarse.final_fidelity
+    fidelities = []
+    for dt in (0.1, 0.01):
+        cfg = EvolutionConfig(dt=dt, total_time=1.0)
+        final, norm_sq = evolve_euler(h, psi, cfg)
+        fidelities.append(run_report(h, psi, cfg, final, norm_sq).final_fidelity)
+    coarse, fine = fidelities
+    assert fine > coarse
 
 
 def test_evolve_euler_dimension_check():
@@ -194,7 +200,7 @@ def test_report_rows_and_summary():
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     cfg = EvolutionConfig(dt=0.1, total_time=0.3)
-    _, report = evolve_euler(h, psi, cfg)
+    report = run_report(h, psi, cfg, *evolve_euler(h, psi, cfg))
     rows = report_rows(report)
     assert [r["step"] for r in rows] == [0, 1, 2, 3]
     assert rows[0]["drift"] == 0.0
@@ -207,6 +213,32 @@ def test_report_rows_and_summary():
     assert np.all(np.diff(drift) >= 0.0)
 
 
+def test_compare_builds_one_oracle(tmp_path, monkeypatch):
+    """A three-rung compare diagonalises H once: the Euler rungs carry no
+    oracle of their own."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exact_evolution(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcpusim" and getattr(module, "exact_evolution", None) is exact_evolution:
+            monkeypatch.setattr(module, "exact_evolution", counted)
+    config = {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "quadratic", "coefficient": 0.05}},
+        "grid": {"L": 16.0, "k": 4, "centered": True},
+        "evolution": {"dt": 0.0625, "total_time": 0.5},
+        "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Network realization
 # ---------------------------------------------------------------------------
@@ -214,7 +246,7 @@ def test_report_rows_and_summary():
 def test_kinetic_network_payload():
     g = GridSpec(length=8.0, qubits=3)
     net = kinetic_network(g, 1.5)
-    assert np.array_equal(net.payload, densify(kinetic_operator(g, 1.5)))
+    assert np.array_equal(net.payload, kinetic_operator(g, 1.5))
 
 
 def test_potential_network_callable_and_table_agree():
@@ -240,7 +272,7 @@ def test_step_network_payload_is_euler_step():
     g = GridSpec(length=8.0, qubits=3, centered=True)
     mu, dt = 1.0, 0.01
     v = lambda x: 0.2 * x * x
-    h = densify(kinetic_operator(g, mu)) + densify(potential_operator(g, v))
+    h = kinetic_operator(g, mu) + potential_operator(g, v)
     net = step_network(g, mu, v, dt)
     assert np.max(np.abs(net.payload - euler_step(h, dt))) < 1e-14
 
@@ -248,7 +280,7 @@ def test_step_network_payload_is_euler_step():
 def test_step_network_without_potential():
     g = GridSpec(length=8.0, qubits=3)
     net = step_network(g, 1.0, None, 0.05)
-    h = densify(kinetic_operator(g, 1.0))
+    h = kinetic_operator(g, 1.0)
     assert np.max(np.abs(net.payload - euler_step(h, 0.05))) < 1e-14
 
 
@@ -262,7 +294,7 @@ def test_whole_network_block_is_step_power():
     v = lambda x: 0.1 * x * x
     cfg = EvolutionConfig(dt=1.0 / 32.0, total_time=0.5)
     block = raising_block(whole_network(g, 1.0, v, cfg))
-    h = densify(kinetic_operator(g, 1.0)) + densify(potential_operator(g, v))
+    h = kinetic_operator(g, 1.0) + potential_operator(g, v)
     direct = np.linalg.matrix_power(euler_step(h, cfg.dt), cfg.steps)
     assert np.max(np.abs(block - direct)) < 1e-12
 
@@ -277,7 +309,7 @@ def test_whole_network_needs_a_step():
 def test_whole_network_approximates_exact_evolution():
     g = GridSpec(length=8.0, qubits=3)
     mu = 1.0
-    h = densify(kinetic_operator(g, mu))
+    h = kinetic_operator(g, mu)
     bound = spectral_norm_upper_bound(h)
     cfg = EvolutionConfig.auto(total_time=0.25, norm_bound=bound, epsilon=0.005)
     block = raising_block(whole_network(g, mu, None, cfg))

@@ -20,7 +20,6 @@ from qcpusim import (
     Wavefunction,
     ZeroResultWarning,
     com_reduction,
-    densify,
     dft_operator,
     hermiticity_defect,
     kinetic_eigenvalue,
@@ -39,7 +38,6 @@ from qcpusim import (
     wavefunction_header,
     wavefunction_records,
 )
-from qcpusim.numerics import CyclicShift, Transposition
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +116,12 @@ def test_sample_rejects_non_finite_values():
 
 def test_momentum_operator_is_hermitian():
     g = GridSpec(length=10.0, qubits=4)
-    assert hermiticity_defect(densify(momentum_operator(g))) == 0.0
+    assert hermiticity_defect(momentum_operator(g)) == 0.0
 
 
 def test_momentum_eigenvalue_on_plane_waves():
     g = GridSpec(length=10.0, qubits=4)
-    p = densify(momentum_operator(g))
+    p = momentum_operator(g)
     for n in range(g.size):
         mode = plane_wave_mode(g, n)
         expected = momentum_eigenvalue(g, n) * mode
@@ -137,7 +135,7 @@ def test_momentum_needs_three_points():
 
 def test_kinetic_operator_is_hermitian_and_real():
     g = GridSpec(length=10.0, qubits=4)
-    t = densify(kinetic_operator(g, 1.0))
+    t = kinetic_operator(g, 1.0)
     assert hermiticity_defect(t) == 0.0
     assert np.max(np.abs(t.imag)) == 0.0
 
@@ -145,14 +143,14 @@ def test_kinetic_operator_is_hermitian_and_real():
 def test_kinetic_is_momentum_squared_over_2mu():
     g = GridSpec(length=10.0, qubits=5)
     mu = 1.7
-    p = densify(momentum_operator(g))
-    t = densify(kinetic_operator(g, mu))
+    p = momentum_operator(g)
+    t = kinetic_operator(g, mu)
     assert np.max(np.abs(t - (p @ p) / (2.0 * mu))) < 1e-12
 
 
 def test_kinetic_eigenvalue_on_plane_waves():
     g = GridSpec(length=10.0, qubits=4)
-    t = densify(kinetic_operator(g, 2.0))
+    t = kinetic_operator(g, 2.0)
     for n in range(g.size):
         mode = plane_wave_mode(g, n)
         expected = kinetic_eigenvalue(g, 2.0, n) * mode
@@ -170,11 +168,27 @@ def test_kinetic_rejects_bad_mass(mu):
         kinetic_operator(GridSpec(length=1.0, qubits=3), mu)
 
 
+def shift_matrix(n, offset):
+    """Cyclic shift psi'[m] = psi[(m + offset) % n], one entry per row."""
+    out = np.zeros((n, n), dtype=complex)
+    out[np.arange(n), (np.arange(n) + offset) % n] = 1.0
+    return out
+
+
+def transposition_matrix(n, a, b):
+    """Permutation exchanging basis states a and b, identity elsewhere."""
+    out = np.eye(n, dtype=complex)
+    if a != b:
+        out[a, a] = out[b, b] = 0.0
+        out[a, b] = out[b, a] = 1.0
+    return out
+
+
 def _shift_product_stencils(grid, mu):
-    """Momentum and kinetic matrices as products of densified cyclic shifts."""
+    """Momentum and kinetic matrices as products of cyclic shift matrices."""
     n = grid.size
-    s_plus = densify(CyclicShift(offset=1, dim=n))
-    s_minus = densify(CyclicShift(offset=-1, dim=n))
+    s_plus = shift_matrix(n, 1)
+    s_minus = shift_matrix(n, -1)
     momentum = -0.5j * (n / grid.length) * (s_plus - s_minus)
     pref = (n / grid.length) ** 2
     kinetic = -(pref / (8.0 * mu)) * (s_plus @ s_plus + s_minus @ s_minus - 2.0 * np.eye(n))
@@ -189,8 +203,8 @@ def test_stencils_match_shift_products(qubits, mu):
     g = GridSpec(length=7.0, qubits=qubits, centered=True)
     momentum, kinetic = _shift_product_stencils(g, mu)
     for fast, reference in (
-        (densify(momentum_operator(g)), momentum),
-        (densify(kinetic_operator(g, mu)), kinetic),
+        (momentum_operator(g), momentum),
+        (kinetic_operator(g, mu), kinetic),
     ):
         assert np.array_equal(fast, reference)
         assert fast.tobytes() == reference.tobytes()
@@ -214,7 +228,7 @@ def _kinetic_exchange_payload(grid, mu):
         projector[m, m] = 1.0
         for shift in (2, -2):
             target = (m + shift) % n
-            out = out + coef * (projector @ densify(Transposition(a=m, b=target, dim=n)).real)
+            out = out + coef * (projector @ transposition_matrix(n, m, target).real)
     return out.astype(complex)
 
 
@@ -224,7 +238,7 @@ def test_kinetic_exchange_payload_matches_exactly():
     for qubits, mu in ((2, 1.0), (3, 0.5), (5, 2.25)):
         g = GridSpec(length=7.0, qubits=qubits)
         assert np.array_equal(
-            _kinetic_exchange_payload(g, mu), densify(kinetic_operator(g, mu))
+            _kinetic_exchange_payload(g, mu), kinetic_operator(g, mu)
         )
 
 
@@ -244,13 +258,31 @@ def test_momentum_eigenvalue_formula():
 def test_potential_operator_values():
     g = GridSpec(length=4.0, qubits=2, centered=True)
     diag = potential_operator(g, lambda x: x * x)
-    assert np.array_equal(diag.values.real, g.points ** 2)
+    assert np.array_equal(np.diag(diag).real, g.points ** 2)
+    assert diag.tobytes() == np.diag((g.points ** 2).astype(complex)).tobytes()
 
 
 def test_potential_operator_non_finite():
     g = GridSpec(length=4.0, qubits=2, centered=True)
     with pytest.raises(NonFiniteValue):
         potential_operator(g, lambda x: float("nan") if x == 0.0 else 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (momentum_operator, 8),
+        (lambda g: kinetic_operator(g, 1.5), 8),
+        (lambda g: potential_operator(g, lambda x: x * x), 8),
+        (lambda g: two_body_potential(g, GridSpec(length=2.0, qubits=1), lambda a, b: a - b), 16),
+    ],
+    ids=["momentum", "kinetic", "potential", "two_body"],
+)
+def test_operators_are_dense_complex_matrices(build, size):
+    op = build(GridSpec(length=4.0, qubits=3))
+    assert type(op) is np.ndarray
+    assert op.dtype == np.complex128
+    assert op.shape == (size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +342,7 @@ def test_two_body_potential_index_layout():
     diag = two_body_potential(g1, g2, lambda a, b: 10.0 * a + b)
     # particle 1 slow: entry m1 * N2 + m2
     expected = [10 * a + b for a in g1.points for b in g2.points]
-    assert np.array_equal(diag.values.real, np.array(expected))
+    assert np.array_equal(np.diag(diag).real, np.array(expected))
 
 
 def test_lift_one_slot_placement():
@@ -319,9 +351,8 @@ def test_lift_one_slot_placement():
     dims = (2, 2)
     lifted1 = lift_one(op, 1, dims)
     lifted2 = lift_one(op, 2, dims)
-    dense_op = densify(op)
-    assert np.array_equal(lifted1, tensor(dense_op, np.eye(2)))
-    assert np.array_equal(lifted2, tensor(np.eye(2), dense_op))
+    assert np.array_equal(lifted1, tensor(op, np.eye(2)))
+    assert np.array_equal(lifted2, tensor(np.eye(2), op))
 
 
 def test_lift_one_bad_slot():

@@ -7,24 +7,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcpusim import (
-    CyclicShift,
-    Dense,
-    Diagonal,
     DimensionMismatch,
     NonHermitianInput,
     NonSquareInput,
-    Transposition,
     ZeroVector,
-    decompose_hermitian,
-    densify,
     exact_evolution,
     fidelity,
     hermiticity_defect,
-    operator_dim,
     require_hermitian,
     spectral_norm_upper_bound,
     tensor,
 )
+from test_grid import shift_matrix, transposition_matrix
 
 
 def random_hermitian(rng, n):
@@ -33,70 +27,38 @@ def random_hermitian(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# Structured operators
+# Shift and transposition conventions of the reference matrices
 # ---------------------------------------------------------------------------
 
-def test_densify_diagonal():
-    vals = np.array([1.0, 2.0, -3.0j])
-    assert np.array_equal(densify(Diagonal(vals)), np.diag(vals))
-
-
-def test_diagonal_rejects_matrix_input():
-    with pytest.raises(DimensionMismatch):
-        Diagonal(np.eye(2))
-
-
 def test_cyclic_shift_moves_components_forward():
-    """CyclicShift(+1) acting on psi gives psi'[m] = psi[m+1]."""
+    """The +1 shift acting on psi gives psi'[m] = psi[m+1]."""
     psi = np.array([10.0, 20.0, 30.0, 40.0], dtype=complex)
-    s_plus = densify(CyclicShift(offset=1, dim=4))
+    s_plus = shift_matrix(4, 1)
     assert np.array_equal(s_plus @ psi, np.array([20.0, 30.0, 40.0, 10.0]))
 
 
 def test_cyclic_shift_wraps_periodically():
-    s = densify(CyclicShift(offset=-1, dim=4))
+    s = shift_matrix(4, -1)
     psi = np.arange(4).astype(complex)
     assert np.array_equal(s @ psi, np.array([3.0, 0.0, 1.0, 2.0]))
 
 
-def test_cyclic_shift_normalizes_offset():
-    assert CyclicShift(offset=5, dim=4).offset == 1
-    assert CyclicShift(offset=-1, dim=4).offset == 3
-
-
 def test_opposite_shifts_are_inverse():
     n = 8
-    fwd = densify(CyclicShift(offset=1, dim=n))
-    back = densify(CyclicShift(offset=-1, dim=n))
+    fwd = shift_matrix(n, 1)
+    back = shift_matrix(n, -1)
     assert np.array_equal(fwd @ back, np.eye(n))
 
 
 def test_transposition_swaps_two_entries():
-    t = densify(Transposition(a=0, b=2, dim=4))
+    t = transposition_matrix(4, 0, 2)
     psi = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     assert np.array_equal(t @ psi, np.array([3.0, 2.0, 1.0, 4.0]))
     assert np.array_equal(t @ t, np.eye(4))
 
 
 def test_transposition_identity_when_indices_equal():
-    assert np.array_equal(densify(Transposition(a=1, b=1, dim=3)), np.eye(3))
-
-
-def test_transposition_rejects_out_of_range_index():
-    with pytest.raises(DimensionMismatch):
-        Transposition(a=0, b=5, dim=4)
-
-
-def test_dense_requires_square():
-    with pytest.raises(NonSquareInput):
-        Dense(np.ones((2, 3)))
-
-
-def test_operator_dim_all_variants():
-    assert operator_dim(Diagonal(np.ones(3))) == 3
-    assert operator_dim(CyclicShift(offset=1, dim=5)) == 5
-    assert operator_dim(Transposition(a=0, b=1, dim=4)) == 4
-    assert operator_dim(Dense(np.eye(2))) == 2
+    assert np.array_equal(transposition_matrix(3, 1, 1), np.eye(3))
 
 
 def test_tensor_matches_kron_layout():
@@ -123,12 +85,6 @@ def test_require_hermitian_rejects_skew_part():
 def test_require_hermitian_rejects_rectangular():
     with pytest.raises(NonSquareInput):
         require_hermitian(np.ones((2, 3)))
-
-
-def test_decompose_hermitian_reconstructs():
-    h = random_hermitian(np.random.default_rng(1), 6)
-    dec = decompose_hermitian(h)
-    assert np.max(np.abs(dec.reconstruct() - h)) < 1e-12
 
 
 def test_exact_evolution_is_unitary():
