@@ -83,7 +83,6 @@ from .evolve import (
     EvolutionReport,
     euler_step,
     evolve_euler,
-    kinetic_network,
     norm_drift,
     potential_network,
     report_rows,

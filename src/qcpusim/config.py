@@ -20,13 +20,14 @@ from .errors import (
     NonFiniteValue,
     NonPositiveFrequency,
     NonPositiveMass,
-    QcpuSimError,
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
-from .systems import GaussianPacketSpec, SystemSpec, gaussian_packet
+from .systems import GaussianPacketSpec, PotentialSpec, SystemSpec, gaussian_packet
 
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
+_SYSTEM_NUMBERS = ("mu", "omega", "u")
+_POTENTIAL_NUMBERS = ("coefficient", "slope", "value")
 
 
 def _require(data: dict, key: str, field: str):
@@ -38,7 +39,10 @@ def _require(data: dict, key: str, field: str):
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond double range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(field, f"must be finite, got {value!r}")
     return out
@@ -75,16 +79,25 @@ class EvolutionSettings:
         """Turn the settings into a concrete EvolutionConfig.
 
         Explicit dt is validated against the whole-number-of-steps rule;
-        the auto policy sizes dt so dt * norm_bound <= auto_epsilon.
+        the auto policy takes the fewest whole steps of dt = total_time/steps
+        that keep dt * norm_bound <= auto_epsilon.
         """
         if self.dt is not None:
             return EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
-        return EvolutionConfig.auto(
-            total_time=self.total_time,
-            norm_bound=norm_bound,
-            epsilon=self.auto_epsilon,
-            sign=self.sign,
-        )
+        epsilon = self.auto_epsilon
+        if epsilon is None or not math.isfinite(epsilon) or epsilon <= 0.0:
+            raise InvalidSpec(f"auto_epsilon must be finite and positive, got {epsilon!r}")
+        if not math.isfinite(norm_bound) or norm_bound < 0.0:
+            raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
+        if not math.isfinite(self.total_time) or self.total_time < 0.0:
+            raise InvalidSpec(
+                f"total_time must be finite and nonnegative, got {self.total_time!r}"
+            )
+        if self.total_time == 0.0:
+            return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
+        steps = max(1, math.ceil(self.total_time * norm_bound / epsilon))
+        return EvolutionConfig(dt=self.total_time / steps, total_time=self.total_time,
+                               sign=self.sign)
 
 
 @dataclass(frozen=True)
@@ -163,15 +176,43 @@ class RunConfig:
         }
 
 
+def _parse_potential(data) -> PotentialSpec:
+    pot = _as_object(data, "system.potential")
+    _reject_unknown(pot, {"form", *_POTENTIAL_NUMBERS, "values"}, "system.potential")
+    form = _require(pot, "form", "system.potential.form")
+    params = {key: _as_number(pot[key], f"system.potential.{key}")
+              for key in _POTENTIAL_NUMBERS if key in pot}
+    if "values" in pot:
+        raw = pot["values"]
+        if not isinstance(raw, list):
+            raise ConfigError("system.potential.values", f"expected a list of numbers, got {raw!r}")
+        params["values"] = tuple(_as_number(v, f"system.potential.values[{i}]")
+                                 for i, v in enumerate(raw))
+    try:
+        return PotentialSpec(form=form, **params)
+    except _SPEC_ERRORS as exc:
+        raise ConfigError("system.potential", str(exc)) from exc
+
+
+def _parse_system(data) -> SystemSpec:
+    system = _as_object(data, "system")
+    _reject_unknown(system, {"kind", *_SYSTEM_NUMBERS, "potential"}, "system")
+    kind = _require(system, "kind", "system.kind")
+    params = {key: _as_number(system[key], f"system.{key}")
+              for key in _SYSTEM_NUMBERS if key in system}
+    if "potential" in system:
+        params["potential"] = _parse_potential(system["potential"])
+    try:
+        return SystemSpec(kind=kind, **params)
+    except _SPEC_ERRORS as exc:
+        raise ConfigError("system", str(exc)) from exc
+
+
 def parse_run_config(data) -> RunConfig:
     top = _as_object(data, "<config>")
     _reject_unknown(top, {"system", "grid", "evolution", "initial_state", "outputs"}, "<config>")
 
-    system_data = _as_object(_require(top, "system", "system"), "system")
-    try:
-        system = SystemSpec.from_dict(system_data)
-    except _SPEC_ERRORS as exc:
-        raise ConfigError("system", str(exc)) from exc
+    system = _parse_system(_require(top, "system", "system"))
 
     grid_data = _as_object(_require(top, "grid", "grid"), "grid")
     _reject_unknown(grid_data, {"L", "k", "centered"}, "grid")
@@ -282,9 +323,4 @@ def load_run_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                                       f"{exc.msg}") from exc
-    try:
-        return parse_run_config(data)
-    except ConfigError:
-        raise
-    except QcpuSimError as exc:
-        raise ConfigError("<config>", str(exc)) from exc
+    return parse_run_config(data)

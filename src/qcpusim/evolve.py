@@ -28,16 +28,12 @@ class EvolutionConfig:
     """Time-stepping parameters: step size, horizon, and phase sign.
 
     The horizon must be a whole number of steps: a leftover fraction of a
-    step is rejected rather than silently evolved or dropped.  dt_policy
-    records whether dt was given explicitly or derived from the auto rule
-    dt * (norm bound of H) <= epsilon.
+    step is rejected rather than silently evolved or dropped.
     """
 
     dt: float
     total_time: float
     sign: int = -1
-    dt_policy: str = "explicit"
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.dt) or self.dt <= 0.0:
@@ -46,8 +42,6 @@ class EvolutionConfig:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {self.total_time!r}")
         if self.sign not in (1, -1):
             raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.dt_policy not in ("explicit", "auto"):
-            raise InvalidSpec(f"dt_policy must be 'explicit' or 'auto', got {self.dt_policy!r}")
         steps = round(self.total_time / self.dt)
         residual = abs(self.total_time - steps * self.dt)
         if residual > self.dt * _RESIDUAL_FRACTION:
@@ -59,32 +53,6 @@ class EvolutionConfig:
     @property
     def steps(self) -> int:
         return int(round(self.total_time / self.dt))
-
-    @classmethod
-    def auto(
-        cls,
-        total_time: float,
-        norm_bound: float,
-        epsilon: float = 0.01,
-        sign: int = -1,
-    ) -> "EvolutionConfig":
-        """Pick dt so that dt * norm_bound <= epsilon, commensurate with total_time."""
-        if not math.isfinite(epsilon) or epsilon <= 0.0:
-            raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon!r}")
-        if not math.isfinite(norm_bound) or norm_bound < 0.0:
-            raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
-        if not math.isfinite(total_time) or total_time < 0.0:
-            raise InvalidSpec(f"total_time must be finite and nonnegative, got {total_time!r}")
-        if total_time == 0.0:
-            return cls(dt=1.0, total_time=0.0, sign=sign, dt_policy="auto", epsilon=epsilon)
-        steps = max(1, math.ceil(total_time * norm_bound / epsilon))
-        return cls(
-            dt=total_time / steps,
-            total_time=total_time,
-            sign=sign,
-            dt_policy="auto",
-            epsilon=epsilon,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +168,6 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 # ---------------------------------------------------------------------------
 # Network realization
 # ---------------------------------------------------------------------------
-
-def kinetic_network(grid: GridSpec, mu: float) -> QcpuNetwork:
-    """Network whose payload is the shift-by-two kinetic operator."""
-    return build_network(kinetic_operator(grid, mu))
-
 
 def potential_network(grid: GridSpec, v) -> QcpuNetwork:
     """Network for a diagonal potential; v is a callable of position or a

@@ -15,7 +15,6 @@ mutually consistent units.
 
 from __future__ import annotations
 
-import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -122,43 +121,16 @@ class TwoParticleWavefunction:
         return complex(self.amplitudes[(m1 % n1) * n2 + (m2 % n2)])
 
 
-def _accepts_time(f) -> bool | None:
-    """Whether f looks like f(x, t) rather than f(x); None if undecidable."""
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):
-        return None
-    positional = 0
-    for p in sig.parameters.values():
-        if p.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-        if p.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD):
-            positional += 1
-    return positional >= 2
-
-
-def sample(f, grid: GridSpec, t: float = 0.0) -> Wavefunction:
-    """Evaluate f on every grid point at time t; no normalization applied.
-
-    Accepts either f(x) or f(x, t); the time argument is forwarded only when
-    the callable takes it.
-    """
-    wants_time = _accepts_time(f)
+def sample(f, grid: GridSpec) -> Wavefunction:
+    """Evaluate f(x) on every grid point; no normalization applied."""
     xs = grid.points
     values = np.empty(grid.size, dtype=complex)
     for m, x in enumerate(xs):
-        if wants_time is None:
-            try:
-                val = f(x, t)
-            except TypeError:
-                val = f(x)
-        else:
-            val = f(x, t) if wants_time else f(x)
-        values[m] = complex(val)
+        values[m] = complex(f(x))
     if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
         bad = int(np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))[0])
         raise NonFiniteValue(f"sampled value at grid point {bad} (x = {xs[bad]}) is not finite")
-    return Wavefunction(grid=grid, amplitudes=values, time=float(t))
+    return Wavefunction(grid=grid, amplitudes=values)
 
 
 # ---------------------------------------------------------------------------

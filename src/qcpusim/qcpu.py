@@ -146,20 +146,13 @@ def raising_block(matrix) -> np.ndarray:
     return m[1::2, 0::2].copy()
 
 
-def _common_register_dim(nets: Sequence[QcpuNetwork], register_dim: int | None) -> int:
+def _common_register_dim(nets: Sequence[QcpuNetwork]) -> int:
     dims = {net.register_dim for net in nets}
+    if not dims:
+        raise DimensionMismatch("need at least one network")
     if len(dims) > 1:
         raise DimensionMismatch(f"networks live on different registers: {sorted(dims)}")
-    if dims:
-        dim = dims.pop()
-        if register_dim is not None and register_dim != dim:
-            raise DimensionMismatch(
-                f"explicit register_dim {register_dim} != network dim {dim}"
-            )
-        return dim
-    if register_dim is None:
-        raise DimensionMismatch("empty network list needs an explicit register_dim")
-    return register_dim
+    return dims.pop()
 
 
 def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
@@ -168,18 +161,14 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     Multiplying the constituent networks' dense forms (in any order) yields
     exactly this network's dense form; the cross terms cancel structurally.
     """
-    if not nets:
-        raise DimensionMismatch("compose_sum needs at least one network")
-    _common_register_dim(nets, None)
+    _common_register_dim(nets)
     total = nets[0].payload.copy()
     for net in nets[1:]:
         total = total + net.payload
     return build_network(total)
 
 
-def compose_product(
-    nets: Sequence[QcpuNetwork], register_dim: int | None = None
-) -> np.ndarray:
+def compose_product(nets: Sequence[QcpuNetwork]) -> np.ndarray:
     """Connector-chained product network, as a dense 2N x 2N matrix.
 
     Computes  I + C^dag (prod_j C . dense_j) C C^dag  with the product
@@ -187,11 +176,8 @@ def compose_product(
     the matrix product payload_1 . payload_2 ... payload_r.  Consequence of
     the ordering: chronological application ("apply A then B") corresponds
     to the reversed list [net_B, net_A].
-
-    An empty list (with explicit register_dim) yields the identity-payload
-    network.
     """
-    dim = _common_register_dim(nets, register_dim)
+    dim = _common_register_dim(nets)
     c = connector(dim)
     c_dag = connector_dagger(dim)
     chain = np.eye(2 * dim, dtype=complex)
@@ -200,17 +186,15 @@ def compose_product(
     return np.eye(2 * dim, dtype=complex) + c_dag @ chain @ c @ c_dag
 
 
-def full_multiplication_form(
-    nets: Sequence[QcpuNetwork], register_dim: int | None = None
-) -> np.ndarray:
+def full_multiplication_form(nets: Sequence[QcpuNetwork]) -> np.ndarray:
     """Product network carried on a doubled register: identity on a retained
     input-register copy, tensored with the connector-chained sandwich.
 
     The sandwich factor equals ``compose_product(nets) - I``.  Initial states
     for this form are prepared as psi_input (x) (psi (x) |0>)_out.
     """
-    dim = _common_register_dim(nets, register_dim)
-    sandwich = compose_product(nets, register_dim=dim) - np.eye(2 * dim, dtype=complex)
+    dim = _common_register_dim(nets)
+    sandwich = compose_product(nets) - np.eye(2 * dim, dtype=complex)
     return tensor(np.eye(dim), sandwich)
 
 

@@ -40,7 +40,7 @@ from .qcpu import QcpuNetwork, build_network, compose_product, raising_block
 
 
 # ---------------------------------------------------------------------------
-# Declarative system descriptions (wire format for the CLI)
+# Declarative system descriptions (config.py parses them from JSON)
 # ---------------------------------------------------------------------------
 
 _POTENTIAL_FORMS = ("quadratic", "linear", "constant", "table")
@@ -105,18 +105,6 @@ class PotentialSpec:
             )
         return vals
 
-    def as_callable(self) -> Callable[[float], float]:
-        if self.form == "quadratic":
-            c = float(self.coefficient)
-            return lambda x: c * x * x
-        if self.form == "linear":
-            s = float(self.slope)
-            return lambda x: s * x
-        if self.form == "constant":
-            u = float(self.value)
-            return lambda x: u
-        raise InvalidSpec("table potential has no closed form; use values_on")
-
     def to_dict(self) -> dict:
         out: dict = {"form": self.form}
         if self.form == "quadratic":
@@ -128,25 +116,6 @@ class PotentialSpec:
         else:
             out["values"] = list(self.values)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PotentialSpec":
-        if not isinstance(data, dict):
-            raise InvalidSpec(f"potential must be an object, got {type(data).__name__}")
-        known = {"form", "coefficient", "slope", "value", "values"}
-        stray = sorted(set(data) - known)
-        if stray:
-            raise InvalidSpec(f"unknown potential keys {stray}")
-        if "form" not in data:
-            raise InvalidSpec("potential needs a 'form' key")
-        values = data.get("values")
-        return cls(
-            form=data["form"],
-            coefficient=data.get("coefficient"),
-            slope=data.get("slope"),
-            value=data.get("value"),
-            values=tuple(values) if values is not None else None,
-        )
 
 
 _SYSTEM_KINDS = ("free_particle", "harmonic", "constant_field", "grid_schrodinger")
@@ -213,25 +182,6 @@ class SystemSpec:
         if self.potential is not None:
             out["potential"] = self.potential.to_dict()
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemSpec":
-        if not isinstance(data, dict):
-            raise InvalidSpec(f"system must be an object, got {type(data).__name__}")
-        known = {"kind", "mu", "omega", "u", "potential"}
-        stray = sorted(set(data) - known)
-        if stray:
-            raise InvalidSpec(f"unknown system keys {stray}")
-        if "kind" not in data:
-            raise InvalidSpec("system needs a 'kind' key")
-        pot = data.get("potential")
-        return cls(
-            kind=data["kind"],
-            mu=data.get("mu"),
-            omega=data.get("omega"),
-            u=data.get("u"),
-            potential=PotentialSpec.from_dict(pot) if pot is not None else None,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,38 @@ def test_simulate_config_errors_exit_2(tmp_path, capsys):
     assert "evolution: give exactly one of 'dt' or 'auto_epsilon'" in err
 
 
+@pytest.mark.parametrize(
+    "system, field",
+    [
+        ({"kind": "free_particle", "mu": "1"}, "system.mu"),
+        ({"kind": "free_particle", "mu": True}, "system.mu"),
+        ({"kind": "harmonic", "omega": [1]}, "system.omega"),
+        ({"kind": "constant_field", "mu": 1.0, "u": "1"}, "system.u"),
+        ({"kind": "grid_schrodinger", "mu": 1.0,
+          "potential": {"form": "quadratic", "coefficient": "x"}},
+         "system.potential.coefficient"),
+        ({"kind": "grid_schrodinger", "mu": 1.0, "potential": {"form": "table", "values": 5}},
+         "system.potential.values"),
+        ({"kind": "grid_schrodinger", "mu": 1.0,
+          "potential": {"form": "table", "values": ["a"]}}, "system.potential.values[0]"),
+        ({"mu": 1.0}, "system.kind"),
+    ],
+    ids=["mu-string", "mu-bool", "omega-list", "u-string", "coefficient-string",
+         "values-number", "values-string-entry", "no-kind"],
+)
+def test_simulate_malformed_system_field_exits_2(tmp_path, capsys, system, field):
+    out_dir = tmp_path / "never"
+    data = harmonic_config(out_dir)
+    data["system"] = system
+    config = write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_simulate_residual_dt_exit_2(tmp_path, capsys):
     out_dir = tmp_path / "never"
     data = harmonic_config(out_dir)

@@ -1,9 +1,13 @@
 """Run-config parsing: schema validation, error paths, echo round-trips."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcpusim import (
     ConfigError,
@@ -127,6 +131,86 @@ def test_system_errors_carry_field():
         parse_run_config(data)
 
 
+def test_system_potential_rejects_unknown_keys():
+    data = base_config()
+    data["system"] = {
+        "kind": "grid_schrodinger",
+        "mu": 1.0,
+        "potential": {"form": "constant", "value": 1.0, "extra": True},
+    }
+    with pytest.raises(ConfigError, match=r"system.potential: unknown keys \['extra'\]"):
+        parse_run_config(data)
+
+
+@pytest.mark.parametrize(
+    "system, field",
+    [
+        ({"kind": "harmonic", "omega": None}, "system.omega"),
+        ({"kind": "free_particle", "mu": [1.0]}, "system.mu"),
+        ({"kind": "constant_field", "mu": 1.0, "u": float("nan")}, "system.u"),
+        ({"kind": "free_particle", "mu": 10 ** 400}, "system.mu"),
+        ({"kind": "grid_schrodinger", "mu": 1.0, "potential": []}, "system.potential"),
+        ({"kind": "grid_schrodinger", "mu": 1.0, "potential": {"value": 1.0}},
+         "system.potential.form"),
+        ({"kind": "grid_schrodinger", "mu": 1.0,
+          "potential": {"form": "linear", "slope": True}}, "system.potential.slope"),
+        ({"kind": "grid_schrodinger", "mu": 1.0,
+          "potential": {"form": "table", "values": [0.0, 1.0, {}]}},
+         "system.potential.values[2]"),
+        ({"kind": "grid_schrodinger", "mu": 1.0,
+          "potential": {"form": "table", "values": []}}, "system.potential"),
+    ],
+)
+def test_system_fields_are_type_checked(system, field):
+    data = base_config()
+    data["system"] = system
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(data)
+    assert info.value.field == field
+
+
+def test_system_integers_parse_as_floats():
+    data = base_config()
+    data["system"] = {
+        "kind": "grid_schrodinger",
+        "mu": 2,
+        "potential": {"form": "table", "values": [0, 1, 2, 3]},
+    }
+    system = parse_run_config(data).system
+    assert system.mu == 2.0 and type(system.mu) is float
+    assert system.potential.values == (0.0, 1.0, 2.0, 3.0)
+    assert all(type(v) is float for v in system.potential.values)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+_SYSTEM_KEYS = st.sampled_from(["kind", "mu", "omega", "u", "potential"])
+_POTENTIAL_KEYS = st.sampled_from(["form", "coefficient", "slope", "value", "values"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["free_particle", "harmonic", "constant_field", "grid_schrodinger"]),
+    form=st.sampled_from(["quadratic", "linear", "constant", "table"]),
+    system_fields=st.dictionaries(_SYSTEM_KEYS, _JSON_VALUES, max_size=3),
+    potential_fields=st.dictionaries(_POTENTIAL_KEYS, _JSON_VALUES, max_size=3),
+)
+def test_any_json_in_system_section_is_a_config_error(
+    kind, form, system_fields, potential_fields
+):
+    data = base_config()
+    data["system"] = {"kind": kind, "mu": 1.0, "omega": 1.0, "u": 0.5,
+                      "potential": {"form": form, **potential_fields}, **system_fields}
+    try:
+        parse_run_config(data)
+    except ConfigError as exc:
+        assert exc.field.startswith("system")
+
+
 def test_initial_state_exactly_one_variant():
     data = base_config()
     data["initial_state"] = {"basis_state": 0, "gaussian": {"x0": 0, "p0": 0, "sigma": 1}}
@@ -185,8 +269,8 @@ def test_outputs_validation():
 def test_config_error_message_leads_with_field():
     with pytest.raises(ConfigError) as info:
         parse_run_config({"system": {}})
-    assert str(info.value).startswith("system: ")
-    assert info.value.field == "system"
+    assert str(info.value).startswith("system.kind: ")
+    assert info.value.field == "system.kind"
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +317,6 @@ def test_resolve_explicit_dt():
     cfg = settings.resolve(norm_bound=100.0)
     assert cfg.dt == 0.125
     assert cfg.steps == 8
-    assert cfg.dt_policy == "explicit"
 
 
 def test_resolve_explicit_dt_residual_error():
@@ -245,7 +328,6 @@ def test_resolve_explicit_dt_residual_error():
 def test_resolve_auto_policy():
     settings = EvolutionSettings(total_time=2.0, auto_epsilon=0.05)
     cfg = settings.resolve(norm_bound=10.0)
-    assert cfg.dt_policy == "auto"
     assert cfg.dt * 10.0 <= 0.05 + 1e-12
     assert cfg.steps * cfg.dt == pytest.approx(2.0, abs=1e-12)
 
@@ -253,6 +335,24 @@ def test_resolve_auto_policy():
 def test_resolve_propagates_sign():
     settings = EvolutionSettings(total_time=1.0, dt=0.5, sign=1)
     assert settings.resolve(norm_bound=1.0).sign == 1
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+def readme_run_configs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.DOTALL)]
+    return [b for b in blocks if isinstance(b, dict) and "system" in b]
+
+
+def test_readme_run_configs_parse_and_round_trip():
+    configs = readme_run_configs()
+    assert len(configs) >= 2
+    for data in configs:
+        cfg = parse_run_config(data)
+        assert parse_run_config(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from qcpusim import (
     DimensionMismatch,
     EvolutionConfig,
+    EvolutionSettings,
     GridSpec,
     InvalidSpec,
     NonHermitianInput,
@@ -18,7 +19,6 @@ from qcpusim import (
     euler_step,
     evolve_euler,
     exact_evolution,
-    kinetic_network,
     kinetic_operator,
     norm_drift,
     potential_network,
@@ -85,32 +85,23 @@ def test_invalid_sign_rejected():
         EvolutionConfig(dt=0.1, total_time=1.0, sign=2)
 
 
-def test_invalid_policy_rejected():
-    with pytest.raises(InvalidSpec):
-        EvolutionConfig(dt=0.1, total_time=1.0, dt_policy="guess")
-
-
 def test_auto_policy_bounds_dt_times_norm():
-    cfg = EvolutionConfig.auto(total_time=3.0, norm_bound=40.0, epsilon=0.01)
-    assert cfg.dt_policy == "auto"
+    cfg = EvolutionSettings(total_time=3.0, auto_epsilon=0.01).resolve(norm_bound=40.0)
     assert cfg.dt * 40.0 <= 0.01 + 1e-12
+    assert cfg.steps == math.ceil(3.0 * 40.0 / 0.01)
     assert cfg.steps * cfg.dt == pytest.approx(3.0, abs=1e-12)
 
 
-def test_auto_policy_default_epsilon():
-    cfg = EvolutionConfig.auto(total_time=1.0, norm_bound=10.0)
-    assert cfg.epsilon == 0.01
-    assert cfg.steps == math.ceil(1.0 * 10.0 / 0.01)
-
-
 def test_auto_policy_zero_horizon():
-    cfg = EvolutionConfig.auto(total_time=0.0, norm_bound=5.0)
+    cfg = EvolutionSettings(total_time=0.0, auto_epsilon=0.01).resolve(norm_bound=5.0)
     assert cfg.steps == 0
 
 
 def test_auto_policy_validates_epsilon():
     with pytest.raises(InvalidSpec):
-        EvolutionConfig.auto(total_time=1.0, norm_bound=1.0, epsilon=0.0)
+        EvolutionSettings(total_time=1.0, auto_epsilon=0.0).resolve(norm_bound=1.0)
+    with pytest.raises(InvalidSpec):
+        EvolutionSettings(total_time=1.0, auto_epsilon=0.01).resolve(norm_bound=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +234,6 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
 # Network realization
 # ---------------------------------------------------------------------------
 
-def test_kinetic_network_payload():
-    g = GridSpec(length=8.0, qubits=3)
-    net = kinetic_network(g, 1.5)
-    assert np.array_equal(net.payload, kinetic_operator(g, 1.5))
-
-
 def test_potential_network_callable_and_table_agree():
     g = GridSpec(length=8.0, qubits=3, centered=True)
     from_callable = potential_network(g, lambda x: 0.5 * x * x)
@@ -311,7 +296,7 @@ def test_whole_network_approximates_exact_evolution():
     mu = 1.0
     h = kinetic_operator(g, mu)
     bound = spectral_norm_upper_bound(h)
-    cfg = EvolutionConfig.auto(total_time=0.25, norm_bound=bound, epsilon=0.005)
+    cfg = EvolutionSettings(total_time=0.25, auto_epsilon=0.005).resolve(norm_bound=bound)
     block = raising_block(whole_network(g, mu, None, cfg))
     psi = np.zeros(8, dtype=complex)
     psi[4] = 1.0

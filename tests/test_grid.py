@@ -97,11 +97,11 @@ def test_sample_position_only_callable():
     assert np.array_equal(wf.amplitudes, 2.0 * g.points)
 
 
-def test_sample_forwards_time_when_accepted():
+def test_sample_calls_f_with_position_only():
     g = GridSpec(length=4.0, qubits=2)
-    wf = sample(lambda x, t: x + t, g, t=10.0)
-    assert np.array_equal(wf.amplitudes, g.points + 10.0)
-    assert wf.time == 10.0
+    scaled = sample(lambda x, scale=2.0: scale * x, g)
+    assert np.array_equal(scaled.amplitudes, 2.0 * g.points)
+    assert np.array_equal(sample(np.sin, g).amplitudes, np.sin(g.points))
 
 
 def test_sample_rejects_non_finite_values():

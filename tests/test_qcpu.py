@@ -218,14 +218,11 @@ def test_product_rule_is_left_to_right():
 def test_compose_product_empty_needs_dim():
     with pytest.raises(DimensionMismatch):
         compose_product([])
-    chained = compose_product([], register_dim=3)
-    assert np.array_equal(raising_block(chained), np.eye(3))
 
 
 def test_compose_product_dim_conflict():
-    net = build_network(np.eye(2))
     with pytest.raises(DimensionMismatch):
-        compose_product([net], register_dim=3)
+        compose_product([build_network(np.eye(2)), build_network(np.eye(3))])
 
 
 def test_full_multiplication_form_structure():

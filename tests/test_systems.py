@@ -7,14 +7,18 @@ import pytest
 
 from qcpusim import (
     DimensionMismatch,
+    EvolutionSettings,
     GaussianPacketSpec,
     GridMismatch,
     GridSpec,
+    InitialStateSpec,
     InvalidSpec,
     NonPositiveFrequency,
     NonPositiveMass,
+    OutputSpec,
     PacketWidthWarning,
     PotentialSpec,
+    RunConfig,
     SystemSpec,
     analytic_free_gaussian,
     constant_field_evolution,
@@ -26,6 +30,7 @@ from qcpusim import (
     gaussian_packet,
     harmonic_energies,
     harmonic_network,
+    parse_run_config,
     raising_block,
     sample,
     signed_momentum,
@@ -43,8 +48,6 @@ def test_potential_spec_quadratic_values():
     g = GridSpec(length=4.0, qubits=2, centered=True)
     spec = PotentialSpec(form="quadratic", coefficient=0.5)
     assert np.array_equal(spec.values_on(g), 0.5 * g.points ** 2)
-    f = spec.as_callable()
-    assert f(3.0) == 4.5
 
 
 def test_potential_spec_linear_and_constant():
@@ -68,12 +71,6 @@ def test_potential_spec_table_wrong_length():
         spec.values_on(g)
 
 
-def test_potential_spec_table_has_no_callable():
-    spec = PotentialSpec(form="table", values=(1.0,))
-    with pytest.raises(InvalidSpec):
-        spec.as_callable()
-
-
 def test_potential_spec_unknown_form():
     with pytest.raises(InvalidSpec):
         PotentialSpec(form="cubic", coefficient=1.0)
@@ -89,19 +86,25 @@ def test_potential_spec_rejects_stray_parameter():
         PotentialSpec(form="quadratic", coefficient=1.0, slope=2.0)
 
 
+def run_config(system: SystemSpec) -> RunConfig:
+    return RunConfig(
+        system=system,
+        grid=GridSpec(length=4.0, qubits=2),
+        evolution=EvolutionSettings(total_time=1.0, dt=0.5),
+        initial_state=InitialStateSpec(basis_state=0),
+        outputs=OutputSpec(directory="out"),
+    )
+
+
 def test_potential_spec_roundtrip():
-    for spec in (
+    for potential in (
         PotentialSpec(form="quadratic", coefficient=0.25),
         PotentialSpec(form="linear", slope=-1.0),
         PotentialSpec(form="constant", value=3.0),
-        PotentialSpec(form="table", values=(0.0, 1.0)),
+        PotentialSpec(form="table", values=(0.0, 1.0, 2.0, 3.0)),
     ):
-        assert PotentialSpec.from_dict(spec.to_dict()) == spec
-
-
-def test_potential_spec_from_dict_rejects_unknown_keys():
-    with pytest.raises(InvalidSpec):
-        PotentialSpec.from_dict({"form": "constant", "value": 1.0, "extra": True})
+        cfg = run_config(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=potential))
+        assert parse_run_config(cfg.to_dict()) == cfg
 
 
 def test_system_spec_requirements():
@@ -141,12 +144,15 @@ def test_system_spec_bad_values():
 
 
 def test_system_spec_roundtrip():
-    spec = SystemSpec(
-        kind="grid_schrodinger",
-        mu=2.0,
-        potential=PotentialSpec(form="linear", slope=1.0),
-    )
-    assert SystemSpec.from_dict(spec.to_dict()) == spec
+    for system in (
+        SystemSpec(kind="free_particle", mu=0.5),
+        SystemSpec(kind="harmonic", omega=2.0),
+        SystemSpec(kind="constant_field", mu=1.5, u=-0.25),
+        SystemSpec(kind="grid_schrodinger", mu=2.0,
+                   potential=PotentialSpec(form="linear", slope=1.0)),
+    ):
+        cfg = run_config(system)
+        assert parse_run_config(cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
