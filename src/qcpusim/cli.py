@@ -305,7 +305,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
 
-    oracle = exact_evolution(h, base.total_time, base.sign) @ psi0
+    oracle = exact_evolution(h, base.total_time, psi0, base.sign)
     rungs = []
     for rung in range(ladder):
         evo = dataclasses.replace(base, dt=base.dt / (2 ** rung))

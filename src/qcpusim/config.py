@@ -28,6 +28,10 @@ from .systems import GaussianPacketSpec, PotentialSpec, SystemSpec, gaussian_pac
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
 _SYSTEM_NUMBERS = ("mu", "omega", "u")
 _POTENTIAL_NUMBERS = ("coefficient", "slope", "value")
+# Every route builds dense N x N operators, N = 2**k.  At k = 11 a complex H
+# is 64 MB and each of compare's 2N x 2N chain matrices 256 MB; beyond that
+# the dense routes stop being laptop-scale.
+MAX_GRID_QUBITS = 11
 
 
 def _require(data: dict, key: str, field: str):
@@ -218,6 +222,8 @@ def parse_run_config(data) -> RunConfig:
     _reject_unknown(grid_data, {"L", "k", "centered"}, "grid")
     length = _as_number(_require(grid_data, "L", "grid.L"), "grid.L")
     qubits = _as_int(_require(grid_data, "k", "grid.k"), "grid.k")
+    if qubits > MAX_GRID_QUBITS:
+        raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, got {qubits}")
     centered = grid_data.get("centered", False)
     if not isinstance(centered, bool):
         raise ConfigError("grid.centered", f"expected true or false, got {centered!r}")
@@ -244,7 +250,7 @@ def parse_run_config(data) -> RunConfig:
     )
     if auto_epsilon is not None and auto_epsilon <= 0.0:
         raise ConfigError("evolution.auto_epsilon", f"must be positive, got {auto_epsilon}")
-    sign = evo_data.get("sign", -1)
+    sign = _as_int(evo_data.get("sign", -1), "evolution.sign")
     if sign not in (1, -1):
         raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
     evolution = EvolutionSettings(

@@ -135,7 +135,7 @@ def checked_states(states):
 def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> EvolutionReport:
     """Squared norms of a finished run, and its final state's fidelity
     against the exact propagator for the same h and horizon."""
-    oracle = exact_evolution(h, cfg.steps * cfg.dt, cfg.sign) @ psi0
+    oracle = exact_evolution(h, cfg.steps * cfg.dt, psi0, cfg.sign)
     return EvolutionReport(
         norm_sq=np.array(norm_sq),
         final_fidelity=fidelity(final, oracle),

@@ -4,7 +4,9 @@ Every operator (network payloads, discretized operators, time evolution)
 is a plain N x N complex128 ``numpy`` array, and every state a complex
 vector.  This module holds the coercions and checks on those arrays, the
 Hermitian-eigendecomposition evolution oracle, and the fidelity metric used
-for all comparisons.
+for all comparisons.  The oracle applies the eigendecomposition propagator
+to the initial state without forming it, and diagonalises an H with a zero
+imaginary part (the shift-stencil H) in real arithmetic.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -62,16 +64,40 @@ def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return h
 
 
-def exact_evolution(h, t: float, sign: int = -1) -> np.ndarray:
-    """Unitary exp(sign * i * h * t) for Hermitian h, via eigendecomposition.
+def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
+    """exp(sign * i * h * t) @ psi for Hermitian h, via eigendecomposition.
 
     This is the oracle every approximate evolution path is compared against;
-    eigendecomposition keeps the output unitary to round-off.
+    eigendecomposition keeps the evolution unitary to round-off.  It computes
+    V (e^{sign i lambda t} * (V^dag psi)) and never forms the N x N
+    propagator.  psi is a state vector or a matrix of column states
+    (``np.eye(n)`` gives the propagator itself).  An h with no nonzero
+    imaginary entry is diagonalised as a real symmetric matrix, and its real
+    eigenvectors act on psi's real and imaginary parts in real arithmetic.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    eigenvalues, v = np.linalg.eigh(require_hermitian(h))
-    return (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
+    h = require_hermitian(h)
+    psi = np.asarray(psi, dtype=complex)
+    columns = psi.reshape(psi.shape[0], -1)
+    real = not h.imag.any()
+    eigenvalues, v = np.linalg.eigh(h.real if real else h)
+    phases = np.exp(1j * sign * eigenvalues * t)[:, None]
+    if real:
+        out = _real_matmul(v, phases * _real_matmul(v.T, columns))
+    else:
+        out = v @ (phases * (v.conj().T @ columns))
+    return out.reshape(psi.shape)
+
+
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex matrix z, as one real product.
+
+    Viewing z's columns as interleaved (real, imag) float columns keeps numpy
+    from promoting a to a complex copy of itself.
+    """
+    z = np.ascontiguousarray(z)
+    return (a @ z.view(np.float64)).view(complex)
 
 
 def spectral_norm_upper_bound(h) -> float:

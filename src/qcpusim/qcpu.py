@@ -33,7 +33,6 @@ from .numerics import as_complex_matrix, as_state, tensor
 # identity, i.e. they behave like a fermionic annihilate/create pair.
 AUX_ANNIHILATE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 AUX_CREATE = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-AUX_IDENTITY = np.eye(2, dtype=complex)
 
 
 def connector(register_dim: int) -> np.ndarray:

@@ -82,6 +82,15 @@ def test_grid_k_must_be_integer():
         parse_run_config(data)
 
 
+def test_grid_k_is_capped():
+    data = base_config()
+    data["grid"]["k"] = 11
+    assert parse_run_config(data).grid.size == 2048
+    data["grid"]["k"] = 12
+    with pytest.raises(ConfigError, match="grid.k: must be at most 11"):
+        parse_run_config(data)
+
+
 def test_grid_centered_must_be_bool():
     data = base_config()
     data["grid"]["centered"] = "yes"
@@ -121,6 +130,14 @@ def test_bad_sign():
     data = base_config()
     data["evolution"]["sign"] = 0
     with pytest.raises(ConfigError, match="evolution.sign"):
+        parse_run_config(data)
+
+
+@pytest.mark.parametrize("sign", [True, -1.0, "1"])
+def test_sign_must_be_an_integer(sign):
+    data = base_config()
+    data["evolution"]["sign"] = sign
+    with pytest.raises(ConfigError, match="evolution.sign: expected an integer"):
         parse_run_config(data)
 
 

@@ -301,5 +301,5 @@ def test_whole_network_approximates_exact_evolution():
     psi = np.zeros(8, dtype=complex)
     psi[4] = 1.0
     approx = block @ psi
-    exact = exact_evolution(h, 0.25) @ psi
+    exact = exact_evolution(h, 0.25, psi)
     assert np.linalg.norm(approx - exact) < 0.01

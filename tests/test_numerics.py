@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +10,22 @@ from hypothesis.extra.numpy import arrays
 
 from qcpusim import (
     DimensionMismatch,
+    GridSpec,
     NonHermitianInput,
     NonSquareInput,
+    PotentialSpec,
+    SystemSpec,
     ZeroVector,
     exact_evolution,
     fidelity,
     hermiticity_defect,
+    kinetic_operator,
     require_hermitian,
+    spectral_kinetic_matrix,
     spectral_norm_upper_bound,
     tensor,
 )
+from qcpusim.systems import system_route
 from test_grid import shift_matrix, transposition_matrix
 
 
@@ -89,29 +97,29 @@ def test_require_hermitian_rejects_rectangular():
 
 def test_exact_evolution_is_unitary():
     h = random_hermitian(np.random.default_rng(2), 6)
-    u = exact_evolution(h, 0.7)
+    u = exact_evolution(h, 0.7, np.eye(6))
     assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-12
 
 
 def test_exact_evolution_group_property():
     """exp(-iH(t1+t2)) must equal exp(-iHt1) exp(-iHt2)."""
     h = random_hermitian(np.random.default_rng(3), 5)
-    u1 = exact_evolution(h, 0.3)
-    u2 = exact_evolution(h, 0.5)
-    u12 = exact_evolution(h, 0.8)
+    u1 = exact_evolution(h, 0.3, np.eye(5))
+    u2 = exact_evolution(h, 0.5, np.eye(5))
+    u12 = exact_evolution(h, 0.8, np.eye(5))
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
 
 
 def test_exact_evolution_sign_conjugate():
     h = random_hermitian(np.random.default_rng(4), 4)
-    fwd = exact_evolution(h, 1.1, sign=-1)
-    back = exact_evolution(h, 1.1, sign=1)
+    fwd = exact_evolution(h, 1.1, np.eye(4), sign=-1)
+    back = exact_evolution(h, 1.1, np.eye(4), sign=1)
     assert np.max(np.abs(fwd @ back - np.eye(4))) < 1e-12
 
 
 def test_exact_evolution_phases_eigenvector():
     vals = np.array([0.5, 1.5, -2.0])
-    u = exact_evolution(np.diag(vals), 2.0)
+    u = exact_evolution(np.diag(vals), 2.0, np.eye(3))
     e1 = np.zeros(3, dtype=complex)
     e1[1] = 1.0
     assert np.max(np.abs(u @ e1 - np.exp(-1j * vals[1] * 2.0) * e1)) < 1e-14
@@ -119,7 +127,71 @@ def test_exact_evolution_phases_eigenvector():
 
 def test_exact_evolution_invalid_sign():
     with pytest.raises(ValueError):
-        exact_evolution(np.eye(2), 1.0, sign=0)
+        exact_evolution(np.eye(2), 1.0, np.eye(2), sign=0)
+
+
+@st.composite
+def hermitian_cases(draw):
+    """A random Hermitian h (real-valued with a complex dtype, or truly
+    complex), a horizon, a sign and a state."""
+    n = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hermitian(rng, n)
+    if draw(st.booleans()):
+        h = h.real.astype(complex)
+    t = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    sign = draw(st.sampled_from((-1, 1)))
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return h, t, sign, psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_cases())
+def test_exact_evolution_matches_dense_propagator(case):
+    h, t, sign, psi = case
+    eigenvalues, v = np.linalg.eigh(h)
+    propagator = (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
+    assert np.max(np.abs(exact_evolution(h, t, psi, sign) - propagator @ psi)) < 1e-12
+    n = h.shape[0]
+    assert np.max(np.abs(exact_evolution(h, t, np.eye(n), sign) - propagator)) < 1e-12
+
+
+def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
+    """The stencil H has a zero imaginary part and reaches eigh as float64;
+    the spectral free-particle H is truly complex and stays complex128."""
+    g = GridSpec(length=10.0, qubits=5)
+    system = SystemSpec(
+        kind="grid_schrodinger", mu=0.7, potential=PotentialSpec(form="quadratic", coefficient=0.5)
+    )
+    stencil_h = system_route(system, g).hamiltonian()
+    spectral_h = spectral_kinetic_matrix(g, 0.7)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    psi = np.ones(g.size, dtype=complex)
+    exact_evolution(stencil_h, 0.5, psi)
+    exact_evolution(spectral_h, 0.5, psi)
+    assert seen == [np.dtype(np.float64), np.dtype(np.complex128)]
+
+
+def test_exact_evolution_of_real_h_forms_no_complex_propagator():
+    """Only the Hermiticity check's two N x N complex temporaries remain;
+    the complex eigh and propagator product held four."""
+    g = GridSpec(length=32.0, qubits=8)
+    h = kinetic_operator(g, 1.0) + np.diag(np.linspace(0.0, 1.0, g.size))
+    psi = np.ones(g.size, dtype=complex)
+    tracemalloc.start()
+    try:
+        exact_evolution(h, 0.25, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * h.nbytes
 
 
 @settings(max_examples=40, deadline=None)
