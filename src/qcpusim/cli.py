@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_run_config
+from .config import MAX_GRID_QUBITS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
 from .evolve import checked_states, evolve_euler, report_rows, report_summary, run_report
 from .grid import (
@@ -362,6 +362,9 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
+    if args.k > MAX_GRID_QUBITS:
+        print(f"error: --k must be at most {MAX_GRID_QUBITS}, got {args.k}", file=sys.stderr)
+        return 2
     grid = GridSpec(length=args.L, qubits=args.k)
     momentum = momentum_operator(grid)
     kinetic = kinetic_operator(grid, args.mu)

@@ -2,10 +2,12 @@
 
 One Euler step is Omega = I + sign*i*h*dt.  It is deliberately not unitary:
 applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
-and that drift is tracked per step rather than hidden.  The same step is
-realized as an auxiliary-qubit network by the sum rule (identity + kinetic
-+ potential pieces), and a whole evolution is the connector-chained product
-of identical step networks, whose raising block reproduces Omega^steps.
+and that drift is tracked per step rather than hidden.  Stepping acts on
+Omega's nonzeros only, so a stencil step costs O(N), not an N x N product.
+The same step is realized as an auxiliary-qubit network by the sum rule
+(identity + kinetic + potential pieces), and a whole evolution is the
+connector-chained product of identical step networks, whose raising block
+reproduces Omega^steps.
 """
 
 from __future__ import annotations
@@ -107,11 +109,20 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
 
 
 def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int):
-    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state."""
+    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state.
+
+    Omega is compressed once to its row-major nonzeros, and each step sums
+    Omega_ij * state_j over those entries only: O(nnz) work per step, with
+    no N x N product.  A row with no nonzeros gives a zero amplitude.
+    """
+    n = omega.shape[0]
+    rows, cols = np.nonzero(omega)
+    values = omega[rows, cols]
     state = psi0
     yield 0, state
     for i in range(1, steps + 1):
-        state = omega @ state
+        terms = values * state[cols]
+        state = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
         yield i, state
 
 

@@ -110,12 +110,16 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     """Product of the network's factor matrices, in the given order.
 
     Any order yields the same matrix: cross terms between factors vanish
-    because they contain the squared auxiliary raising operator.
+    because they contain the squared auxiliary raising operator.  Each
+    right-multiplication by I + u * E[2m+1, 2n] is done as the column
+    update it is, adding u times column 2m+1 to column 2n; factor_matrix
+    stays the dense reference for one factor.
     """
     indices = range(len(net.factors)) if order is None else order
     out = np.eye(2 * net.register_dim, dtype=complex)
     for i in indices:
-        out = out @ factor_matrix(net.factors[i], net.register_dim)
+        f = net.factors[i]
+        out[:, 2 * f.n] += f.u * out[:, 2 * f.m + 1]
     return out
 
 

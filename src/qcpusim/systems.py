@@ -361,7 +361,8 @@ class Route:
 
     `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
     and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
-    for steps 0..evo.steps.  `compare` uses `euler_hamiltonian()` and
+    for steps 0..evo.steps; an Euler route's steps act on Omega's nonzeros
+    only (`evolve.euler_states`).  `compare` uses `euler_hamiltonian()` and
     `network_block(h, evo)`, the raising block of the chained step networks
     for that H.  Matrices are built only on call.
     """

@@ -417,3 +417,13 @@ def test_spectrum_rejects_degenerate_grid(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["spectrum", "--L", "10", "--k", "1", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_spectrum_caps_k_like_run_configs(tmp_path, capsys):
+    """--k above the grid.k cap exits 2 with one error line before any
+    2^k x 2^k operator is built."""
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--L", "10", "--k", "12", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --k must be at most 11, got 12"]
+    assert not out.exists()

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcpusim import (
     DimensionMismatch,
@@ -31,7 +33,7 @@ from qcpusim import (
     whole_network,
 )
 from qcpusim.cli import main
-from qcpusim.evolve import run_report
+from qcpusim.evolve import euler_states, run_report
 
 
 def random_hermitian(rng, n):
@@ -140,6 +142,58 @@ def test_norm_grows_by_dt_squared_h_psi_squared():
     after = float(np.vdot(stepped, stepped).real)
     expected_gain = dt ** 2 * float(np.vdot(h @ psi, h @ psi).real)
     assert after - before == pytest.approx(expected_gain, abs=1e-12)
+
+
+def dense_euler_states(omega, psi0, steps):
+    """Reference stepping: the full N x N product each step."""
+    states = [psi0]
+    for _ in range(steps):
+        states.append(omega @ states[-1])
+    return states
+
+
+class _NoDenseProduct(np.ndarray):
+    """An Omega that refuses the dense product, so stepping must not use it."""
+
+    def __matmul__(self, other):
+        raise AssertionError("stepping multiplied by the dense Omega")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 64),
+    banded=st.booleans(),
+    steps=st.integers(0, 8),
+    sign=st.sampled_from([1, -1]),
+    dt=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euler_states_match_dense_stepping(n, banded, steps, sign, dt, seed):
+    """Stepping on Omega's nonzeros agrees with the dense product, for a
+    periodic tridiagonal (stencil-shaped) H and for a fully dense one."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    if banded:
+        offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        h = np.where((offset == 0) | (offset == 1) | (offset == n - 1), h, 0.0)
+    omega = euler_step(h, dt, sign)
+    psi0 = random_state(rng, n)
+    stepped = list(euler_states(omega.view(_NoDenseProduct), psi0, steps))
+    expected = dense_euler_states(omega, psi0, steps)
+    assert [i for i, _ in stepped] == list(range(steps + 1))
+    for (_, state), reference in zip(stepped, expected):
+        assert np.linalg.norm(state - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_euler_states_zero_row_gives_zero_amplitude():
+    """Rows 1 and 3 of Omega are empty, including the last row."""
+    omega = np.array(
+        [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1j, 3.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
+    )
+    psi0 = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
+    states = [state for _, state in euler_states(omega.view(_NoDenseProduct), psi0, 2)]
+    assert np.array_equal(states, dense_euler_states(omega, psi0, 2))
+    assert states[1][1] == 0.0 and states[1][3] == 0.0
 
 
 def test_evolve_euler_matches_matrix_power():

@@ -6,6 +6,8 @@ cross term is structurally zero, so most assertions here use strict
 equality rather than tolerances.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,22 @@ def test_closed_form_holds_for_arbitrary_payloads(u):
     expected = np.eye(6, dtype=complex) + tensor(u, AUX_CREATE)
     assert np.array_equal(net.dense(), expected)
     assert np.array_equal(dense_from_factors(net), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.complex128, st.integers(1, 6).map(lambda n: (n, n)), elements=complex_entries),
+    st.data(),
+)
+def test_dense_from_factors_equals_factor_matrix_product(u, data):
+    """The column updates reproduce the dense factor-matrix product bit for bit."""
+    net = build_network(u)
+    order = data.draw(st.permutations(range(len(net.factors))))
+    n = net.register_dim
+    reference = functools.reduce(
+        np.matmul, [factor_matrix(net.factors[i], n) for i in order], np.eye(2 * n, dtype=complex)
+    )
+    assert np.array_equal(dense_from_factors(net, order), reference)
 
 
 def test_apply_network_branches():
