@@ -14,7 +14,10 @@ Basis ordering everywhere: composite index = 2 * register_index + aux_index
 (register slow, auxiliary fast).  Sums of payloads compose by multiplying
 networks; products compose by splicing the connector I (x) |0><1| between
 networks, which feeds each raised output branch into the next network's
-input branch.
+input branch.  The connector sandwich touches only the payload blocks, so
+compose_product evaluates it as the N x N product of the payloads and
+returns that product's closed form; the literal 2N x 2N chain stays as the
+reference in the tests.
 """
 
 from __future__ import annotations
@@ -174,19 +177,21 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
 def compose_product(nets: Sequence[QcpuNetwork]) -> np.ndarray:
     """Connector-chained product network, as a dense 2N x 2N matrix.
 
-    Computes  I + C^dag (prod_j C . dense_j) C C^dag  with the product
-    expanded left to right, which equals the closed form of the network for
-    the matrix product payload_1 . payload_2 ... payload_r.  Consequence of
-    the ordering: chronological application ("apply A then B") corresponds
-    to the reversed list [net_B, net_A].
+    The network is  I + C^dag (prod_j C . dense_j) C C^dag  with the product
+    expanded left to right.  It is evaluated on the payload blocks: each
+    C . dense_j equals P_j (x) |0><0| + I (x) |0><1|, so the product of r of
+    them is (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the
+    sandwich keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|.
+    The result is the closed form of the network for the N x N product
+    payload_1 . payload_2 ... payload_r; no 2N x 2N chain is formed.
+    Consequence of the ordering: chronological application ("apply A then
+    B") corresponds to the reversed list [net_B, net_A].
     """
     dim = _common_register_dim(nets)
-    c = connector(dim)
-    c_dag = connector_dagger(dim)
-    chain = np.eye(2 * dim, dtype=complex)
-    for net in nets:
-        chain = chain @ (c @ net.dense())
-    return np.eye(2 * dim, dtype=complex) + c_dag @ chain @ c @ c_dag
+    product = nets[0].payload
+    for net in nets[1:]:
+        product = product @ net.payload
+    return QcpuNetwork(register_dim=dim, payload=product).dense()
 
 
 def full_multiplication_form(nets: Sequence[QcpuNetwork]) -> np.ndarray:

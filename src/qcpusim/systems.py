@@ -412,10 +412,11 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     def stencil_matrix():
         # Peak RSS here is set by heap layout, not by live memory.  One
         # expression frees the kinetic matrix before the sum returns (a local
-        # kept ~7 MB more resident at N = 1024), and the copy keeps the
-        # allocation order of the sum: without it, repeated `compare` runs at
-        # N = 256 fragment the heap in the dense chains that follow (peak RSS
-        # 60 -> 64 MB).
+        # kept ~7 MB more resident at N = 1024), and the copy fixes the
+        # allocation order of the sum for the N = 1024 simulate run: without
+        # it, that run's peak RSS rose from 86.0 to 93.8-94.0 MB (4 of 4
+        # benchmark runs).  At N = 256 `compare` it makes no difference
+        # (45.7-45.8 MB with the copy, 45.7-46.0 MB without).
         if values is None:
             return kinetic_operator(grid, mu)
         return kinetic_operator(grid, mu).copy() + np.diag(values).astype(complex)

@@ -233,6 +233,43 @@ def test_product_rule_is_left_to_right():
     assert np.array_equal(raising_block(chained), a @ b)
 
 
+def literal_sandwich(nets):
+    """I + C^dag (prod_j C . dense_j) C C^dag, multiplied out in 2N x 2N."""
+    n = nets[0].register_dim
+    c, c_dag = connector(n), connector_dagger(n)
+    chain = np.eye(2 * n, dtype=complex)
+    for net in nets:
+        chain = chain @ (c @ net.dense())
+    return np.eye(2 * n, dtype=complex) + c_dag @ chain @ c @ c_dag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_compose_product_equals_literal_sandwich(n, r, seed):
+    """The payload-block evaluation equals the connector algebra multiplied
+    out on the full 2N x 2N chain, to 1e-12 of the largest entry."""
+    rng = np.random.default_rng(seed)
+    nets = [build_network(random_payload(rng, n)) for _ in range(r)]
+    reference = literal_sandwich(nets)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(compose_product(nets) - reference)) <= 1e-12 * scale
+
+
+def test_compose_product_builds_one_dense_form(monkeypatch):
+    """A chain of 32 networks builds one 2N x 2N matrix, not one per network."""
+    calls = []
+    dense = QcpuNetwork.dense
+
+    def counting_dense(self):
+        calls.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(QcpuNetwork, "dense", counting_dense)
+    net = build_network(random_payload(np.random.default_rng(21), 4))
+    compose_product([net] * 32)
+    assert len(calls) <= 1
+
+
 def test_compose_product_empty_needs_dim():
     with pytest.raises(DimensionMismatch):
         compose_product([])
