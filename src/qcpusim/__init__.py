@@ -84,7 +84,6 @@ from .evolve import (
     euler_step,
     evolve_euler,
     norm_drift,
-    potential_network,
     report_rows,
     report_summary,
     step_network,

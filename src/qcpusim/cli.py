@@ -37,7 +37,14 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import checked_states, evolve_euler, report_rows, report_summary, run_report
+from .evolve import (
+    checked_states,
+    evolve_euler,
+    report_rows,
+    report_summary,
+    run_report,
+    whole_network,
+)
 from .grid import (
     GridSpec,
     Wavefunction,
@@ -57,6 +64,8 @@ from .qcpu import (
     build_network,
     compose_product,
     compose_sum,
+    connector,
+    connector_dagger,
     dense_from_factors,
     project_aux,
     raising_block,
@@ -175,22 +184,28 @@ def identity_suite(seed: int, dim: int) -> dict:
             sum_rule, float(np.max(np.abs(product - compose_sum(parts).dense())))
         )
 
+    # compose_product works on payload blocks; the reference is the literal
+    # connector sandwich I + C^dag (prod_j C . dense_j) C C^dag in 2N x 2N.
+    c, c_dag = connector(dim), connector_dagger(dim)
     product_rule = 0.0
     block_extraction = 0.0
     for r in (1, 2, 3):
         payloads = [_random_payload(rng, dim) for _ in range(r)]
         nets = [build_network(u) for u in payloads]
-        chained = compose_product(nets)
+        chain = eye
+        for net in nets:
+            chain = chain @ (c @ net.dense())
+        sandwich = eye + c_dag @ chain @ c @ c_dag
         matrix_product = payloads[0]
         for u in payloads[1:]:
             matrix_product = matrix_product @ u
         product_rule = max(
             product_rule,
-            float(np.max(np.abs(chained - build_network(matrix_product).dense()))),
+            float(np.max(np.abs(compose_product(nets).dense() - sandwich))),
         )
         block_extraction = max(
             block_extraction,
-            float(np.max(np.abs(raising_block(chained) - matrix_product))),
+            float(np.max(np.abs(raising_block(sandwich) - matrix_product))),
         )
 
     aux_algebra = max(
@@ -310,7 +325,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     for rung in range(ladder):
         evo = dataclasses.replace(base, dt=base.dt / (2 ** rung))
         euler_state, _ = evolve_euler(h, psi0, evo)
-        network_state = route.network_block(h, evo) @ psi0
+        network_state = whole_network(h, evo).payload @ psi0
         rungs.append(
             {
                 "dt": evo.dt,

@@ -28,9 +28,9 @@ from .systems import GaussianPacketSpec, PotentialSpec, SystemSpec, gaussian_pac
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
 _SYSTEM_NUMBERS = ("mu", "omega", "u")
 _POTENTIAL_NUMBERS = ("coefficient", "slope", "value")
-# Every route builds dense N x N operators, N = 2**k.  At k = 11 a complex H
-# is 64 MB and each of compare's 2N x 2N chain matrices 256 MB; beyond that
-# the dense routes stop being laptop-scale.
+# Every route builds a dense N x N H, N = 2**k, and compare's network chain
+# multiplies N x N payloads.  At k = 11 a complex H is 64 MB; beyond that the
+# dense routes stop being laptop-scale.
 MAX_GRID_QUBITS = 11
 
 

@@ -4,10 +4,10 @@ One Euler step is Omega = I + sign*i*h*dt.  It is deliberately not unitary:
 applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
 and that drift is tracked per step rather than hidden.  Stepping acts on
 Omega's nonzeros only, so a stencil step costs O(N), not an N x N product.
-The same step is realized as an auxiliary-qubit network by the sum rule
-(identity + kinetic + potential pieces), and a whole evolution is the
-connector-chained product of identical step networks, whose raising block
-reproduces Omega^steps.
+The same step is realized as an auxiliary-qubit network by the sum rule,
+Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
+connector-chained product of identical step networks, whose payload is
+Omega^steps.  Both are built from h alone, whatever system h came from.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError
-from .grid import GridSpec, kinetic_operator, potential_operator
 from .numerics import as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian
 from .qcpu import QcpuNetwork, build_network, compose_product, compose_sum
 
@@ -180,52 +179,29 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 # Network realization
 # ---------------------------------------------------------------------------
 
-def potential_network(grid: GridSpec, v) -> QcpuNetwork:
-    """Network for a diagonal potential; v is a callable of position or a
-    length-N sequence of per-point values."""
-    if callable(v):
-        return build_network(potential_operator(grid, v))
-    values = np.asarray(v, dtype=complex)
-    if values.ndim != 1 or values.shape[0] != grid.size:
-        raise DimensionMismatch(
-            f"potential table must have length {grid.size}, got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-        raise InvalidSpec("potential table contains non-finite values")
-    return build_network(np.diag(values))
-
-
-def step_network(grid: GridSpec, mu: float, v, dt: float, sign: int = -1) -> QcpuNetwork:
+def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
     """Single Euler step as a network, assembled by the sum rule.
 
-    Composes Q(I), Q(sign*i*dt*T), and (if a potential is given)
-    Q(sign*i*dt*V); the resulting payload equals euler_step(T + V, dt, sign)
-    up to float re-association.
+    Composes Q(I) and Q(sign*i*dt*h); the payload is bit-equal to
+    euler_step(h, dt, sign), and raises as it does.
     """
+    h = as_complex_matrix(h)
+    require_hermitian(h)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    n = grid.size
-    scale = sign * 1j * dt
-    pieces = [
-        build_network(np.eye(n, dtype=complex)),
-        build_network(scale * kinetic_operator(grid, mu)),
-    ]
-    if v is not None:
-        pieces.append(build_network(scale * potential_network(grid, v).payload))
-    return compose_sum(pieces)
+    identity = build_network(np.eye(h.shape[0], dtype=complex))
+    return compose_sum([identity, build_network((sign * 1j * dt) * h)])
 
 
-def whole_network(grid: GridSpec, mu: float, v, cfg: EvolutionConfig) -> np.ndarray:
-    """Connector-chained product of cfg.steps identical step networks.
+def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
+    """Connector-chained product of cfg.steps identical step networks of h.
 
-    Returns the full 2N x 2N matrix; its raising block is the steps-fold
-    power of the Euler step, so feeding psi (x) |0> through it and reading
-    the raised branch reproduces evolve_euler's final state.
+    Its payload is the steps-fold power of the Euler step, so payload @ psi
+    reproduces evolve_euler's final state; .dense() gives the 2N x 2N form.
     """
     steps = cfg.steps
     if steps < 1:
         raise InvalidSpec(f"whole network needs at least one step, got {steps}")
-    net = step_network(grid, mu, v, cfg.dt, cfg.sign)
-    return compose_product([net] * steps)
+    return compose_product([step_network(h, cfg.dt, cfg.sign)] * steps)

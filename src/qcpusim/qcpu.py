@@ -16,8 +16,10 @@ networks; products compose by splicing the connector I (x) |0><1| between
 networks, which feeds each raised output branch into the next network's
 input branch.  The connector sandwich touches only the payload blocks, so
 compose_product evaluates it as the N x N product of the payloads and
-returns that product's closed form; the literal 2N x 2N chain stays as the
-reference in the tests.
+returns the network of that product, as compose_sum returns the network of
+the sum.  Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the
+references: the identity suite, full_multiplication_form and the tests,
+which keep the literal 2N x 2N chain.
 """
 
 from __future__ import annotations
@@ -174,16 +176,16 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     return build_network(total)
 
 
-def compose_product(nets: Sequence[QcpuNetwork]) -> np.ndarray:
-    """Connector-chained product network, as a dense 2N x 2N matrix.
+def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
+    """Connector-chained product network.
 
     The network is  I + C^dag (prod_j C . dense_j) C C^dag  with the product
     expanded left to right.  It is evaluated on the payload blocks: each
     C . dense_j equals P_j (x) |0><0| + I (x) |0><1|, so the product of r of
     them is (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the
     sandwich keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|.
-    The result is the closed form of the network for the N x N product
-    payload_1 . payload_2 ... payload_r; no 2N x 2N chain is formed.
+    The result is the network for the N x N product
+    payload_1 . payload_2 ... payload_r; no 2N x 2N matrix is formed.
     Consequence of the ordering: chronological application ("apply A then
     B") corresponds to the reversed list [net_B, net_A].
     """
@@ -191,18 +193,18 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> np.ndarray:
     product = nets[0].payload
     for net in nets[1:]:
         product = product @ net.payload
-    return QcpuNetwork(register_dim=dim, payload=product).dense()
+    return QcpuNetwork(register_dim=dim, payload=product)
 
 
 def full_multiplication_form(nets: Sequence[QcpuNetwork]) -> np.ndarray:
     """Product network carried on a doubled register: identity on a retained
     input-register copy, tensored with the connector-chained sandwich.
 
-    The sandwich factor equals ``compose_product(nets) - I``.  Initial states
-    for this form are prepared as psi_input (x) (psi (x) |0>)_out.
+    The sandwich factor equals ``compose_product(nets).dense() - I``.  Initial
+    states for this form are prepared as psi_input (x) (psi (x) |0>)_out.
     """
     dim = _common_register_dim(nets)
-    sandwich = compose_product(nets) - np.eye(2 * dim, dtype=complex)
+    sandwich = compose_product(nets).dense() - np.eye(2 * dim, dtype=complex)
     return tensor(np.eye(dim), sandwich)
 
 

@@ -33,10 +33,10 @@ from .errors import (
     PacketWidthWarning,
     ZeroVector,
 )
-from .evolve import EvolutionConfig, euler_states, euler_step, whole_network
+from .evolve import EvolutionConfig, euler_states, euler_step
 from .grid import GridSpec, Wavefunction, dft_operator, kinetic_operator, signed_momentum
 from .numerics import as_state
-from .qcpu import QcpuNetwork, build_network, compose_product, raising_block
+from .qcpu import QcpuNetwork, build_network, compose_product
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +275,10 @@ def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
     return np.array([signed_momentum(grid, n) for n in range(grid.size)])
 
 
-def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -> np.ndarray:
+def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -> QcpuNetwork:
     """Connector-chained network for the momentum-representation free step.
 
-    Raising block equals diag(e^{sign i p^2 t / 2 mu}) . F: Fourier transform
+    Payload equals diag(e^{sign i p^2 t / 2 mu}) . F: Fourier transform
     first, then the diagonal phase.  Note there is no inverse transform here;
     the output lives in the momentum representation.  Use
     spectral_free_propagator for the position-space round trip.
@@ -362,16 +362,15 @@ class Route:
     `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
     and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
     for steps 0..evo.steps; an Euler route's steps act on Omega's nonzeros
-    only (`evolve.euler_states`).  `compare` uses `euler_hamiltonian()` and
-    `network_block(h, evo)`, the raising block of the chained step networks
-    for that H.  Matrices are built only on call.
+    only (`evolve.euler_states`).  `compare` uses `euler_hamiltonian()`, and
+    builds its network route from that H alone (`evolve.whole_network`), the
+    same way for every kind.  Matrices are built only on call.
     """
 
     method: str
     hamiltonian: Callable[[], np.ndarray]
     states: Callable[[np.ndarray, np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
     euler_hamiltonian: Callable[[], np.ndarray]
-    network_block: Callable[[np.ndarray, EvolutionConfig], np.ndarray]
 
 
 def system_route(system: SystemSpec, grid: GridSpec) -> Route:
@@ -381,8 +380,8 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     particle and constant field through the Fourier pipeline, the
     oscillator in its energy eigenbasis, and the generic grid system by
     Euler stepping.  `compare` steps every grid kind with the shift-stencil
-    kinetic, because that is the payload the step networks are assembled
-    from; the oscillator, having no grid, steps its diagonal energy matrix.
+    H, kinetic plus potential; the oscillator, having no grid, steps its
+    diagonal energy matrix.
     """
     mu, u = system.mu, system.u
     if system.kind == "harmonic":
@@ -396,11 +395,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
             for i in range(1, evo.steps + 1):
                 yield i, np.exp((evo.sign * 1j * (i * evo.dt)) * energies) * psi0
 
-        def chained_steps(h, evo):
-            step = build_network(euler_step(h, evo.dt, evo.sign))
-            return raising_block(compose_product([step] * evo.steps))
-
-        return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix, chained_steps)
+        return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix)
 
     if system.kind == "grid_schrodinger":
         values = system.potential.values_on(grid)
@@ -421,14 +416,11 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
             return kinetic_operator(grid, mu)
         return kinetic_operator(grid, mu).copy() + np.diag(values).astype(complex)
 
-    def step_chain(h, evo):
-        return raising_block(whole_network(grid, mu, values, evo))
-
     if system.kind == "grid_schrodinger":
         def euler(h, psi0, evo):
             return euler_states(euler_step(h, evo.dt, evo.sign), psi0, evo.steps)
 
-        return Route("euler_network", stencil_matrix, euler, stencil_matrix, step_chain)
+        return Route("euler_network", stencil_matrix, euler, stencil_matrix)
 
     def spectral_matrix():
         h = spectral_kinetic_matrix(grid, mu)
@@ -449,4 +441,4 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
             yield i, state
 
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, spectral_matrix, fourier_phases, stencil_matrix, step_chain)
+    return Route(method, spectral_matrix, fourier_phases, stencil_matrix)

@@ -101,7 +101,7 @@ def test_acceptance_02_sum_and_product_rules():
 
     for r in (1, 2, 3):
         payloads = [random_payload(rng, 8) for _ in range(r)]
-        chained = compose_product([build_network(u) for u in payloads])
+        chained = compose_product([build_network(u) for u in payloads]).dense()
         matrix_product = payloads[0]
         for u in payloads[1:]:
             matrix_product = matrix_product @ u
@@ -228,8 +228,8 @@ def test_acceptance_06_whole_network_equivalence():
     v = lambda x: 0.1 * x * x
     cfg = EvolutionConfig(dt=1.0 / 64.0, total_time=1.0)
 
-    network = whole_network(g, mu, v, cfg)
     h = kinetic_operator(g, mu) + potential_operator(g, v)
+    network = whole_network(h, cfg).dense()
     direct = np.linalg.matrix_power(euler_step(h, cfg.dt), cfg.steps)
     block_err = float(np.max(np.abs(raising_block(network) - direct)))
 

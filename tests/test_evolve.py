@@ -17,15 +17,14 @@ from qcpusim import (
     InvalidSpec,
     NonHermitianInput,
     NumericalFailure,
+    QcpuNetwork,
     ResidualTimeError,
     euler_step,
     evolve_euler,
     exact_evolution,
     kinetic_operator,
     norm_drift,
-    potential_network,
     potential_operator,
-    raising_block,
     report_rows,
     report_summary,
     spectral_norm_upper_bound,
@@ -284,56 +283,87 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "system",
+    [
+        {"kind": "harmonic", "omega": 1.0},
+        {"kind": "free_particle", "mu": 1.0},
+        {"kind": "constant_field", "mu": 1.0, "u": 2.0},
+        {"kind": "grid_schrodinger", "mu": 1.0,
+         "potential": {"form": "quadratic", "coefficient": 0.05}},
+    ],
+    ids=["harmonic", "free_particle", "constant_field", "grid_schrodinger"],
+)
+def test_compare_builds_no_dense_network(tmp_path, monkeypatch, system):
+    """compare applies the chained network's N x N payload to the state; no
+    kind forms a 2N x 2N network matrix."""
+    calls = []
+    dense = QcpuNetwork.dense
+
+    def counting_dense(self):
+        calls.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(QcpuNetwork, "dense", counting_dense)
+    config = {
+        "system": system,
+        "grid": {"L": 16.0, "k": 4},
+        "evolution": {"dt": 0.0625, "total_time": 0.5},
+        "initial_state": {"basis_state": 3},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Network realization
 # ---------------------------------------------------------------------------
 
-def test_potential_network_callable_and_table_agree():
-    g = GridSpec(length=8.0, qubits=3, centered=True)
-    from_callable = potential_network(g, lambda x: 0.5 * x * x)
-    from_table = potential_network(g, 0.5 * g.points ** 2)
-    assert np.array_equal(from_callable.payload, from_table.payload)
-
-
-def test_potential_network_table_length_check():
-    g = GridSpec(length=8.0, qubits=3)
-    with pytest.raises(DimensionMismatch):
-        potential_network(g, np.ones(5))
-
-
-def test_potential_network_table_finiteness():
-    g = GridSpec(length=8.0, qubits=2)
-    with pytest.raises(InvalidSpec):
-        potential_network(g, [1.0, float("nan"), 0.0, 0.0])
-
-
 def test_step_network_payload_is_euler_step():
     g = GridSpec(length=8.0, qubits=3, centered=True)
     mu, dt = 1.0, 0.01
-    v = lambda x: 0.2 * x * x
-    h = kinetic_operator(g, mu) + potential_operator(g, v)
-    net = step_network(g, mu, v, dt)
-    assert np.max(np.abs(net.payload - euler_step(h, dt))) < 1e-14
+    h = kinetic_operator(g, mu) + potential_operator(g, lambda x: 0.2 * x * x)
+    net = step_network(h, dt)
+    assert np.array_equal(net.payload, euler_step(h, dt))
 
 
 def test_step_network_without_potential():
     g = GridSpec(length=8.0, qubits=3)
-    net = step_network(g, 1.0, None, 0.05)
     h = kinetic_operator(g, 1.0)
-    assert np.max(np.abs(net.payload - euler_step(h, 0.05))) < 1e-14
+    assert np.array_equal(step_network(h, 0.05, 1).payload, euler_step(h, 0.05, 1))
 
 
 def test_step_network_zero_dt():
     g = GridSpec(length=8.0, qubits=3)
-    assert np.array_equal(step_network(g, 1.0, None, 0.0).payload, np.eye(8))
+    assert np.array_equal(step_network(kinetic_operator(g, 1.0), 0.0).payload, np.eye(8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 32),
+    st.floats(0.0, 0.5),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_step_network_payload_bit_equals_euler_step(n, dt, sign, seed):
+    """The sum rule Q(I) . Q(sign i dt h) carries exactly I + sign i dt h."""
+    h = random_hermitian(np.random.default_rng(seed), n)
+    assert np.array_equal(step_network(h, dt, sign).payload, euler_step(h, dt, sign))
+
+
+def test_step_network_rejects_non_hermitian():
+    with pytest.raises(NonHermitianInput):
+        step_network(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 def test_whole_network_block_is_step_power():
     g = GridSpec(length=8.0, qubits=3, centered=True)
-    v = lambda x: 0.1 * x * x
     cfg = EvolutionConfig(dt=1.0 / 32.0, total_time=0.5)
-    block = raising_block(whole_network(g, 1.0, v, cfg))
-    h = kinetic_operator(g, 1.0) + potential_operator(g, v)
+    h = kinetic_operator(g, 1.0) + potential_operator(g, lambda x: 0.1 * x * x)
+    block = whole_network(h, cfg).payload
     direct = np.linalg.matrix_power(euler_step(h, cfg.dt), cfg.steps)
     assert np.max(np.abs(block - direct)) < 1e-12
 
@@ -342,7 +372,7 @@ def test_whole_network_needs_a_step():
     g = GridSpec(length=8.0, qubits=3)
     cfg = EvolutionConfig(dt=0.1, total_time=0.0)
     with pytest.raises(InvalidSpec):
-        whole_network(g, 1.0, None, cfg)
+        whole_network(kinetic_operator(g, 1.0), cfg)
 
 
 def test_whole_network_approximates_exact_evolution():
@@ -351,7 +381,7 @@ def test_whole_network_approximates_exact_evolution():
     h = kinetic_operator(g, mu)
     bound = spectral_norm_upper_bound(h)
     cfg = EvolutionSettings(total_time=0.25, auto_epsilon=0.005).resolve(norm_bound=bound)
-    block = raising_block(whole_network(g, mu, None, cfg))
+    block = whole_network(h, cfg).payload
     psi = np.zeros(8, dtype=complex)
     psi[4] = 1.0
     approx = block @ psi

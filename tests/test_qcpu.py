@@ -216,7 +216,7 @@ def test_product_rule_matches_matrix_product(r):
     rng = np.random.default_rng(100 + r)
     payloads = [random_payload(rng, 4) for _ in range(r)]
     nets = [build_network(u) for u in payloads]
-    chained = compose_product(nets)
+    chained = compose_product(nets).dense()
     product = payloads[0]
     for u in payloads[1:]:
         product = product @ u
@@ -230,7 +230,7 @@ def test_product_rule_is_left_to_right():
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
     chained = compose_product([build_network(a), build_network(b)])
-    assert np.array_equal(raising_block(chained), a @ b)
+    assert np.array_equal(chained.payload, a @ b)
 
 
 def literal_sandwich(nets):
@@ -252,11 +252,29 @@ def test_compose_product_equals_literal_sandwich(n, r, seed):
     nets = [build_network(random_payload(rng, n)) for _ in range(r)]
     reference = literal_sandwich(nets)
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(compose_product(nets) - reference)) <= 1e-12 * scale
+    assert np.max(np.abs(compose_product(nets).dense() - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "wrong_connector",
+    [connector_dagger, lambda n: tensor(AUX_ANNIHILATE, np.eye(n))],
+    ids=["raising", "aux_slow_ordering"],
+)
+def test_identity_suite_product_rule_can_fail(monkeypatch, wrong_connector):
+    """verify-identities multiplies out the literal connector sandwich, so a
+    connector that does not feed each raised output into the next input
+    makes its product rule fail."""
+    from qcpusim import cli
+
+    monkeypatch.setattr(cli, "connector", wrong_connector)
+    report = cli.identity_suite(42, 4)
+    assert not report["identities"]["product_rule"]["pass"]
+    assert not report["all_pass"]
 
 
 def test_compose_product_builds_one_dense_form(monkeypatch):
-    """A chain of 32 networks builds one 2N x 2N matrix, not one per network."""
+    """A chain of 32 networks builds no 2N x 2N matrix: it returns the network
+    of the payload product, and only a caller's .dense() forms the matrix."""
     calls = []
     dense = QcpuNetwork.dense
 
@@ -267,7 +285,7 @@ def test_compose_product_builds_one_dense_form(monkeypatch):
     monkeypatch.setattr(QcpuNetwork, "dense", counting_dense)
     net = build_network(random_payload(np.random.default_rng(21), 4))
     compose_product([net] * 32)
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_compose_product_empty_needs_dim():
@@ -284,7 +302,7 @@ def test_full_multiplication_form_structure():
     rng = np.random.default_rng(19)
     nets = [build_network(random_payload(rng, 2)) for _ in range(2)]
     doubled = full_multiplication_form(nets)
-    sandwich = compose_product(nets) - np.eye(4, dtype=complex)
+    sandwich = compose_product(nets).dense() - np.eye(4, dtype=complex)
     assert doubled.shape == (8, 8)
     assert np.array_equal(doubled, tensor(np.eye(2), sandwich))
 

@@ -7,6 +7,7 @@ import pytest
 
 from qcpusim import (
     DimensionMismatch,
+    EvolutionConfig,
     EvolutionSettings,
     GaussianPacketSpec,
     GridMismatch,
@@ -31,13 +32,13 @@ from qcpusim import (
     harmonic_energies,
     harmonic_network,
     parse_run_config,
-    raising_block,
     sample,
     signed_momentum,
     spectral_free_propagator,
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
+from qcpusim.systems import system_route
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +270,11 @@ def test_spectral_kinetic_eigenvalues_are_p_squared_over_2mu():
 
 
 def test_free_particle_network_block():
-    """Raising block is the diagonal phase times the Fourier matrix: the
+    """The payload is the diagonal phase times the Fourier matrix: the
     output of this network lives in the momentum representation."""
     g = GridSpec(length=10.0, qubits=3)
     mu, t = 1.0, 0.7
-    block = raising_block(free_particle_network(g, mu, t))
+    block = free_particle_network(g, mu, t).payload
     phases = np.exp(-1j * t * spectral_momentum_values(g) ** 2 / (2.0 * mu))
     expected = phases[:, None] * dft_operator(g)
     assert np.max(np.abs(block - expected)) < 1e-13
@@ -363,3 +364,43 @@ def test_constant_field_dimension_check():
     g = GridSpec(length=16.0, qubits=3)
     with pytest.raises(DimensionMismatch):
         constant_field_evolution(g, 1.0, 1.0, 1.0, psi=np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# Routes against the acceptance constructions
+# ---------------------------------------------------------------------------
+
+def _acceptance_state(system, grid, psi0, t, sign):
+    """The construction acceptance checks 07-09 verify, for one kind."""
+    if system.kind == "harmonic":
+        return harmonic_network(system.omega, grid.qubits, t, sign).payload @ psi0
+    if system.kind == "free_particle":
+        return spectral_free_propagator(grid, system.mu, t, sign) @ psi0
+    return constant_field_evolution(grid, system.mu, system.u, t, sign, psi=psi0)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "system",
+    [
+        SystemSpec(kind="harmonic", omega=1.3),
+        SystemSpec(kind="free_particle", mu=1.0),
+        SystemSpec(kind="constant_field", mu=1.0, u=2.0),
+    ],
+    ids=["harmonic", "free_particle", "constant_field"],
+)
+def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
+    """Every state a `simulate` route yields equals the acceptance-checked
+    network or propagator at that time, to 1e-12."""
+    grid = GridSpec(length=16.0, qubits=k)
+    rng = np.random.default_rng(k)
+    psi0 = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    psi0 = psi0 / np.linalg.norm(psi0)
+    route = system_route(system, grid)
+    evo = EvolutionConfig(dt=0.125, total_time=1.0, sign=sign)
+    states = list(route.states(route.hamiltonian(), psi0, evo))
+    assert [step for step, _ in states] == list(range(evo.steps + 1))
+    for step, state in states:
+        expected = _acceptance_state(system, grid, psi0, step * evo.dt, sign)
+        assert np.max(np.abs(state - expected)) <= 1e-12
