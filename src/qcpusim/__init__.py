@@ -25,7 +25,6 @@ from .errors import (
     PacketWidthWarning,
     QcpuSimError,
     ResidualTimeError,
-    ZeroResultWarning,
     ZeroVector,
 )
 from .numerics import (
@@ -56,12 +55,8 @@ from .qcpu import (
     raising_block,
 )
 from .grid import (
-    ComReduction,
-    DecoupledProblem,
     GridSpec,
-    TwoParticleWavefunction,
     Wavefunction,
-    com_reduction,
     dft_operator,
     kinetic_eigenvalue,
     kinetic_operator,
@@ -73,19 +68,14 @@ from .grid import (
     sample,
     signed_mode,
     signed_momentum,
-    symmetrize,
     two_body_potential,
     wavefunction_header,
     wavefunction_records,
 )
 from .evolve import (
     EvolutionConfig,
-    EvolutionReport,
     euler_step,
     evolve_euler,
-    norm_drift,
-    report_rows,
-    report_summary,
     step_network,
     whole_network,
 )

@@ -42,7 +42,7 @@ class NonFiniteValue(QcpuSimError):
 
 
 class GridMismatch(QcpuSimError):
-    """Two-particle operation requires identical grids."""
+    """Per-point data (a table potential) does not match the grid size."""
 
 
 class InvalidSpec(QcpuSimError):
@@ -67,11 +67,6 @@ class ConfigError(QcpuSimError):
 
 class NumericalFailure(QcpuSimError):
     """NaN or Inf appeared in an evolving state."""
-
-
-class ZeroResultWarning(UserWarning):
-    """Symmetrization annihilated the state (e.g. antisymmetrized product of
-    identical one-particle states)."""
 
 
 class PacketWidthWarning(UserWarning):

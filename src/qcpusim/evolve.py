@@ -56,54 +56,19 @@ class EvolutionConfig:
         return int(round(self.total_time / self.dt))
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionReport:
-    """Diagnostics of one run: squared norms per step and oracle fidelity."""
-
-    norm_sq: np.ndarray
-    final_fidelity: float
-    steps: int
-    dt: float
-    sign: int
-
-
-def norm_drift(report: EvolutionReport) -> np.ndarray:
-    """Squared-norm excess over the initial state, one entry per recorded step."""
-    return report.norm_sq - report.norm_sq[0]
-
-
-def report_rows(report: EvolutionReport) -> list[dict]:
-    """Per-step diagnostic rows for the CSV dump."""
-    drift = norm_drift(report)
-    return [
-        {
-            "step": i,
-            "time": i * report.dt,
-            "norm_sq": float(report.norm_sq[i]),
-            "drift": float(drift[i]),
-        }
-        for i in range(report.norm_sq.shape[0])
-    ]
-
-
-def report_summary(report: EvolutionReport) -> dict:
-    return {
-        "steps": report.steps,
-        "dt": report.dt,
-        "sign": report.sign,
-        "final_fidelity": report.final_fidelity,
-        "max_norm_drift": float(np.max(np.abs(norm_drift(report)))),
-    }
-
-
-def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
-    """One first-order propagator factor I + sign*i*h*dt."""
-    h = as_complex_matrix(h)
-    require_hermitian(h)
+def _check_step(h, dt: float, sign: int) -> np.ndarray:
+    """Validate the (h, dt, sign) of an Euler step; returns h as a complex matrix."""
+    h = require_hermitian(h)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return h
+
+
+def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
+    """One first-order propagator factor I + sign*i*h*dt."""
+    h = _check_step(h, dt, sign)
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
@@ -142,17 +107,29 @@ def checked_states(states):
         yield step, state, norm_sq
 
 
-def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> EvolutionReport:
-    """Squared norms of a finished run, and its final state's fidelity
-    against the exact propagator for the same h and horizon."""
+def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> tuple[dict, list[dict]]:
+    """Summary fields and per-step diagnostic rows of a finished run.
+
+    The summary carries the final state's fidelity against the exact
+    propagator for the same h and horizon, and the largest squared-norm
+    excess over the initial state; each row carries one step's squared norm
+    and that excess (its drift).
+    """
     oracle = exact_evolution(h, cfg.steps * cfg.dt, psi0, cfg.sign)
-    return EvolutionReport(
-        norm_sq=np.array(norm_sq),
-        final_fidelity=fidelity(final, oracle),
-        steps=cfg.steps,
-        dt=cfg.dt,
-        sign=cfg.sign,
-    )
+    norm_sq = np.array(norm_sq)
+    drift = norm_sq - norm_sq[0]
+    summary = {
+        "steps": cfg.steps,
+        "dt": cfg.dt,
+        "sign": cfg.sign,
+        "final_fidelity": fidelity(final, oracle),
+        "max_norm_drift": float(np.max(np.abs(drift))),
+    }
+    rows = [
+        {"step": i, "time": i * cfg.dt, "norm_sq": float(norm_sq[i]), "drift": float(drift[i])}
+        for i in range(norm_sq.shape[0])
+    ]
+    return summary, rows
 
 
 def evolve_euler(h, psi, cfg: EvolutionConfig):
@@ -185,12 +162,7 @@ def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
     Composes Q(I) and Q(sign*i*dt*h); the payload is bit-equal to
     euler_step(h, dt, sign), and raises as it does.
     """
-    h = as_complex_matrix(h)
-    require_hermitian(h)
-    if not math.isfinite(dt) or dt < 0.0:
-        raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    h = _check_step(h, dt, sign)
     identity = build_network(np.eye(h.shape[0], dtype=complex))
     return compose_sum([identity, build_network((sign * 1j * dt) * h)])
 

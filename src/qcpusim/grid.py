@@ -5,9 +5,10 @@ A grid has N = 2^k points spaced L/N apart, either starting at the origin
 the grid points with periodic indexing, and every operator is a dense
 complex matrix.  The momentum operator is the Hermitian central difference
 of cyclic shifts by one point; the kinetic operator is its exact square over
-shift-by-two stencils; potentials are diagonal matrices.  Two-particle
-helpers cover operator lifting, (anti)symmetrization, and the
-center-of-mass/relative splitting of a pair problem.
+shift-by-two stencils; potentials are diagonal matrices.  A pair of
+particles lives on the tensor product of two grids, with particle 1 as the
+slow index: one-particle operators are lifted onto it and a pair
+interaction is a diagonal over its points.
 
 Natural units throughout (hbar = 1); lengths, times, and masses are in
 mutually consistent units.
@@ -16,7 +17,6 @@ mutually consistent units.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,12 +25,10 @@ import numpy as np
 from .errors import (
     DegenerateGrid,
     DimensionMismatch,
-    GridMismatch,
     IndexOutOfRange,
     InvalidSpec,
     NonFiniteValue,
     NonPositiveMass,
-    ZeroResultWarning,
 )
 from .numerics import tensor
 
@@ -96,29 +94,6 @@ class Wavefunction:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True, eq=False)
-class TwoParticleWavefunction:
-    """Pair amplitudes indexed as (m1, m2) -> m1 * N2 + m2 (particle 1 slow)."""
-
-    grid1: GridSpec
-    grid2: GridSpec
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        expected = self.grid1.size * self.grid2.size
-        if amps.ndim != 1 or amps.shape[0] != expected:
-            raise DimensionMismatch(
-                f"amplitudes must have length {expected}, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def component(self, m1: int, m2: int) -> complex:
-        n1, n2 = self.grid1.size, self.grid2.size
-        return complex(self.amplitudes[(m1 % n1) * n2 + (m2 % n2)])
 
 
 def sample(f, grid: GridSpec) -> Wavefunction:
@@ -187,8 +162,8 @@ def potential_operator(grid: GridSpec, v: Callable[[float], float]) -> np.ndarra
 def two_body_potential(grid1: GridSpec, grid2: GridSpec, u) -> np.ndarray:
     """Pair interaction as a diagonal matrix, entries u(x_{m1}, x_{m2}).
 
-    Index convention matches TwoParticleWavefunction: particle 1 is the slow
-    index, so entry m1 * N2 + m2 holds u evaluated at the pair of points.
+    Particle 1 is the slow index, as in ``tensor``: entry m1 * N2 + m2
+    holds u evaluated at the pair of points.
     """
     xs1, xs2 = grid1.points, grid2.points
     values = np.empty(grid1.size * grid2.size, dtype=float)
@@ -213,57 +188,6 @@ def lift_one(op, slot: int, dims: tuple[int, int]) -> np.ndarray:
     if slot == 1:
         return tensor(op, np.eye(n2))
     return tensor(np.eye(n1), op)
-
-
-def symmetrize(psi: TwoParticleWavefunction, sign: int) -> TwoParticleWavefunction:
-    """Project onto the exchange-(anti)symmetric subspace: (psi + sign * swap)/2.
-
-    Annihilation (e.g. antisymmetrizing an identical product state) is
-    flagged with ZeroResultWarning and returns the zero wavefunction.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if psi.grid1 != psi.grid2:
-        raise GridMismatch("symmetrization needs both particles on the same grid")
-    n = psi.grid1.size
-    a = psi.amplitudes.reshape(n, n)
-    out = (a + sign * a.T) / 2.0
-    if not np.any(out):
-        warnings.warn("symmetrization annihilated the state", ZeroResultWarning)
-    return TwoParticleWavefunction(
-        grid1=psi.grid1, grid2=psi.grid2, amplitudes=out.ravel(), time=psi.time
-    )
-
-
-@dataclass(frozen=True)
-class DecoupledProblem:
-    """One of the two independent problems a pair problem splits into."""
-
-    mass: float
-    potential: Callable[[float], float] | None = None
-
-
-@dataclass(frozen=True)
-class ComReduction:
-    com: DecoupledProblem
-    rel: DecoupledProblem
-
-
-def com_reduction(mu1: float, mu2: float, interaction=None) -> ComReduction:
-    """Split a two-body problem into center-of-mass and relative problems.
-
-    The center of mass is a free particle of total mass mu1 + mu2; the
-    relative coordinate is a single body of reduced mass mu1*mu2/(mu1+mu2)
-    moving in the interaction potential evaluated at the separation.
-    """
-    for label, mu in (("mu1", mu1), ("mu2", mu2)):
-        if not (mu > 0.0) or not math.isfinite(mu):
-            raise NonPositiveMass(f"{label} must be positive and finite, got {mu!r}")
-    total = mu1 + mu2
-    return ComReduction(
-        com=DecoupledProblem(mass=total, potential=None),
-        rel=DecoupledProblem(mass=mu1 * mu2 / total, potential=interaction),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product with the left factor as the slow index.
 
     Composite index convention: (m1, m2) -> m1 * dim2 + m2, matching
-    ``np.kron`` and the two-particle state layout.
+    ``np.kron``; pair states and lifted operators use the same layout.
     """
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 

@@ -256,8 +256,8 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
 # Networks and propagators
 # ---------------------------------------------------------------------------
 
-def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
-    """Network for the diagonal unitary with phases e^{sign * i * value * t}."""
+def _phases(values, t: float, sign: int) -> np.ndarray:
+    """The diagonal phases e^{sign * i * value * t}, one per value."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise DimensionMismatch(f"phase values must be a vector, got shape {vals.shape}")
@@ -267,12 +267,24 @@ def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
         raise InvalidSpec(f"time must be finite, got {t!r}")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return build_network(np.diag(np.exp((sign * 1j * t) * vals)))
+    return np.exp((sign * 1j * t) * vals)
+
+
+def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
+    """Network for the diagonal unitary with phases e^{sign * i * value * t}."""
+    return build_network(np.diag(_phases(values, t, sign)))
 
 
 def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
     """Signed momentum 2 pi n_signed / L carried by each Fourier mode."""
     return np.array([signed_momentum(grid, n) for n in range(grid.size)])
+
+
+def _free_energies(grid: GridSpec, mu: float) -> np.ndarray:
+    """Free-particle energy p^2 / (2 mu) of each Fourier mode."""
+    if not (mu > 0.0) or not math.isfinite(mu):
+        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    return spectral_momentum_values(grid) ** 2 / (2.0 * mu)
 
 
 def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -> QcpuNetwork:
@@ -283,22 +295,15 @@ def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -
     the output lives in the momentum representation.  Use
     spectral_free_propagator for the position-space round trip.
     """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
-    energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
-    phase_net = diagonal_phase_network(energies, t, sign)
+    phase_net = diagonal_phase_network(_free_energies(grid, mu), t, sign)
     fourier_net = build_network(dft_operator(grid))
     return compose_product([phase_net, fourier_net])
 
 
 def spectral_free_propagator(grid: GridSpec, mu: float, t: float, sign: int = -1) -> np.ndarray:
     """Position-space free propagator F^dag . diag(e^{sign i p^2 t/2mu}) . F."""
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    phases = _phases(_free_energies(grid, mu), t, sign)
     f = dft_operator(grid)
-    phases = np.exp((sign * 1j * t) * spectral_momentum_values(grid) ** 2 / (2.0 * mu))
     return f.conj().T @ (phases[:, None] * f)
 
 
@@ -308,10 +313,8 @@ def spectral_kinetic_matrix(grid: GridSpec, mu: float) -> np.ndarray:
     This is the spectral discretization, distinct from the shift-stencil
     grid.kinetic_operator; the two coincide only in the continuum limit.
     """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    energies = _free_energies(grid, mu)
     f = dft_operator(grid)
-    energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
     return f.conj().T @ (energies[:, None] * f)
 
 
@@ -393,7 +396,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         def phases(h, psi0, evo):
             yield 0, psi0
             for i in range(1, evo.steps + 1):
-                yield i, np.exp((evo.sign * 1j * (i * evo.dt)) * energies) * psi0
+                yield i, _phases(energies, i * evo.dt, evo.sign) * psi0
 
         return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix)
 
@@ -432,10 +435,10 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         fourier = dft_operator(grid)
         inverse = fourier.conj().T
         momentum_state = fourier @ psi0
-        energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+        energies = _free_energies(grid, mu)
         for i in range(1, evo.steps + 1):
             t = i * evo.dt
-            state = inverse @ (np.exp((evo.sign * 1j * t) * energies) * momentum_state)
+            state = inverse @ (_phases(energies, t, evo.sign) * momentum_state)
             if u is not None:
                 state = np.exp(evo.sign * 1j * u * t) * state
             yield i, state

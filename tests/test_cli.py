@@ -379,6 +379,25 @@ def test_compare_stencil_systems(tmp_path, system, order):
     assert report["min_fidelity_network_vs_euler"] >= 1.0 - 1e-15
 
 
+def k8_grid_config(out_dir):
+    data = grid_config(out_dir)
+    data["grid"]["k"] = 8
+    return data
+
+
+@pytest.mark.parametrize("make_config", [k8_grid_config, harmonic_config])
+def test_compare_publishes_no_order_above_first_order_regime(tmp_path, capsys, make_config):
+    """No rung pair has dt * ||H|| bound < 1 (8.2/4.1/2.05 at k = 8,
+    3.04/1.52/0.76 for the oscillator), so no order is fitted; the run
+    still exits 0."""
+    out_dir = tmp_path / "cmp"
+    config = write_config(tmp_path, make_config(out_dir))
+    assert main(["compare", "--config", str(config), "--ladder", "3"]) == 0
+    report = json.loads((out_dir / "compare_report.json").read_text())
+    assert report["convergence_order"] is None
+    assert "convergence order n/a" in capsys.readouterr().out
+
+
 def test_compare_ladder_minimum(tmp_path):
     config = write_config(tmp_path, grid_config(tmp_path / "x"))
     assert main(["compare", "--config", str(config), "--ladder", "1"]) == 2

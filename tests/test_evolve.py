@@ -22,11 +22,9 @@ from qcpusim import (
     euler_step,
     evolve_euler,
     exact_evolution,
+    fidelity,
     kinetic_operator,
-    norm_drift,
     potential_operator,
-    report_rows,
-    report_summary,
     spectral_norm_upper_bound,
     step_network,
     whole_network,
@@ -214,7 +212,7 @@ def test_evolve_euler_fidelity_improves_with_smaller_dt():
     for dt in (0.1, 0.01):
         cfg = EvolutionConfig(dt=dt, total_time=1.0)
         final, norm_sq = evolve_euler(h, psi, cfg)
-        fidelities.append(run_report(h, psi, cfg, final, norm_sq).final_fidelity)
+        fidelities.append(run_report(h, psi, cfg, final, norm_sq)[0]["final_fidelity"])
     coarse, fine = fidelities
     assert fine > coarse
 
@@ -244,17 +242,19 @@ def test_report_rows_and_summary():
     h = random_hermitian(rng, 4)
     psi = random_state(rng, 4)
     cfg = EvolutionConfig(dt=0.1, total_time=0.3)
-    report = run_report(h, psi, cfg, *evolve_euler(h, psi, cfg))
-    rows = report_rows(report)
+    final, norm_sq = evolve_euler(h, psi, cfg)
+    summary, rows = run_report(h, psi, cfg, final, norm_sq)
     assert [r["step"] for r in rows] == [0, 1, 2, 3]
-    assert rows[0]["drift"] == 0.0
+    assert [r["norm_sq"] for r in rows] == list(norm_sq)
     assert rows[2]["time"] == pytest.approx(0.2)
-    summary = report_summary(report)
-    assert summary["steps"] == 3
-    assert summary["dt"] == 0.1
-    drift = norm_drift(report)
+    drift = [r["drift"] for r in rows]
     assert drift[0] == 0.0
     assert np.all(np.diff(drift) >= 0.0)
+    assert summary["steps"] == 3
+    assert summary["dt"] == 0.1
+    assert summary["sign"] == -1
+    assert summary["max_norm_drift"] == max(drift)
+    assert summary["final_fidelity"] == fidelity(final, exact_evolution(h, cfg.steps * cfg.dt, psi))
 
 
 def test_compare_builds_one_oracle(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Grids, discretized operators, Fourier basis, and two-particle helpers."""
+"""Grids, discretized operators, Fourier basis, and pair-space lifts."""
 
 import math
 
@@ -10,16 +10,12 @@ from hypothesis import strategies as st
 from qcpusim import (
     DegenerateGrid,
     DimensionMismatch,
-    GridMismatch,
     GridSpec,
     IndexOutOfRange,
     InvalidSpec,
     NonFiniteValue,
     NonPositiveMass,
-    TwoParticleWavefunction,
     Wavefunction,
-    ZeroResultWarning,
-    com_reduction,
     dft_operator,
     hermiticity_defect,
     kinetic_eigenvalue,
@@ -32,7 +28,6 @@ from qcpusim import (
     sample,
     signed_mode,
     signed_momentum,
-    symmetrize,
     tensor,
     two_body_potential,
     wavefunction_header,
@@ -374,80 +369,6 @@ def test_lifted_operators_on_different_slots_commute():
     a = lift_one(momentum_operator(g), 1, (4, 4))
     b = lift_one(potential_operator(g, lambda x: x), 2, (4, 4))
     assert np.max(np.abs(a @ b - b @ a)) == 0.0
-
-
-def test_two_particle_component_layout():
-    g = GridSpec(length=4.0, qubits=1)
-    amps = np.arange(4, dtype=complex)
-    psi = TwoParticleWavefunction(grid1=g, grid2=g, amplitudes=amps)
-    assert psi.component(1, 0) == 2.0 + 0.0j
-    assert psi.component(-1, 0) == 2.0 + 0.0j
-
-
-def test_symmetrize_is_a_projector():
-    g = GridSpec(length=4.0, qubits=2)
-    rng = np.random.default_rng(21)
-    amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    psi = TwoParticleWavefunction(grid1=g, grid2=g, amplitudes=amps)
-    once = symmetrize(psi, 1)
-    twice = symmetrize(once, 1)
-    assert np.array_equal(once.amplitudes, twice.amplitudes)
-
-
-def test_symmetrize_antisymmetric_part_changes_sign_under_swap():
-    g = GridSpec(length=4.0, qubits=1)
-    rng = np.random.default_rng(22)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi = TwoParticleWavefunction(grid1=g, grid2=g, amplitudes=amps)
-    anti = symmetrize(psi, -1).amplitudes.reshape(2, 2)
-    assert np.array_equal(anti.T, -anti)
-
-
-def test_antisymmetrizing_identical_product_warns():
-    g = GridSpec(length=4.0, qubits=1)
-    single = np.array([1.0, 2.0], dtype=complex)
-    product = np.kron(single, single)
-    psi = TwoParticleWavefunction(grid1=g, grid2=g, amplitudes=product)
-    with pytest.warns(ZeroResultWarning):
-        out = symmetrize(psi, -1)
-    assert not np.any(out.amplitudes)
-
-
-def test_symmetrize_grid_mismatch():
-    psi = TwoParticleWavefunction(
-        grid1=GridSpec(length=4.0, qubits=1),
-        grid2=GridSpec(length=5.0, qubits=1),
-        amplitudes=np.ones(4),
-    )
-    with pytest.raises(GridMismatch):
-        symmetrize(psi, 1)
-
-
-def test_symmetrize_sign_validation():
-    g = GridSpec(length=4.0, qubits=1)
-    psi = TwoParticleWavefunction(grid1=g, grid2=g, amplitudes=np.ones(4))
-    with pytest.raises(ValueError):
-        symmetrize(psi, 0)
-
-
-def test_com_reduction_masses():
-    red = com_reduction(2.0, 3.0)
-    assert red.com.mass == 5.0
-    assert red.rel.mass == pytest.approx(1.2)
-    assert red.com.potential is None
-    assert red.rel.potential is None
-
-
-def test_com_reduction_passes_interaction_to_relative_problem():
-    v = lambda r: r * r
-    red = com_reduction(1.0, 1.0, interaction=v)
-    assert red.rel.potential is v
-    assert red.rel.mass == 0.5
-
-
-def test_com_reduction_rejects_bad_mass():
-    with pytest.raises(NonPositiveMass):
-        com_reduction(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,12 @@ def test_spectral_propagator_matches_exact_evolution():
     assert np.max(np.abs(u - reference)) < 1e-10
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_spectral_propagator_rejects_non_finite_time(t):
+    with pytest.raises(InvalidSpec):
+        spectral_free_propagator(GridSpec(length=10.0, qubits=4), 1.0, t)
+
+
 def test_spectral_kinetic_matrix_is_hermitian():
     g = GridSpec(length=10.0, qubits=4)
     h = spectral_kinetic_matrix(g, 1.0)
