@@ -66,8 +66,6 @@ from .grid import (
     plane_wave_mode,
     potential_operator,
     sample,
-    signed_mode,
-    signed_momentum,
     two_body_potential,
     wavefunction_header,
     wavefunction_records,
@@ -84,13 +82,12 @@ from .systems import (
     PotentialSpec,
     SystemSpec,
     analytic_free_gaussian,
-    constant_field_evolution,
     diagonal_phase_network,
     free_particle_network,
     gaussian_packet,
     harmonic_energies,
     harmonic_network,
-    spectral_free_propagator,
+    spectral_evolution,
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )

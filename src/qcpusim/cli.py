@@ -331,17 +331,21 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     # Fit the order only over rung pairs in the first-order regime: the
     # coarser rung (so both) has dt * ||H|| bound < 1, and the error falls.
     errors = [r["error_euler_vs_exact"] for r in rungs]
-    ratios = [
-        math.log2(errors[i] / errors[i + 1])
-        for i in range(len(errors) - 1)
-        if rungs[i]["dt"] * norm_bound < 1.0 and 0.0 < errors[i + 1] < errors[i]
-    ]
+    stable = [i for i in range(ladder - 1) if rungs[i]["dt"] * norm_bound < 1.0]
+    falling = [i for i in stable if 0.0 < errors[i + 1] < errors[i]]
+    ratios = [math.log2(errors[i] / errors[i + 1]) for i in falling]
     order = sum(ratios) / len(ratios) if ratios else None
+    reason = None if ratios else (
+        "No rung pair with dt * ||H|| bound < 1 has a falling error." if stable
+        else "No rung pair has dt * ||H|| bound < 1."
+    )
     report = {
         "config": cfg.to_dict(),
         "ladder": ladder,
         "rungs": rungs,
         "convergence_order": order,
+        "asymptotic": order is not None,
+        "reason": reason,
         "min_fidelity_network_vs_euler": min(r["fidelity_network_vs_euler"] for r in rungs),
     }
     _write_json_atomic(out_dir / "compare_report.json", report)

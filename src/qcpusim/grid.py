@@ -234,17 +234,6 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
     return (pref / (4.0 * mu)) * (1.0 - math.cos(4.0 * math.pi * folded / size))
 
 
-def signed_mode(n: int, size: int) -> int:
-    """Wrap a mode index into [-N/2, N/2): mode N-1 is momentum -1, not N-1."""
-    m = n % size
-    return m - size if m >= size // 2 else m
-
-
-def signed_momentum(grid: GridSpec, n: int) -> float:
-    """Physical momentum 2 pi n_signed / L carried by plane-wave mode n."""
-    return 2.0 * math.pi * signed_mode(n, grid.size) / grid.length
-
-
 # ---------------------------------------------------------------------------
 # Wire format
 # ---------------------------------------------------------------------------

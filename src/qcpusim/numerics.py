@@ -51,7 +51,8 @@ def tensor(a, b) -> np.ndarray:
 def hermiticity_defect(h) -> float:
     """Max-abs difference between a matrix and its conjugate transpose."""
     h = as_complex_matrix(h)
-    return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    with np.errstate(invalid="ignore"):  # an inf entry gives NaN (inf - inf), silently
+        return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
 
 
 def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -59,8 +60,8 @@ def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if h.shape[0] != h.shape[1]:
         raise NonSquareInput(f"Hermitian check needs a square matrix, got {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > tol:
-        raise NonHermitianInput(f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}")
+    if not defect <= tol:  # a NaN defect (non-finite h) fails too
+        raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")
     return h
 
 

@@ -1,12 +1,13 @@
 """Built-in systems: free particle, harmonic oscillator, constant field.
 
 The free particle is treated in the momentum representation: a Fourier
-transform, a diagonal phase over p^2/(2 mu), and (for the round-trip
-pipeline) the inverse transform.  Momentum values use signed mode numbers,
-so the upper half of the mode range carries negative momentum.  The
-harmonic oscillator lives directly in its energy eigenbasis where evolution
-is a diagonal phase over omega*(m + 1/2).  A constant field is split off as
-a global phase (interaction picture), leaving free dynamics.
+transform, a diagonal phase over p^2/(2 mu), and the inverse transform,
+which `spectral_evolution` applies to a state by FFT in O(N log N).
+Momentum values use signed mode numbers, so the upper half of the mode
+range carries negative momentum.  The harmonic oscillator lives directly
+in its energy eigenbasis where evolution is a diagonal phase over
+omega*(m + 1/2).  A constant field is split off as a global phase
+(interaction picture), leaving free dynamics.
 
 Two discretizations of the free particle coexist deliberately: the spectral
 one here (exact diagonal in the Fourier basis) and the shift-stencil one in
@@ -34,7 +35,7 @@ from .errors import (
     ZeroVector,
 )
 from .evolve import EvolutionConfig, euler_states, euler_step
-from .grid import GridSpec, Wavefunction, dft_operator, kinetic_operator, signed_momentum
+from .grid import GridSpec, Wavefunction, dft_operator, kinetic_operator
 from .numerics import as_state
 from .qcpu import QcpuNetwork, build_network, compose_product
 
@@ -276,8 +277,9 @@ def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
 
 
 def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
-    """Signed momentum 2 pi n_signed / L carried by each Fourier mode."""
-    return np.array([signed_momentum(grid, n) for n in range(grid.size)])
+    """Momentum 2 pi n / L of each Fourier mode n, with n - N for n >= N/2."""
+    n = np.arange(grid.size)
+    return 2.0 * math.pi * np.where(n >= grid.size // 2, n - grid.size, n) / grid.length
 
 
 def _free_energies(grid: GridSpec, mu: float) -> np.ndarray:
@@ -292,19 +294,28 @@ def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -
 
     Payload equals diag(e^{sign i p^2 t / 2 mu}) . F: Fourier transform
     first, then the diagonal phase.  Note there is no inverse transform here;
-    the output lives in the momentum representation.  Use
-    spectral_free_propagator for the position-space round trip.
+    the output lives in the momentum representation.  spectral_evolution
+    applies the position-space round trip to a state.
     """
     phase_net = diagonal_phase_network(_free_energies(grid, mu), t, sign)
     fourier_net = build_network(dft_operator(grid))
     return compose_product([phase_net, fourier_net])
 
 
-def spectral_free_propagator(grid: GridSpec, mu: float, t: float, sign: int = -1) -> np.ndarray:
-    """Position-space free propagator F^dag . diag(e^{sign i p^2 t/2mu}) . F."""
+def spectral_evolution(
+    grid: GridSpec, mu: float, t: float, psi, sign: int = -1, u: float = 0.0
+) -> np.ndarray:
+    """e^{sign i (p^2/2mu + u) t} psi, as F^dag diag(e^{sign i p^2 t/2mu}) F psi by FFT.
+
+    dft_operator's F is ifft(., norm="ortho") and F^dag is fft(., norm="ortho").
+    The constant u factors into the global phase e^{sign i u t}; u = 0 is free.
+    """
+    state = as_state(psi)
+    if state.shape[0] != grid.size:
+        raise DimensionMismatch(f"state dim {state.shape[0]} != grid size {grid.size}")
     phases = _phases(_free_energies(grid, mu), t, sign)
-    f = dft_operator(grid)
-    return f.conj().T @ (phases[:, None] * f)
+    out = np.fft.fft(phases * np.fft.ifft(state, norm="ortho"), norm="ortho")
+    return out if u == 0.0 else _phases([u], t, sign)[0] * out
 
 
 def spectral_kinetic_matrix(grid: GridSpec, mu: float) -> np.ndarray:
@@ -334,26 +345,6 @@ def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> Qcp
     return diagonal_phase_network(harmonic_energies(omega, 2 ** qubits), t, sign)
 
 
-def constant_field_evolution(
-    grid: GridSpec, mu: float, u: float, t: float, sign: int = -1, psi=None
-) -> np.ndarray:
-    """Evolve psi under kinetic energy plus the constant potential u.
-
-    Interaction picture: the constant commutes with everything, so it
-    factors into the global phase e^{sign i u t} in front of free spectral
-    evolution.  Agrees with exponentiating the summed Hamiltonian directly.
-    """
-    if psi is None:
-        raise ZeroVector("constant_field_evolution needs a state to evolve")
-    if not math.isfinite(float(u)):
-        raise NonFiniteValue(f"field constant u must be finite, got {u!r}")
-    state = as_state(psi)
-    if state.shape[0] != grid.size:
-        raise DimensionMismatch(f"state dim {state.shape[0]} != grid size {grid.size}")
-    phase = np.exp(sign * 1j * u * t)
-    return phase * (spectral_free_propagator(grid, mu, t, sign) @ state)
-
-
 # ---------------------------------------------------------------------------
 # Propagation routes: the one place a system kind picks its physics
 # ---------------------------------------------------------------------------
@@ -364,9 +355,10 @@ class Route:
 
     `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
     and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
-    for steps 0..evo.steps; an Euler route's steps act on Omega's nonzeros
-    only (`evolve.euler_states`).  `compare` uses `euler_hamiltonian()`, and
-    builds its network route from that H alone (`evolve.whole_network`), the
+    for steps 0..evo.steps and never touches an N x N matrix: an Euler step
+    acts on Omega's nonzeros (`evolve.euler_states`), a spectral step is an
+    FFT round trip (`spectral_evolution`).  `compare` builds its network
+    route from `euler_hamiltonian()` alone (`evolve.whole_network`), the
     same way for every kind.  Matrices are built only on call.
     """
 
@@ -380,7 +372,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     """The propagation route of each system kind.
 
     `simulate` runs each kind in its natural representation: the free
-    particle and constant field through the Fourier pipeline, the
+    particle and constant field by FFT through the Fourier pipeline, the
     oscillator in its energy eigenbasis, and the generic grid system by
     Euler stepping.  `compare` steps every grid kind with the shift-stencil
     H, kinetic plus potential; the oscillator, having no grid, steps its
@@ -430,18 +422,9 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         return h if u is None else h + u * np.eye(grid.size)
 
     def fourier_phases(h, psi0, evo):
-        """Free spectral evolution, times the global phase e^{sign i u t} in a field."""
         yield 0, psi0
-        fourier = dft_operator(grid)
-        inverse = fourier.conj().T
-        momentum_state = fourier @ psi0
-        energies = _free_energies(grid, mu)
         for i in range(1, evo.steps + 1):
-            t = i * evo.dt
-            state = inverse @ (_phases(energies, t, evo.sign) * momentum_state)
-            if u is not None:
-                state = np.exp(evo.sign * 1j * u * t) * state
-            yield i, state
+            yield i, spectral_evolution(grid, mu, i * evo.dt, psi0, evo.sign, u or 0.0)
 
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
     return Route(method, spectral_matrix, fourier_phases, stencil_matrix)

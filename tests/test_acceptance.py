@@ -21,7 +21,6 @@ from qcpusim import (
     build_network,
     compose_product,
     compose_sum,
-    constant_field_evolution,
     dense_from_factors,
     euler_step,
     evolve_euler,
@@ -39,7 +38,7 @@ from qcpusim import (
     project_aux,
     raising_block,
     sample,
-    spectral_free_propagator,
+    spectral_evolution,
     spectral_kinetic_matrix,
     tensor,
     two_body_potential,
@@ -283,7 +282,7 @@ def test_acceptance_08_free_spectral_pipeline():
     mu, t = 1.0, 2.0
     spec = GaussianPacketSpec(x0=20.0, p0=math.pi / 4.0, sigma=2.0)
 
-    evolved = spectral_free_propagator(g, mu, t) @ gaussian_packet(g, spec).amplitudes
+    evolved = spectral_evolution(g, mu, t, gaussian_packet(g, spec).amplitudes)
     reference = sample(analytic_free_gaussian(spec, mu, t), g).amplitudes
     fid = fidelity(evolved, reference)
 
@@ -310,7 +309,7 @@ def test_acceptance_09_constant_field_factorization():
     mu, u, t = 1.0, 2.0, 1.5
     psi = gaussian_packet(g, GaussianPacketSpec(x0=8.0, p0=0.5, sigma=1.5)).amplitudes
 
-    factored = constant_field_evolution(g, mu, u, t, psi=psi)
+    factored = spectral_evolution(g, mu, t, psi, u=u)
     oracle = exact_evolution(spectral_kinetic_matrix(g, mu) + u * np.eye(g.size), t, psi)
     fid_gap = abs(1.0 - fidelity(factored, oracle))
 

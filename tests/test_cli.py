@@ -325,6 +325,7 @@ def test_compare_report_contents(tmp_path):
     assert report["ladder"] == 3
     assert len(report["rungs"]) == 3
     assert 0.8 <= report["convergence_order"] <= 1.2
+    assert report["asymptotic"] is True and report["reason"] is None
     assert report["min_fidelity_network_vs_euler"] == pytest.approx(1.0, abs=1e-12)
     dts = [r["dt"] for r in report["rungs"]]
     assert dts[0] == pytest.approx(2 * dts[1], rel=1e-12)
@@ -395,6 +396,8 @@ def test_compare_publishes_no_order_above_first_order_regime(tmp_path, capsys, m
     assert main(["compare", "--config", str(config), "--ladder", "3"]) == 0
     report = json.loads((out_dir / "compare_report.json").read_text())
     assert report["convergence_order"] is None
+    assert report["asymptotic"] is False
+    assert report["reason"] == "No rung pair has dt * ||H|| bound < 1."
     assert "convergence order n/a" in capsys.readouterr().out
 
 

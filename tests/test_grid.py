@@ -26,8 +26,6 @@ from qcpusim import (
     plane_wave_mode,
     potential_operator,
     sample,
-    signed_mode,
-    signed_momentum,
     tensor,
     two_body_potential,
     wavefunction_header,
@@ -303,19 +301,6 @@ def test_plane_wave_modes_are_orthonormal():
         for b in range(g.size):
             overlap = np.vdot(plane_wave_mode(g, a), plane_wave_mode(g, b))
             assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-13
-
-
-def test_signed_mode_wraps_upper_half():
-    assert signed_mode(0, 8) == 0
-    assert signed_mode(3, 8) == 3
-    assert signed_mode(4, 8) == -4
-    assert signed_mode(7, 8) == -1
-
-
-def test_signed_momentum_values():
-    g = GridSpec(length=8.0, qubits=3)
-    assert signed_momentum(g, 1) == pytest.approx(2.0 * math.pi / 8.0)
-    assert signed_momentum(g, 7) == pytest.approx(-2.0 * math.pi / 8.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra substrate."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,19 @@ def test_require_hermitian_rejects_skew_part():
     h = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonHermitianInput):
         require_hermitian(h)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+def test_require_hermitian_rejects_non_finite(bad):
+    """A NaN defect must not pass the tolerance test, and inf - inf must not
+    leak a RuntimeWarning; the exact oracle refuses such an H too."""
+    h = np.array([[0.0, bad], [np.conj(bad), 0.0]])
+    with pytest.raises(NonHermitianInput):
+        require_hermitian(h)
+    with pytest.raises(NonHermitianInput):
+        require_hermitian(np.diag([bad, 1.0]))
+    with pytest.raises(NonHermitianInput):
+        exact_evolution(h, 0.5, np.array([1.0, 0.0]))
 
 
 def test_require_hermitian_rejects_rectangular():

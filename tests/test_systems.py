@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcpusim import (
     DimensionMismatch,
@@ -22,7 +24,6 @@ from qcpusim import (
     RunConfig,
     SystemSpec,
     analytic_free_gaussian,
-    constant_field_evolution,
     dft_operator,
     diagonal_phase_network,
     exact_evolution,
@@ -33,8 +34,7 @@ from qcpusim import (
     harmonic_network,
     parse_run_config,
     sample,
-    signed_momentum,
-    spectral_free_propagator,
+    spectral_evolution,
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
@@ -237,19 +237,64 @@ def test_spectral_momentum_values_are_signed():
     values = spectral_momentum_values(g)
     assert values[1] == pytest.approx(2.0 * math.pi / 8.0)
     assert values[7] == pytest.approx(-2.0 * math.pi / 8.0)
-    assert values[4] == pytest.approx(signed_momentum(g, 4))
+    assert values[4] == pytest.approx(-math.pi)
+
+
+def test_spectral_momentum_values_match_scalar_formula():
+    """Bit-equal to the scalar wrap: mode n carries 2 pi n / L below N/2
+    and 2 pi (n - N) / L from N/2 up, for either placement."""
+    for length in (8.0, 10.0, 32.0):
+        for k in range(2, 12):
+            size = 2 ** k
+            expected = [
+                2.0 * math.pi * (n - size if n >= size // 2 else n) / length for n in range(size)
+            ]
+            for centered in (False, True):
+                g = GridSpec(length=length, qubits=k, centered=centered)
+                assert spectral_momentum_values(g).tolist() == expected
+
+
+def dense_spectral_reference(grid, mu, t, psi, sign=-1, u=0.0):
+    """F^dag (phases * (F psi)) with the dense dft_operator F.
+
+    The phase arguments are grouped as the package groups them, so the
+    phases agree to the bit and only the transform is under test."""
+    f = dft_operator(grid)
+    energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+    phases = np.exp((sign * 1j * t) * energies) * np.exp((sign * 1j * t) * u)
+    return f.conj().T @ (phases * (f @ psi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 7),
+    length=st.floats(1.0, 50.0),
+    mu=st.floats(0.1, 10.0),
+    t=st.floats(-5.0, 5.0),
+    sign=st.sampled_from([1, -1]),
+    u=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_evolution_matches_dense_reference(k, length, mu, t, sign, u, seed):
+    """The FFT round trip equals the dense F^dag diag F product."""
+    g = GridSpec(length=length, qubits=k)
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    out = spectral_evolution(g, mu, t, psi, sign, u)
+    expected = dense_spectral_reference(g, mu, t, psi, sign, u)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(psi))
 
 
 def test_spectral_propagator_is_unitary():
     g = GridSpec(length=10.0, qubits=4)
-    u = spectral_free_propagator(g, 1.0, 0.8)
+    u = np.column_stack([spectral_evolution(g, 1.0, 0.8, e) for e in np.eye(16)])
     assert np.max(np.abs(u @ u.conj().T - np.eye(16))) < 1e-12
 
 
 def test_spectral_propagator_matches_exact_evolution():
     g = GridSpec(length=10.0, qubits=4)
     mu, t = 1.3, 0.9
-    u = spectral_free_propagator(g, mu, t)
+    u = np.column_stack([spectral_evolution(g, mu, t, e) for e in np.eye(g.size)])
     reference = exact_evolution(spectral_kinetic_matrix(g, mu), t, np.eye(g.size))
     assert np.max(np.abs(u - reference)) < 1e-10
 
@@ -257,7 +302,7 @@ def test_spectral_propagator_matches_exact_evolution():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_spectral_propagator_rejects_non_finite_time(t):
     with pytest.raises(InvalidSpec):
-        spectral_free_propagator(GridSpec(length=10.0, qubits=4), 1.0, t)
+        spectral_evolution(GridSpec(length=10.0, qubits=4), 1.0, t, np.ones(16))
 
 
 def test_spectral_kinetic_matrix_is_hermitian():
@@ -343,46 +388,43 @@ def test_constant_field_factorization():
     mu, u, t = 1.0, 2.0, 1.5
     spec = GaussianPacketSpec(x0=8.0, p0=0.5, sigma=1.5)
     psi = gaussian_packet(g, spec).amplitudes
-    factored = constant_field_evolution(g, mu, u, t, psi=psi)
+    factored = spectral_evolution(g, mu, t, psi, u=u)
     h = spectral_kinetic_matrix(g, mu) + u * np.eye(g.size)
     direct = exact_evolution(h, t, psi)
     assert np.max(np.abs(factored - direct)) < 1e-10
 
 
 def test_constant_field_zero_u_is_free():
+    """A field route with u = 0 yields the free route's states bit for bit."""
     g = GridSpec(length=16.0, qubits=3)
     rng = np.random.default_rng(41)
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    out = constant_field_evolution(g, 1.0, 0.0, 0.4, psi=psi)
-    free = spectral_free_propagator(g, 1.0, 0.4) @ psi
-    assert np.array_equal(out, free)
-
-
-def test_constant_field_needs_state():
-    from qcpusim import ZeroVector
-
-    g = GridSpec(length=16.0, qubits=3)
-    with pytest.raises(ZeroVector):
-        constant_field_evolution(g, 1.0, 1.0, 1.0)
+    evo = EvolutionConfig(dt=0.1, total_time=0.4)
+    field = system_route(SystemSpec(kind="constant_field", mu=1.0, u=0.0), g)
+    free = system_route(SystemSpec(kind="free_particle", mu=1.0), g)
+    field_states = [state for _, state in field.states(None, psi, evo)]
+    free_states = [state for _, state in free.states(None, psi, evo)]
+    assert len(field_states) == len(free_states) == 5
+    for a, b in zip(field_states, free_states):
+        assert np.array_equal(a, b)
 
 
 def test_constant_field_dimension_check():
     g = GridSpec(length=16.0, qubits=3)
     with pytest.raises(DimensionMismatch):
-        constant_field_evolution(g, 1.0, 1.0, 1.0, psi=np.ones(4))
+        spectral_evolution(g, 1.0, 1.0, np.ones(4), u=1.0)
 
 
 # ---------------------------------------------------------------------------
 # Routes against the acceptance constructions
 # ---------------------------------------------------------------------------
 
-def _acceptance_state(system, grid, psi0, t, sign):
-    """The construction acceptance checks 07-09 verify, for one kind."""
+def _reference_state(system, grid, psi0, t, sign):
+    """The oscillator's acceptance-checked network, or the dense spectral
+    reference for the Fourier kinds."""
     if system.kind == "harmonic":
         return harmonic_network(system.omega, grid.qubits, t, sign).payload @ psi0
-    if system.kind == "free_particle":
-        return spectral_free_propagator(grid, system.mu, t, sign) @ psi0
-    return constant_field_evolution(grid, system.mu, system.u, t, sign, psi=psi0)
+    return dense_spectral_reference(grid, system.mu, t, psi0, sign, system.u or 0.0)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8])
@@ -397,8 +439,9 @@ def _acceptance_state(system, grid, psi0, t, sign):
     ids=["harmonic", "free_particle", "constant_field"],
 )
 def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
-    """Every state a `simulate` route yields equals the acceptance-checked
-    network or propagator at that time, to 1e-12."""
+    """Every state a `simulate` route yields equals, to 1e-12, the
+    acceptance-checked oscillator network or, for the spectral kinds, the
+    dense F^dag diag F reference at that time."""
     grid = GridSpec(length=16.0, qubits=k)
     rng = np.random.default_rng(k)
     psi0 = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
@@ -408,5 +451,5 @@ def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
     states = list(route.states(route.hamiltonian(), psi0, evo))
     assert [step for step, _ in states] == list(range(evo.steps + 1))
     for step, state in states:
-        expected = _acceptance_state(system, grid, psi0, step * evo.dt, sign)
+        expected = _reference_state(system, grid, psi0, step * evo.dt, sign)
         assert np.max(np.abs(state - expected)) <= 1e-12
