@@ -26,6 +26,7 @@ from qcpusim import (
     plane_wave_mode,
     potential_operator,
     sample,
+    spectral_momentum_values,
     tensor,
     two_body_potential,
     wavefunction_header,
@@ -301,6 +302,23 @@ def test_plane_wave_modes_are_orthonormal():
         for b in range(g.size):
             overlap = np.vdot(plane_wave_mode(g, a), plane_wave_mode(g, b))
             assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-13
+
+
+def test_signed_mode_wraps_upper_half():
+    """Mode n carries momentum index n below N/2 and n - N from N/2 up."""
+    g = GridSpec(length=8.0, qubits=3)
+    modes = spectral_momentum_values(g) * g.length / (2.0 * math.pi)
+    assert modes[0] == pytest.approx(0.0)
+    assert modes[3] == pytest.approx(3.0)
+    assert modes[4] == pytest.approx(-4.0)
+    assert modes[7] == pytest.approx(-1.0)
+
+
+def test_signed_momentum_values():
+    g = GridSpec(length=8.0, qubits=3)
+    values = spectral_momentum_values(g)
+    assert values[1] == pytest.approx(2.0 * math.pi / 8.0)
+    assert values[7] == pytest.approx(-2.0 * math.pi / 8.0)
 
 
 @settings(max_examples=50, deadline=None)
