@@ -56,7 +56,6 @@ from .qcpu import (
 )
 from .grid import (
     GridSpec,
-    Wavefunction,
     dft_operator,
     kinetic_eigenvalue,
     kinetic_operator,

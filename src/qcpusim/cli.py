@@ -14,8 +14,9 @@ Four subcommands:
   kinetic eigenvalues per Fourier mode.
 
 Exit codes: 0 success, 1 numerical failure (non-finite amplitudes), 2
-usage or configuration error.  All artifacts are written atomically and a
-lock file keeps concurrent runs out of the same output directory.
+usage or configuration error, or an output path that cannot be written.
+All artifacts are written atomically and a lock file keeps concurrent runs
+out of the same output directory.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import ConfigError, NumericalFailure, QcpuSimError
 from .evolve import checked_states, evolve_euler, run_report, whole_network
 from .grid import (
     GridSpec,
-    Wavefunction,
     kinetic_eigenvalue,
     kinetic_operator,
     momentum_eigenvalue,
@@ -68,6 +68,9 @@ from .systems import system_route
 IDENTITY_TOLERANCE = 1e-12
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
 LOCK_NAME = ".qcpusim.lock"
+# Rung r of `compare` steps 2**r times the base steps; the finest rung at the
+# cap runs 128 times the base steps.
+MAX_LADDER = 8
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +104,9 @@ def _write_csv_atomic(path: Path, fieldnames: list[str], rows: list[dict]) -> No
     _write_text_atomic(path, buffer.getvalue())
 
 
-def _write_snapshot(path: Path, wf: Wavefunction) -> None:
-    lines = [json.dumps(wavefunction_header(wf.grid), sort_keys=True)]
-    lines.extend(json.dumps(rec, sort_keys=True) for rec in wavefunction_records(wf))
+def _write_snapshot(path: Path, grid: GridSpec, state: np.ndarray) -> None:
+    lines = [json.dumps(wavefunction_header(grid), sort_keys=True)]
+    lines.extend(json.dumps(rec, sort_keys=True) for rec in wavefunction_records(grid, state))
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -271,10 +274,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
         for step, state, ns in checked_states(route.states(h, psi0, evo)):
             norm_sq.append(ns)
             if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
-                _write_snapshot(
-                    out_dir / f"snapshot_{step:06d}.jsonl",
-                    Wavefunction(grid=grid, amplitudes=state, time=step * evo.dt),
-                )
+                _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
     fields, rows = run_report(h, psi0, evo, state, norm_sq)
     _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
     summary = {
@@ -353,8 +353,9 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
 
 
 def _cmd_compare(args) -> int:
-    if args.ladder < 2:
-        print(f"error: --ladder must be >= 2, got {args.ladder}", file=sys.stderr)
+    if not 2 <= args.ladder <= MAX_LADDER:
+        print(f"error: --ladder must be between 2 and {MAX_LADDER}, got {args.ladder}",
+              file=sys.stderr)
         return 2
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg.outputs.directory)
@@ -399,19 +400,7 @@ def _cmd_spectrum(args) -> int:
                 "kinetic_abs_diff": abs(t_ana - t_num),
             }
         )
-    _write_csv_atomic(
-        Path(args.out),
-        [
-            "mode",
-            "momentum_analytic",
-            "momentum_numeric",
-            "momentum_abs_diff",
-            "kinetic_analytic",
-            "kinetic_numeric",
-            "kinetic_abs_diff",
-        ],
-        rows,
-    )
+    _write_csv_atomic(Path(args.out), list(rows[0]), rows)
     worst = max(max(r["momentum_abs_diff"], r["kinetic_abs_diff"]) for r in rows)
     print(f"spectrum over {grid.size} modes written to {args.out}; max |analytic - numeric| = {worst:.3e}")
     return 0
@@ -470,7 +459,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except QcpuSimError as exc:
+    except (QcpuSimError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,11 +23,18 @@ from .errors import (
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
-from .systems import GaussianPacketSpec, PotentialSpec, SystemSpec, gaussian_packet
+from .systems import (
+    POTENTIAL_PARAMETER,
+    SYSTEM_PARAMETERS,
+    GaussianPacketSpec,
+    PotentialSpec,
+    SystemSpec,
+    gaussian_packet,
+)
 
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
-_SYSTEM_NUMBERS = ("mu", "omega", "u")
-_POTENTIAL_NUMBERS = ("coefficient", "slope", "value")
+# Every parameter some system kind takes, in table order.
+_SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() for key in keys))
 # Every route builds a dense N x N H, N = 2**k, and compare's network chain
 # multiplies N x N payloads.  At k = 11 a complex H is 64 MB; beyond that the
 # dense routes stop being laptop-scale.
@@ -50,6 +57,12 @@ def _as_number(value, field: str) -> float:
     if not math.isfinite(out):
         raise ConfigError(field, f"must be finite, got {value!r}")
     return out
+
+
+def _as_numbers(value, field: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(field, f"expected a list of numbers, got {value!r}")
+    return tuple(_as_number(v, f"{field}[{i}]") for i, v in enumerate(value))
 
 
 def _as_int(value, field: str) -> int:
@@ -114,7 +127,7 @@ class InitialStateSpec:
 
     def build(self, grid: GridSpec) -> np.ndarray:
         if self.gaussian is not None:
-            return gaussian_packet(grid, self.gaussian).amplitudes
+            return gaussian_packet(grid, self.gaussian)
         if self.basis_state is not None:
             if not (0 <= self.basis_state < grid.size):
                 raise ConfigError(
@@ -180,32 +193,26 @@ class RunConfig:
         }
 
 
-def _parse_potential(data) -> PotentialSpec:
-    pot = _as_object(data, "system.potential")
-    _reject_unknown(pot, {"form", *_POTENTIAL_NUMBERS, "values"}, "system.potential")
-    form = _require(pot, "form", "system.potential.form")
-    params = {key: _as_number(pot[key], f"system.potential.{key}")
-              for key in _POTENTIAL_NUMBERS if key in pot}
-    if "values" in pot:
-        raw = pot["values"]
-        if not isinstance(raw, list):
-            raise ConfigError("system.potential.values", f"expected a list of numbers, got {raw!r}")
-        params["values"] = tuple(_as_number(v, f"system.potential.values[{i}]")
-                                 for i, v in enumerate(raw))
+def _parse_potential(data, field: str) -> PotentialSpec:
+    pot = _as_object(data, field)
+    _reject_unknown(pot, {"form", *POTENTIAL_PARAMETER.values()}, field)
+    form = _require(pot, "form", f"{field}.form")
+    read = {POTENTIAL_PARAMETER["table"]: _as_numbers}
+    params = {key: read.get(key, _as_number)(pot[key], f"{field}.{key}")
+              for key in POTENTIAL_PARAMETER.values() if key in pot}
     try:
         return PotentialSpec(form=form, **params)
     except _SPEC_ERRORS as exc:
-        raise ConfigError("system.potential", str(exc)) from exc
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _parse_system(data) -> SystemSpec:
     system = _as_object(data, "system")
-    _reject_unknown(system, {"kind", *_SYSTEM_NUMBERS, "potential"}, "system")
+    _reject_unknown(system, {"kind", *_SYSTEM_KEYS}, "system")
     kind = _require(system, "kind", "system.kind")
-    params = {key: _as_number(system[key], f"system.{key}")
-              for key in _SYSTEM_NUMBERS if key in system}
-    if "potential" in system:
-        params["potential"] = _parse_potential(system["potential"])
+    read = {"potential": _parse_potential}
+    params = {key: read.get(key, _as_number)(system[key], f"system.{key}")
+              for key in _SYSTEM_KEYS if key in system}
     try:
         return SystemSpec(kind=kind, **params)
     except _SPEC_ERRORS as exc:

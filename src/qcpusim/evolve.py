@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError
-from .numerics import as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian
+from .numerics import (
+    as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian, require_sign,
+)
 from .qcpu import QcpuNetwork, build_network, compose_product, compose_sum
 
 _RESIDUAL_FRACTION = 1e-9
@@ -41,8 +43,7 @@ class EvolutionConfig:
             raise InvalidSpec(f"dt must be finite and positive, got {self.dt!r}")
         if not math.isfinite(self.total_time) or self.total_time < 0.0:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {self.total_time!r}")
-        if self.sign not in (1, -1):
-            raise InvalidSpec(f"sign must be +1 or -1, got {self.sign!r}")
+        require_sign(self.sign)
         steps = round(self.total_time / self.dt)
         residual = abs(self.total_time - steps * self.dt)
         if residual > self.dt * _RESIDUAL_FRACTION:
@@ -61,8 +62,7 @@ def _check_step(h, dt: float, sign: int) -> np.ndarray:
     h = require_hermitian(h)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    require_sign(sign)
     return h
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveMass,
 )
-from .numerics import tensor
+from .numerics import as_state, tensor
 
 
 @dataclass(frozen=True)
@@ -72,32 +72,8 @@ class GridSpec:
         return m * self.spacing
 
 
-@dataclass(frozen=True, eq=False)
-class Wavefunction:
-    """Amplitudes over the grid points at one instant; no auto-normalization."""
-
-    grid: GridSpec
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != self.grid.size:
-            raise DimensionMismatch(
-                f"amplitudes must have length {self.grid.size}, got shape {amps.shape}"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    def component(self, m: int) -> complex:
-        """Amplitude at index m with periodic wrap-around."""
-        return complex(self.amplitudes[m % self.grid.size])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def sample(f, grid: GridSpec) -> Wavefunction:
-    """Evaluate f(x) on every grid point; no normalization applied."""
+def sample(f, grid: GridSpec) -> np.ndarray:
+    """The amplitudes f(x) at every grid point; no normalization applied."""
     xs = grid.points
     values = np.empty(grid.size, dtype=complex)
     for m, x in enumerate(xs):
@@ -105,7 +81,7 @@ def sample(f, grid: GridSpec) -> Wavefunction:
     if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
         bad = int(np.flatnonzero(~(np.isfinite(values.real) & np.isfinite(values.imag)))[0])
         raise NonFiniteValue(f"sampled value at grid point {bad} (x = {xs[bad]}) is not finite")
-    return Wavefunction(grid=grid, amplitudes=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +218,15 @@ def wavefunction_header(grid: GridSpec) -> dict:
     return {"L": grid.length, "k": grid.qubits, "N": grid.size, "centered": grid.centered}
 
 
-def wavefunction_records(wf: Wavefunction) -> list[dict]:
+def wavefunction_records(grid: GridSpec, amplitudes) -> list[dict]:
     """Per-point dump rows: index, position, amplitude parts, probability."""
-    xs = wf.grid.points
+    amps = as_state(amplitudes)
+    if amps.shape[0] != grid.size:
+        raise DimensionMismatch(f"amplitudes must have length {grid.size}, got {amps.shape[0]}")
+    xs = grid.points
     rows = []
-    for m in range(wf.grid.size):
-        z = wf.amplitudes[m]
+    for m in range(grid.size):
+        z = amps[m]
         rows.append(
             {
                 "m": m,

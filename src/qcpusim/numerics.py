@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, NonSquareInput, ZeroVector
+from .errors import DimensionMismatch, InvalidSpec, NonHermitianInput, NonSquareInput, ZeroVector
 
 HERMITICITY_TOL = 1e-10
 
@@ -33,6 +33,13 @@ def as_state(v) -> np.ndarray:
     if out.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got ndim={out.ndim}")
     return out
+
+
+def require_sign(sign) -> int:
+    """The phase sign of e^{sign i H t}: the int +1 or -1, never a bool or float."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise InvalidSpec(f"sign must be +1 or -1, got {sign!r}")
+    return sign
 
 
 def tensor(a, b) -> np.ndarray:
@@ -76,8 +83,7 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     imaginary entry is diagonalised as a real symmetric matrix, and its real
     eigenvectors act on psi's real and imaginary parts in real arithmetic.
     """
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    require_sign(sign)
     h = require_hermitian(h)
     psi = np.asarray(psi, dtype=complex)
     columns = psi.reshape(psi.shape[0], -1)

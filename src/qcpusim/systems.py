@@ -35,8 +35,8 @@ from .errors import (
     ZeroVector,
 )
 from .evolve import EvolutionConfig, euler_states, euler_step
-from .grid import GridSpec, Wavefunction, dft_operator, kinetic_operator
-from .numerics import as_state
+from .grid import GridSpec, dft_operator, kinetic_operator
+from .numerics import as_state, require_sign
 from .qcpu import QcpuNetwork, build_network, compose_product
 
 
@@ -44,7 +44,17 @@ from .qcpu import QcpuNetwork, build_network, compose_product
 # Declarative system descriptions (config.py parses them from JSON)
 # ---------------------------------------------------------------------------
 
-_POTENTIAL_FORMS = ("quadratic", "linear", "constant", "table")
+# The one parameter of each potential form, and the parameters of each system
+# kind.  Validation, to_dict and config.py's known keys all read these tables.
+POTENTIAL_PARAMETER = {
+    "quadratic": "coefficient", "linear": "slope", "constant": "value", "table": "values",
+}
+SYSTEM_PARAMETERS = {
+    "free_particle": ("mu",),
+    "harmonic": ("omega",),
+    "constant_field": ("mu", "u"),
+    "grid_schrodinger": ("mu", "potential"),
+}
 
 
 @dataclass(frozen=True)
@@ -59,15 +69,12 @@ class PotentialSpec:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.form not in _POTENTIAL_FORMS:
-            raise InvalidSpec(f"potential form must be one of {_POTENTIAL_FORMS}, got {self.form!r}")
-        needed = {
-            "quadratic": ("coefficient", self.coefficient),
-            "linear": ("slope", self.slope),
-            "constant": ("value", self.value),
-            "table": ("values", self.values),
-        }[self.form]
-        name, param = needed
+        if not isinstance(self.form, str) or self.form not in POTENTIAL_PARAMETER:
+            raise InvalidSpec(
+                f"potential form must be one of {tuple(POTENTIAL_PARAMETER)}, got {self.form!r}"
+            )
+        name = POTENTIAL_PARAMETER[self.form]
+        param = getattr(self, name)
         if param is None:
             raise InvalidSpec(f"potential form {self.form!r} needs parameter {name!r}")
         if self.form == "table":
@@ -80,14 +87,8 @@ class PotentialSpec:
         else:
             if not math.isfinite(float(param)):
                 raise InvalidSpec(f"potential parameter {name!r} must be finite, got {param!r}")
-        extras = {
-            "coefficient": self.coefficient,
-            "slope": self.slope,
-            "value": self.value,
-            "values": self.values,
-        }
-        extras.pop(name)
-        stray = [key for key, val in extras.items() if val is not None]
+        stray = [key for key in POTENTIAL_PARAMETER.values()
+                 if key != name and getattr(self, key) is not None]
         if stray:
             raise InvalidSpec(f"potential form {self.form!r} does not take {stray}")
 
@@ -107,19 +108,9 @@ class PotentialSpec:
         return vals
 
     def to_dict(self) -> dict:
-        out: dict = {"form": self.form}
-        if self.form == "quadratic":
-            out["coefficient"] = float(self.coefficient)
-        elif self.form == "linear":
-            out["slope"] = float(self.slope)
-        elif self.form == "constant":
-            out["value"] = float(self.value)
-        else:
-            out["values"] = list(self.values)
-        return out
-
-
-_SYSTEM_KINDS = ("free_particle", "harmonic", "constant_field", "grid_schrodinger")
+        name = POTENTIAL_PARAMETER[self.form]
+        param = getattr(self, name)
+        return {"form": self.form, name: list(param) if self.form == "table" else float(param)}
 
 
 @dataclass(frozen=True)
@@ -133,55 +124,30 @@ class SystemSpec:
     potential: PotentialSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _SYSTEM_KINDS:
-            raise InvalidSpec(f"system kind must be one of {_SYSTEM_KINDS}, got {self.kind!r}")
-        if self.kind == "harmonic":
-            if self.omega is None:
-                raise InvalidSpec("harmonic system needs 'omega'")
-            if not (self.omega > 0.0) or not math.isfinite(self.omega):
-                raise NonPositiveFrequency(f"omega must be positive and finite, got {self.omega!r}")
-        else:
-            if self.mu is None:
-                raise InvalidSpec(f"{self.kind} system needs 'mu'")
-            if not (self.mu > 0.0) or not math.isfinite(self.mu):
-                raise NonPositiveMass(f"mu must be positive and finite, got {self.mu!r}")
-        if self.kind == "constant_field":
-            if self.u is None:
-                raise InvalidSpec("constant_field system needs 'u'")
-            if not math.isfinite(float(self.u)):
-                raise NonFiniteValue(f"field constant u must be finite, got {self.u!r}")
-        if self.kind == "grid_schrodinger" and self.potential is None:
-            raise InvalidSpec("grid_schrodinger system needs 'potential'")
-        allowed = {
-            "free_particle": {"mu"},
-            "harmonic": {"omega"},
-            "constant_field": {"mu", "u"},
-            "grid_schrodinger": {"mu", "potential"},
-        }[self.kind]
-        present = {
-            name
-            for name, val in (
-                ("mu", self.mu),
-                ("omega", self.omega),
-                ("u", self.u),
-                ("potential", self.potential),
+        if not isinstance(self.kind, str) or self.kind not in SYSTEM_PARAMETERS:
+            raise InvalidSpec(
+                f"system kind must be one of {tuple(SYSTEM_PARAMETERS)}, got {self.kind!r}"
             )
-            if val is not None
-        }
-        stray = sorted(present - allowed)
+        names = SYSTEM_PARAMETERS[self.kind]
+        for name in names:
+            if getattr(self, name) is None:
+                raise InvalidSpec(f"{self.kind} system needs {name!r}")
+        stray = sorted({key for keys in SYSTEM_PARAMETERS.values() for key in keys
+                        if key not in names and getattr(self, key) is not None})
         if stray:
             raise InvalidSpec(f"system kind {self.kind!r} does not take {stray}")
+        if self.omega is not None and (not (self.omega > 0.0) or not math.isfinite(self.omega)):
+            raise NonPositiveFrequency(f"omega must be positive and finite, got {self.omega!r}")
+        if self.mu is not None and (not (self.mu > 0.0) or not math.isfinite(self.mu)):
+            raise NonPositiveMass(f"mu must be positive and finite, got {self.mu!r}")
+        if self.u is not None and not math.isfinite(float(self.u)):
+            raise NonFiniteValue(f"field constant u must be finite, got {self.u!r}")
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.mu is not None:
-            out["mu"] = float(self.mu)
-        if self.omega is not None:
-            out["omega"] = float(self.omega)
-        if self.u is not None:
-            out["u"] = float(self.u)
-        if self.potential is not None:
-            out["potential"] = self.potential.to_dict()
+        for name in SYSTEM_PARAMETERS[self.kind]:
+            param = getattr(self, name)
+            out[name] = param.to_dict() if name == "potential" else float(param)
         return out
 
 
@@ -198,8 +164,8 @@ class GaussianPacketSpec:
     sigma: float
 
 
-def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> Wavefunction:
-    """Normalized Gaussian packet exp(-(x-x0)^2/(4 sigma^2)) * exp(i p0 x).
+def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> np.ndarray:
+    """Amplitudes of the normalized packet exp(-(x-x0)^2/(4 sigma^2)) * exp(i p0 x).
 
     The envelope is normalized before the momentum phase is attached, so a
     boosted packet is exactly the unboosted one times the plane-wave phase.
@@ -222,8 +188,7 @@ def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> Wavefunction:
     nrm = np.linalg.norm(envelope)
     if nrm == 0.0:
         raise ZeroVector("packet envelope underflowed to zero on every grid point")
-    amplitudes = (envelope / nrm) * np.exp(1j * spec.p0 * xs)
-    return Wavefunction(grid=grid, amplitudes=amplitudes, time=0.0)
+    return (envelope / nrm) * np.exp(1j * spec.p0 * xs)
 
 
 def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
@@ -266,9 +231,7 @@ def _phases(values, t: float, sign: int) -> np.ndarray:
         raise NonFiniteValue("phase values contain non-finite entries")
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    return np.exp((sign * 1j * t) * vals)
+    return np.exp((require_sign(sign) * 1j * t) * vals)
 
 
 def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
@@ -355,17 +318,29 @@ class Route:
 
     `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
     and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
-    for steps 0..evo.steps and never touches an N x N matrix: an Euler step
-    acts on Omega's nonzeros (`evolve.euler_states`), a spectral step is an
-    FFT round trip (`spectral_evolution`).  `compare` builds its network
-    route from `euler_hamiltonian()` alone (`evolve.whole_network`), the
-    same way for every kind.  Matrices are built only on call.
+    for steps 0..evo.steps and never touches an N x N matrix.  An Euler step
+    acts on Omega's nonzeros (`evolve.euler_states`).  The oscillator and the
+    spectral kinds evolve psi0 in closed form to each step's time
+    (`_closed_form`): by the energy phases in O(N), or by an FFT round trip
+    (`spectral_evolution`).  `compare` builds its network route from
+    `euler_hamiltonian()` alone (`evolve.whole_network`), the same way for
+    every kind.  Matrices are built only on call.
     """
 
     method: str
     hamiltonian: Callable[[], np.ndarray]
     states: Callable[[np.ndarray, np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
     euler_hamiltonian: Callable[[], np.ndarray]
+
+
+def _closed_form(propagate):
+    """Route states of psi0 at step 0, then propagate(psi0, i * dt, sign) at step i."""
+    def states(h, psi0, evo):
+        yield 0, psi0
+        for i in range(1, evo.steps + 1):
+            yield i, propagate(psi0, i * evo.dt, evo.sign)
+
+    return states
 
 
 def system_route(system: SystemSpec, grid: GridSpec) -> Route:
@@ -385,11 +360,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         def energy_matrix():
             return np.diag(energies).astype(complex)
 
-        def phases(h, psi0, evo):
-            yield 0, psi0
-            for i in range(1, evo.steps + 1):
-                yield i, _phases(energies, i * evo.dt, evo.sign) * psi0
-
+        phases = _closed_form(lambda psi0, t, sign: _phases(energies, t, sign) * psi0)
         return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix)
 
     if system.kind == "grid_schrodinger":
@@ -421,10 +392,8 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         h = spectral_kinetic_matrix(grid, mu)
         return h if u is None else h + u * np.eye(grid.size)
 
-    def fourier_phases(h, psi0, evo):
-        yield 0, psi0
-        for i in range(1, evo.steps + 1):
-            yield i, spectral_evolution(grid, mu, i * evo.dt, psi0, evo.sign, u or 0.0)
-
+    fourier_phases = _closed_form(
+        lambda psi0, t, sign: spectral_evolution(grid, mu, t, psi0, sign, u or 0.0)
+    )
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
     return Route(method, spectral_matrix, fourier_phases, stencil_matrix)

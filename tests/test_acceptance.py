@@ -178,7 +178,7 @@ def test_acceptance_05_euler_first_order_convergence():
     started = time.perf_counter()
     g = GridSpec(length=16.0, qubits=4, centered=True)
     mu = 1.0
-    psi0 = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=1.5)).amplitudes
+    psi0 = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=1.5))
     kinetic = kinetic_operator(g, mu)
     quadratic = kinetic + potential_operator(g, lambda x: 0.05 * x * x)
 
@@ -282,8 +282,8 @@ def test_acceptance_08_free_spectral_pipeline():
     mu, t = 1.0, 2.0
     spec = GaussianPacketSpec(x0=20.0, p0=math.pi / 4.0, sigma=2.0)
 
-    evolved = spectral_evolution(g, mu, t, gaussian_packet(g, spec).amplitudes)
-    reference = sample(analytic_free_gaussian(spec, mu, t), g).amplitudes
+    evolved = spectral_evolution(g, mu, t, gaussian_packet(g, spec))
+    reference = sample(analytic_free_gaussian(spec, mu, t), g)
     fid = fidelity(evolved, reference)
 
     prob = np.abs(evolved) ** 2
@@ -307,7 +307,7 @@ def test_acceptance_09_constant_field_factorization():
     started = time.perf_counter()
     g = GridSpec(length=16.0, qubits=4)
     mu, u, t = 1.0, 2.0, 1.5
-    psi = gaussian_packet(g, GaussianPacketSpec(x0=8.0, p0=0.5, sigma=1.5)).amplitudes
+    psi = gaussian_packet(g, GaussianPacketSpec(x0=8.0, p0=0.5, sigma=1.5))
 
     factored = spectral_evolution(g, mu, t, psi, u=u)
     oracle = exact_evolution(spectral_kinetic_matrix(g, mu) + u * np.eye(g.size), t, psi)
@@ -338,7 +338,7 @@ def test_acceptance_10_two_particle_reduction():
         + lift_one(kinetic, 2, (n, n))
         + two_body_potential(g, g, lambda a, b: kappa * (a - b) ** 2)
     )
-    packet = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=sigma)).amplitudes
+    packet = gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=sigma))
     psi0 = np.kron(packet, packet)
     direct_final = exact_evolution(h_direct, t, psi0)
 
@@ -348,10 +348,10 @@ def test_acceptance_10_two_particle_reduction():
     rel_grid = GridSpec(length=24.0, qubits=4, centered=True)
     pc = gaussian_packet(
         com_grid, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=sigma / math.sqrt(2.0))
-    ).amplitudes
+    )
     pr = gaussian_packet(
         rel_grid, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=sigma * math.sqrt(2.0))
-    ).amplitudes
+    )
 
     def compose(com_state, rel_state):
         out = np.zeros(n * n, dtype=complex)

@@ -5,14 +5,15 @@ back the files it writes; nothing here monkeypatches internals.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qcpusim import evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim.cli import LOCK_NAME, main
+from qcpusim import InvalidSpec, evolve_euler, load_run_config, spectral_norm_upper_bound
+from qcpusim.cli import LOCK_NAME, main, run_simulation
 from qcpusim.systems import system_route
 
 
@@ -313,6 +314,18 @@ def test_snapshot_rewrite_is_byte_identical(tmp_path):
     assert (out_dir / "diagnostics.csv").read_bytes() == first_diag
 
 
+def test_bool_sign_in_memory_config_writes_nothing(tmp_path):
+    """A sign of True would echo as "sign": true, which the parser rejects;
+    the run refuses it before writing any artifact."""
+    cfg = load_run_config(write_config(tmp_path, harmonic_config(tmp_path / "unused")))
+    cfg = dataclasses.replace(cfg, evolution=dataclasses.replace(cfg.evolution, sign=True))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    with pytest.raises(InvalidSpec):
+        run_simulation(cfg, out_dir)
+    assert list(out_dir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -406,6 +419,21 @@ def test_compare_ladder_minimum(tmp_path):
     assert main(["compare", "--config", str(config), "--ladder", "1"]) == 2
 
 
+@pytest.mark.parametrize("config_exists", [True, False])
+def test_compare_ladder_cap(tmp_path, capsys, config_exists):
+    """Rung r runs 2**r times the base steps, so --ladder is capped; above the
+    cap the command exits 2 before it reads the config or takes the lock."""
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.json"
+    if config_exists:
+        write_config(tmp_path, grid_config(out_dir))
+    assert main(["compare", "--config", str(config), "--ladder", "9"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --ladder must be between 2 and 8, got 9"
+    ]
+    assert not out_dir.exists()
+
+
 def test_compare_needs_at_least_one_step(tmp_path, capsys):
     out_dir = tmp_path / "zero"
     data = grid_config(out_dir)
@@ -449,3 +477,37 @@ def test_spectrum_caps_k_like_run_configs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: --k must be at most 11, got 12"]
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# unwritable output paths
+# ---------------------------------------------------------------------------
+
+def one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_verify_identities_out_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["verify-identities", "--out", str(tmp_path)]) == 2
+    assert "Is a directory" in one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_spectrum_out_is_a_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["spectrum", "--L", "10", "--k", "3", "--out", str(out)]) == 2
+    one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_out_directory_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    config = write_config(tmp_path, harmonic_config(out))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "File exists" in one_error_line(capsys)
+    assert out.read_text() == "not a directory\n"

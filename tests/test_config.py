@@ -228,6 +228,20 @@ def test_any_json_in_system_section_is_a_config_error(
         assert exc.field.startswith("system")
 
 
+@pytest.mark.parametrize("system, field", [
+    ({"kind": ["harmonic"], "omega": 1.0}, "system"),
+    ({"kind": {}, "omega": 1.0}, "system"),
+    ({"kind": "grid_schrodinger", "mu": 1.0,
+      "potential": {"form": ["quadratic"], "coefficient": 1.0}}, "system.potential"),
+])
+def test_unhashable_kind_or_form_is_a_config_error(system, field):
+    data = base_config()
+    data["system"] = system
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(data)
+    assert info.value.field == field
+
+
 def test_initial_state_exactly_one_variant():
     data = base_config()
     data["initial_state"] = {"basis_state": 0, "gaussian": {"x0": 0, "p0": 0, "sigma": 1}}

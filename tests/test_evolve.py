@@ -80,8 +80,9 @@ def test_negative_horizon_rejected():
 
 
 def test_invalid_sign_rejected():
-    with pytest.raises(InvalidSpec):
-        EvolutionConfig(dt=0.1, total_time=1.0, sign=2)
+    for sign in (2, True, 1.0):
+        with pytest.raises(InvalidSpec):
+            EvolutionConfig(dt=0.1, total_time=1.0, sign=sign)
 
 
 def test_auto_policy_bounds_dt_times_norm():
@@ -124,8 +125,11 @@ def test_euler_step_requires_hermitian():
 
 
 def test_euler_step_sign_validation():
-    with pytest.raises(ValueError):
-        euler_step(np.eye(2), 0.1, sign=0)
+    for sign in (0, True):
+        with pytest.raises(InvalidSpec):
+            euler_step(np.eye(2), 0.1, sign=sign)
+        with pytest.raises(InvalidSpec):
+            step_network(np.eye(2), 0.1, sign=sign)
 
 
 def test_norm_grows_by_dt_squared_h_psi_squared():

@@ -15,7 +15,6 @@ from qcpusim import (
     InvalidSpec,
     NonFiniteValue,
     NonPositiveMass,
-    Wavefunction,
     dft_operator,
     hermiticity_defect,
     kinetic_eigenvalue,
@@ -35,7 +34,7 @@ from qcpusim import (
 
 
 # ---------------------------------------------------------------------------
-# GridSpec and Wavefunction
+# GridSpec and sampling
 # ---------------------------------------------------------------------------
 
 def test_grid_size_and_spacing():
@@ -66,36 +65,16 @@ def test_grid_rejects_bad_length(bad):
         GridSpec(length=bad, qubits=2)
 
 
-def test_wavefunction_periodic_component():
-    g = GridSpec(length=4.0, qubits=2)
-    wf = Wavefunction(grid=g, amplitudes=np.array([1, 2, 3, 4], dtype=complex))
-    assert wf.component(5) == 2.0 + 0.0j
-    assert wf.component(-1) == 4.0 + 0.0j
-
-
-def test_wavefunction_length_check():
-    g = GridSpec(length=4.0, qubits=2)
-    with pytest.raises(DimensionMismatch):
-        Wavefunction(grid=g, amplitudes=np.ones(3))
-
-
-def test_wavefunction_norm():
-    g = GridSpec(length=4.0, qubits=2)
-    wf = Wavefunction(grid=g, amplitudes=np.array([3.0, 4.0, 0.0, 0.0]))
-    assert wf.norm() == 5.0
-
-
 def test_sample_position_only_callable():
     g = GridSpec(length=4.0, qubits=2)
-    wf = sample(lambda x: 2.0 * x, g)
-    assert np.array_equal(wf.amplitudes, 2.0 * g.points)
+    assert np.array_equal(sample(lambda x: 2.0 * x, g), 2.0 * g.points)
 
 
 def test_sample_calls_f_with_position_only():
     g = GridSpec(length=4.0, qubits=2)
     scaled = sample(lambda x, scale=2.0: scale * x, g)
-    assert np.array_equal(scaled.amplitudes, 2.0 * g.points)
-    assert np.array_equal(sample(np.sin, g).amplitudes, np.sin(g.points))
+    assert np.array_equal(scaled, 2.0 * g.points)
+    assert np.array_equal(sample(np.sin, g), np.sin(g.points))
 
 
 def test_sample_rejects_non_finite_values():
@@ -385,8 +364,7 @@ def test_wavefunction_header_fields():
 
 def test_wavefunction_records_contents():
     g = GridSpec(length=4.0, qubits=1)
-    wf = Wavefunction(grid=g, amplitudes=np.array([1.0 + 1.0j, 0.5]))
-    rows = wavefunction_records(wf)
+    rows = wavefunction_records(g, np.array([1.0 + 1.0j, 0.5]))
     assert rows[0]["m"] == 0
     assert rows[0]["x"] == 0.0
     assert rows[0]["re"] == 1.0
@@ -394,3 +372,11 @@ def test_wavefunction_records_contents():
     assert rows[0]["prob"] == pytest.approx(2.0, abs=1e-15)
     assert rows[1]["x"] == 2.0
     assert rows[1]["prob"] == 0.25
+
+
+def test_wavefunction_length_check():
+    g = GridSpec(length=4.0, qubits=2)
+    with pytest.raises(DimensionMismatch):
+        wavefunction_records(g, np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        wavefunction_records(g, np.ones((2, 2)))

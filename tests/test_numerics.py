@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from qcpusim import (
     DimensionMismatch,
     GridSpec,
+    InvalidSpec,
     NonHermitianInput,
     NonSquareInput,
     PotentialSpec,
@@ -140,8 +141,9 @@ def test_exact_evolution_phases_eigenvector():
 
 
 def test_exact_evolution_invalid_sign():
-    with pytest.raises(ValueError):
-        exact_evolution(np.eye(2), 1.0, np.eye(2), sign=0)
+    for sign in (0, True, -1.0):
+        with pytest.raises(InvalidSpec):
+            exact_evolution(np.eye(2), 1.0, np.eye(2), sign=sign)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from qcpusim import (
     GridSpec,
     InitialStateSpec,
     InvalidSpec,
+    NonFiniteValue,
     NonPositiveFrequency,
     NonPositiveMass,
     OutputSpec,
@@ -38,7 +39,7 @@ from qcpusim import (
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
-from qcpusim.systems import system_route
+from qcpusim.systems import POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, system_route
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,80 @@ def test_potential_spec_rejects_stray_parameter():
         PotentialSpec(form="quadratic", coefficient=1.0, slope=2.0)
 
 
+_CONSTANT = PotentialSpec(form="constant", value=0.0)
+_NAN, _INF = float("nan"), float("inf")
+
+
+# (kind, parameters, error type, message): each spec has exactly one fault.
+_SYSTEM_FAULTS = [
+    ("free_particle", {}, InvalidSpec, "free_particle system needs 'mu'"),
+    ("harmonic", {}, InvalidSpec, "harmonic system needs 'omega'"),
+    ("constant_field", {"u": 0.5}, InvalidSpec, "constant_field system needs 'mu'"),
+    ("constant_field", {"mu": 1.0}, InvalidSpec, "constant_field system needs 'u'"),
+    ("grid_schrodinger", {"potential": _CONSTANT}, InvalidSpec,
+     "grid_schrodinger system needs 'mu'"),
+    ("grid_schrodinger", {"mu": 1.0}, InvalidSpec, "grid_schrodinger system needs 'potential'"),
+    ("free_particle", {"mu": 0.0}, NonPositiveMass, "mu must be positive and finite, got 0.0"),
+    ("harmonic", {"omega": _NAN}, NonPositiveFrequency,
+     "omega must be positive and finite, got nan"),
+    ("constant_field", {"mu": _INF, "u": 0.5}, NonPositiveMass,
+     "mu must be positive and finite, got inf"),
+    ("constant_field", {"mu": 1.0, "u": _NAN}, NonFiniteValue,
+     "field constant u must be finite, got nan"),
+    ("grid_schrodinger", {"mu": -2.0, "potential": _CONSTANT}, NonPositiveMass,
+     "mu must be positive and finite, got -2.0"),
+    ("free_particle", {"mu": 1.0, "omega": 1.0}, InvalidSpec,
+     "system kind 'free_particle' does not take ['omega']"),
+    ("harmonic", {"omega": 2.0, "mu": 1.0}, InvalidSpec,
+     "system kind 'harmonic' does not take ['mu']"),
+    ("constant_field", {"mu": 1.0, "u": 0.5, "potential": _CONSTANT}, InvalidSpec,
+     "system kind 'constant_field' does not take ['potential']"),
+    ("grid_schrodinger", {"mu": 1.0, "potential": _CONSTANT, "u": 0.5}, InvalidSpec,
+     "system kind 'grid_schrodinger' does not take ['u']"),
+    ("qubit", {"mu": 1.0}, InvalidSpec,
+     "system kind must be one of ('free_particle', 'harmonic', 'constant_field', "
+     "'grid_schrodinger'), got 'qubit'"),
+]
+
+# (form, parameters, message): every potential fault raises InvalidSpec.
+_POTENTIAL_FAULTS = [
+    ("quadratic", {}, "potential form 'quadratic' needs parameter 'coefficient'"),
+    ("linear", {}, "potential form 'linear' needs parameter 'slope'"),
+    ("constant", {}, "potential form 'constant' needs parameter 'value'"),
+    ("table", {}, "potential form 'table' needs parameter 'values'"),
+    ("quadratic", {"coefficient": _INF},
+     "potential parameter 'coefficient' must be finite, got inf"),
+    ("linear", {"slope": _NAN}, "potential parameter 'slope' must be finite, got nan"),
+    ("constant", {"value": -_INF}, "potential parameter 'value' must be finite, got -inf"),
+    ("table", {"values": (1.0, _NAN)}, "table potential contains non-finite values"),
+    ("table", {"values": ()}, "table potential must not be empty"),
+    ("quadratic", {"coefficient": 1.0, "slope": 2.0},
+     "potential form 'quadratic' does not take ['slope']"),
+    ("linear", {"slope": 1.0, "value": 2.0}, "potential form 'linear' does not take ['value']"),
+    ("constant", {"value": 1.0, "values": (2.0,)},
+     "potential form 'constant' does not take ['values']"),
+    ("table", {"values": (1.0,), "coefficient": 2.0},
+     "potential form 'table' does not take ['coefficient']"),
+    ("cubic", {"coefficient": 1.0},
+     "potential form must be one of ('quadratic', 'linear', 'constant', 'table'), "
+     "got 'cubic'"),
+]
+
+
+@pytest.mark.parametrize("kind, params, error, message", _SYSTEM_FAULTS)
+def test_system_spec_single_fault_errors(kind, params, error, message):
+    with pytest.raises(error) as info:
+        SystemSpec(kind=kind, **params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("form, params, message", _POTENTIAL_FAULTS)
+def test_potential_spec_single_fault_errors(form, params, message):
+    with pytest.raises(InvalidSpec) as info:
+        PotentialSpec(form=form, **params)
+    assert str(info.value) == message
+
+
 def run_config(system: SystemSpec) -> RunConfig:
     return RunConfig(
         system=system,
@@ -97,13 +172,17 @@ def run_config(system: SystemSpec) -> RunConfig:
     )
 
 
+# A sample value of every parameter the tables name.
+_SAMPLE_PARAMETERS = {
+    "coefficient": 0.25, "slope": -1.0, "value": 3.0, "values": (0.0, 1.0, 2.0, 3.0),
+    "mu": 0.5, "omega": 2.0, "u": -0.25, "potential": PotentialSpec(form="linear", slope=1.0),
+}
+
+
 def test_potential_spec_roundtrip():
-    for potential in (
-        PotentialSpec(form="quadratic", coefficient=0.25),
-        PotentialSpec(form="linear", slope=-1.0),
-        PotentialSpec(form="constant", value=3.0),
-        PotentialSpec(form="table", values=(0.0, 1.0, 2.0, 3.0)),
-    ):
+    for form, name in POTENTIAL_PARAMETER.items():
+        potential = PotentialSpec(form=form, **{name: _SAMPLE_PARAMETERS[name]})
+        assert potential.to_dict().keys() == {"form", name}
         cfg = run_config(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=potential))
         assert parse_run_config(cfg.to_dict()) == cfg
 
@@ -145,13 +224,9 @@ def test_system_spec_bad_values():
 
 
 def test_system_spec_roundtrip():
-    for system in (
-        SystemSpec(kind="free_particle", mu=0.5),
-        SystemSpec(kind="harmonic", omega=2.0),
-        SystemSpec(kind="constant_field", mu=1.5, u=-0.25),
-        SystemSpec(kind="grid_schrodinger", mu=2.0,
-                   potential=PotentialSpec(form="linear", slope=1.0)),
-    ):
+    for kind, names in SYSTEM_PARAMETERS.items():
+        system = SystemSpec(kind=kind, **{name: _SAMPLE_PARAMETERS[name] for name in names})
+        assert system.to_dict().keys() == {"kind", *names}
         cfg = run_config(system)
         assert parse_run_config(cfg.to_dict()) == cfg
 
@@ -162,14 +237,14 @@ def test_system_spec_roundtrip():
 
 def test_gaussian_packet_is_normalized():
     g = GridSpec(length=20.0, qubits=5)
-    wf = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.0, sigma=1.5))
-    assert wf.norm() == pytest.approx(1.0, abs=1e-12)
+    psi = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.0, sigma=1.5))
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_packet_peaks_at_center():
     g = GridSpec(length=20.0, qubits=5)
-    wf = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.0, sigma=1.0))
-    assert g.points[int(np.argmax(np.abs(wf.amplitudes)))] == pytest.approx(10.0, abs=g.spacing)
+    psi = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.0, sigma=1.0))
+    assert g.points[int(np.argmax(np.abs(psi)))] == pytest.approx(10.0, abs=g.spacing)
 
 
 def test_boost_is_exactly_a_phase():
@@ -178,7 +253,7 @@ def test_boost_is_exactly_a_phase():
     rest = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.0, sigma=1.5))
     moving = gaussian_packet(g, GaussianPacketSpec(x0=10.0, p0=0.7, sigma=1.5))
     phase = np.exp(1j * 0.7 * g.points)
-    assert np.array_equal(moving.amplitudes, rest.amplitudes * phase)
+    assert np.array_equal(moving, rest * phase)
 
 
 def test_wide_packet_warns():
@@ -208,8 +283,7 @@ def test_analytic_gaussian_reduces_to_packet_at_t0():
     spec = GaussianPacketSpec(x0=12.0, p0=0.5, sigma=1.5)
     packet = gaussian_packet(g, spec)
     profile = analytic_free_gaussian(spec, mu=1.0, t=0.0)
-    sampled = sample(profile, g).amplitudes
-    assert fidelity(packet.amplitudes, sampled) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity(packet, sample(profile, g)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analytic_gaussian_width_grows():
@@ -305,6 +379,12 @@ def test_spectral_propagator_rejects_non_finite_time(t):
         spectral_evolution(GridSpec(length=10.0, qubits=4), 1.0, t, np.ones(16))
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, 0])
+def test_spectral_propagator_rejects_non_integer_sign(sign):
+    with pytest.raises(InvalidSpec):
+        spectral_evolution(GridSpec(length=10.0, qubits=4), 1.0, 0.5, np.ones(16), sign)
+
+
 def test_spectral_kinetic_matrix_is_hermitian():
     g = GridSpec(length=10.0, qubits=4)
     h = spectral_kinetic_matrix(g, 1.0)
@@ -340,8 +420,10 @@ def test_diagonal_phase_network_payload():
 def test_diagonal_phase_network_validation():
     with pytest.raises(DimensionMismatch):
         diagonal_phase_network(np.eye(2), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         diagonal_phase_network([1.0], 1.0, sign=3)
+    with pytest.raises(InvalidSpec):
+        diagonal_phase_network([1.0], 1.0, sign=True)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +469,7 @@ def test_constant_field_factorization():
     g = GridSpec(length=16.0, qubits=4)
     mu, u, t = 1.0, 2.0, 1.5
     spec = GaussianPacketSpec(x0=8.0, p0=0.5, sigma=1.5)
-    psi = gaussian_packet(g, spec).amplitudes
+    psi = gaussian_packet(g, spec)
     factored = spectral_evolution(g, mu, t, psi, u=u)
     h = spectral_kinetic_matrix(g, mu) + u * np.eye(g.size)
     direct = exact_evolution(h, t, psi)
