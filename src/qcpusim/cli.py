@@ -63,7 +63,7 @@ from .qcpu import (
     project_aux,
     raising_block,
 )
-from .systems import system_route
+from .systems import stepped_hamiltonian, system_route
 
 IDENTITY_TOLERANCE = 1e-12
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
@@ -266,12 +266,12 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     grid = cfg.grid
     psi0 = cfg.initial_state.build(grid)
     route = system_route(cfg.system, grid)
-    h = route.hamiltonian()
+    h = route.hamiltonian
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
 
     norm_sq = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, state, ns in checked_states(route.states(h, psi0, evo)):
+        for step, state, ns in checked_states(route.states(psi0, evo)):
             norm_sq.append(ns)
             if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
                 _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
@@ -304,8 +304,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    route = system_route(cfg.system, cfg.grid)
-    h = route.euler_hamiltonian()
+    h = stepped_hamiltonian(cfg.system, cfg.grid)
     psi0 = cfg.initial_state.build(cfg.grid)
     norm_bound = spectral_norm_upper_bound(h)
     base = cfg.evolution.resolve(norm_bound)

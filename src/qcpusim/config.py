@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    GridMismatch,
     InvalidSpec,
     NonFiniteValue,
     NonPositiveFrequency,
@@ -125,6 +126,17 @@ class InitialStateSpec:
     basis_state: int | None = None
     table: tuple[complex, ...] | None = None
 
+    def __post_init__(self) -> None:
+        variants = [key for key in ("gaussian", "basis_state", "table")
+                    if getattr(self, key) is not None]
+        if len(variants) != 1:
+            raise ConfigError(
+                "initial_state",
+                f"exactly one of 'gaussian', 'basis_state', 'table' required, got {variants or 'none'}",
+            )
+        if self.basis_state is not None:
+            _as_int(self.basis_state, "initial_state.basis_state")
+
     def build(self, grid: GridSpec) -> np.ndarray:
         if self.gaussian is not None:
             return gaussian_packet(grid, self.gaussian)
@@ -152,6 +164,13 @@ class InitialStateSpec:
 class OutputSpec:
     directory: str
     snapshot_every: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.directory, str) or not self.directory:
+            raise ConfigError("outputs.directory",
+                              f"expected a nonempty path, got {self.directory!r}")
+        if _as_int(self.snapshot_every, "outputs.snapshot_every") < 1:
+            raise ConfigError("outputs.snapshot_every", f"must be >= 1, got {self.snapshot_every}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +238,27 @@ def _parse_system(data) -> SystemSpec:
         raise ConfigError("system", str(exc)) from exc
 
 
+def _parse_packet(data, field: str) -> GaussianPacketSpec:
+    g = _as_object(data, field)
+    _reject_unknown(g, {"x0", "p0", "sigma"}, field)
+    packet = GaussianPacketSpec(**{
+        key: _as_number(_require(g, key, f"{field}.{key}"), f"{field}.{key}")
+        for key in ("x0", "p0", "sigma")})
+    if packet.sigma <= 0.0:
+        raise ConfigError(f"{field}.sigma", f"must be positive, got {packet.sigma}")
+    return packet
+
+
+def _parse_amplitudes(raw, field: str) -> tuple[complex, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(field, "expected a nonempty list of [re, im] pairs")
+    for i, pair in enumerate(raw):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{field}[{i}]", f"expected [re, im], got {pair!r}")
+    return tuple(complex(_as_number(re, f"{field}[{i}][0]"), _as_number(im, f"{field}[{i}][1]"))
+                 for i, (re, im) in enumerate(raw))
+
+
 def parse_run_config(data) -> RunConfig:
     top = _as_object(data, "<config>")
     _reject_unknown(top, {"system", "grid", "evolution", "initial_state", "outputs"}, "<config>")
@@ -238,6 +278,11 @@ def parse_run_config(data) -> RunConfig:
         grid = GridSpec(length=length, qubits=qubits, centered=centered)
     except InvalidSpec as exc:
         raise ConfigError("grid", str(exc)) from exc
+    if system.potential is not None:
+        try:
+            system.potential.values_on(grid)
+        except GridMismatch as exc:
+            raise ConfigError("system.potential.values", str(exc)) from exc
 
     evo_data = _as_object(_require(top, "evolution", "evolution"), "evolution")
     _reject_unknown(evo_data, {"dt", "auto_epsilon", "total_time", "sign"}, "evolution")
@@ -266,62 +311,16 @@ def parse_run_config(data) -> RunConfig:
 
     init_data = _as_object(_require(top, "initial_state", "initial_state"), "initial_state")
     _reject_unknown(init_data, {"gaussian", "basis_state", "table"}, "initial_state")
-    variants = [key for key in ("gaussian", "basis_state", "table") if key in init_data]
-    if len(variants) != 1:
-        raise ConfigError(
-            "initial_state",
-            f"exactly one of 'gaussian', 'basis_state', 'table' required, got {variants or 'none'}",
-        )
-    initial: InitialStateSpec
-    if variants[0] == "gaussian":
-        g = _as_object(init_data["gaussian"], "initial_state.gaussian")
-        _reject_unknown(g, {"x0", "p0", "sigma"}, "initial_state.gaussian")
-        packet = GaussianPacketSpec(
-            x0=_as_number(_require(g, "x0", "initial_state.gaussian.x0"),
-                          "initial_state.gaussian.x0"),
-            p0=_as_number(_require(g, "p0", "initial_state.gaussian.p0"),
-                          "initial_state.gaussian.p0"),
-            sigma=_as_number(_require(g, "sigma", "initial_state.gaussian.sigma"),
-                             "initial_state.gaussian.sigma"),
-        )
-        if packet.sigma <= 0.0:
-            raise ConfigError("initial_state.gaussian.sigma",
-                              f"must be positive, got {packet.sigma}")
-        initial = InitialStateSpec(gaussian=packet)
-    elif variants[0] == "basis_state":
-        initial = InitialStateSpec(
-            basis_state=_as_int(init_data["basis_state"], "initial_state.basis_state")
-        )
-    else:
-        raw = init_data["table"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("initial_state.table", "expected a nonempty list of [re, im] pairs")
-        amps = []
-        for i, pair in enumerate(raw):
-            if (not isinstance(pair, list)) or len(pair) != 2:
-                raise ConfigError(f"initial_state.table[{i}]", f"expected [re, im], got {pair!r}")
-            re = _as_number(pair[0], f"initial_state.table[{i}][0]")
-            im = _as_number(pair[1], f"initial_state.table[{i}][1]")
-            amps.append(complex(re, im))
-        initial = InitialStateSpec(table=tuple(amps))
+    read = {"gaussian": _parse_packet, "basis_state": _as_int, "table": _parse_amplitudes}
+    initial = InitialStateSpec(**{key: read[key](init_data[key], f"initial_state.{key}")
+                                  for key in read if key in init_data})
 
     out_data = _as_object(_require(top, "outputs", "outputs"), "outputs")
     _reject_unknown(out_data, {"directory", "snapshot_every"}, "outputs")
-    directory = _require(out_data, "directory", "outputs.directory")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("outputs.directory", f"expected a nonempty path, got {directory!r}")
-    snapshot_every = out_data.get("snapshot_every", 1)
-    snapshot_every = _as_int(snapshot_every, "outputs.snapshot_every")
-    if snapshot_every < 1:
-        raise ConfigError("outputs.snapshot_every", f"must be >= 1, got {snapshot_every}")
-
-    return RunConfig(
-        system=system,
-        grid=grid,
-        evolution=evolution,
-        initial_state=initial,
-        outputs=OutputSpec(directory=directory, snapshot_every=snapshot_every),
-    )
+    outputs = OutputSpec(directory=_require(out_data, "directory", "outputs.directory"),
+                         snapshot_every=out_data.get("snapshot_every", 1))
+    return RunConfig(system=system, grid=grid, evolution=evolution,
+                     initial_state=initial, outputs=outputs)
 
 
 def load_run_config(path) -> RunConfig:

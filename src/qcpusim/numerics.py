@@ -62,12 +62,12 @@ def hermiticity_defect(h) -> float:
         return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
 
 
-def require_hermitian(h, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     h = as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise NonSquareInput(f"Hermitian check needs a square matrix, got {h.shape}")
     defect = hermiticity_defect(h)
-    if not defect <= tol:  # a NaN defect (non-finite h) fails too
+    if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite h) fails too
         raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")
     return h
 

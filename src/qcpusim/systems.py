@@ -18,6 +18,7 @@ compared against its own reference, never against the other at coarse N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -57,6 +58,12 @@ SYSTEM_PARAMETERS = {
 }
 
 
+def _require_real(what: str, *values) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidSpec(f"{what} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Declarative potential: quadratic c*x^2, linear s*x, constant u, or a
@@ -78,13 +85,17 @@ class PotentialSpec:
         if param is None:
             raise InvalidSpec(f"potential form {self.form!r} needs parameter {name!r}")
         if self.form == "table":
-            vals = tuple(float(v) for v in self.values)
+            if not isinstance(param, (tuple, list, np.ndarray)):
+                raise InvalidSpec(f"potential parameter 'values' must be a sequence, got {param!r}")
+            _require_real("potential parameter 'values' entry", *param)
+            vals = tuple(float(v) for v in param)
             if not vals:
                 raise InvalidSpec("table potential must not be empty")
             if not all(math.isfinite(v) for v in vals):
                 raise InvalidSpec("table potential contains non-finite values")
             object.__setattr__(self, "values", vals)
         else:
+            _require_real(f"potential parameter {name!r}", param)
             if not math.isfinite(float(param)):
                 raise InvalidSpec(f"potential parameter {name!r} must be finite, got {param!r}")
         stray = [key for key in POTENTIAL_PARAMETER.values()
@@ -132,6 +143,8 @@ class SystemSpec:
         for name in names:
             if getattr(self, name) is None:
                 raise InvalidSpec(f"{self.kind} system needs {name!r}")
+            if name != "potential":
+                _require_real(f"system parameter {name!r}", getattr(self, name))
         stray = sorted({key for keys in SYSTEM_PARAMETERS.values() for key in keys
                         if key not in names and getattr(self, key) is not None})
         if stray:
@@ -184,9 +197,10 @@ def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> np.ndarray:
             PacketWidthWarning,
         )
     xs = grid.points
-    envelope = np.exp(-((xs - spec.x0) ** 2) / (4.0 * spec.sigma ** 2))
-    nrm = np.linalg.norm(envelope)
-    if nrm == 0.0:
+    with np.errstate(all="ignore"):  # sigma ** 2 may underflow: x / 0 = inf, and 0 / 0 at x0
+        envelope = np.exp(-((xs - spec.x0) ** 2) / (4.0 * spec.sigma ** 2))
+        nrm = np.linalg.norm(envelope)
+    if not nrm > 0.0:  # all zero, or NaN
         raise ZeroVector("packet envelope underflowed to zero on every grid point")
     return (envelope / nrm) * np.exp(1j * spec.p0 * xs)
 
@@ -312,30 +326,42 @@ def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> Qcp
 # Propagation routes: the one place a system kind picks its physics
 # ---------------------------------------------------------------------------
 
+def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> np.ndarray:
+    """The dense H that `compare` steps, and `simulate` too for the oscillator
+    and the grid kind: the shift-stencil H, kinetic plus potential, of each
+    grid kind, or the oscillator's diagonal energy matrix, having no grid."""
+    if system.kind == "harmonic":
+        return np.diag(harmonic_energies(system.omega, grid.size)).astype(complex)
+    if system.kind == "free_particle":
+        return kinetic_operator(grid, system.mu)
+    values = (system.potential.values_on(grid) if system.kind == "grid_schrodinger"
+              else np.full(grid.size, float(system.u)))
+    # Peak RSS here is set by heap layout, not by live memory.  One
+    # expression frees the kinetic matrix before the sum returns (a local
+    # kept ~7 MB more resident at N = 1024), and the copy fixes the
+    # allocation order of the sum for the N = 1024 simulate run: without
+    # it, that run's peak RSS rose from 86.0 to 93.8-94.0 MB (4 of 4
+    # benchmark runs).  At N = 256 `compare` it makes no difference
+    # (45.7-45.8 MB with the copy, 45.7-46.0 MB without).
+    return kinetic_operator(grid, system.mu).copy() + np.diag(values).astype(complex)
+
+
 @dataclass(frozen=True)
 class Route:
-    """How `simulate` and `compare` propagate one system kind.
-
-    `simulate` uses `method`, the dense `hamiltonian()` behind its dt bound
-    and eigh oracle, and `states(h, psi0, evo)`, which yields (step, state)
-    for steps 0..evo.steps and never touches an N x N matrix.  An Euler step
-    acts on Omega's nonzeros (`evolve.euler_states`).  The oscillator and the
-    spectral kinds evolve psi0 in closed form to each step's time
-    (`_closed_form`): by the energy phases in O(N), or by an FFT round trip
-    (`spectral_evolution`).  `compare` builds its network route from
-    `euler_hamiltonian()` alone (`evolve.whole_network`), the same way for
-    every kind.  Matrices are built only on call.
-    """
+    """How `simulate` runs one system kind: the dense `hamiltonian` behind
+    its dt bound and eigh oracle, and `states(psi0, evo)`, which yields
+    (step, state) for steps 0..evo.steps without an N x N product: Euler
+    steps on Omega's nonzeros (`evolve.euler_states`), or psi0 evolved in
+    closed form to each step's time (`_closed_form`)."""
 
     method: str
-    hamiltonian: Callable[[], np.ndarray]
-    states: Callable[[np.ndarray, np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
-    euler_hamiltonian: Callable[[], np.ndarray]
+    hamiltonian: np.ndarray
+    states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 
 def _closed_form(propagate):
     """Route states of psi0 at step 0, then propagate(psi0, i * dt, sign) at step i."""
-    def states(h, psi0, evo):
+    def states(psi0, evo):
         yield 0, psi0
         for i in range(1, evo.steps + 1):
             yield i, propagate(psi0, i * evo.dt, evo.sign)
@@ -344,56 +370,21 @@ def _closed_form(propagate):
 
 
 def system_route(system: SystemSpec, grid: GridSpec) -> Route:
-    """The propagation route of each system kind.
-
-    `simulate` runs each kind in its natural representation: the free
-    particle and constant field by FFT through the Fourier pipeline, the
-    oscillator in its energy eigenbasis, and the generic grid system by
-    Euler stepping.  `compare` steps every grid kind with the shift-stencil
-    H, kinetic plus potential; the oscillator, having no grid, steps its
-    diagonal energy matrix.
-    """
-    mu, u = system.mu, system.u
+    """The route of each kind, in its natural representation: the oscillator
+    by its energy phases and the grid kind by Euler steps, both on
+    `stepped_hamiltonian`; the free particle and constant field by FFT
+    (`spectral_evolution`), with the spectral kinetic matrix as H."""
     if system.kind == "harmonic":
-        energies = harmonic_energies(system.omega, grid.size)
-
-        def energy_matrix():
-            return np.diag(energies).astype(complex)
-
-        phases = _closed_form(lambda psi0, t, sign: _phases(energies, t, sign) * psi0)
-        return Route("energy_eigenbasis", energy_matrix, phases, energy_matrix)
-
+        h = stepped_hamiltonian(system, grid)  # diagonal: the energies omega (m + 1/2)
+        return Route("energy_eigenbasis", h, _closed_form(
+            lambda psi0, t, sign: _phases(h.diagonal().real, t, sign) * psi0))
     if system.kind == "grid_schrodinger":
-        values = system.potential.values_on(grid)
-    elif system.kind == "constant_field":
-        values = np.full(grid.size, float(u))
-    else:
-        values = None
+        h = stepped_hamiltonian(system, grid)
+        return Route("euler_network", h, lambda psi0, evo: euler_states(
+            euler_step(h, evo.dt, evo.sign), psi0, evo.steps))
 
-    def stencil_matrix():
-        # Peak RSS here is set by heap layout, not by live memory.  One
-        # expression frees the kinetic matrix before the sum returns (a local
-        # kept ~7 MB more resident at N = 1024), and the copy fixes the
-        # allocation order of the sum for the N = 1024 simulate run: without
-        # it, that run's peak RSS rose from 86.0 to 93.8-94.0 MB (4 of 4
-        # benchmark runs).  At N = 256 `compare` it makes no difference
-        # (45.7-45.8 MB with the copy, 45.7-46.0 MB without).
-        if values is None:
-            return kinetic_operator(grid, mu)
-        return kinetic_operator(grid, mu).copy() + np.diag(values).astype(complex)
-
-    if system.kind == "grid_schrodinger":
-        def euler(h, psi0, evo):
-            return euler_states(euler_step(h, evo.dt, evo.sign), psi0, evo.steps)
-
-        return Route("euler_network", stencil_matrix, euler, stencil_matrix)
-
-    def spectral_matrix():
-        h = spectral_kinetic_matrix(grid, mu)
-        return h if u is None else h + u * np.eye(grid.size)
-
-    fourier_phases = _closed_form(
-        lambda psi0, t, sign: spectral_evolution(grid, mu, t, psi0, sign, u or 0.0)
-    )
+    mu, u = system.mu, system.u
+    h = spectral_kinetic_matrix(grid, mu)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, spectral_matrix, fourier_phases, stencil_matrix)
+    return Route(method, h if u is None else h + u * np.eye(grid.size), _closed_form(
+        lambda psi0, t, sign: spectral_evolution(grid, mu, t, psi0, sign, u or 0.0)))

@@ -232,6 +232,36 @@ def test_simulate_malformed_system_field_exits_2(tmp_path, capsys, system, field
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_table_potential_of_wrong_length_names_its_field(tmp_path, capsys, command):
+    """The length check runs while parsing, so nothing is written."""
+    out_dir = tmp_path / "never"
+    data = grid_config(out_dir)
+    data["system"]["potential"] = {"form": "table", "values": [0.0, 1.0, 2.0]}
+    config = write_config(tmp_path, data)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: system.potential.values: table potential has 3 entries "
+        "but the grid has 16 points\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.3], ids=["on-grid", "off-grid"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_packet_too_narrow_for_double_range_exits_2(tmp_path, capsys, command, x0):
+    """sigma ** 2 underflows to 0: the envelope is 0 / 0 = NaN at a grid point
+    x0 and 0 elsewhere.  Either way it is one error line, not a numerical
+    failure, and no RuntimeWarning (the suite turns those into errors)."""
+    data = grid_config(tmp_path / "out")
+    data["initial_state"] = {"gaussian": {"x0": x0, "p0": 0.5, "sigma": 1e-200}}
+    config = write_config(tmp_path, data)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: packet envelope underflowed to zero on every grid point\n"
+    )
+
+
 def test_simulate_residual_dt_exit_2(tmp_path, capsys):
     out_dir = tmp_path / "never"
     data = harmonic_config(out_dir)
@@ -284,7 +314,7 @@ def test_simulate_diagnostics_match_evolve_euler(tmp_path):
     config = write_config(tmp_path, grid_config(out_dir))
     assert main(["simulate", "--config", str(config)]) == 0
     cfg = load_run_config(config)
-    h = system_route(cfg.system, cfg.grid).hamiltonian()
+    h = system_route(cfg.system, cfg.grid).hamiltonian
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
     _, euler_norm_sq = evolve_euler(h, cfg.initial_state.build(cfg.grid), evo)
     with open(out_dir / "diagnostics.csv", newline="") as handle:

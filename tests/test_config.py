@@ -14,6 +14,7 @@ from qcpusim import (
     EvolutionSettings,
     GridSpec,
     InitialStateSpec,
+    OutputSpec,
     ResidualTimeError,
     load_run_config,
     parse_run_config,
@@ -191,11 +192,11 @@ def test_system_integers_parse_as_floats():
     data["system"] = {
         "kind": "grid_schrodinger",
         "mu": 2,
-        "potential": {"form": "table", "values": [0, 1, 2, 3]},
+        "potential": {"form": "table", "values": list(range(16))},
     }
     system = parse_run_config(data).system
     assert system.mu == 2.0 and type(system.mu) is float
-    assert system.potential.values == (0.0, 1.0, 2.0, 3.0)
+    assert system.potential.values == tuple(float(v) for v in range(16))
     assert all(type(v) is float for v in system.potential.values)
 
 
@@ -307,6 +308,49 @@ def test_config_error_message_leads_with_field():
 # ---------------------------------------------------------------------------
 # InitialStateSpec.build
 # ---------------------------------------------------------------------------
+
+_PACKET = GaussianPacketSpec(x0=0.0, p0=0.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("variants, got", [
+    ({}, "none"),
+    ({"gaussian": _PACKET, "basis_state": 0}, "['gaussian', 'basis_state']"),
+    ({"basis_state": 0, "table": (1j,)}, "['basis_state', 'table']"),
+])
+def test_initial_state_spec_needs_exactly_one_variant(variants, got):
+    """In memory as in JSON: no variant, or two, is one ConfigError."""
+    with pytest.raises(ConfigError) as info:
+        InitialStateSpec(**variants)
+    assert info.value.field == "initial_state"
+    assert str(info.value) == (
+        "initial_state: exactly one of 'gaussian', 'basis_state', 'table' required, "
+        f"got {got}"
+    )
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "2"])
+def test_initial_state_spec_basis_state_is_an_int(index):
+    """True would index as a mask and build an all-ones state."""
+    with pytest.raises(ConfigError) as info:
+        InitialStateSpec(basis_state=index)
+    assert str(info.value) == f"initial_state.basis_state: expected an integer, got {index!r}"
+
+
+@pytest.mark.parametrize("directory, snapshot_every, field, message", [
+    ("out", 0, "outputs.snapshot_every", "must be >= 1, got 0"),
+    ("out", -2, "outputs.snapshot_every", "must be >= 1, got -2"),
+    ("out", True, "outputs.snapshot_every", "expected an integer, got True"),
+    ("out", 2.0, "outputs.snapshot_every", "expected an integer, got 2.0"),
+    ("", 1, "outputs.directory", "expected a nonempty path, got ''"),
+    (None, 1, "outputs.directory", "expected a nonempty path, got None"),
+])
+def test_output_spec_checks_its_fields(directory, snapshot_every, field, message):
+    """snapshot_every = 0 once reached run_simulation's `step % 0`."""
+    with pytest.raises(ConfigError) as info:
+        OutputSpec(directory, snapshot_every=snapshot_every)
+    assert info.value.field == field
+    assert str(info.value) == f"{field}: {message}"
+
 
 def test_build_basis_state():
     g = GridSpec(length=4.0, qubits=2)

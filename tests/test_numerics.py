@@ -179,7 +179,7 @@ def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
     system = SystemSpec(
         kind="grid_schrodinger", mu=0.7, potential=PotentialSpec(form="quadratic", coefficient=0.5)
     )
-    stencil_h = system_route(system, g).hamiltonian()
+    stencil_h = system_route(system, g).hamiltonian
     spectral_h = spectral_kinetic_matrix(g, 0.7)
     seen = []
     eigh = np.linalg.eigh

@@ -162,6 +162,43 @@ def test_potential_spec_single_fault_errors(form, params, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("free_particle", {"mu": "2"}, "system parameter 'mu' must be a real number, got '2'"),
+    ("harmonic", {"omega": True}, "system parameter 'omega' must be a real number, got True"),
+    ("constant_field", {"mu": 1.0, "u": "1"},
+     "system parameter 'u' must be a real number, got '1'"),
+    ("constant_field", {"mu": False, "u": 1.0},
+     "system parameter 'mu' must be a real number, got False"),
+])
+def test_system_spec_rejects_non_real_parameters(kind, params, message):
+    with pytest.raises(InvalidSpec) as info:
+        SystemSpec(kind=kind, **params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("form, params, message", [
+    ("quadratic", {"coefficient": "1.5"},
+     "potential parameter 'coefficient' must be a real number, got '1.5'"),
+    ("linear", {"slope": True}, "potential parameter 'slope' must be a real number, got True"),
+    ("table", {"values": "12"}, "potential parameter 'values' must be a sequence, got '12'"),
+    ("table", {"values": 5.0}, "potential parameter 'values' must be a sequence, got 5.0"),
+    ("table", {"values": (1.0, True)},
+     "potential parameter 'values' entry must be a real number, got True"),
+    ("table", {"values": ["1", "2"]},
+     "potential parameter 'values' entry must be a real number, got '1'"),
+])
+def test_potential_spec_rejects_non_real_parameters(form, params, message):
+    with pytest.raises(InvalidSpec) as info:
+        PotentialSpec(form=form, **params)
+    assert str(info.value) == message
+
+
+def test_specs_accept_numpy_reals():
+    assert SystemSpec(kind="harmonic", omega=np.float64(1.5)).omega == 1.5
+    table = PotentialSpec(form="table", values=np.array([1, 2]))
+    assert table.values == (1.0, 2.0) and all(type(v) is float for v in table.values)
+
+
 def run_config(system: SystemSpec) -> RunConfig:
     return RunConfig(
         system=system,
@@ -484,8 +521,8 @@ def test_constant_field_zero_u_is_free():
     evo = EvolutionConfig(dt=0.1, total_time=0.4)
     field = system_route(SystemSpec(kind="constant_field", mu=1.0, u=0.0), g)
     free = system_route(SystemSpec(kind="free_particle", mu=1.0), g)
-    field_states = [state for _, state in field.states(None, psi, evo)]
-    free_states = [state for _, state in free.states(None, psi, evo)]
+    field_states = [state for _, state in field.states(psi, evo)]
+    free_states = [state for _, state in free.states(psi, evo)]
     assert len(field_states) == len(free_states) == 5
     for a, b in zip(field_states, free_states):
         assert np.array_equal(a, b)
@@ -530,7 +567,7 @@ def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
     psi0 = psi0 / np.linalg.norm(psi0)
     route = system_route(system, grid)
     evo = EvolutionConfig(dt=0.125, total_time=1.0, sign=sign)
-    states = list(route.states(route.hamiltonian(), psi0, evo))
+    states = list(route.states(psi0, evo))
     assert [step for step, _ in states] == list(range(evo.steps + 1))
     for step, state in states:
         expected = _reference_state(system, grid, psi0, step * evo.dt, sign)
