@@ -270,28 +270,28 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
 
     norm_sq = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, state, ns in checked_states(route.states(psi0, evo)):
-            norm_sq.append(ns)
-            if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
-                _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
-    fields, rows = run_report(h, psi0, evo, state, norm_sq)
-    _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
-    summary = {
-        "config": cfg.to_dict(),
-        **fields,
-        "method": route.method,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _write_json_atomic(out_dir / "summary.json", summary)
+    with _directory_lock(out_dir):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, state, ns in checked_states(route.states(psi0, evo)):
+                norm_sq.append(ns)
+                if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
+                    _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
+        fields, rows = run_report(h, psi0, evo, state, norm_sq)
+        _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
+        summary = {
+            "config": cfg.to_dict(),
+            **fields,
+            "method": route.method,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        _write_json_atomic(out_dir / "summary.json", summary)
     return summary
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg.outputs.directory)
-    with _directory_lock(out_dir):
-        summary = run_simulation(cfg, out_dir)
+    summary = run_simulation(cfg, out_dir)
     print(
         f"simulated {summary['steps']} steps ({summary['method']}); "
         f"final fidelity {summary['final_fidelity']:.12f}; artifacts in {out_dir}"
@@ -347,7 +347,8 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
         "reason": reason,
         "min_fidelity_network_vs_euler": min(r["fidelity_network_vs_euler"] for r in rungs),
     }
-    _write_json_atomic(out_dir / "compare_report.json", report)
+    with _directory_lock(out_dir):
+        _write_json_atomic(out_dir / "compare_report.json", report)
     return report
 
 
@@ -358,8 +359,7 @@ def _cmd_compare(args) -> int:
         return 2
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg.outputs.directory)
-    with _directory_lock(out_dir):
-        report = run_compare(cfg, args.ladder, out_dir)
+    report = run_compare(cfg, args.ladder, out_dir)
     order = report["convergence_order"]
     order_text = "n/a" if order is None else f"{order:.3f}"
     print(

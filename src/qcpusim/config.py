@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveFrequency,
     NonPositiveMass,
+    ResidualTimeError,
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
@@ -93,27 +94,38 @@ class EvolutionSettings:
     auto_epsilon: float | None = None
     sign: int = -1
 
+    def __post_init__(self) -> None:
+        total_time = _as_number(self.total_time, "evolution.total_time")
+        if total_time < 0.0:
+            raise ConfigError("evolution.total_time", f"must be nonnegative, got {total_time}")
+        if (self.dt is None) == (self.auto_epsilon is None):
+            raise ConfigError("evolution", "give exactly one of 'dt' or 'auto_epsilon'")
+        for key in ("dt", "auto_epsilon"):
+            value = getattr(self, key)
+            if value is not None and _as_number(value, f"evolution.{key}") <= 0.0:
+                raise ConfigError(f"evolution.{key}", f"must be positive, got {float(value)}")
+        sign = _as_int(self.sign, "evolution.sign")
+        if sign not in (1, -1):
+            raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
+        if self.dt is not None:
+            try:
+                EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
+            except ResidualTimeError as exc:
+                raise ConfigError("evolution.dt", str(exc)) from exc
+
     def resolve(self, norm_bound: float) -> EvolutionConfig:
         """Turn the settings into a concrete EvolutionConfig.
 
-        Explicit dt is validated against the whole-number-of-steps rule;
-        the auto policy takes the fewest whole steps of dt = total_time/steps
-        that keep dt * norm_bound <= auto_epsilon.
+        An explicit dt is used as given; the auto policy takes the fewest whole
+        steps of dt = total_time/steps that keep dt * norm_bound <= auto_epsilon.
         """
         if self.dt is not None:
             return EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
-        epsilon = self.auto_epsilon
-        if epsilon is None or not math.isfinite(epsilon) or epsilon <= 0.0:
-            raise InvalidSpec(f"auto_epsilon must be finite and positive, got {epsilon!r}")
         if not math.isfinite(norm_bound) or norm_bound < 0.0:
             raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
-        if not math.isfinite(self.total_time) or self.total_time < 0.0:
-            raise InvalidSpec(
-                f"total_time must be finite and nonnegative, got {self.total_time!r}"
-            )
         if self.total_time == 0.0:
             return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
-        steps = max(1, math.ceil(self.total_time * norm_bound / epsilon))
+        steps = max(1, math.ceil(self.total_time * norm_bound / self.auto_epsilon))
         return EvolutionConfig(dt=self.total_time / steps, total_time=self.total_time,
                                sign=self.sign)
 
@@ -181,35 +193,30 @@ class RunConfig:
     initial_state: InitialStateSpec
     outputs: OutputSpec
 
+    def __post_init__(self) -> None:
+        if self.grid.qubits > MAX_GRID_QUBITS:
+            raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, got {self.grid.qubits}")
+        if self.system.potential is not None:
+            try:
+                self.system.potential.values_on(self.grid)
+            except GridMismatch as exc:
+                raise ConfigError("system.potential.values", str(exc)) from exc
+
     def to_dict(self) -> dict:
-        evolution: dict = {"total_time": self.evolution.total_time, "sign": self.evolution.sign}
-        if self.evolution.dt is not None:
-            evolution["dt"] = self.evolution.dt
-        else:
-            evolution["auto_epsilon"] = self.evolution.auto_epsilon
-        if self.initial_state.gaussian is not None:
-            g = self.initial_state.gaussian
-            initial = {"gaussian": {"x0": g.x0, "p0": g.p0, "sigma": g.sigma}}
-        elif self.initial_state.basis_state is not None:
-            initial = {"basis_state": self.initial_state.basis_state}
-        else:
-            initial = {
-                "table": [[z.real, z.imag] for z in self.initial_state.table]
-            }
+        initial = _given_fields(self.initial_state)
+        if "table" in initial:
+            initial["table"] = [[z.real, z.imag] for z in initial["table"]]
         return {
             "system": self.system.to_dict(),
-            "grid": {
-                "L": self.grid.length,
-                "k": self.grid.qubits,
-                "centered": self.grid.centered,
-            },
-            "evolution": evolution,
+            "grid": {"L": self.grid.length, "k": self.grid.qubits, "centered": self.grid.centered},
+            "evolution": _given_fields(self.evolution),
             "initial_state": initial,
-            "outputs": {
-                "directory": self.outputs.directory,
-                "snapshot_every": self.outputs.snapshot_every,
-            },
+            "outputs": _given_fields(self.outputs),
         }
+
+
+def _given_fields(spec) -> dict:
+    return {key: value for key, value in asdict(spec).items() if value is not None}
 
 
 def _parse_potential(data, field: str) -> PotentialSpec:
@@ -269,8 +276,6 @@ def parse_run_config(data) -> RunConfig:
     _reject_unknown(grid_data, {"L", "k", "centered"}, "grid")
     length = _as_number(_require(grid_data, "L", "grid.L"), "grid.L")
     qubits = _as_int(_require(grid_data, "k", "grid.k"), "grid.k")
-    if qubits > MAX_GRID_QUBITS:
-        raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, got {qubits}")
     centered = grid_data.get("centered", False)
     if not isinstance(centered, bool):
         raise ConfigError("grid.centered", f"expected true or false, got {centered!r}")
@@ -278,36 +283,13 @@ def parse_run_config(data) -> RunConfig:
         grid = GridSpec(length=length, qubits=qubits, centered=centered)
     except InvalidSpec as exc:
         raise ConfigError("grid", str(exc)) from exc
-    if system.potential is not None:
-        try:
-            system.potential.values_on(grid)
-        except GridMismatch as exc:
-            raise ConfigError("system.potential.values", str(exc)) from exc
 
     evo_data = _as_object(_require(top, "evolution", "evolution"), "evolution")
     _reject_unknown(evo_data, {"dt", "auto_epsilon", "total_time", "sign"}, "evolution")
-    total_time = _as_number(_require(evo_data, "total_time", "evolution.total_time"),
-                            "evolution.total_time")
-    if total_time < 0.0:
-        raise ConfigError("evolution.total_time", f"must be nonnegative, got {total_time}")
-    has_dt = "dt" in evo_data
-    has_auto = "auto_epsilon" in evo_data
-    if has_dt == has_auto:
-        raise ConfigError("evolution", "give exactly one of 'dt' or 'auto_epsilon'")
-    dt = _as_number(evo_data["dt"], "evolution.dt") if has_dt else None
-    if dt is not None and dt <= 0.0:
-        raise ConfigError("evolution.dt", f"must be positive, got {dt}")
-    auto_epsilon = (
-        _as_number(evo_data["auto_epsilon"], "evolution.auto_epsilon") if has_auto else None
-    )
-    if auto_epsilon is not None and auto_epsilon <= 0.0:
-        raise ConfigError("evolution.auto_epsilon", f"must be positive, got {auto_epsilon}")
-    sign = _as_int(evo_data.get("sign", -1), "evolution.sign")
-    if sign not in (1, -1):
-        raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
-    evolution = EvolutionSettings(
-        total_time=total_time, dt=dt, auto_epsilon=auto_epsilon, sign=sign
-    )
+    _require(evo_data, "total_time", "evolution.total_time")
+    read = {"total_time": _as_number, "dt": _as_number, "auto_epsilon": _as_number, "sign": _as_int}
+    evolution = EvolutionSettings(**{key: read[key](evo_data[key], f"evolution.{key}")
+                                     for key in read if key in evo_data})
 
     init_data = _as_object(_require(top, "initial_state", "initial_state"), "initial_state")
     _reject_unknown(init_data, {"gaussian", "basis_state", "table"}, "initial_state")

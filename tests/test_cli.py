@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from qcpusim import InvalidSpec, evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim.cli import LOCK_NAME, main, run_simulation
+from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
+from qcpusim.cli import LOCK_NAME, main
 from qcpusim.systems import system_route
 
 
@@ -252,14 +252,17 @@ def test_table_potential_of_wrong_length_names_its_field(tmp_path, capsys, comma
 def test_packet_too_narrow_for_double_range_exits_2(tmp_path, capsys, command, x0):
     """sigma ** 2 underflows to 0: the envelope is 0 / 0 = NaN at a grid point
     x0 and 0 elsewhere.  Either way it is one error line, not a numerical
-    failure, and no RuntimeWarning (the suite turns those into errors)."""
-    data = grid_config(tmp_path / "out")
+    failure, and no RuntimeWarning (the suite turns those into errors).
+    psi0 is built before the lock, so the output directory is never made."""
+    out_dir = tmp_path / "out"
+    data = grid_config(out_dir)
     data["initial_state"] = {"gaussian": {"x0": x0, "p0": 0.5, "sigma": 1e-200}}
     config = write_config(tmp_path, data)
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
         "error: packet envelope underflowed to zero on every grid point\n"
     )
+    assert not out_dir.exists()
 
 
 def test_simulate_residual_dt_exit_2(tmp_path, capsys):
@@ -267,8 +270,38 @@ def test_simulate_residual_dt_exit_2(tmp_path, capsys):
     data = harmonic_config(out_dir)
     data["evolution"] = {"dt": 0.3, "total_time": 1.0}
     config = write_config(tmp_path, data)
-    assert main(["simulate", "--config", str(config)]) == 2
-    assert "whole number of steps" in capsys.readouterr().err
+    for command in ("simulate", "compare"):
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: evolution.dt: total_time 1.0 is not a whole number of steps of dt 0.3 "
+            "(residual 1.000e-01); choose a commensurate dt\n"
+        )
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "initial_state, line",
+    [
+        ({"basis_state": 99}, "initial_state.basis_state: index 99 outside grid of 16 points"),
+        ({"basis_state": -1}, "initial_state.basis_state: index -1 outside grid of 16 points"),
+        ({"table": [[1.0, 0.0]] * 3},
+         "initial_state.table: has 3 amplitudes but the grid has 16 points"),
+        ({"table": [[0.0, 0.0]] * 16}, "initial_state.table: amplitudes are all zero"),
+    ],
+    ids=["basis-99", "basis-minus-1", "table-of-3", "table-all-zero"],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_unbuildable_initial_state_writes_nothing(tmp_path, capsys, command, initial_state,
+                                                   line):
+    """psi0 is built before the output lock: a state the grid cannot hold
+    exits 2 with one error line and leaves no output directory."""
+    out_dir = tmp_path / "never"
+    data = grid_config(out_dir)
+    data["initial_state"] = initial_state
+    config = write_config(tmp_path, data)
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_missing_config_exit_2(tmp_path):
@@ -346,14 +379,12 @@ def test_snapshot_rewrite_is_byte_identical(tmp_path):
 
 def test_bool_sign_in_memory_config_writes_nothing(tmp_path):
     """A sign of True would echo as "sign": true, which the parser rejects;
-    the run refuses it before writing any artifact."""
+    the in-memory settings refuse it when they are built, so no run starts."""
     cfg = load_run_config(write_config(tmp_path, harmonic_config(tmp_path / "unused")))
-    cfg = dataclasses.replace(cfg, evolution=dataclasses.replace(cfg.evolution, sign=True))
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    with pytest.raises(InvalidSpec):
-        run_simulation(cfg, out_dir)
-    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(cfg.evolution, sign=True)
+    assert info.value.field == "evolution.sign"
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +501,10 @@ def test_compare_needs_at_least_one_step(tmp_path, capsys):
     data["evolution"] = {"dt": 0.1, "total_time": 0.0}
     config = write_config(tmp_path, data)
     assert main(["compare", "--config", str(config), "--ladder", "2"]) == 2
-    assert "at least one step" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: evolution.total_time: compare needs at least one step\n"
+    )
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Run-config parsing: schema validation, error paths, echo round-trips."""
 
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -15,7 +17,10 @@ from qcpusim import (
     GridSpec,
     InitialStateSpec,
     OutputSpec,
+    PotentialSpec,
     ResidualTimeError,
+    RunConfig,
+    SystemSpec,
     load_run_config,
     parse_run_config,
 )
@@ -395,9 +400,11 @@ def test_resolve_explicit_dt():
 
 
 def test_resolve_explicit_dt_residual_error():
-    settings = EvolutionSettings(total_time=1.0, dt=0.3)
-    with pytest.raises(ResidualTimeError):
-        settings.resolve(norm_bound=1.0)
+    """The whole-step rule is checked when the settings are built."""
+    with pytest.raises(ConfigError) as info:
+        EvolutionSettings(total_time=1.0, dt=0.3)
+    assert info.value.field == "evolution.dt"
+    assert isinstance(info.value.__cause__, ResidualTimeError)
 
 
 def test_resolve_auto_policy():
@@ -410,6 +417,155 @@ def test_resolve_auto_policy():
 def test_resolve_propagates_sign():
     settings = EvolutionSettings(total_time=1.0, dt=0.5, sign=1)
     assert settings.resolve(norm_bound=1.0).sign == 1
+
+
+# ---------------------------------------------------------------------------
+# In-memory specs check what the parser checks, when they are built
+# ---------------------------------------------------------------------------
+
+def config_error(build):
+    with pytest.raises(ConfigError) as info:
+        build()
+    return info.value.field, str(info.value)
+
+
+@pytest.mark.parametrize("evolution", [
+    {"total_time": 1.0, "dt": 0.1, "auto_epsilon": 0.01},
+    {"total_time": 1.0},
+    {"total_time": 1.0, "dt": 0.1, "sign": True},
+    {"total_time": 1.0, "dt": 0.1, "sign": -1.0},
+    {"total_time": 1.0, "dt": 0.1, "sign": 0},
+    {"total_time": 1.0, "dt": 0.0},
+    {"total_time": 1.0, "auto_epsilon": -0.5},
+    {"total_time": -1.0, "dt": 0.1},
+    {"total_time": math.inf, "dt": 0.1},
+    {"total_time": 1.0, "dt": 0.3},
+], ids=["both", "neither", "sign-true", "sign-float", "sign-zero", "dt-zero",
+        "epsilon-negative", "total-time-negative", "total-time-inf", "dt-residual"])
+def test_evolution_settings_fail_when_built_as_parsing_does(evolution):
+    data = base_config()
+    data["evolution"] = evolution
+    assert config_error(lambda: EvolutionSettings(**evolution)) == \
+        config_error(lambda: parse_run_config(data))
+
+
+@pytest.mark.parametrize("grid, system, field", [
+    (GridSpec(length=16.0, qubits=12), None, "grid.k"),
+    (None, SystemSpec(kind="grid_schrodinger", mu=1.0,
+                      potential=PotentialSpec(form="table", values=(0.0, 1.0, 2.0))),
+     "system.potential.values"),
+], ids=["k-above-cap", "table-potential-length"])
+def test_run_config_checks_the_grid_rules_when_built(grid, system, field):
+    cfg = parse_run_config(base_config())
+    changes = {key: value for key, value in (("grid", grid), ("system", system))
+               if value is not None}
+    data = base_config()
+    if grid is not None:
+        data["grid"]["k"] = grid.qubits
+    if system is not None:
+        data["system"] = system.to_dict()
+    in_memory = config_error(lambda: dataclasses.replace(cfg, **changes))
+    assert in_memory[0] == field
+    assert in_memory == config_error(lambda: parse_run_config(data))
+
+
+# One fault at a time: two faults in one section may be reported in a
+# different order by the parser (types first) and the constructors.
+_SECTION_FAULTS = [
+    *(("evolution", "total_time", v) for v in (-1.0, math.inf, math.nan, "1", True, None)),
+    *(("evolution", "step", v) for v in (0.0, -0.5, "x", True, math.inf)),
+    *(("evolution", "sign", v) for v in (0, 2, True, -1.0, "1", None)),
+    ("evolution", "both", None), ("evolution", "neither", None),
+    ("evolution", "residual", None),
+    *(("initial_state", "basis_state", v) for v in (True, 1.0, "2")),
+    ("initial_state", "two", None), ("initial_state", "none", None),
+    *(("outputs", "directory", v) for v in ("", 5, None)),
+    *(("outputs", "snapshot_every", v) for v in (0, -2, True, 2.0, "1", None)),
+]
+
+
+@st.composite
+def run_sections(draw):
+    total = draw(st.sampled_from([0.0, 0.5, 1.0, 3]))
+    evolution = {"total_time": total}
+    if draw(st.booleans()):
+        evolution["dt"] = total / draw(st.integers(1, 8)) if total else 0.25
+    else:
+        evolution["auto_epsilon"] = draw(st.sampled_from([1e-3, 0.05, 1]))
+    if draw(st.booleans()):
+        evolution["sign"] = draw(st.sampled_from([1, -1]))
+    initial = draw(st.sampled_from([
+        {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        {"gaussian": {"x0": 8, "p0": -1, "sigma": 2}},
+        {"basis_state": 3},
+        {"basis_state": 99},
+        {"table": [[1.0, 0.0], [0, -1], [0.5, 0.25]]},
+    ]))
+    outputs = {"directory": draw(st.sampled_from(["out", "runs/a"]))}
+    if draw(st.booleans()):
+        outputs["snapshot_every"] = draw(st.integers(1, 4))
+    sections = {"evolution": evolution, "initial_state": initial, "outputs": outputs}
+    fault = draw(st.sampled_from([None, *_SECTION_FAULTS]))
+    if fault is not None:
+        section, key, value = fault
+        target = sections[section]
+        step = "dt" if "dt" in evolution else "auto_epsilon"
+        if key == "step":
+            evolution[step] = value
+        elif key == "both":
+            evolution.update(dt=0.5, auto_epsilon=0.05)
+        elif key == "neither":
+            del evolution[step]
+        elif key == "residual":
+            evolution.pop("auto_epsilon", None)
+            evolution.update(total_time=1.0, dt=0.3)
+        elif key == "two":
+            initial.update(basis_state=0, gaussian={"x0": 0.0, "p0": 0.0, "sigma": 1.0})
+        elif key == "none":
+            initial.clear()
+        elif key == "basis_state":
+            sections["initial_state"] = {"basis_state": value}
+        else:
+            target[key] = value
+    return sections
+
+
+def initial_state_in_memory(data: dict) -> InitialStateSpec:
+    variants = {}
+    if "gaussian" in data:
+        variants["gaussian"] = GaussianPacketSpec(**data["gaussian"])
+    if "basis_state" in data:
+        variants["basis_state"] = data["basis_state"]
+    if "table" in data:
+        variants["table"] = tuple(complex(re, im) for re, im in data["table"])
+    return InitialStateSpec(**variants)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ConfigError as exc:
+        return exc.field, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=run_sections())
+def test_parsed_and_in_memory_configs_agree(sections):
+    """The parser and the constructors accept the same sections and reject
+    them with the same field and message; every accepted config echoes
+    through to_dict and parses back to itself."""
+    base = parse_run_config(base_config())
+    data = {**base_config(), **sections}
+    parsed = outcome(lambda: parse_run_config(data))
+    built = outcome(lambda: RunConfig(
+        system=base.system, grid=base.grid,
+        evolution=EvolutionSettings(**sections["evolution"]),
+        initial_state=initial_state_in_memory(sections["initial_state"]),
+        outputs=OutputSpec(**sections["outputs"]),
+    ))
+    assert parsed == built
+    if isinstance(parsed, RunConfig):
+        assert parse_run_config(parsed.to_dict()) == parsed
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +614,9 @@ def test_load_wraps_spec_errors_in_config_error(tmp_path):
     data["evolution"] = {"dt": 0.3, "total_time": 1.0}
     path = tmp_path / "residual.json"
     path.write_text(json.dumps(data))
-    cfg = load_run_config(path)
-    # the residual-step conflict only surfaces when the settings are resolved
-    with pytest.raises(ResidualTimeError):
-        cfg.evolution.resolve(norm_bound=1.0)
+    with pytest.raises(ConfigError) as info:
+        load_run_config(path)
+    assert str(info.value) == (
+        "evolution.dt: total_time 1.0 is not a whole number of steps of dt 0.3 "
+        "(residual 1.000e-01); choose a commensurate dt"
+    )

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcpusim import (
+    ConfigError,
     DimensionMismatch,
     EvolutionConfig,
     EvolutionSettings,
@@ -98,8 +99,8 @@ def test_auto_policy_zero_horizon():
 
 
 def test_auto_policy_validates_epsilon():
-    with pytest.raises(InvalidSpec):
-        EvolutionSettings(total_time=1.0, auto_epsilon=0.0).resolve(norm_bound=1.0)
+    with pytest.raises(ConfigError, match="evolution.auto_epsilon: must be positive"):
+        EvolutionSettings(total_time=1.0, auto_epsilon=0.0)
     with pytest.raises(InvalidSpec):
         EvolutionSettings(total_time=1.0, auto_epsilon=0.01).resolve(norm_bound=math.inf)
 
