@@ -31,6 +31,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -82,6 +83,9 @@ def _write_text_atomic(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)  # read the umask: mkstemp made the file 0600
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -307,7 +311,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     h = stepped_hamiltonian(cfg.system, cfg.grid)
     psi0 = cfg.initial_state.build(cfg.grid)
     norm_bound = spectral_norm_upper_bound(h)
-    base = cfg.evolution.resolve(norm_bound)
+    base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
 
@@ -454,7 +458,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # one `warning:` line each, with no source path
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

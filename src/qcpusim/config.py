@@ -41,6 +41,8 @@ _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() fo
 # multiplies N x N payloads.  At k = 11 a complex H is 64 MB; beyond that the
 # dense routes stop being laptop-scale.
 MAX_GRID_QUBITS = 11
+# The most steps a run may take: over 1000 times the longest workload's 896.
+MAX_STEPS = 2**20
 
 
 def _require(data: dict, key: str, field: str):
@@ -108,21 +110,30 @@ class EvolutionSettings:
         if sign not in (1, -1):
             raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
         if self.dt is not None:
+            self._check_steps(total_time / self.dt)
             try:
                 EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
             except ResidualTimeError as exc:
                 raise ConfigError("evolution.dt", str(exc)) from exc
 
-    def resolve(self, norm_bound: float) -> EvolutionConfig:
+    def _check_steps(self, steps: float) -> None:
+        if steps > MAX_STEPS:
+            raise ConfigError("evolution.dt" if self.dt is not None else "evolution.auto_epsilon",
+                              f"the run would take {steps:.6g} steps, more than {MAX_STEPS}")
+
+    def resolve(self, norm_bound: float, refinement: int = 1) -> EvolutionConfig:
         """Turn the settings into a concrete EvolutionConfig.
 
         An explicit dt is used as given; the auto policy takes the fewest whole
         steps of dt = total_time/steps that keep dt * norm_bound <= auto_epsilon.
+        At dt / refinement (compare's finest rung) it takes at most MAX_STEPS steps.
         """
         if self.dt is not None:
+            self._check_steps(self.total_time / self.dt * refinement)
             return EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
         if not math.isfinite(norm_bound) or norm_bound < 0.0:
             raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
+        self._check_steps(self.total_time * norm_bound / self.auto_epsilon * refinement)
         if self.total_time == 0.0:
             return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
         steps = max(1, math.ceil(self.total_time * norm_bound / self.auto_epsilon))

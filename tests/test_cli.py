@@ -8,6 +8,8 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -387,6 +389,57 @@ def test_bool_sign_in_memory_config_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_packet_width_warning_is_one_line(tmp_path, capsys, command):
+    """A wide packet runs, and its warning is one `warning:` line on stderr,
+    with no source path or line number in it."""
+    data = grid_config(tmp_path / "out")
+    data["initial_state"]["gaussian"]["sigma"] = 5.0
+    config = write_config(tmp_path, data)
+    assert main([command, "--config", str(config)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: packet width sigma = 5.0 is >= L/6 = 2.6666666666666665; "
+        "periodic images will overlap the packet\n"
+    )
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask-022", "umask-027"])
+def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):
+    """Artifacts are written through a 0600 temp file; the rename keeps the
+    mode a plain open() would have given under the umask."""
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path, harmonic_config(out_dir))
+    previous = os.umask(umask)
+    try:
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert main(["verify-identities", "--out", str(tmp_path / "report.json")]) == 0
+    finally:
+        os.umask(previous)
+    artifacts = [*out_dir.iterdir(), tmp_path / "report.json"]
+    assert len(artifacts) == 8  # 5 snapshots, diagnostics, summary, report
+    assert {stat.S_IMODE(path.stat().st_mode) for path in artifacts} == {mode}
+
+
+@pytest.mark.parametrize("evolution, line", [
+    ({"dt": 1e-300, "total_time": 1.0},
+     "error: evolution.dt: the run would take 1e+300 steps, more than 1048576"),
+    # 1 / 1e-300 times the norm bound of H
+    ({"auto_epsilon": 1e-300, "total_time": 1.0},
+     "error: evolution.auto_epsilon: the run would take 1.55e+301 steps, more than 1048576"),
+], ids=["dt", "auto-epsilon"])
+def test_simulate_refuses_more_than_max_steps(tmp_path, capsys, evolution, line):
+    """Without the cap this run would never end; the sparse snapshots keep it
+    from also filling the disk."""
+    out_dir = tmp_path / "never"
+    data = harmonic_config(out_dir, snapshot_every=10 ** 9)
+    data["evolution"] = evolution
+    config = write_config(tmp_path, data)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -503,6 +556,19 @@ def test_compare_needs_at_least_one_step(tmp_path, capsys):
     assert main(["compare", "--config", str(config), "--ladder", "2"]) == 2
     assert capsys.readouterr().err == (
         "error: evolution.total_time: compare needs at least one step\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_compare_refuses_a_finest_rung_above_max_steps(tmp_path, capsys):
+    """2**14 base steps run 2**21 times at --ladder 8, twice the cap."""
+    out_dir = tmp_path / "never"
+    data = grid_config(out_dir)
+    data["evolution"] = {"dt": 2.0 ** -14, "total_time": 1.0}
+    config = write_config(tmp_path, data)
+    assert main(["compare", "--config", str(config), "--ladder", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: evolution.dt: the run would take 2.09715e+06 steps, more than 1048576\n"
     )
     assert not out_dir.exists()
 

@@ -24,6 +24,7 @@ from qcpusim import (
     load_run_config,
     parse_run_config,
 )
+from qcpusim.config import MAX_STEPS
 from qcpusim.systems import GaussianPacketSpec
 
 
@@ -566,6 +567,24 @@ def test_parsed_and_in_memory_configs_agree(sections):
     assert parsed == built
     if isinstance(parsed, RunConfig):
         assert parse_run_config(parsed.to_dict()) == parsed
+
+
+def test_steps_are_capped_at_max_steps():
+    at_cap = EvolutionSettings(total_time=1.0, dt=2.0 ** -20)
+    assert at_cap.resolve(norm_bound=1.0).steps == MAX_STEPS
+    with pytest.raises(ConfigError, match="evolution.dt: the run would take 2.09715e[+]06"):
+        at_cap.resolve(norm_bound=1.0, refinement=2)
+    for dt in (1e-300, 1e-310):  # 1e-310: total_time / dt overflows to inf
+        with pytest.raises(ConfigError, match="evolution.dt: the run would take"):
+            EvolutionSettings(total_time=1.0, dt=dt)
+    for total_time in (1.0, 1e300):
+        auto = EvolutionSettings(total_time=total_time, auto_epsilon=1e-300)
+        with pytest.raises(ConfigError, match="evolution.auto_epsilon: the run would take"):
+            auto.resolve(norm_bound=100.0)
+    auto = EvolutionSettings(total_time=1.0, auto_epsilon=1.0)
+    assert auto.resolve(norm_bound=float(MAX_STEPS)).steps == MAX_STEPS
+    with pytest.raises(ConfigError, match="evolution.auto_epsilon"):
+        auto.resolve(norm_bound=float(MAX_STEPS), refinement=2)
 
 
 # ---------------------------------------------------------------------------
