@@ -424,10 +424,12 @@ def test_resolve_propagates_sign():
 # In-memory specs check what the parser checks, when they are built
 # ---------------------------------------------------------------------------
 
-def config_error(build):
-    with pytest.raises(ConfigError) as info:
-        build()
-    return info.value.field, str(info.value)
+def outcome(build):
+    """What a constructor or the parser gives: the object, or (field, message)."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return exc.field, str(exc)
 
 
 @pytest.mark.parametrize("evolution", [
@@ -446,8 +448,9 @@ def config_error(build):
 def test_evolution_settings_fail_when_built_as_parsing_does(evolution):
     data = base_config()
     data["evolution"] = evolution
-    assert config_error(lambda: EvolutionSettings(**evolution)) == \
-        config_error(lambda: parse_run_config(data))
+    in_memory = outcome(lambda: EvolutionSettings(**evolution))
+    assert isinstance(in_memory, tuple)
+    assert in_memory == outcome(lambda: parse_run_config(data))
 
 
 @pytest.mark.parametrize("grid, system, field", [
@@ -465,9 +468,9 @@ def test_run_config_checks_the_grid_rules_when_built(grid, system, field):
         data["grid"]["k"] = grid.qubits
     if system is not None:
         data["system"] = system.to_dict()
-    in_memory = config_error(lambda: dataclasses.replace(cfg, **changes))
+    in_memory = outcome(lambda: dataclasses.replace(cfg, **changes))
     assert in_memory[0] == field
-    assert in_memory == config_error(lambda: parse_run_config(data))
+    assert in_memory == outcome(lambda: parse_run_config(data))
 
 
 # One fault at a time: two faults in one section may be reported in a
@@ -540,13 +543,6 @@ def initial_state_in_memory(data: dict) -> InitialStateSpec:
     if "table" in data:
         variants["table"] = tuple(complex(re, im) for re, im in data["table"])
     return InitialStateSpec(**variants)
-
-
-def outcome(build):
-    try:
-        return build()
-    except ConfigError as exc:
-        return exc.field, str(exc)
 
 
 @settings(max_examples=300, deadline=None)
