@@ -48,9 +48,6 @@ from .qcpu import (
     connector_dagger,
     dense_from_factors,
     factor_matrix,
-    full_multiplication_form,
-    network_from_dict,
-    network_to_dict,
     project_aux,
     raising_block,
 )
@@ -77,7 +74,6 @@ from .evolve import (
     whole_network,
 )
 from .systems import (
-    GaussianPacketSpec,
     PotentialSpec,
     SystemSpec,
     analytic_free_gaussian,
@@ -92,6 +88,7 @@ from .systems import (
 )
 from .config import (
     EvolutionSettings,
+    GaussianPacketSpec,
     InitialStateSpec,
     OutputSpec,
     RunConfig,

@@ -28,7 +28,6 @@ from .grid import GridSpec
 from .systems import (
     POTENTIAL_PARAMETER,
     SYSTEM_PARAMETERS,
-    GaussianPacketSpec,
     PotentialSpec,
     SystemSpec,
     gaussian_packet,
@@ -139,6 +138,21 @@ class EvolutionSettings:
         steps = max(1, math.ceil(self.total_time * norm_bound / self.auto_epsilon))
         return EvolutionConfig(dt=self.total_time / steps, total_time=self.total_time,
                                sign=self.sign)
+
+
+@dataclass(frozen=True)
+class GaussianPacketSpec:
+    """Gaussian wave packet: center x0, mean momentum p0, width sigma > 0."""
+
+    x0: float
+    p0: float
+    sigma: float
+
+    def __post_init__(self) -> None:
+        for key in ("x0", "p0", "sigma"):
+            object.__setattr__(self, key, _as_number(getattr(self, key), f"initial_state.gaussian.{key}"))
+        if self.sigma <= 0.0:
+            raise ConfigError("initial_state.gaussian.sigma", f"must be positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -259,12 +273,7 @@ def _parse_system(data) -> SystemSpec:
 def _parse_packet(data, field: str) -> GaussianPacketSpec:
     g = _as_object(data, field)
     _reject_unknown(g, {"x0", "p0", "sigma"}, field)
-    packet = GaussianPacketSpec(**{
-        key: _as_number(_require(g, key, f"{field}.{key}"), f"{field}.{key}")
-        for key in ("x0", "p0", "sigma")})
-    if packet.sigma <= 0.0:
-        raise ConfigError(f"{field}.sigma", f"must be positive, got {packet.sigma}")
-    return packet
+    return GaussianPacketSpec(*(_require(g, key, f"{field}.{key}") for key in ("x0", "p0", "sigma")))
 
 
 def _parse_amplitudes(raw, field: str) -> tuple[complex, ...]:

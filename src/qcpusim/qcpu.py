@@ -18,8 +18,7 @@ input branch.  The connector sandwich touches only the payload blocks, so
 compose_product evaluates it as the N x N product of the payloads and
 returns the network of that product, as compose_sum returns the network of
 the sum.  Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the
-references: the identity suite, full_multiplication_form and the tests,
-which keep the literal 2N x 2N chain.
+references: the identity suite and the tests keep the literal chain.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidSpec, NonSquareInput
+from .errors import DimensionMismatch, IndexOutOfRange, NonSquareInput
 from .numerics import as_complex_matrix, as_state, tensor
 
 # Auxiliary-qubit ladder pair: the lowering operator |0><1| and raising
@@ -195,71 +194,3 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
         product = product @ net.payload
     return QcpuNetwork(register_dim=dim, payload=product)
 
-
-def full_multiplication_form(nets: Sequence[QcpuNetwork]) -> np.ndarray:
-    """Product network carried on a doubled register: identity on a retained
-    input-register copy, tensored with the connector-chained sandwich.
-
-    The sandwich factor equals ``compose_product(nets).dense() - I``.  Initial
-    states for this form are prepared as psi_input (x) (psi (x) |0>)_out.
-    """
-    dim = _common_register_dim(nets)
-    sandwich = compose_product(nets).dense() - np.eye(2 * dim, dtype=complex)
-    return tensor(np.eye(dim), sandwich)
-
-
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-
-def network_to_dict(net: QcpuNetwork) -> dict:
-    """JSON-ready dump: payload entries row-major as [re, im] pairs."""
-    return {
-        "register_dim": net.register_dim,
-        "payload": [[float(z.real), float(z.imag)] for z in net.payload.ravel()],
-        "factors": [
-            {"m": f.m, "n": f.n, "u": [float(f.u.real), float(f.u.imag)]}
-            for f in net.factors
-        ],
-    }
-
-
-def _complex_pair(value, where: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
-        return complex(value[0], value[1])
-    raise InvalidSpec(f"{where} must be an [re, im] pair of real numbers, got {value!r}")
-
-
-def _wire_factor(entry, i: int) -> QcpuFactor:
-    if not isinstance(entry, dict) or not {"m", "n", "u"} <= entry.keys():
-        raise InvalidSpec(f"factors[{i}] must be an object with keys m, n and u, got {entry!r}")
-    m, n = entry["m"], entry["n"]
-    if type(m) is not int or type(n) is not int:
-        raise InvalidSpec(f"factors[{i}] indices must be integers, got m={m!r}, n={n!r}")
-    return QcpuFactor(m=m, n=n, u=_complex_pair(entry["u"], f"factors[{i}].u"))
-
-
-def network_from_dict(data: dict) -> QcpuNetwork:
-    """Inverse of network_to_dict.  Rejects with InvalidSpec any input it does
-    not write, including factors other than the payload's row-major nonzeros."""
-    if not isinstance(data, dict) or not {"register_dim", "payload", "factors"} <= data.keys():
-        raise InvalidSpec("a network is an object with keys register_dim, payload and factors")
-    dim = data["register_dim"]
-    if type(dim) is not int or dim < 0:
-        raise InvalidSpec(f"register_dim must be a nonnegative integer, got {dim!r}")
-    if not (isinstance(data["payload"], list) and isinstance(data["factors"], list)):
-        raise InvalidSpec("network payload and factors must be lists")
-    flat = np.array(
-        [_complex_pair(z, f"payload[{i}]") for i, z in enumerate(data["payload"])], dtype=complex
-    )
-    if flat.shape[0] != dim * dim:
-        raise DimensionMismatch(
-            f"payload length {flat.shape[0]} != register_dim^2 = {dim * dim}"
-        )
-    net = build_network(flat.reshape(dim, dim))
-    factors = tuple(_wire_factor(f, i) for i, f in enumerate(data["factors"]))
-    if factors != net.factors:
-        raise InvalidSpec("factors differ from the payload's nonzeros in row-major order")
-    return net

@@ -24,8 +24,7 @@ from qcpusim import (
     load_run_config,
     parse_run_config,
 )
-from qcpusim.config import MAX_STEPS
-from qcpusim.systems import GaussianPacketSpec
+from qcpusim.config import MAX_STEPS, GaussianPacketSpec
 
 
 def base_config():

@@ -19,7 +19,6 @@ from qcpusim import (
     AUX_CREATE,
     DimensionMismatch,
     IndexOutOfRange,
-    InvalidSpec,
     NonSquareInput,
     QcpuFactor,
     QcpuNetwork,
@@ -31,9 +30,6 @@ from qcpusim import (
     connector_dagger,
     dense_from_factors,
     factor_matrix,
-    full_multiplication_form,
-    network_from_dict,
-    network_to_dict,
     project_aux,
     raising_block,
     tensor,
@@ -296,96 +292,3 @@ def test_compose_product_empty_needs_dim():
 def test_compose_product_dim_conflict():
     with pytest.raises(DimensionMismatch):
         compose_product([build_network(np.eye(2)), build_network(np.eye(3))])
-
-
-def test_full_multiplication_form_structure():
-    rng = np.random.default_rng(19)
-    nets = [build_network(random_payload(rng, 2)) for _ in range(2)]
-    doubled = full_multiplication_form(nets)
-    sandwich = compose_product(nets).dense() - np.eye(4, dtype=complex)
-    assert doubled.shape == (8, 8)
-    assert np.array_equal(doubled, tensor(np.eye(2), sandwich))
-
-
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-
-def test_network_dict_roundtrip():
-    rng = np.random.default_rng(20)
-    net = build_network(random_payload(rng, 3))
-    restored = network_from_dict(network_to_dict(net))
-    assert restored.register_dim == net.register_dim
-    assert np.array_equal(restored.payload, net.payload)
-    assert restored.factors == net.factors
-
-
-def test_network_dict_is_json_serializable():
-    import json
-
-    net = build_network(np.eye(2, dtype=complex))
-    text = json.dumps(network_to_dict(net))
-    assert np.array_equal(network_from_dict(json.loads(text)).payload, net.payload)
-
-
-def test_network_from_dict_length_check():
-    data = network_to_dict(build_network(np.eye(2)))
-    data["payload"] = data["payload"][:-1]
-    with pytest.raises(DimensionMismatch):
-        network_from_dict(data)
-
-
-def test_network_from_dict_rejects_factors_that_disagree_with_payload():
-    data = network_to_dict(build_network(np.eye(2)))
-    data["factors"][1]["m"] = 0  # a factor at (0, 1) where the payload holds 0
-    with pytest.raises(InvalidSpec, match="factors differ"):
-        network_from_dict(data)
-    data = network_to_dict(build_network(np.eye(2)))
-    data["factors"] = data["factors"][:1]
-    with pytest.raises(InvalidSpec, match="factors differ"):
-        network_from_dict(data)
-
-
-def test_network_from_dict_rejects_out_of_range_factor_index():
-    data = network_to_dict(build_network(np.eye(2)))
-    data["factors"][0]["m"] = 5
-    with pytest.raises(InvalidSpec, match="factors differ"):
-        network_from_dict(data)
-
-
-_UNIT = {"register_dim": 1, "payload": [[2.0, 0.0]], "factors": [{"m": 0, "n": 0, "u": [2.0, 0.0]}]}
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        [_UNIT],
-        "network",
-        *({k: v for k, v in _UNIT.items() if k != key} for key in _UNIT),
-        {**_UNIT, "payload": 5},
-        {**_UNIT, "factors": [1]},
-        {**_UNIT, "factors": [{"m": 0, "n": 0}]},
-        *({**_UNIT, "register_dim": dim} for dim in (1.7, True, "x", -1)),
-        *(
-            {**_UNIT, "factors": [{**_UNIT["factors"][0], key: index}]}
-            for key in ("m", "n")
-            for index in (0.0, False)
-        ),
-    ],
-)
-def test_network_from_dict_rejects_malformed_structure(data):
-    assert network_to_dict(network_from_dict(_UNIT)) == _UNIT
-    with pytest.raises(InvalidSpec):
-        network_from_dict(data)
-
-
-@pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 0.0], "ab", [None, 0.0], [True, 0.0]])
-def test_network_from_dict_rejects_malformed_pairs(pair):
-    data = network_to_dict(build_network(np.eye(2)))
-    data["payload"][0] = pair
-    with pytest.raises(InvalidSpec, match=r"payload\[0\]"):
-        network_from_dict(data)
-    data = network_to_dict(build_network(np.eye(2)))
-    data["factors"][0]["u"] = pair
-    with pytest.raises(InvalidSpec, match=r"factors\[0\]\.u"):
-        network_from_dict(data)

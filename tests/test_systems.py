@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcpusim import (
+    ConfigError,
     DimensionMismatch,
     EvolutionConfig,
     EvolutionSettings,
@@ -300,11 +301,13 @@ def test_wide_packet_warns():
 
 
 def test_packet_validation():
-    g = GridSpec(length=20.0, qubits=4)
-    with pytest.raises(InvalidSpec):
-        gaussian_packet(g, GaussianPacketSpec(x0=0.0, p0=0.0, sigma=0.0))
-    with pytest.raises(InvalidSpec):
-        gaussian_packet(g, GaussianPacketSpec(x0=float("nan"), p0=0.0, sigma=1.0))
+    """The spec checks its fields when it is built, with the parser's fields."""
+    with pytest.raises(ConfigError, match="^initial_state.gaussian.sigma: must be positive, got 0.0$"):
+        GaussianPacketSpec(x0=0.0, p0=0.0, sigma=0.0)
+    with pytest.raises(ConfigError, match="^initial_state.gaussian.sigma: must be positive, got -1.0$"):
+        GaussianPacketSpec(0.0, 0.0, -1.0)
+    with pytest.raises(ConfigError, match="^initial_state.gaussian.x0: must be finite, got nan$"):
+        GaussianPacketSpec(x0=float("nan"), p0=0.0, sigma=1.0)
 
 
 def test_analytic_gaussian_center_drifts():
