@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_GRID_QUBITS, RunConfig, load_run_config
+from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
 from .evolve import checked_states, evolve_euler, run_report, whole_network
 from .grid import (
@@ -272,13 +272,18 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     route = system_route(cfg.system, grid)
     h = route.hamiltonian
     evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
+    every = cfg.outputs.snapshot_every
+    snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
+    if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
+        raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
+                          f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
 
     norm_sq = []
     with _directory_lock(out_dir):
         with np.errstate(over="ignore", invalid="ignore"):
             for step, state, ns in checked_states(route.states(psi0, evo)):
                 norm_sq.append(ns)
-                if step % cfg.outputs.snapshot_every == 0 or step == evo.steps:
+                if step % every == 0 or step == evo.steps:
                     _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
         fields, rows = run_report(h, psi0, evo, state, norm_sq)
         _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)

@@ -42,6 +42,9 @@ _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() fo
 MAX_GRID_QUBITS = 11
 # The most steps a run may take: over 1000 times the longest workload's 896.
 MAX_STEPS = 2**20
+# The most grid points `simulate` may write over all its snapshots: 64 times
+# the `stream` workload's 257 snapshots of 256 points, about 470 MB of JSONL.
+MAX_SNAPSHOT_POINTS = 2**22
 
 
 def _require(data: dict, key: str, field: str):
@@ -173,6 +176,13 @@ class InitialStateSpec:
             )
         if self.basis_state is not None:
             _as_int(self.basis_state, "initial_state.basis_state")
+        if self.table is not None:
+            amps = []
+            for i, z in enumerate(self.table):
+                re, im = (z.real, z.imag) if isinstance(z, complex) else (z, 0.0)
+                field = f"initial_state.table[{i}]"
+                amps.append(complex(_as_number(re, field), _as_number(im, field)))
+            object.__setattr__(self, "table", tuple(amps))
 
     def build(self, grid: GridSpec) -> np.ndarray:
         if self.gaussian is not None:

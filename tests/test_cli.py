@@ -1,7 +1,8 @@
 """End-to-end CLI contracts: exit codes, artifacts, determinism, locking.
 
 Every test drives the real entry point in process via main(argv) and reads
-back the files it writes; nothing here monkeypatches internals.
+back the files it writes; the one monkeypatched internal is the snapshot
+writer, which a refused run must never reach.
 """
 
 import csv
@@ -421,18 +422,27 @@ def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):
     assert {stat.S_IMODE(path.stat().st_mode) for path in artifacts} == {mode}
 
 
-@pytest.mark.parametrize("evolution, line", [
-    ({"dt": 1e-300, "total_time": 1.0},
+@pytest.mark.parametrize("evolution, snapshot_every, line", [
+    ({"dt": 1e-300, "total_time": 1.0}, 10 ** 9,
      "error: evolution.dt: the run would take 1e+300 steps, more than 1048576"),
     # 1 / 1e-300 times the norm bound of H
-    ({"auto_epsilon": 1e-300, "total_time": 1.0},
+    ({"auto_epsilon": 1e-300, "total_time": 1.0}, 10 ** 9,
      "error: evolution.auto_epsilon: the run would take 1.55e+301 steps, more than 1048576"),
-], ids=["dt", "auto-epsilon"])
-def test_simulate_refuses_more_than_max_steps(tmp_path, capsys, evolution, line):
-    """Without the cap this run would never end; the sparse snapshots keep it
-    from also filling the disk."""
+    # 2**18 steps, under MAX_STEPS, but 262145 snapshots of 16 points
+    ({"dt": 2.0 ** -18, "total_time": 1.0}, 1,
+     "error: outputs.snapshot_every: the run would write 262145 snapshots of 16 points, "
+     "more than 4194304 points"),
+], ids=["dt", "auto-epsilon", "snapshots"])
+def test_simulate_refuses_more_than_max_steps(tmp_path, capsys, monkeypatch, evolution,
+                                              snapshot_every, line):
+    """Without the step cap this run would never end, and without the snapshot
+    cap it would fill the disk: a refused run writes no snapshot."""
+    def no_snapshot(*args):
+        raise AssertionError("a refused run wrote a snapshot")
+
+    monkeypatch.setattr("qcpusim.cli._write_snapshot", no_snapshot)
     out_dir = tmp_path / "never"
-    data = harmonic_config(out_dir, snapshot_every=10 ** 9)
+    data = harmonic_config(out_dir, snapshot_every=snapshot_every)
     data["evolution"] = evolution
     config = write_config(tmp_path, data)
     assert main(["simulate", "--config", str(config)]) == 2

@@ -341,6 +341,22 @@ def test_initial_state_spec_basis_state_is_an_int(index):
     assert str(info.value) == f"initial_state.basis_state: expected an integer, got {index!r}"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("x", "expected a number, got 'x'"),
+    (True, "expected a number, got True"),
+    (None, "expected a number, got None"),
+    (math.nan, "must be finite, got nan"),
+    (complex(0.5, math.inf), "must be finite, got inf"),
+    (10 ** 400, f"must be finite, got {10 ** 400!r}"),
+], ids=["str", "bool", "none", "nan", "inf-imag", "huge-int"])
+def test_initial_state_spec_table_entries_are_finite_numbers(entry, message):
+    """A string entry once reached build() as a bare ValueError; True and nan
+    were taken as amplitudes."""
+    with pytest.raises(ConfigError) as info:
+        InitialStateSpec(table=(1.0, entry))
+    assert str(info.value) == f"initial_state.table[1]: {message}"
+
+
 @pytest.mark.parametrize("directory, snapshot_every, field, message", [
     ("out", 0, "outputs.snapshot_every", "must be >= 1, got 0"),
     ("out", -2, "outputs.snapshot_every", "must be >= 1, got -2"),
@@ -481,6 +497,8 @@ _SECTION_FAULTS = [
     ("evolution", "both", None), ("evolution", "neither", None),
     ("evolution", "residual", None),
     *(("initial_state", "basis_state", v) for v in (True, 1.0, "2")),
+    *(("initial_state", "sigma", v) for v in (0, -1.5, math.inf)),
+    ("initial_state", "x0", "1"), ("initial_state", "p0", True),
     ("initial_state", "two", None), ("initial_state", "none", None),
     *(("outputs", "directory", v) for v in ("", 5, None)),
     *(("outputs", "snapshot_every", v) for v in (0, -2, True, 2.0, "1", None)),
@@ -528,6 +546,8 @@ def run_sections(draw):
             initial.clear()
         elif key == "basis_state":
             sections["initial_state"] = {"basis_state": value}
+        elif key in ("x0", "p0", "sigma"):
+            sections["initial_state"] = {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5, key: value}}
         else:
             target[key] = value
     return sections
