@@ -42,8 +42,8 @@ _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() fo
 MAX_GRID_QUBITS = 11
 # The most steps a run may take: over 1000 times the longest workload's 896.
 MAX_STEPS = 2**20
-# The most grid points `simulate` may write over all its snapshots: 64 times
-# the `stream` workload's 257 snapshots of 256 points, about 470 MB of JSONL.
+# The most grid points `simulate` may write over all its snapshots: about 64
+# times the `stream` workload's 257 snapshots of 256 points, or 470 MB of JSONL.
 MAX_SNAPSHOT_POINTS = 2**22
 
 

@@ -18,7 +18,7 @@ input branch.  The connector sandwich touches only the payload blocks, so
 compose_product evaluates it as the N x N product of the payloads and
 returns the network of that product, as compose_sum returns the network of
 the sum.  Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the
-references: the identity suite and the tests keep the literal chain.
+references (the identity suite and the tests), which keep the literal chain.
 """
 
 from __future__ import annotations
