@@ -25,6 +25,7 @@ from .errors import (
     PacketWidthWarning,
     QcpuSimError,
     ResidualTimeError,
+    StabilityWarning,
     ZeroVector,
 )
 from .numerics import (

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import checked_states, evolve_euler, run_report, whole_network
+from .evolve import checked_states, evolve_euler, run_report, warn_if_unstable, whole_network
 from .grid import (
     GridSpec,
     kinetic_eigenvalue,
@@ -271,12 +271,15 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     psi0 = cfg.initial_state.build(grid)
     route = system_route(cfg.system, grid)
     h = route.hamiltonian
-    evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
+    norm_bound = spectral_norm_upper_bound(h)
+    evo = cfg.evolution.resolve(norm_bound)
     every = cfg.outputs.snapshot_every
     snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
         raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
+    if route.method == "euler_network":
+        warn_if_unstable(evo, norm_bound)
 
     norm_sq = []
     with _directory_lock(out_dir):
@@ -319,13 +322,14 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
+    warn_if_unstable(base, norm_bound)  # the coarsest rung has the largest r
 
     oracle = exact_evolution(h, base.total_time, psi0, base.sign)
     rungs = []
     for rung in range(ladder):
         evo = dataclasses.replace(base, dt=base.dt / (2 ** rung))
         euler_state, _ = evolve_euler(h, psi0, evo)
-        network_state = whole_network(h, evo).payload @ psi0
+        network_state = project_aux(apply_network(whole_network(h, evo), psi0), 1)
         rungs.append(
             {
                 "dt": evo.dt,

@@ -71,3 +71,7 @@ class NumericalFailure(QcpuSimError):
 
 class PacketWidthWarning(UserWarning):
     """Gaussian packet too wide to fit comfortably inside the periodic box."""
+
+
+class StabilityWarning(UserWarning):
+    """Euler steps run at dt * ||H|| bound >= 1, where the norm may blow up."""

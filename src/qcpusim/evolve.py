@@ -7,17 +7,23 @@ Omega's nonzeros only, so a stencil step costs O(N), not an N x N product.
 The same step is realized as an auxiliary-qubit network by the sum rule,
 Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
 connector-chained product of identical step networks, whose payload is
-Omega^steps.  Both are built from h alone, whatever system h came from.
+Omega^steps; it runs on a state one step network at a time.  Both are built
+from h alone, whatever system h came from.  Steps with dt * ||h|| bound
+r >= 1 may grow the norm by up to (1 + r^2) each, and warn_if_unstable says
+so before they run.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError
+from .errors import (
+    DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning,
+)
 from .numerics import (
     as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian, require_sign,
 )
@@ -88,6 +94,24 @@ def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int):
         terms = values * state[cols]
         state = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
         yield i, state
+
+
+def warn_if_unstable(evo: EvolutionConfig, norm_bound: float) -> None:
+    """Warn (StabilityWarning) before Euler steps run at r = dt * norm_bound >= 1.
+
+    A step multiplies ||psi||^2 by 1 + dt^2 ||h psi||^2 / ||psi||^2, at most
+    1 + r^2, so the worst case over the run, (1 + r^2)^steps, is known
+    before the first step; it is given as a power of ten, which cannot
+    overflow.
+    """
+    r = evo.dt * norm_bound
+    if evo.steps > 0 and r >= 1.0:
+        exponent = 2 * evo.steps * math.log10(math.hypot(1.0, r))
+        warnings.warn(
+            f"Euler steps run at dt * ||H|| bound r = {r:.3g} >= 1; ||psi||^2 may grow "
+            f"by up to (1 + r^2)^{evo.steps} = 10^{exponent:.1f}",
+            StabilityWarning,
+        )
 
 
 def checked_states(states):
@@ -170,8 +194,11 @@ def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
 def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
     """Connector-chained product of cfg.steps identical step networks of h.
 
-    Its payload is the steps-fold power of the Euler step, so payload @ psi
-    reproduces evolve_euler's final state; .dense() gives the 2N x 2N form.
+    The chain keeps the step networks as its stages and forms no product:
+    apply_network runs them on a state one after another, O(steps N^2), and
+    its raised branch reproduces evolve_euler's final state.  Reading
+    .payload multiplies out the steps-fold power of the Euler step, and
+    .dense() gives the 2N x 2N form, for the references.
     """
     steps = cfg.steps
     if steps < 1:

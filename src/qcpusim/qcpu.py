@@ -15,10 +15,13 @@ Basis ordering everywhere: composite index = 2 * register_index + aux_index
 networks; products compose by splicing the connector I (x) |0><1| between
 networks, which feeds each raised output branch into the next network's
 input branch.  The connector sandwich touches only the payload blocks, so
-compose_product evaluates it as the N x N product of the payloads and
-returns the network of that product, as compose_sum returns the network of
-the sum.  Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the
-references (the identity suite and the tests), which keep the literal chain.
+a chained network's payload is the N x N product of its stages' payloads.
+compose_product keeps the networks it chains as stages and forms no product:
+apply_network feeds psi through the stages right to left, each raised
+branch becoming the next stage's input as the connector does, which costs
+O(stages N^2); the product itself is formed only when .payload is read.
+Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
+(the identity suite and the tests), which keep the literal chain.
 """
 
 from __future__ import annotations
@@ -77,13 +80,26 @@ def factor_matrix(factor: QcpuFactor, register_dim: int) -> np.ndarray:
 class QcpuNetwork:
     """Network for one payload: closed form plus its ordered factor list.
 
-    The factor list exists to exercise the factorized construction (the
-    factors commute, since every cross term contains the squared raising
-    operator); the payload drives the O(N^2) closed-form application.
+    A built network stores its payload `block`; a chained one stores the
+    networks it chains as `stages`, left to right, and forms their product
+    only when `payload` is read.  The factor list exists to exercise the
+    factorized construction (the factors commute, since every cross term
+    contains the squared raising operator).
     """
 
     register_dim: int
-    payload: np.ndarray
+    block: np.ndarray | None = None
+    stages: tuple[QcpuNetwork, ...] = ()
+
+    @cached_property
+    def payload(self) -> np.ndarray:
+        """The N x N payload; a chain's is its stages' payloads multiplied left to right."""
+        if self.block is not None:
+            return self.block
+        product = self.stages[0].payload
+        for net in self.stages[1:]:
+            product = product @ net.payload
+        return product
 
     @cached_property
     def factors(self) -> tuple[QcpuFactor, ...]:
@@ -107,7 +123,7 @@ def build_network(u) -> QcpuNetwork:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NonSquareInput(f"payload must be square, got {u.shape}")
-    return QcpuNetwork(register_dim=u.shape[0], payload=u.copy())
+    return QcpuNetwork(register_dim=u.shape[0], block=u.copy())
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -128,15 +144,25 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
 
 
 def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
-    """Feed psi in on the lowered branch: returns psi (x) |0> + (U psi) (x) |1>."""
+    """Feed psi in on the lowered branch: returns psi (x) |0> + (U psi) (x) |1>.
+
+    A chained network runs its stages right to left, feeding each stage's
+    raised branch into the next stage, and never reads its own payload.
+    """
     psi = as_state(register_state)
     if psi.shape[0] != net.register_dim:
         raise DimensionMismatch(
             f"state dim {psi.shape[0]} != register dim {net.register_dim}"
         )
+    if net.block is not None:
+        raised = net.block @ psi
+    else:
+        raised = psi
+        for stage in reversed(net.stages):
+            raised = project_aux(apply_network(stage, raised), 1)
     out = np.zeros(2 * net.register_dim, dtype=complex)
     out[0::2] = psi
-    out[1::2] = net.payload @ psi
+    out[1::2] = raised
     return out
 
 
@@ -176,21 +202,18 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
 
 
 def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
-    """Connector-chained product network.
+    """Connector-chained product network, kept as its stages.
 
     The network is  I + C^dag (prod_j C . dense_j) C C^dag  with the product
-    expanded left to right.  It is evaluated on the payload blocks: each
-    C . dense_j equals P_j (x) |0><0| + I (x) |0><1|, so the product of r of
-    them is (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the
-    sandwich keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|.
-    The result is the network for the N x N product
-    payload_1 . payload_2 ... payload_r; no 2N x 2N matrix is formed.
+    expanded left to right.  Each C . dense_j equals
+    P_j (x) |0><0| + I (x) |0><1|, so the product of r of them is
+    (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the sandwich
+    keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|: the
+    network for the N x N product payload_1 . payload_2 ... payload_r.
+    No product is formed here: apply_network runs the stages on a state,
+    and .payload multiplies them out, left to right, when first read.
     Consequence of the ordering: chronological application ("apply A then
     B") corresponds to the reversed list [net_B, net_A].
     """
     dim = _common_register_dim(nets)
-    product = nets[0].payload
-    for net in nets[1:]:
-        product = product @ net.payload
-    return QcpuNetwork(register_dim=dim, payload=product)
-
+    return QcpuNetwork(register_dim=dim, stages=tuple(nets))

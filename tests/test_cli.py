@@ -404,6 +404,43 @@ def test_packet_width_warning_is_one_line(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "k, dt, line",
+    [
+        (4, 0.0625, None),
+        (4, 0.5, "r = 1.85 >= 1; ||psi||^2 may grow by up to (1 + r^2)^2 = 10^1.3"),
+        (8, 0.0625, "r = 8.2 >= 1; ||psi||^2 may grow by up to (1 + r^2)^16 = 10^29.3"),
+    ],
+    ids=["readme", "dt0.5", "k8"],
+)
+def test_unstable_euler_run_warns_once(tmp_path, capsys, command, k, dt, line):
+    """Euler steps at r = dt * ||H|| bound >= 1 (compare: on its coarsest
+    rung) print one `warning:` line with r and the worst-case ||psi||^2
+    growth, and the run still exits 0 with the usual artifact.  The README
+    grid config steps at r = 0.23 and prints nothing on stderr."""
+    data = grid_config(tmp_path / "out")
+    data["grid"]["k"] = k
+    data["evolution"]["dt"] = dt
+    config = write_config(tmp_path, data)
+    flags = ["--ladder", "2"] if command == "compare" else []
+    assert main([command, "--config", str(config), *flags]) == 0
+    expected = "" if line is None else f"warning: Euler steps run at dt * ||H|| bound {line}\n"
+    assert capsys.readouterr().err == expected
+    artifact = "summary.json" if command == "simulate" else "compare_report.json"
+    assert (tmp_path / "out" / artifact).exists()
+
+
+def test_closed_form_route_does_not_warn(tmp_path, capsys):
+    """The oscillator steps at r = 3.04, but `simulate` evolves it in closed
+    form, with no Euler step; `compare` runs Euler rungs on it and warns."""
+    config = write_config(tmp_path, harmonic_config(tmp_path / "out"))
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["compare", "--config", str(config), "--ladder", "2"]) == 0
+    assert capsys.readouterr().err.startswith("warning: Euler steps run at dt * ||H|| bound r = 3.04 >= 1;")
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                          ids=["umask-022", "umask-027"])
 def test_artifacts_get_the_mode_open_would_give(tmp_path, umask, mode):

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,18 +21,21 @@ from qcpusim import (
     NumericalFailure,
     QcpuNetwork,
     ResidualTimeError,
+    StabilityWarning,
+    apply_network,
     euler_step,
     evolve_euler,
     exact_evolution,
     fidelity,
     kinetic_operator,
     potential_operator,
+    project_aux,
     spectral_norm_upper_bound,
     step_network,
     whole_network,
 )
 from qcpusim.cli import main
-from qcpusim.evolve import euler_states, run_report
+from qcpusim.evolve import euler_states, run_report, warn_if_unstable
 
 
 def random_hermitian(rng, n):
@@ -144,6 +148,30 @@ def test_norm_grows_by_dt_squared_h_psi_squared():
     after = float(np.vdot(stepped, stepped).real)
     expected_gain = dt ** 2 * float(np.vdot(h @ psi, h @ psi).real)
     assert after - before == pytest.approx(expected_gain, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 64),
+    r=st.floats(0.01, 3.0),
+    steps=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_growth_stays_below_stability_bound(n, r, steps, seed):
+    """Euler steps at r = dt * ||H|| bound grow ||psi||^2 by at most
+    (1 + r^2)^steps, the figure StabilityWarning states, and the warning is
+    raised exactly when r >= 1."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    bound = spectral_norm_upper_bound(h)
+    cfg = EvolutionConfig(dt=r / bound, total_time=steps * r / bound)
+    _, norm_sq = evolve_euler(h, random_state(rng, n), cfg)
+    ratio = cfg.dt * bound
+    assert norm_sq[-1] / norm_sq[0] <= (1.0 + ratio**2) ** steps * (1.0 + 1e-12)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warn_if_unstable(cfg, bound)
+    assert [w.category for w in caught] == ([StabilityWarning] if ratio >= 1.0 else [])
 
 
 def dense_euler_states(omega, psi0, steps):
@@ -300,8 +328,8 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
     ids=["harmonic", "free_particle", "constant_field", "grid_schrodinger"],
 )
 def test_compare_builds_no_dense_network(tmp_path, monkeypatch, system):
-    """compare applies the chained network's N x N payload to the state; no
-    kind forms a 2N x 2N network matrix."""
+    """compare runs the chained network on the state; no kind forms a 2N x 2N
+    network matrix."""
     calls = []
     dense = QcpuNetwork.dense
 
@@ -321,6 +349,65 @@ def test_compare_builds_no_dense_network(tmp_path, monkeypatch, system):
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
     assert calls == []
+
+
+def grid_compare_config(out_dir, length, k, dt, total_time):
+    """The README grid system (quadratic potential, Gaussian packet) on a grid of 2**k points."""
+    return {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "quadratic", "coefficient": 0.05}},
+        "grid": {"L": length, "k": k, "centered": True},
+        "evolution": {"dt": dt, "total_time": total_time},
+        "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(out_dir)},
+    }
+
+
+# The README grid config, and the `chain` benchmark's size (N = 256, 8/16/32 steps).
+GRID_COMPARES = [(16.0, 4, 0.0625, 1.0), (32.0, 8, 1 / 64, 0.125)]
+
+
+@pytest.mark.parametrize("length, k, dt, total_time", GRID_COMPARES, ids=["N16", "N256"])
+def test_compare_forms_no_chained_payload(tmp_path, monkeypatch, length, k, dt, total_time):
+    """compare feeds the state through each rung's chained step networks;
+    reading a chained network's payload, the N x N product of its stages,
+    raises."""
+    payload = QcpuNetwork.payload
+
+    def built_payload_only(net):
+        if net.stages:
+            raise AssertionError("compare formed a chained N x N product")
+        return payload.__get__(net, QcpuNetwork)
+
+    monkeypatch.setattr(QcpuNetwork, "payload", property(built_payload_only))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(grid_compare_config(tmp_path / "out", length, k, dt, total_time)))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+
+
+@pytest.mark.parametrize("length, k, dt, total_time", GRID_COMPARES, ids=["N16", "N256"])
+def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, k, dt, total_time):
+    """Each rung's network state equals the dense payload chain, Omega^steps
+    multiplied out left to right, applied to psi0, within 1e-14 of the
+    largest amplitude."""
+    from qcpusim import cli
+
+    fed = []
+
+    def recording(net, psi):
+        out = apply_network(net, psi)
+        fed.append((net, psi, project_aux(out, 1)))
+        return out
+
+    monkeypatch.setattr(cli, "apply_network", recording)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(grid_compare_config(tmp_path / "out", length, k, dt, total_time)))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    report = json.loads((tmp_path / "out" / "compare_report.json").read_text())
+    assert [len(net.stages) for net, _, _ in fed] == [r["steps"] for r in report["rungs"]]
+    for net, psi, state in fed:
+        reference = net.payload @ psi
+        assert np.max(np.abs(state - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 # ---------------------------------------------------------------------------

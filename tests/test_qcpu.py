@@ -284,6 +284,46 @@ def test_compose_product_builds_one_dense_form(monkeypatch):
     assert calls == []
 
 
+def chained_stage(rng, n, kind):
+    """One stage of a chain and the eager matrix of its payload: a built
+    network, a nested compose_product, or a compose_sum of a product and a
+    built network."""
+    a, b, c = (random_payload(rng, n) for _ in range(3))
+    if kind == "built":
+        return build_network(a), a
+    product = compose_product([build_network(a), build_network(b)])
+    if kind == "product":
+        return product, a @ b
+    return compose_sum([product, build_network(c)]), a @ b + c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 24),
+    st.lists(st.sampled_from(["built", "product", "sum"]), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_chained_network_runs_stage_by_stage(n, kinds, seed):
+    """apply_network feeds psi through a chain's stages right to left, which
+    matches payload @ psi to 1e-12 of its largest amplitude and does not
+    depend on whether the payload was read first; the payload, read when
+    wanted, is bit-equal to the eager left-to-right product."""
+    rng = np.random.default_rng(seed)
+    stages, matrices = zip(*(chained_stage(rng, n, kind) for kind in kinds))
+    chain = compose_product(stages)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    staged = apply_network(chain, psi)
+
+    eager = matrices[0]
+    for m in matrices[1:]:
+        eager = eager @ m
+    assert np.array_equal(chain.payload, eager)
+    reference = chain.payload @ psi
+    assert np.max(np.abs(project_aux(staged, 1) - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.array_equal(project_aux(staged, 0), psi)
+    assert np.array_equal(apply_network(chain, psi), staged)
+
+
 def test_compose_product_empty_needs_dim():
     with pytest.raises(DimensionMismatch):
         compose_product([])
