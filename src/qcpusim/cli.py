@@ -110,7 +110,7 @@ def _write_csv_atomic(path: Path, fieldnames: list[str], rows: list[dict]) -> No
 
 def _write_snapshot(path: Path, grid: GridSpec, state: np.ndarray) -> None:
     lines = [json.dumps(wavefunction_header(grid), sort_keys=True)]
-    lines.extend(json.dumps(rec, sort_keys=True) for rec in wavefunction_records(grid, state))
+    lines.extend(wavefunction_records(grid, state))
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 

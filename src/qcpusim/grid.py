@@ -16,6 +16,7 @@ mutually consistent units.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -218,22 +219,36 @@ def wavefunction_header(grid: GridSpec) -> dict:
     return {"L": grid.length, "k": grid.qubits, "N": grid.size, "centered": grid.centered}
 
 
-def wavefunction_records(grid: GridSpec, amplitudes) -> list[dict]:
-    """Per-point dump rows: index, position, amplitude parts, probability."""
+def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
+    """Snapshot rows as JSON lines, one per grid point: index, position,
+    amplitude parts, probability.
+
+    Each line is the bytes of ``json.dumps(row, sort_keys=True)`` for the row
+    {"m": m, "x": x_m, "re": Re z, "im": Im z, "prob": |z|^2}.  A finite
+    Python float prints as its shortest round-trip repr under both, so the
+    rows are formatted directly; a state with a non-finite part, or one
+    whose |z|^2 overflows, is written through json.dumps (``Infinity``,
+    ``NaN``).
+    """
     amps = as_state(amplitudes)
     if amps.shape[0] != grid.size:
         raise DimensionMismatch(f"amplitudes must have length {grid.size}, got {amps.shape[0]}")
     xs = grid.points
-    rows = []
-    for m in range(grid.size):
-        z = amps[m]
-        rows.append(
-            {
-                "m": m,
-                "x": float(xs[m]),
-                "re": float(z.real),
-                "im": float(z.imag),
-                "prob": float(abs(z) ** 2),
-            }
+    if np.isfinite(amps).all():
+        try:
+            # abs(z) ** 2 on a Python complex rounds as numpy's scalar does;
+            # it raises OverflowError where numpy gives inf.
+            return [
+                f'{{"im": {z.imag!r}, "m": {m}, "prob": {abs(z) ** 2!r}, "re": {z.real!r}, "x": {x!r}}}'
+                for m, (x, z) in enumerate(zip(xs.tolist(), amps.tolist()))
+            ]
+        except OverflowError:
+            pass
+    return [
+        json.dumps(
+            {"m": m, "x": float(xs[m]), "re": float(z.real), "im": float(z.imag),
+             "prob": float(abs(z) ** 2)},
+            sort_keys=True,
         )
-    return rows
+        for m, z in enumerate(amps)
+    ]

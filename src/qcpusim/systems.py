@@ -276,8 +276,15 @@ def spectral_evolution(
     state = as_state(psi)
     if state.shape[0] != grid.size:
         raise DimensionMismatch(f"state dim {state.shape[0]} != grid size {grid.size}")
-    phases = _phases(_free_energies(grid, mu), t, sign)
-    out = np.fft.fft(phases * np.fft.ifft(state, norm="ortho"), norm="ortho")
+    return _fft_evolution(_free_energies(grid, mu), t, state, sign, u)
+
+
+def _fft_evolution(
+    energies: np.ndarray, t: float, state: np.ndarray, sign: int, u: float
+) -> np.ndarray:
+    """spectral_evolution with the mode energies p^2/2mu given, so a route
+    computes them once for all its steps."""
+    out = np.fft.fft(_phases(energies, t, sign) * np.fft.ifft(state, norm="ortho"), norm="ortho")
     return out if u == 0.0 else _phases([u], t, sign)[0] * out
 
 
@@ -371,6 +378,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
 
     mu, u = system.mu, system.u
     h = spectral_kinetic_matrix(grid, mu)
+    energies = _free_energies(grid, mu)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
     return Route(method, h if u is None else h + u * np.eye(grid.size), _closed_form(
-        lambda psi0, t, sign: spectral_evolution(grid, mu, t, psi0, sign, u or 0.0)))
+        lambda psi0, t, sign: _fft_evolution(energies, t, psi0, sign, u or 0.0)))

@@ -2,7 +2,8 @@
 
 Every test drives the real entry point in process via main(argv) and reads
 back the files it writes; the one monkeypatched internal is the snapshot
-writer, which a refused run must never reach.
+writer, which a refused run must never reach and whose inputs the snapshot
+bytes test records.
 """
 
 import csv
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim.cli import LOCK_NAME, main
+from qcpusim.cli import LOCK_NAME, _write_snapshot, main
 from qcpusim.systems import system_route
 
 
@@ -33,6 +34,16 @@ def harmonic_config(out_dir, snapshot_every=8):
         "evolution": {"dt": 2.0 * math.pi / 32.0, "total_time": 2.0 * math.pi},
         "initial_state": {"basis_state": 3},
         "outputs": {"directory": str(out_dir), "snapshot_every": snapshot_every},
+    }
+
+
+def free_particle_config(out_dir):
+    return {
+        "system": {"kind": "free_particle", "mu": 1.0},
+        "grid": {"L": 16.0, "k": 4},
+        "evolution": {"dt": 0.25, "total_time": 1.0},
+        "initial_state": {"gaussian": {"x0": 8.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(out_dir)},
     }
 
 
@@ -142,14 +153,7 @@ def test_simulate_grid_system_euler_route(tmp_path):
 
 def test_simulate_free_particle_spectral_route(tmp_path):
     out_dir = tmp_path / "free"
-    data = {
-        "system": {"kind": "free_particle", "mu": 1.0},
-        "grid": {"L": 16.0, "k": 4},
-        "evolution": {"dt": 0.25, "total_time": 1.0},
-        "initial_state": {"gaussian": {"x0": 8.0, "p0": 0.5, "sigma": 1.5}},
-        "outputs": {"directory": str(out_dir)},
-    }
-    config = write_config(tmp_path, data)
+    config = write_config(tmp_path, free_particle_config(out_dir))
     assert main(["simulate", "--config", str(config)]) == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["method"] == "spectral_momentum"
@@ -378,6 +382,37 @@ def test_snapshot_rewrite_is_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
     assert (out_dir / "snapshot_000032.jsonl").read_bytes() == first
     assert (out_dir / "diagnostics.csv").read_bytes() == first_diag
+
+
+def reference_snapshot(grid, state) -> bytes:
+    """A snapshot file as json.dumps writes it: the header object, then one
+    row object per grid point, keys sorted, every line ending in a newline."""
+    header = {"L": grid.length, "k": grid.qubits, "N": grid.size, "centered": grid.centered}
+    rows = [{"m": m, "x": float(x), "re": float(z.real), "im": float(z.imag),
+             "prob": float(abs(z) ** 2)} for m, (x, z) in enumerate(zip(grid.points, state))]
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in [header, *rows]).encode()
+
+
+@pytest.mark.parametrize("make_config, snapshots", [(free_particle_config, 5), (grid_config, 17)],
+                         ids=["free_particle", "grid"])
+def test_snapshot_bytes_match_json_dumps(tmp_path, monkeypatch, make_config, snapshots):
+    """Every snapshot file equals the json.dumps rebuild of the state it was
+    written from: key order, separators, float text, header and newlines."""
+    written = {}
+
+    def record(path, grid, state):
+        written[path.name] = (grid, np.array(state))
+        _write_snapshot(path, grid, state)
+
+    monkeypatch.setattr("qcpusim.cli._write_snapshot", record)
+    out_dir = tmp_path / "bytes"
+    data = make_config(out_dir)
+    data["outputs"]["snapshot_every"] = 1
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+    assert sorted(written) == sorted(p.name for p in out_dir.glob("snapshot_*.jsonl"))
+    assert len(written) == snapshots
+    for name, (grid, state) in written.items():
+        assert (out_dir / name).read_bytes() == reference_snapshot(grid, state)
 
 
 def test_bool_sign_in_memory_config_writes_nothing(tmp_path):

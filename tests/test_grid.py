@@ -1,5 +1,6 @@
 """Grids, discretized operators, Fourier basis, and pair-space lifts."""
 
+import json
 import math
 
 import numpy as np
@@ -364,7 +365,12 @@ def test_wavefunction_header_fields():
 
 def test_wavefunction_records_contents():
     g = GridSpec(length=4.0, qubits=1)
-    rows = wavefunction_records(g, np.array([1.0 + 1.0j, 0.5]))
+    lines = wavefunction_records(g, np.array([1.0 + 1.0j, 0.5]))
+    assert lines == [
+        '{"im": 1.0, "m": 0, "prob": 2.0000000000000004, "re": 1.0, "x": 0.0}',
+        '{"im": 0.0, "m": 1, "prob": 0.25, "re": 0.5, "x": 2.0}',
+    ]
+    rows = [json.loads(line) for line in lines]
     assert rows[0]["m"] == 0
     assert rows[0]["x"] == 0.0
     assert rows[0]["re"] == 1.0
@@ -372,6 +378,54 @@ def test_wavefunction_records_contents():
     assert rows[0]["prob"] == pytest.approx(2.0, abs=1e-15)
     assert rows[1]["x"] == 2.0
     assert rows[1]["prob"] == 0.25
+
+
+def reference_records(grid, amplitudes):
+    """The snapshot rows as json.dumps of each row's dict over numpy scalars,
+    the formatter the direct f-string rows must match byte for byte."""
+    return [
+        json.dumps(
+            {"m": m, "x": float(x), "re": float(z.real), "im": float(z.imag),
+             "prob": float(abs(z) ** 2)},
+            sort_keys=True,
+        )
+        for m, (x, z) in enumerate(zip(grid.points, np.asarray(amplitudes, dtype=complex)))
+    ]
+
+
+# sqrt of the largest double: |z| above it overflows |z|^2
+_PROB_OVERFLOW = math.sqrt(np.finfo(float).max)
+_ABOVE_PROB_OVERFLOW = math.nextafter(_PROB_OVERFLOW, math.inf)
+_FINITE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
+                     _PROB_OVERFLOW, -_PROB_OVERFLOW]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.builds(lambda s, e: s * 10.0 ** e, st.floats(min_value=-10.0, max_value=10.0),
+              st.integers(min_value=-300, max_value=299)),
+)
+# parts that put a row on the json.dumps path: inf and nan, |z|^2 overflowing
+# (just above the threshold, and far above it), and |z| itself overflowing
+_EXTREME_PARTS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, _ABOVE_PROB_OVERFLOW, -1e200,
+                     1.7976931348623157e308]),
+    st.floats(min_value=_ABOVE_PROB_OVERFLOW, max_value=1e155),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits=st.integers(min_value=1, max_value=6), centered=st.booleans(),
+       length=st.floats(min_value=1e-3, max_value=1e3), data=st.data())
+def test_wavefunction_records_match_json_dumps(qubits, centered, length, data):
+    g = GridSpec(length=length, qubits=qubits, centered=centered)
+    amps = np.array(data.draw(st.lists(st.builds(complex, _FINITE_PARTS, _FINITE_PARTS),
+                                       min_size=g.size, max_size=g.size)), dtype=complex)
+    extreme = st.one_of(st.builds(complex, _EXTREME_PARTS, _FINITE_PARTS),
+                        st.builds(complex, _FINITE_PARTS, _EXTREME_PARTS),
+                        st.builds(complex, _EXTREME_PARTS, _EXTREME_PARTS))
+    for m, z in data.draw(st.lists(st.tuples(st.integers(0, g.size - 1), extreme), max_size=2)):
+        amps[m] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert wavefunction_records(g, amps) == reference_records(g, amps)
 
 
 def test_wavefunction_length_check():
