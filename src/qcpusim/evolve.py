@@ -2,8 +2,9 @@
 
 One Euler step is Omega = I + sign*i*h*dt.  It is deliberately not unitary:
 applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
-and that drift is tracked per step rather than hidden.  Stepping acts on
-Omega's nonzeros only, so a stencil step costs O(N), not an N x N product.
+and that drift is tracked per step rather than hidden.  Stepping reads
+Omega's nonzeros from h's plus the diagonal and acts on those only, so a
+stencil step costs O(N); euler_step's dense Omega is only the reference.
 The same step is realized as an auxiliary-qubit network by the sum rule,
 Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
 connector-chained product of identical step networks, whose payload is
@@ -78,19 +79,21 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
-def euler_states(omega: np.ndarray, psi0: np.ndarray, steps: int):
-    """Yield (step, state) for steps 0..steps of repeated Euler steps omega @ state.
+def euler_states(h: np.ndarray, psi0: np.ndarray, evo: EvolutionConfig):
+    """Yield (step, state) for steps 0..evo.steps of Euler steps Omega @ state.
 
-    Omega is compressed once to its row-major nonzeros, and each step sums
-    Omega_ij * state_j over those entries only: O(nnz) work per step, with
-    no N x N product.  A row with no nonzeros gives a zero amplitude.
+    Omega = I + sign*i*dt*h is never formed: its row-major nonzeros are the
+    checked h's nonzeros plus the diagonal, valued bit for bit as euler_step's,
+    and each step sums Omega_ij * state_j over those only, O(nnz) work.
     """
-    n = omega.shape[0]
-    rows, cols = np.nonzero(omega)
-    values = omega[rows, cols]
+    n = h.shape[0]
+    mask = h != 0
+    np.fill_diagonal(mask, True)
+    rows, cols = np.nonzero(mask)
+    values = (evo.sign * 1j * evo.dt) * h[rows, cols] + (rows == cols)
     state = psi0
     yield 0, state
-    for i in range(1, steps + 1):
+    for i in range(1, evo.steps + 1):
         terms = values * state[cols]
         state = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
         yield i, state
@@ -168,10 +171,10 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
     psi0 = as_state(psi)
     if h.shape[0] != psi0.shape[0]:
         raise DimensionMismatch(f"state dim {psi0.shape[0]} != operator dim {h.shape[0]}")
-    omega = euler_step(h, cfg.dt, cfg.sign)
+    h = _check_step(h, cfg.dt, cfg.sign)
     norm_sq = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, state, ns in checked_states(euler_states(omega, psi0.copy(), cfg.steps)):
+        for _, state, ns in checked_states(euler_states(h, psi0.copy(), cfg)):
             norm_sq.append(ns)
     return state, np.array(norm_sq)
 

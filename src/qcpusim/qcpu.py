@@ -195,10 +195,7 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     exactly this network's dense form; the cross terms cancel structurally.
     """
     _common_register_dim(nets)
-    total = nets[0].payload.copy()
-    for net in nets[1:]:
-        total = total + net.payload
-    return build_network(total)
+    return build_network(sum((net.payload for net in nets[1:]), nets[0].payload))
 
 
 def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:

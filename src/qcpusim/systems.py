@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     PacketWidthWarning,
     ZeroVector,
 )
-from .evolve import EvolutionConfig, euler_states, euler_step
+from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_operator
 from .numerics import as_state, require_sign
 from .qcpu import QcpuNetwork, build_network, compose_product
@@ -344,8 +345,8 @@ class Route:
     """How `simulate` runs one system kind: the dense `hamiltonian` behind
     its dt bound and eigh oracle, and `states(psi0, evo)`, which yields
     (step, state) for steps 0..evo.steps without an N x N product: Euler
-    steps on Omega's nonzeros (`evolve.euler_states`), or psi0 evolved in
-    closed form to each step's time (`_closed_form`)."""
+    steps on Omega's nonzeros, read from H (`evolve.euler_states`), or psi0
+    evolved in closed form to each step's time (`_closed_form`)."""
 
     method: str
     hamiltonian: np.ndarray
@@ -373,8 +374,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
             lambda psi0, t, sign: _phases(h.diagonal().real, t, sign) * psi0))
     if system.kind == "grid_schrodinger":
         h = stepped_hamiltonian(system, grid)
-        return Route("euler_network", h, lambda psi0, evo: euler_states(
-            euler_step(h, evo.dt, evo.sign), psi0, evo.steps))
+        return Route("euler_network", h, partial(euler_states, h))
 
     mu, u = system.mu, system.u
     h = spectral_kinetic_matrix(grid, mu)

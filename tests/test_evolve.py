@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qcpusim import (
 )
 from qcpusim.cli import main
 from qcpusim.evolve import euler_states, run_report, warn_if_unstable
+from qcpusim.numerics import hermiticity_defect
 
 
 def random_hermitian(rng, n):
@@ -174,56 +176,77 @@ def test_norm_growth_stays_below_stability_bound(n, r, steps, seed):
     assert [w.category for w in caught] == ([StabilityWarning] if ratio >= 1.0 else [])
 
 
-def dense_euler_states(omega, psi0, steps):
-    """Reference stepping: the full N x N product each step."""
+def omega_nonzero_states(omega, psi0, steps):
+    """Reference stepping on a dense Omega: compressed once to its row-major
+    nonzeros, each step summing Omega_ij * state_j over those."""
+    n = omega.shape[0]
+    rows, cols = np.nonzero(omega)
+    values = omega[rows, cols]
     states = [psi0]
     for _ in range(steps):
-        states.append(omega @ states[-1])
+        terms = values * states[-1][cols]
+        states.append(np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n))
     return states
 
 
 class _NoDenseProduct(np.ndarray):
-    """An Omega that refuses the dense product, so stepping must not use it."""
+    """An H that refuses the dense product, so stepping must not use it."""
 
     def __matmul__(self, other):
-        raise AssertionError("stepping multiplied by the dense Omega")
+        raise AssertionError("stepping multiplied by the dense H")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(4, 64),
     banded=st.booleans(),
+    zero_row=st.booleans(),
+    zero_diagonal=st.booleans(),
     steps=st.integers(0, 8),
     sign=st.sampled_from([1, -1]),
-    dt=st.floats(0.0, 0.5),
+    dt=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_euler_states_match_dense_stepping(n, banded, steps, sign, dt, seed):
-    """Stepping on Omega's nonzeros agrees with the dense product, for a
-    periodic tridiagonal (stencil-shaped) H and for a fully dense one."""
+def test_euler_states_bit_equal_stepping_on_euler_step(
+    n, banded, zero_row, zero_diagonal, steps, sign, dt, seed
+):
+    """Stepping on H's nonzeros plus the diagonal gives, bit for bit, the
+    states of stepping on the nonzeros of euler_step's dense Omega: for a
+    periodic tridiagonal (stencil-shaped) H and a fully dense one, with an
+    all-zero row, zero diagonal entries, dt = 0 and both signs.  H always
+    carries one off-diagonal pair so small that dt * h underflows to a
+    signed zero, which Omega's nonzeros drop and H's keep."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n)
     if banded:
         offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         h = np.where((offset == 0) | (offset == 1) | (offset == n - 1), h, 0.0)
-    omega = euler_step(h, dt, sign)
+    if zero_diagonal:
+        h[np.diag_indices(n)] = np.where(rng.random(n) < 0.5, 0.0, h.diagonal())
+    if zero_row:
+        row = rng.integers(3, n)
+        h[row, :] = h[:, row] = 0.0
+    h[0, 2] = h[2, 0] = 5e-324
     psi0 = random_state(rng, n)
-    stepped = list(euler_states(omega.view(_NoDenseProduct), psi0, steps))
-    expected = dense_euler_states(omega, psi0, steps)
+    evo = SimpleNamespace(dt=dt, steps=steps, sign=sign)  # EvolutionConfig refuses dt = 0
+    stepped = list(euler_states(h.view(_NoDenseProduct), psi0, evo))
+    expected = omega_nonzero_states(euler_step(h, dt, sign), psi0, steps)
     assert [i for i, _ in stepped] == list(range(steps + 1))
-    for (_, state), reference in zip(stepped, expected):
-        assert np.linalg.norm(state - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert all(np.array_equal(state, ref) for (_, state), ref in zip(stepped, expected))
 
 
-def test_euler_states_zero_row_gives_zero_amplitude():
-    """Rows 1 and 3 of Omega are empty, including the last row."""
-    omega = np.array(
-        [[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 1j, 3.0, 0.5], [0.0, 0.0, 0.0, 0.0]]
+def test_euler_states_zero_row_of_h_keeps_its_amplitude():
+    """Omega = I + sign*i*dt*H keeps its diagonal where a row of H is empty
+    (rows 1 and 3, the last row included), so those amplitudes never change."""
+    h = np.array(
+        [[1.0, 0.0, 0.5j, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.5j, 0.0, 3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
     )
-    psi0 = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-    states = [state for _, state in euler_states(omega.view(_NoDenseProduct), psi0, 2)]
-    assert np.array_equal(states, dense_euler_states(omega, psi0, 2))
-    assert states[1][1] == 0.0 and states[1][3] == 0.0
+    psi0 = np.array([1.0, 0.5 + 0.25j, 1.0, 2.0 - 1.0j])
+    states = [state for _, state in euler_states(h, psi0, EvolutionConfig(dt=0.1, total_time=0.5))]
+    assert len(states) == 6
+    for state in states:
+        assert state[1] == psi0[1] and state[3] == psi0[3]
+    assert np.array_equal(states, omega_nonzero_states(euler_step(h, 0.1), psi0, 5))
 
 
 def test_evolve_euler_matches_matrix_power():
@@ -314,6 +337,40 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
     assert len(calls) == 1
+
+
+def test_runs_form_no_dense_euler_step(tmp_path, monkeypatch):
+    """simulate on the README grid config checks H's Hermiticity once (the
+    oracle's check) and builds no dense Euler step; neither does a
+    three-rung compare."""
+    calls = {"hermiticity_defect": 0, "euler_step": 0}
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for fn in (hermiticity_defect, euler_step):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "qcpusim" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    config = {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "quadratic", "coefficient": 0.05}},
+        "grid": {"L": 16.0, "k": 4, "centered": True},
+        "evolution": {"dt": 0.0625, "total_time": 1.0},
+        "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(tmp_path / "simulate")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert calls == {"hermiticity_defect": 1, "euler_step": 0}
+    config["outputs"]["directory"] = str(tmp_path / "compare")
+    path.write_text(json.dumps(config))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    assert calls["euler_step"] == 0
 
 
 @pytest.mark.parametrize(
