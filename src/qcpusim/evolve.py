@@ -26,7 +26,8 @@ from .errors import (
     DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning,
 )
 from .numerics import (
-    as_complex_matrix, as_state, exact_evolution, fidelity, require_hermitian, require_sign,
+    as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern, require_hermitian,
+    require_sign,
 )
 from .qcpu import QcpuNetwork, build_network, compose_product, compose_sum
 
@@ -87,9 +88,7 @@ def euler_states(h: np.ndarray, psi0: np.ndarray, evo: EvolutionConfig):
     and each step sums Omega_ij * state_j over those only, O(nnz) work.
     """
     n = h.shape[0]
-    mask = h != 0
-    np.fill_diagonal(mask, True)
-    rows, cols = np.nonzero(mask)
+    rows, cols = nonzero_pattern(h)
     values = (evo.sign * 1j * evo.dt) * h[rows, cols] + (rows == cols)
     state = psi0
     yield 0, state
@@ -122,14 +121,17 @@ def checked_states(states):
 
     Raises NumericalFailure at the first state whose amplitudes,
     probabilities or norm left double range, so no artifact records an inf.
+    The norm, a sum of terms re^2 + im^2 that are each >= 0 or NaN, is
+    finite exactly when every amplitude and probability is, so the
+    elementwise scan runs only to name the failure of a non-finite norm.
     Callers step under np.errstate(over="ignore", invalid="ignore").
     """
     for step, state in states:
-        probs = state.real**2 + state.imag**2
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
-            raise NumericalFailure(f"non-finite amplitude detected at step {step}")
         norm_sq = float(np.vdot(state, state).real)
         if not math.isfinite(norm_sq):
+            probs = state.real**2 + state.imag**2
+            if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
+                raise NumericalFailure(f"non-finite amplitude detected at step {step}")
             raise NumericalFailure(f"non-finite norm at step {step}")
         yield step, state, norm_sq
 

@@ -3,15 +3,19 @@
 Every operator (network payloads, discretized operators, time evolution)
 is a plain N x N complex128 ``numpy`` array, and every state a complex
 vector.  This module holds the coercions and checks on those arrays, the
-Hermitian-eigendecomposition evolution oracle, and the fidelity metric used
-for all comparisons.  The oracle applies the eigendecomposition propagator
-to the initial state without forming it, and diagonalises an H with a zero
-imaginary part (the shift-stencil H) in real arithmetic.
+row-major nonzero pattern that sparse stepping reads, the exact-evolution
+oracle, and the fidelity metric used for all comparisons.  The oracle
+applies e^{sign i H t} to the initial state without forming it: by a
+Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) when that is
+cheaper, as for a stencil H, and otherwise by the Hermitian
+eigendecomposition, in real arithmetic for an H with a zero imaginary part.
 
 All functions are pure; values are never mutated after construction.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,14 +56,24 @@ def tensor(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition and the exact-evolution oracle
+# Hermiticity, the nonzero pattern, and the exact-evolution oracle
 # ---------------------------------------------------------------------------
+
+HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
+
 
 def hermiticity_defect(h) -> float:
     """Max-abs difference between a matrix and its conjugate transpose."""
     h = as_complex_matrix(h)
+    if not h.size:
+        return 0.0
+    n = h.shape[0]
     with np.errstate(invalid="ignore"):  # an inf entry gives NaN (inf - inf), silently
-        return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+        # np.max, not max(): a NaN block maximum must reach the result
+        return float(np.max([
+            np.max(np.abs(h[i:i + HERMITICITY_BLOCK] - h[:, i:i + HERMITICITY_BLOCK].conj().T))
+            for i in range(0, n, HERMITICITY_BLOCK)
+        ]))
 
 
 def require_hermitian(h) -> np.ndarray:
@@ -72,29 +86,137 @@ def require_hermitian(h) -> np.ndarray:
     return h
 
 
-def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
-    """exp(sign * i * h * t) @ psi for Hermitian h, via eigendecomposition.
+def nonzero_pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of a square h's nonzero entries and its whole
+    diagonal, so every row holds at least its diagonal entry."""
+    mask = h != 0
+    np.fill_diagonal(mask, True)
+    return np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), in a tenth of its time
 
-    This is the oracle every approximate evolution path is compared against;
-    eigendecomposition keeps the evolution unitary to round-off.  It computes
-    V (e^{sign i lambda t} * (V^dag psi)) and never forms the N x N
-    propagator.  psi is a state vector or a matrix of column states
-    (``np.eye(n)`` gives the propagator itself).  An h with no nonzero
-    imaginary entry is diagonalised as a real symmetric matrix, and its real
-    eigenvectors act on psi's real and imaginary parts in real arithmetic.
+
+def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
+    """exp(sign * i * h * t) @ psi for Hermitian h, never forming the propagator.
+
+    This is the oracle every approximate evolution path is compared against.
+    psi is a state vector or a matrix of column states (``np.eye(n)`` gives
+    the propagator itself).  It takes the cheaper of two routes, both exact
+    to round-off: a Chebyshev series on h's nonzeros (`_chebyshev_evolution`),
+    whose cost grows with the nonzeros and with |t| times h's spectral
+    width, or the eigendecomposition, V (e^{sign i lambda t} * (V^dag psi)),
+    at O(N^3).  There an h with no nonzero imaginary entry is diagonalised as
+    a real symmetric matrix, and its real eigenvectors act on psi's real and
+    imaginary parts in real arithmetic.
     """
     require_sign(sign)
     h = require_hermitian(h)
     psi = np.asarray(psi, dtype=complex)
     columns = psi.reshape(psi.shape[0], -1)
+    out = _chebyshev_evolution(h, t, columns, sign, h.shape[0] ** 3)
+    if out is None:
+        out = _eigh_evolution(h, t, columns, sign)
+    return out.reshape(psi.shape)
+
+
+def _eigh_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int) -> np.ndarray:
     real = not h.imag.any()
     eigenvalues, v = np.linalg.eigh(h.real if real else h)
     phases = np.exp(1j * sign * eigenvalues * t)[:, None]
     if real:
-        out = _real_matmul(v, phases * _real_matmul(v.T, columns))
-    else:
-        out = v @ (phases * (v.conj().T @ columns))
-    return out.reshape(psi.shape)
+        return _real_matmul(v, phases * _real_matmul(v.T, columns))
+    return v @ (phases * (v.conj().T @ columns))
+
+
+# One Chebyshev term costs 13.5-16.6 ns per nonzero per state column, and
+# the real eigh 0.23-0.24 ns per N^3, at N = 1024 on the stencil H (ratio
+# 60-69; 41-45 at N = 256), measured on a 2-vCPU Xeon host with numpy 2.4
+# and one BLAS thread: a term on one nonzero weighs about 64 units of N^3.
+CHEBYSHEV_COST = 64
+BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
+GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
+
+
+def _chebyshev_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int, budget: float):
+    """e^{sign i h t} columns by a Chebyshev series, or None where its
+    cost, terms * nonzeros * columns * CHEBYSHEV_COST, exceeds budget (N^3
+    for the eigendecomposition it replaces).
+
+    The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, so
+    e^{sign i h t} = e^{sign i c t} e^{i s z X} with X = (h - c) / w, z = |t| w
+    and s = sign * sign(t), and the Jacobi-Anger expansion gives
+    e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
+    polynomials.  Each term is one product with X on h's nonzero pattern.
+    The series needs more than z terms, and z is at least |t| times the
+    RMS spread of the eigenvalues, which h's Frobenius norm and trace give
+    without a temporary; with np.count_nonzero(h) that bounds the cost from
+    below, so a dense h goes to eigh before any nonzero array is made.
+    """
+    n, m = columns.shape
+
+    def affordable(terms, nonzeros):
+        return terms * nonzeros * m * CHEBYSHEV_COST <= budget
+
+    if n == 0:
+        return None
+    trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
+    spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
+    if not affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h)):
+        return None
+    rows, cols = nonzero_pattern(h)
+    values = h[rows, cols]
+    diagonal = rows == cols
+    centres = values[diagonal].real
+    radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), n)
+    lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
+    pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
+    centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
+    z = abs(t) * width
+    if not affordable(z + 1, len(rows)):  # more than z terms: spare the Bessel loop
+        return None
+    bessel = bessel_series(z)
+    if not affordable(len(bessel), len(rows)):
+        return None
+    s = sign if t >= 0 else -sign
+    coefficients = 2 * bessel * np.array([1, s * 1j, -1, -s * 1j])[np.arange(len(bessel)) % 4]
+    coefficients[0] /= 2
+    state = np.ascontiguousarray(columns.T)  # one row per state: the reduction runs along rows
+    out = coefficients[0] * state
+    if len(bessel) > 1:
+        twice_x = 2 * (values - centre * diagonal) / width
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+
+        def twice_x_times(v):
+            return np.add.reduceat(twice_x * np.take(v, cols, axis=1), starts, axis=1)
+
+        previous, state = state, twice_x_times(state) / 2
+        out = out + coefficients[1] * state
+        for a in coefficients[2:]:
+            previous, state = state, twice_x_times(state) - previous
+            out += a * state
+    return np.exp(1j * sign * centre * t) * out.T
+
+
+def bessel_series(z: float) -> np.ndarray:
+    """J_0(z), J_1(z), ... for z >= 0, up to the last order before the
+    first one past z whose value is below BESSEL_FLOOR.
+
+    Miller's algorithm: from an order well past that point, the ratios
+    r_k = J_k / J_{k-1} = z / (2k - z r_{k+1}) run downward from r = 0, and
+    J_0 + 2 (J_2 + J_4 + ...) = 1 fixes the scale.  The ratio form stays in
+    range at tiny z, where the plain downward recurrence overflows.
+    """
+    # J_k falls below the floor about 12 z^(1/3) orders past z (at most 16
+    # at z <= 1); 40 orders more let the error of Miller's start die out.
+    top = int(z + 12 * z ** (1 / 3)) + 40
+    ratios = np.empty(top + 1)
+    ratios[0] = 1.0
+    ratio = 0.0
+    for k in range(top, 0, -1):
+        ratio = z / (2 * k - z * ratio)
+        ratios[k] = ratio
+    j = np.cumprod(ratios)  # J_k / J_0
+    j /= j[0] + 2 * j[2::2].sum()
+    order = np.arange(top + 1)
+    return j[:np.flatnonzero((order > z) & (np.abs(j) < BESSEL_FLOOR))[0]]
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:

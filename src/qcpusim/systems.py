@@ -330,20 +330,15 @@ def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> np.ndarray:
         return kinetic_operator(grid, system.mu)
     values = (system.potential.values_on(grid) if system.kind == "grid_schrodinger"
               else np.full(grid.size, float(system.u)))
-    # Peak RSS here is set by heap layout, not by live memory.  One
-    # expression frees the kinetic matrix before the sum returns (a local
-    # kept ~7 MB more resident at N = 1024), and the copy fixes the
-    # allocation order of the sum for the N = 1024 simulate run: without
-    # it, that run's peak RSS rose from 86.0 to 93.8-94.0 MB (4 of 4
-    # benchmark runs).  At N = 256 `compare` it makes no difference
-    # (45.7-45.8 MB with the copy, 45.7-46.0 MB without).
-    return kinetic_operator(grid, system.mu).copy() + np.diag(values).astype(complex)
+    return kinetic_operator(grid, system.mu) + np.diag(values).astype(complex)
 
 
 @dataclass(frozen=True)
 class Route:
     """How `simulate` runs one system kind: the dense `hamiltonian` behind
-    its dt bound and eigh oracle, and `states(psi0, evo)`, which yields
+    its dt bound and exact oracle (`numerics.exact_evolution`: a Chebyshev
+    series on its nonzeros or its eigendecomposition, whichever is
+    cheaper), and `states(psi0, evo)`, which yields
     (step, state) for steps 0..evo.steps without an N x N product: Euler
     steps on Omega's nonzeros, read from H (`evolve.euler_states`), or psi0
     evolved in closed form to each step's time (`_closed_form`)."""

@@ -36,7 +36,7 @@ from qcpusim import (
     whole_network,
 )
 from qcpusim.cli import main
-from qcpusim.evolve import euler_states, run_report, warn_if_unstable
+from qcpusim.evolve import checked_states, euler_states, run_report, warn_if_unstable
 from qcpusim.numerics import hermiticity_defect
 
 
@@ -291,6 +291,67 @@ def test_evolve_euler_rejects_overflowing_probabilities():
     h = 1e160 * np.eye(2, dtype=complex)
     with pytest.raises(NumericalFailure, match="non-finite amplitude detected at step 1"):
         evolve_euler(h, np.ones(2), EvolutionConfig(dt=1.0, total_time=1.0))
+
+
+def _old_checked_states(states):
+    """checked_states as it was: the elementwise amplitude and probability
+    scan on every state, then the norm."""
+    for step, state in states:
+        probs = state.real**2 + state.imag**2
+        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
+            raise NumericalFailure(f"non-finite amplitude detected at step {step}")
+        norm_sq = float(np.vdot(state, state).real)
+        if not math.isfinite(norm_sq):
+            raise NumericalFailure(f"non-finite norm at step {step}")
+        yield step, state, norm_sq
+
+
+def _outcome(check, states):
+    yielded = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, state, norm_sq in check(iter(states)):
+                yielded.append((step, state, norm_sq))
+    except NumericalFailure as exc:
+        return yielded, str(exc)
+    return yielded, None
+
+
+_BAD_AMPLITUDES = st.sampled_from([
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0),
+    complex(1.0, math.nan), complex(1.35e154, 0.0), complex(0.0, -1.35e154),
+    complex(1e154, 1e154),
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    steps=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    injections=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 39), _BAD_AMPLITUDES), max_size=3
+    ),
+    overflow_at=st.one_of(st.none(), st.integers(0, 4)),
+)
+def test_checked_states_agrees_with_elementwise_check(n, steps, seed, injections, overflow_at):
+    """Checking the norm first raises the same NumericalFailure, with the
+    same message and step, and yields the same states and norms as the
+    elementwise scan did: for injected inf and NaN parts, an amplitude just
+    above 1.34e154 (whose probability overflows), and states whose
+    probabilities are finite but sum past double range."""
+    rng = np.random.default_rng(seed)
+    states = [(i, rng.standard_normal(n) + 1j * rng.standard_normal(n)) for i in range(steps + 1)]
+    for step, index, value in injections:
+        if step <= steps:
+            states[step][1][index % n] = value
+    if overflow_at is not None and overflow_at <= steps:
+        states[overflow_at][1][:] = 1e154  # each |z|^2 = 1e308 is finite; for N > 1 their sum is not
+    yielded, error = _outcome(checked_states, states)
+    expected, expected_error = _outcome(_old_checked_states, states)
+    assert error == expected_error
+    assert [(i, norm) for i, _, norm in yielded] == [(i, norm) for i, _, norm in expected]
+    assert all(a is b for (_, a, _), (_, b, _) in zip(yielded, expected))
 
 
 def test_report_rows_and_summary():

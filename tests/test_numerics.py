@@ -1,7 +1,9 @@
 """Tests for the dense linear-algebra substrate."""
 
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from qcpusim import (
     spectral_norm_upper_bound,
     tensor,
 )
+from qcpusim.cli import main
+from qcpusim.numerics import BESSEL_FLOOR, _chebyshev_evolution, bessel_series
 from qcpusim.systems import system_route
 from test_grid import shift_matrix, transposition_matrix
 
@@ -78,7 +82,7 @@ def test_tensor_matches_kron_layout():
 
 
 # ---------------------------------------------------------------------------
-# Hermiticity and the eigendecomposition oracle
+# Hermiticity and the exact-evolution oracle
 # ---------------------------------------------------------------------------
 
 def test_hermiticity_defect_zero_for_hermitian():
@@ -173,14 +177,19 @@ def test_exact_evolution_matches_dense_propagator(case):
 
 
 def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
-    """The stencil H has a zero imaginary part and reaches eigh as float64;
-    the spectral free-particle H is truly complex and stays complex128."""
+    """On the eigh branch, the stencil H has a zero imaginary part and
+    reaches eigh as float64; the spectral free-particle H is truly complex
+    and stays complex128.  At t = 50 the Chebyshev series would be dearer
+    than eigh for both, so eigh is what runs."""
     g = GridSpec(length=10.0, qubits=5)
     system = SystemSpec(
         kind="grid_schrodinger", mu=0.7, potential=PotentialSpec(form="quadratic", coefficient=0.5)
     )
     stencil_h = system_route(system, g).hamiltonian
     spectral_h = spectral_kinetic_matrix(g, 0.7)
+    psi = np.ones(g.size, dtype=complex)
+    for h in (stencil_h, spectral_h):
+        assert _chebyshev_evolution(h, 50.0, psi[:, None], -1, g.size ** 3) is None
     seen = []
     eigh = np.linalg.eigh
 
@@ -189,27 +198,186 @@ def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    psi = np.ones(g.size, dtype=complex)
-    exact_evolution(stencil_h, 0.5, psi)
-    exact_evolution(spectral_h, 0.5, psi)
+    exact_evolution(stencil_h, 50.0, psi)
+    exact_evolution(spectral_h, 50.0, psi)
     assert seen == [np.dtype(np.float64), np.dtype(np.complex128)]
 
 
 def test_exact_evolution_of_real_h_forms_no_complex_propagator():
-    """Only the Hermiticity check's two N x N complex temporaries remain;
-    the complex eigh and propagator product held four."""
+    """On the eigh branch (t = 50) a real H costs real temporaries only; the
+    complex eigh and propagator product held four N x N complex arrays."""
     g = GridSpec(length=32.0, qubits=8)
     h = kinetic_operator(g, 1.0) + np.diag(np.linspace(0.0, 1.0, g.size))
     psi = np.ones(g.size, dtype=complex)
+    assert _chebyshev_evolution(h, 50.0, psi[:, None], -1, g.size ** 3) is None
     tracemalloc.start()
     try:
-        exact_evolution(h, 0.25, psi)
+        exact_evolution(h, 50.0, psi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * h.nbytes
 
 
+def test_hermiticity_defect_compares_in_row_blocks():
+    """At N = 1024 the check holds one block of rows at a time, far under
+    the two N x N complex temporaries (33.7 MB) of h - h^dag."""
+    n = 1024
+    h = np.zeros((n, n), dtype=complex)
+    h[np.arange(n), (np.arange(n) + 1) % n] = 1.0 + 0.5j
+    h[(np.arange(n) + 1) % n, np.arange(n)] = 1.0 - 0.5j
+    h[700, 3] += 1e-3
+    tracemalloc.start()
+    try:
+        defect = hermiticity_defect(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == np.max(np.abs(h - h.conj().T)) == pytest.approx(1e-3)
+    assert peak < 4 * 2**20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 160),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([0.0, math.inf, -math.inf, math.nan, complex(math.inf, 1.0),
+                         complex(0.0, math.nan), 1e-3]),
+    in_last_block=st.booleans(),
+)
+def test_hermiticity_defect_matches_whole_matrix_difference(n, seed, bad, in_last_block):
+    """The blocked defect equals the whole-matrix max |h - h^dag| bit for
+    bit, an inf (inf - inf) or NaN entry giving NaN in both, also when only
+    the last block of rows holds it."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n)
+    i, j = (n - 1, n - 1) if in_last_block else rng.integers(0, n, 2)
+    h[i, j] += bad
+    with np.errstate(invalid="ignore"):
+        expected = float(np.max(np.abs(h - h.conj().T)))
+    defect = hermiticity_defect(h)
+    assert defect == expected or (math.isnan(defect) and math.isnan(expected))
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-300, 1e-67, 1e-5, 0.5, 3.0, 40.0, 500.0])
+def test_bessel_series_satisfies_the_generating_function(z):
+    """e^{iz cos theta} = J_0 + 2 sum_k i^k J_k cos(k theta), and the
+    series ends at the first order past z whose J_k is below the floor."""
+    j = bessel_series(z)
+    k = np.arange(len(j))
+    weights = np.where(k == 0, 1.0, 2.0) * (1j ** (k % 4))
+    for theta in (0.0, 0.3, 1.1, math.pi / 2, 2.5, math.pi):
+        series = np.sum(weights * j * np.cos(k * theta))
+        assert abs(series - np.exp(1j * z * math.cos(theta))) < 1e-13 * max(1.0, z)
+    assert len(j) > z
+    assert abs(j[-1]) >= BESSEL_FLOOR or len(j) == 1
+    if z == 0.0:
+        assert j.tolist() == [1.0]
+
+
+def test_bessel_series_known_values():
+    """J_0(10), J_1(10) and J_0(100) against tabulated values."""
+    assert bessel_series(10.0)[:2] == pytest.approx([-0.2459357644513483, 0.04347274616886144], abs=1e-15)
+    assert bessel_series(100.0)[0] == pytest.approx(0.019985850304223122, abs=1e-15)
+
+
+@st.composite
+def chebyshev_cases(draw):
+    """A dense or periodic-banded, real or complex Hermitian h of N = 1..64,
+    a horizon t in [-3, 3] (0 and +-1e-67 included), h scaled so that |t|
+    times its Gershgorin half-width is up to about 500, a sign, and unit
+    column states."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = random_hermitian(rng, n)
+    if draw(st.booleans()):
+        offset = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        h = np.where((offset == 0) | (offset == 1) | (offset == n - 1), h, 0.0)
+    if draw(st.booleans()):
+        h = h.real.astype(complex)
+    t = draw(st.one_of(st.sampled_from([0.0, 1e-67, -1e-67]), st.floats(-3.0, 3.0)))
+    if abs(t) > 1e-3:
+        radius = np.max(np.sum(np.abs(h), axis=1))
+        h = h * (draw(st.floats(0.0, 500.0)) / (abs(t) * radius))
+    sign = draw(st.sampled_from((-1, 1)))
+    columns = rng.standard_normal((n, draw(st.integers(1, 3)))) + 1j * rng.standard_normal((n, 1))
+    return h, t, sign, columns / np.linalg.norm(columns, axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chebyshev_cases())
+def test_chebyshev_series_matches_eigh(case):
+    """The Chebyshev branch, run whatever its cost, agrees with the
+    eigendecomposition propagator to 1e-12 on a vector and on columns."""
+    h, t, sign, columns = case
+    eigenvalues, v = np.linalg.eigh(h)
+    propagator = (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
+    out = _chebyshev_evolution(h, t, columns, sign, math.inf)
+    assert np.max(np.abs(out - propagator @ columns)) < 1e-12
+    vector = _chebyshev_evolution(h, t, columns[:, :1], sign, math.inf)
+    assert np.max(np.abs(vector[:, 0] - propagator @ columns[:, 0])) < 1e-12
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+README_HARMONIC = {
+    "system": {"kind": "harmonic", "omega": 1.0},
+    "grid": {"L": 16.0, "k": 4},
+    "evolution": {"dt": 0.19634954084936207, "total_time": 6.283185307179586},
+    "initial_state": {"basis_state": 3},
+    "outputs": {"snapshot_every": 8},
+}
+README_GRID = {
+    "system": {"kind": "grid_schrodinger", "mu": 1.0,
+               "potential": {"form": "quadratic", "coefficient": 0.05}},
+    "grid": {"L": 16.0, "k": 4, "centered": True},
+    "evolution": {"dt": 0.0625, "total_time": 1.0},
+    "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+    "outputs": {},
+}
+
+
+def _simulate(tmp_path, config, name):
+    config = json.loads(json.dumps(config))
+    config["outputs"]["directory"] = str(tmp_path / name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the k = 8 grid run warns of its dt * ||H||
+        assert main(["simulate", "--config", str(path)]) == 0
+
+
+def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
+    """The grid kind at k = 8 runs the oracle as a Chebyshev series; the
+    README configs, a stream-like dense spectral H and an oscillator at
+    t * ||H|| about 1e5 take eigh."""
+    calls = _count_eigh(monkeypatch)
+    grid_k8 = json.loads(json.dumps(README_GRID))
+    grid_k8["grid"]["k"] = 8
+    _simulate(tmp_path, grid_k8, "grid_k8")
+    assert calls == []
+    _simulate(tmp_path, README_GRID, "readme_grid")
+    _simulate(tmp_path, README_HARMONIC, "readme_harmonic")
+    assert calls == [(16, 16), (16, 16)]
+    g = GridSpec(length=32.0, qubits=8, centered=True)
+    exact_evolution(spectral_kinetic_matrix(g, 1.0), 2.0, np.ones(g.size, dtype=complex))
+    assert calls[-1] == (256, 256)
+    harmonic = json.loads(json.dumps(README_HARMONIC))
+    harmonic["grid"]["k"] = 6  # energies up to 63.5: t * ||H|| = 1.0e5
+    harmonic["evolution"] = {"dt": 15.75, "total_time": 1575.0}
+    harmonic["outputs"]["snapshot_every"] = 1000
+    _simulate(tmp_path, harmonic, "harmonic")
+    assert calls[-1] == (64, 64) and len(calls) == 4
 @settings(max_examples=40, deadline=None)
 @given(
     arrays(
