@@ -204,6 +204,10 @@ class InitialStateSpec:
             )
         if not np.any(amps):
             raise ConfigError("initial_state.table", "amplitudes are all zero")
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not np.finfo(float).tiny <= norm_sq <= np.finfo(float).max:  # fidelities divide by it
+            raise ConfigError("initial_state.table", f"amplitudes are out of range: their squared "
+                                                     f"norm {norm_sq:.3g} is not a normal double")
         return amps
 
 

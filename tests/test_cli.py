@@ -294,8 +294,13 @@ def test_simulate_residual_dt_exit_2(tmp_path, capsys):
         ({"table": [[1.0, 0.0]] * 3},
          "initial_state.table: has 3 amplitudes but the grid has 16 points"),
         ({"table": [[0.0, 0.0]] * 16}, "initial_state.table: amplitudes are all zero"),
+        ({"table": [[0.0, 0.0]] * 15 + [[0.0, 1e-309]]},
+         "initial_state.table: amplitudes are out of range: their squared norm 0 is not a normal double"),
+        ({"table": [[1e200, 0.0]] * 16},
+         "initial_state.table: amplitudes are out of range: their squared norm inf is not a normal double"),
     ],
-    ids=["basis-99", "basis-minus-1", "table-of-3", "table-all-zero"],
+    ids=["basis-99", "basis-minus-1", "table-of-3", "table-all-zero", "table-norm-underflows",
+         "table-norm-overflows"],
 )
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_unbuildable_initial_state_writes_nothing(tmp_path, capsys, command, initial_state,
