@@ -1,17 +1,18 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments, takes the lock, writes files.
 
-Four subcommands:
+Four subcommands, each a thin shell around the library function that
+computes its report:
 
-* ``verify-identities`` runs the auxiliary-network identity suite on seeded
-  random payloads and writes a JSON report of per-identity max errors.
-* ``simulate`` runs a configured system, writing wavefunction snapshots
-  (JSONL), per-step diagnostics (CSV), and a summary (JSON).
-* ``compare`` evolves the same problem three ways (connector-chained
-  network, explicit Euler loop, exact spectral propagator) over a
-  dt-halving ladder and reports pairwise agreement plus the observed
-  convergence order.
-* ``spectrum`` tabulates analytic vs numerically measured momentum and
-  kinetic eigenvalues per Fourier mode.
+* ``verify-identities`` writes `qcpu.identity_suite`, the per-identity max
+  errors of the network algebra on seeded random payloads, as JSON.
+* ``simulate`` steps a configured system's route (`systems.system_route`),
+  writing wavefunction snapshots (JSONL) as it goes, then per-step
+  diagnostics (CSV) and a summary (JSON).
+* ``compare`` writes `evolve.compare_ladder`: the connector-chained
+  network, the Euler loop and the exact oracle over a dt-halving ladder,
+  their agreement and the observed convergence order.
+* ``spectrum`` writes `grid.spectrum_rows`, analytic vs measured momentum
+  and kinetic eigenvalues per Fourier mode, as CSV.
 
 Exit codes: 0 success, 1 numerical failure (non-finite amplitudes), 2
 usage or configuration error, or an output path that cannot be written.
@@ -23,10 +24,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -39,34 +38,12 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import checked_states, evolve_euler, run_report, warn_if_unstable, whole_network
-from .grid import (
-    GridSpec,
-    kinetic_eigenvalue,
-    kinetic_operator,
-    momentum_eigenvalue,
-    momentum_operator,
-    plane_wave_mode,
-    wavefunction_header,
-    wavefunction_records,
-)
-from .numerics import exact_evolution, fidelity, spectral_norm_upper_bound, tensor
-from .qcpu import (
-    AUX_ANNIHILATE,
-    AUX_CREATE,
-    apply_network,
-    build_network,
-    compose_product,
-    compose_sum,
-    connector,
-    connector_dagger,
-    dense_from_factors,
-    project_aux,
-    raising_block,
-)
+from .evolve import checked_states, compare_ladder, run_report, warn_if_unstable
+from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
+from .numerics import spectral_norm_upper_bound
+from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
 from .systems import stepped_hamiltonian, system_route
 
-IDENTITY_TOLERANCE = 1e-12
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
 LOCK_NAME = ".qcpusim.lock"
 # Rung r of `compare` steps 2**r times the base steps; the finest rung at the
@@ -144,104 +121,6 @@ def _directory_lock(out_dir: Path):
 # verify-identities
 # ---------------------------------------------------------------------------
 
-def _random_payload(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return (rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))) / math.sqrt(2.0)
-
-
-def identity_suite(seed: int, dim: int) -> dict:
-    """Max-abs error of each network identity on seeded random payloads."""
-    rng = np.random.default_rng(seed)
-    eye = np.eye(2 * dim, dtype=complex)
-
-    closed_form = 0.0
-    apply_project = 0.0
-    for _ in range(5):
-        u = _random_payload(rng, dim)
-        net = build_network(u)
-        closed_form = max(
-            closed_form, float(np.max(np.abs(net.dense() - (eye + tensor(u, AUX_CREATE)))))
-        )
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        lifted = apply_network(net, psi)
-        apply_project = max(
-            apply_project, float(np.max(np.abs(project_aux(lifted, 1) - u @ psi)))
-        )
-
-    factor_orders = 0.0
-    for _ in range(2):
-        net = build_network(_random_payload(rng, dim))
-        for _ in range(3):
-            order = rng.permutation(len(net.factors))
-            factor_orders = max(
-                factor_orders, float(np.max(np.abs(dense_from_factors(net, order) - net.dense())))
-            )
-
-    sum_rule = 0.0
-    for _ in range(3):
-        parts = [build_network(_random_payload(rng, dim)) for _ in range(3)]
-        product = parts[0].dense() @ parts[1].dense() @ parts[2].dense()
-        sum_rule = max(
-            sum_rule, float(np.max(np.abs(product - compose_sum(parts).dense())))
-        )
-
-    # compose_product works on payload blocks; the reference is the literal
-    # connector sandwich I + C^dag (prod_j C . dense_j) C C^dag in 2N x 2N.
-    c, c_dag = connector(dim), connector_dagger(dim)
-    product_rule = 0.0
-    block_extraction = 0.0
-    for r in (1, 2, 3):
-        payloads = [_random_payload(rng, dim) for _ in range(r)]
-        nets = [build_network(u) for u in payloads]
-        chain = eye
-        for net in nets:
-            chain = chain @ (c @ net.dense())
-        sandwich = eye + c_dag @ chain @ c @ c_dag
-        matrix_product = payloads[0]
-        for u in payloads[1:]:
-            matrix_product = matrix_product @ u
-        product_rule = max(
-            product_rule,
-            float(np.max(np.abs(compose_product(nets).dense() - sandwich))),
-        )
-        block_extraction = max(
-            block_extraction,
-            float(np.max(np.abs(raising_block(sandwich) - matrix_product))),
-        )
-
-    aux_algebra = max(
-        float(np.max(np.abs(AUX_ANNIHILATE @ AUX_ANNIHILATE))),
-        float(np.max(np.abs(AUX_CREATE @ AUX_CREATE))),
-        float(
-            np.max(
-                np.abs(
-                    AUX_ANNIHILATE @ AUX_CREATE + AUX_CREATE @ AUX_ANNIHILATE - np.eye(2)
-                )
-            )
-        ),
-    )
-
-    errors = {
-        "closed_form": closed_form,
-        "factor_orders": factor_orders,
-        "sum_rule": sum_rule,
-        "product_rule": product_rule,
-        "block_extraction": block_extraction,
-        "apply_project": apply_project,
-        "aux_algebra": aux_algebra,
-    }
-    identities = {
-        name: {"max_abs_error": err, "pass": bool(err <= IDENTITY_TOLERANCE)}
-        for name, err in errors.items()
-    }
-    return {
-        "seed": seed,
-        "dim": dim,
-        "tolerance": IDENTITY_TOLERANCE,
-        "identities": identities,
-        "all_pass": all(item["pass"] for item in identities.values()),
-    }
-
-
 def _cmd_verify_identities(args) -> int:
     if args.dim < 1 or args.dim > 64:
         print(f"error: --dim must be between 1 and 64, got {args.dim}", file=sys.stderr)
@@ -257,7 +136,7 @@ def _cmd_verify_identities(args) -> int:
         )
         print(f"identity check failed: {', '.join(failing)}", file=sys.stderr)
         return 1
-    print(f"all identities within {IDENTITY_TOLERANCE}; report written to {args.out}")
+    print(f"all identities within {report['tolerance']}; report written to {args.out}")
     return 0
 
 
@@ -322,44 +201,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
-    warn_if_unstable(base, norm_bound)  # the coarsest rung has the largest r
-
-    oracle = exact_evolution(h, base.total_time, psi0, base.sign)
-    rungs = []
-    for rung in range(ladder):
-        evo = dataclasses.replace(base, dt=base.dt / (2 ** rung))
-        euler_state, _ = evolve_euler(h, psi0, evo)
-        network_state = project_aux(apply_network(whole_network(h, evo), psi0), 1)
-        rungs.append(
-            {
-                "dt": evo.dt,
-                "steps": evo.steps,
-                "fidelity_network_vs_euler": fidelity(network_state, euler_state),
-                "fidelity_euler_vs_exact": fidelity(euler_state, oracle),
-                "error_euler_vs_exact": float(np.linalg.norm(euler_state - oracle)),
-            }
-        )
-
-    # Fit the order only over rung pairs in the first-order regime: the
-    # coarser rung (so both) has dt * ||H|| bound < 1, and the error falls.
-    errors = [r["error_euler_vs_exact"] for r in rungs]
-    stable = [i for i in range(ladder - 1) if rungs[i]["dt"] * norm_bound < 1.0]
-    falling = [i for i in stable if 0.0 < errors[i + 1] < errors[i]]
-    ratios = [math.log2(errors[i] / errors[i + 1]) for i in falling]
-    order = sum(ratios) / len(ratios) if ratios else None
-    reason = None if ratios else (
-        "No rung pair with dt * ||H|| bound < 1 has a falling error." if stable
-        else "No rung pair has dt * ||H|| bound < 1."
-    )
-    report = {
-        "config": cfg.to_dict(),
-        "ladder": ladder,
-        "rungs": rungs,
-        "convergence_order": order,
-        "asymptotic": order is not None,
-        "reason": reason,
-        "min_fidelity_network_vs_euler": min(r["fidelity_network_vs_euler"] for r in rungs),
-    }
+    report = {"config": cfg.to_dict(), **compare_ladder(h, psi0, base, ladder, norm_bound)}
     with _directory_lock(out_dir):
         _write_json_atomic(out_dir / "compare_report.json", report)
     return report
@@ -391,30 +233,10 @@ def _cmd_spectrum(args) -> int:
     if args.k > MAX_GRID_QUBITS:
         print(f"error: --k must be at most {MAX_GRID_QUBITS}, got {args.k}", file=sys.stderr)
         return 2
-    grid = GridSpec(length=args.L, qubits=args.k)
-    momentum = momentum_operator(grid)
-    kinetic = kinetic_operator(grid, args.mu)
-    rows = []
-    for n in range(grid.size):
-        mode = plane_wave_mode(grid, n)
-        p_ana = momentum_eigenvalue(grid, n)
-        t_ana = kinetic_eigenvalue(grid, args.mu, n)
-        p_num = float(np.vdot(mode, momentum @ mode).real)
-        t_num = float(np.vdot(mode, kinetic @ mode).real)
-        rows.append(
-            {
-                "mode": n,
-                "momentum_analytic": p_ana,
-                "momentum_numeric": p_num,
-                "momentum_abs_diff": abs(p_ana - p_num),
-                "kinetic_analytic": t_ana,
-                "kinetic_numeric": t_num,
-                "kinetic_abs_diff": abs(t_ana - t_num),
-            }
-        )
+    rows = spectrum_rows(GridSpec(length=args.L, qubits=args.k), args.mu)
     _write_csv_atomic(Path(args.out), list(rows[0]), rows)
     worst = max(max(r["momentum_abs_diff"], r["kinetic_abs_diff"]) for r in rows)
-    print(f"spectrum over {grid.size} modes written to {args.out}; max |analytic - numeric| = {worst:.3e}")
+    print(f"spectrum over {len(rows)} modes written to {args.out}; max |analytic - numeric| = {worst:.3e}")
     return 0
 
 

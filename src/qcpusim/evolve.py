@@ -11,14 +11,15 @@ connector-chained product of identical step networks, whose payload is
 Omega^steps; it runs on a state one step network at a time.  Both are built
 from h alone, whatever system h came from.  Steps with dt * ||h|| bound
 r >= 1 may grow the norm by up to (1 + r^2) each, and warn_if_unstable says
-so before they run.
+so before they run.  compare_ladder runs the network and the Euler loop
+against the exact oracle over a dt-halving ladder and fits their order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from .numerics import (
     as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern, require_hermitian,
     require_sign,
 )
-from .qcpu import QcpuNetwork, build_network, compose_product, compose_sum
+from .qcpu import (
+    QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
+)
 
 _RESIDUAL_FRACTION = 1e-9
 
@@ -209,3 +212,48 @@ def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
     if steps < 1:
         raise InvalidSpec(f"whole network needs at least one step, got {steps}")
     return compose_product([step_network(h, cfg.dt, cfg.sign)] * steps)
+
+
+# ---------------------------------------------------------------------------
+# The dt-halving ladder
+# ---------------------------------------------------------------------------
+
+def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int, norm_bound: float) -> dict:
+    """Network, Euler and exact evolution of psi0 on rungs r < ladder of
+    dt = base.dt / 2**r, and the convergence order they show.
+
+    norm_bound bounds ||h||; the coarsest rung, with the largest r, warns
+    before any step runs.  The order is the mean log2 error ratio over the
+    rung pairs in the first-order regime, or None with the reason.
+    """
+    warn_if_unstable(base, norm_bound)
+    oracle = exact_evolution(h, base.total_time, psi0, base.sign)
+    rungs = []
+    for rung in range(ladder):
+        evo = replace(base, dt=base.dt / (2 ** rung))
+        euler_state, _ = evolve_euler(h, psi0, evo)
+        network_state = project_aux(apply_network(whole_network(h, evo), psi0), 1)
+        rungs.append({"dt": evo.dt, "steps": evo.steps,
+                      "fidelity_network_vs_euler": fidelity(network_state, euler_state),
+                      "fidelity_euler_vs_exact": fidelity(euler_state, oracle),
+                      "error_euler_vs_exact": float(np.linalg.norm(euler_state - oracle))})
+
+    # Fit the order only over rung pairs in the first-order regime: the
+    # coarser rung (so both) has dt * ||H|| bound < 1, and the error falls.
+    errors = [r["error_euler_vs_exact"] for r in rungs]
+    stable = [i for i in range(ladder - 1) if rungs[i]["dt"] * norm_bound < 1.0]
+    falling = [i for i in stable if 0.0 < errors[i + 1] < errors[i]]
+    ratios = [math.log2(errors[i] / errors[i + 1]) for i in falling]
+    order = sum(ratios) / len(ratios) if ratios else None
+    reason = None if ratios else (
+        "No rung pair with dt * ||H|| bound < 1 has a falling error." if stable
+        else "No rung pair has dt * ||H|| bound < 1."
+    )
+    return {
+        "ladder": ladder,
+        "rungs": rungs,
+        "convergence_order": order,
+        "asymptotic": order is not None,
+        "reason": reason,
+        "min_fidelity_network_vs_euler": min(r["fidelity_network_vs_euler"] for r in rungs),
+    }

@@ -63,8 +63,10 @@ HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
 
 
 def hermiticity_defect(h) -> float:
-    """Max-abs difference between a matrix and its conjugate transpose."""
+    """Max-abs difference between a square matrix and its conjugate transpose."""
     h = as_complex_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise NonSquareInput(f"Hermitian check needs a square matrix, got {h.shape}")
     if not h.size:
         return 0.0
     n = h.shape[0]
@@ -78,8 +80,6 @@ def hermiticity_defect(h) -> float:
 
 def require_hermitian(h) -> np.ndarray:
     h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonSquareInput(f"Hermitian check needs a square matrix, got {h.shape}")
     defect = hermiticity_defect(h)
     if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite h) fails too
         raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")

@@ -22,12 +22,16 @@ branch becoming the next stage's input as the connector does, which costs
 O(stages N^2); the product itself is formed only when .payload is read.
 Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
 (the identity suite and the tests), which keep the literal chain.
+identity_suite checks this algebra on seeded random payloads: the closed
+form, factor order, sum and product rules, block extraction, feeding and
+projecting a state, and the auxiliary ladder pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -214,3 +218,76 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     """
     dim = _common_register_dim(nets)
     return QcpuNetwork(register_dim=dim, stages=tuple(nets))
+
+
+# ---------------------------------------------------------------------------
+# The identity suite
+# ---------------------------------------------------------------------------
+
+IDENTITY_TOLERANCE = 1e-12
+
+
+def _random_payload(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return (rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))) / math.sqrt(2.0)
+
+
+def identity_suite(seed: int, dim: int) -> dict:
+    """Max-abs error of each network identity on seeded random payloads.
+
+    The report gives each identity's error and whether it is within
+    IDENTITY_TOLERANCE, and whether all are.
+    """
+    rng = np.random.default_rng(seed)
+    eye = np.eye(2 * dim, dtype=complex)
+    errors = dict.fromkeys(("closed_form", "factor_orders", "sum_rule", "product_rule",
+                            "block_extraction", "apply_project", "aux_algebra"), 0.0)
+
+    def record(name, a, b):
+        errors[name] = max(errors[name], float(np.max(np.abs(a - b))))
+
+    for _ in range(5):
+        u = _random_payload(rng, dim)
+        net = build_network(u)
+        record("closed_form", net.dense(), eye + tensor(u, AUX_CREATE))
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        record("apply_project", project_aux(apply_network(net, psi), 1), u @ psi)
+
+    for _ in range(2):
+        net = build_network(_random_payload(rng, dim))
+        for _ in range(3):
+            order = rng.permutation(len(net.factors))
+            record("factor_orders", dense_from_factors(net, order), net.dense())
+
+    for _ in range(3):
+        parts = [build_network(_random_payload(rng, dim)) for _ in range(3)]
+        record("sum_rule", parts[0].dense() @ parts[1].dense() @ parts[2].dense(),
+               compose_sum(parts).dense())
+
+    # compose_product works on payload blocks; the reference is the literal
+    # connector sandwich I + C^dag (prod_j C . dense_j) C C^dag in 2N x 2N.
+    c, c_dag = connector(dim), connector_dagger(dim)
+    for r in (1, 2, 3):
+        payloads = [_random_payload(rng, dim) for _ in range(r)]
+        nets = [build_network(u) for u in payloads]
+        chain = eye
+        for net in nets:
+            chain = chain @ (c @ net.dense())
+        sandwich = eye + c_dag @ chain @ c @ c_dag
+        record("product_rule", compose_product(nets).dense(), sandwich)
+        record("block_extraction", raising_block(sandwich), reduce(np.matmul, payloads))
+
+    record("aux_algebra", AUX_ANNIHILATE @ AUX_ANNIHILATE, 0.0)
+    record("aux_algebra", AUX_CREATE @ AUX_CREATE, 0.0)
+    record("aux_algebra", AUX_ANNIHILATE @ AUX_CREATE + AUX_CREATE @ AUX_ANNIHILATE, np.eye(2))
+
+    identities = {
+        name: {"max_abs_error": err, "pass": bool(err <= IDENTITY_TOLERANCE)}
+        for name, err in errors.items()
+    }
+    return {
+        "seed": seed,
+        "dim": dim,
+        "tolerance": IDENTITY_TOLERANCE,
+        "identities": identities,
+        "all_pass": all(item["pass"] for item in identities.values()),
+    }

@@ -84,6 +84,16 @@ def test_verify_identities_default_seed(tmp_path):
         assert item["max_abs_error"] <= report["tolerance"]
 
 
+def test_cli_binds_no_physics():
+    """The CLI parses arguments, takes the lock and writes files: the checks it
+    runs live in qcpu, evolve and grid, so it binds none of their parts."""
+    from qcpusim import cli
+
+    parts = ("exact_evolution", "fidelity", "apply_network", "project_aux", "tensor", "connector",
+             "dense_from_factors", "momentum_operator", "kinetic_operator")
+    assert [name for name in parts if hasattr(cli, name)] == []
+
+
 def test_verify_identities_is_deterministic(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -508,7 +508,7 @@ def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, 
     """Each rung's network state equals the dense payload chain, Omega^steps
     multiplied out left to right, applied to psi0, within 1e-14 of the
     largest amplitude."""
-    from qcpusim import cli
+    from qcpusim import evolve
 
     fed = []
 
@@ -517,7 +517,7 @@ def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, 
         fed.append((net, psi, project_aux(out, 1)))
         return out
 
-    monkeypatch.setattr(cli, "apply_network", recording)
+    monkeypatch.setattr(evolve, "apply_network", recording)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(grid_compare_config(tmp_path / "out", length, k, dt, total_time)))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0

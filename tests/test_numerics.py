@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -112,6 +113,14 @@ def test_require_hermitian_rejects_non_finite(bad):
 def test_require_hermitian_rejects_rectangular():
     with pytest.raises(NonSquareInput):
         require_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (0, 3)])
+def test_hermiticity_defect_rejects_non_square(shape):
+    """A row or column vector does not broadcast against its transpose into a
+    zero defect: the defect of a non-square matrix is refused."""
+    with pytest.raises(NonSquareInput, match=re.escape(f"square matrix, got {shape}")):
+        hermiticity_defect(np.ones(shape))
 
 
 def test_exact_evolution_is_unitary():

@@ -260,10 +260,10 @@ def test_identity_suite_product_rule_can_fail(monkeypatch, wrong_connector):
     """verify-identities multiplies out the literal connector sandwich, so a
     connector that does not feed each raised output into the next input
     makes its product rule fail."""
-    from qcpusim import cli
+    from qcpusim import qcpu
 
-    monkeypatch.setattr(cli, "connector", wrong_connector)
-    report = cli.identity_suite(42, 4)
+    monkeypatch.setattr(qcpu, "connector", wrong_connector)
+    report = qcpu.identity_suite(42, 4)
     assert not report["identities"]["product_rule"]["pass"]
     assert not report["all_pass"]
 
