@@ -79,7 +79,6 @@ from .systems import (
     SystemSpec,
     analytic_free_gaussian,
     diagonal_phase_network,
-    free_particle_network,
     gaussian_packet,
     harmonic_energies,
     harmonic_network,

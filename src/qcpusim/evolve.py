@@ -202,7 +202,7 @@ def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
 def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
     """Connector-chained product of cfg.steps identical step networks of h.
 
-    The chain keeps the step networks as its stages and forms no product:
+    The chain keeps one payload block per step and forms no product:
     apply_network runs them on a state one after another, O(steps N^2), and
     its raised branch reproduces evolve_euler's final state.  Reading
     .payload multiplies out the steps-fold power of the Euler step, and

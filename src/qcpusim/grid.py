@@ -29,9 +29,8 @@ from .errors import (
     IndexOutOfRange,
     InvalidSpec,
     NonFiniteValue,
-    NonPositiveMass,
 )
-from .numerics import as_state, tensor
+from .numerics import as_state, require_mass, tensor
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,8 @@ class GridSpec:
             raise InvalidSpec(f"qubit count must be an integer, got {self.qubits!r}")
         if self.qubits < 1:
             raise InvalidSpec(f"qubit count must be >= 1, got {self.qubits}")
+        if not isinstance(self.centered, bool):
+            raise InvalidSpec(f"centered must be True or False, got {self.centered!r}")
         length = float(self.length)
         if not math.isfinite(length) or length <= 0.0:
             raise InvalidSpec(f"box length must be finite and positive, got {self.length!r}")
@@ -113,8 +114,7 @@ def kinetic_operator(grid: GridSpec, mu: float) -> np.ndarray:
 
     Plane-wave mode n has eigenvalue (1/4 mu)(N/L)^2 (1 - cos(4 pi n / N)).
     """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    require_mass(mu)
     n = grid.size
     if n < 4:
         raise DegenerateGrid(
@@ -202,8 +202,7 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
     makes the n <-> N - n degeneracy exact in floating point rather than
     merely up to trig rounding.
     """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    require_mass(mu)
     size = grid.size
     folded = n % size
     folded = min(folded, size - folded)

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, NonHermitianInput, NonSquareInput, ZeroVector
+from .errors import (DimensionMismatch, InvalidSpec, NonHermitianInput, NonPositiveMass,
+                     NonSquareInput, ZeroVector)
 
 HERMITICITY_TOL = 1e-10
 
@@ -44,6 +45,12 @@ def require_sign(sign) -> int:
     if type(sign) is not int or sign not in (1, -1):
         raise InvalidSpec(f"sign must be +1 or -1, got {sign!r}")
     return sign
+
+
+def require_mass(mu) -> None:
+    """Refuse a particle mass that is not positive and finite."""
+    if not (mu > 0.0) or not math.isfinite(mu):
+        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
 
 
 def tensor(a, b) -> np.ndarray:

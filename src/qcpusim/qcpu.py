@@ -15,11 +15,12 @@ Basis ordering everywhere: composite index = 2 * register_index + aux_index
 networks; products compose by splicing the connector I (x) |0><1| between
 networks, which feeds each raised output branch into the next network's
 input branch.  The connector sandwich touches only the payload blocks, so
-a chained network's payload is the N x N product of its stages' payloads.
-compose_product keeps the networks it chains as stages and forms no product:
-apply_network feeds psi through the stages right to left, each raised
-branch becoming the next stage's input as the connector does, which costs
-O(stages N^2); the product itself is formed only when .payload is read.
+a network is stored as N x N payload blocks, one for a built network and
+one per chained network for compose_product, which forms no product.
+apply_network multiplies a state by the blocks right to left, each raised
+branch becoming the next block's input as the connector does, which costs
+O(blocks N^2); their left-to-right product is formed only when .payload
+is read.
 Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
 (the identity suite and the tests), which keep the literal chain.
 identity_suite checks this algebra on seeded random payloads: the closed
@@ -84,26 +85,23 @@ def factor_matrix(factor: QcpuFactor, register_dim: int) -> np.ndarray:
 class QcpuNetwork:
     """Network for one payload: closed form plus its ordered factor list.
 
-    A built network stores its payload `block`; a chained one stores the
-    networks it chains as `stages`, left to right, and forms their product
-    only when `payload` is read.  The factor list exists to exercise the
+    `blocks` are the N x N payload blocks, left to right: one for a built
+    network, one per chained network for a product, multiplied out only
+    when `payload` is read.  The factor list exists to exercise the
     factorized construction (the factors commute, since every cross term
     contains the squared raising operator).
     """
 
-    register_dim: int
-    block: np.ndarray | None = None
-    stages: tuple[QcpuNetwork, ...] = ()
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def register_dim(self) -> int:
+        return self.blocks[0].shape[0]
 
     @cached_property
     def payload(self) -> np.ndarray:
-        """The N x N payload; a chain's is its stages' payloads multiplied left to right."""
-        if self.block is not None:
-            return self.block
-        product = self.stages[0].payload
-        for net in self.stages[1:]:
-            product = product @ net.payload
-        return product
+        """The N x N payload, the blocks multiplied left to right."""
+        return reduce(np.matmul, self.blocks)
 
     @cached_property
     def factors(self) -> tuple[QcpuFactor, ...]:
@@ -127,7 +125,7 @@ def build_network(u) -> QcpuNetwork:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NonSquareInput(f"payload must be square, got {u.shape}")
-    return QcpuNetwork(register_dim=u.shape[0], block=u.copy())
+    return QcpuNetwork(blocks=(u.copy(),))
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -150,20 +148,17 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
 def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
     """Feed psi in on the lowered branch: returns psi (x) |0> + (U psi) (x) |1>.
 
-    A chained network runs its stages right to left, feeding each stage's
-    raised branch into the next stage, and never reads its own payload.
+    The blocks act right to left, each raised branch feeding the next
+    block, and the network's own payload is never read.
     """
     psi = as_state(register_state)
     if psi.shape[0] != net.register_dim:
         raise DimensionMismatch(
             f"state dim {psi.shape[0]} != register dim {net.register_dim}"
         )
-    if net.block is not None:
-        raised = net.block @ psi
-    else:
-        raised = psi
-        for stage in reversed(net.stages):
-            raised = project_aux(apply_network(stage, raised), 1)
+    raised = psi
+    for block in reversed(net.blocks):
+        raised = block @ raised
     out = np.zeros(2 * net.register_dim, dtype=complex)
     out[0::2] = psi
     out[1::2] = raised
@@ -183,13 +178,12 @@ def raising_block(matrix) -> np.ndarray:
     return m[1::2, 0::2].copy()
 
 
-def _common_register_dim(nets: Sequence[QcpuNetwork]) -> int:
+def _require_common_register(nets: Sequence[QcpuNetwork]) -> None:
     dims = {net.register_dim for net in nets}
     if not dims:
         raise DimensionMismatch("need at least one network")
     if len(dims) > 1:
         raise DimensionMismatch(f"networks live on different registers: {sorted(dims)}")
-    return dims.pop()
 
 
 def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
@@ -198,12 +192,12 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     Multiplying the constituent networks' dense forms (in any order) yields
     exactly this network's dense form; the cross terms cancel structurally.
     """
-    _common_register_dim(nets)
+    _require_common_register(nets)
     return build_network(sum((net.payload for net in nets[1:]), nets[0].payload))
 
 
 def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
-    """Connector-chained product network, kept as its stages.
+    """Connector-chained product network, kept as its payload blocks.
 
     The network is  I + C^dag (prod_j C . dense_j) C C^dag  with the product
     expanded left to right.  Each C . dense_j equals
@@ -211,13 +205,13 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the sandwich
     keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|: the
     network for the N x N product payload_1 . payload_2 ... payload_r.
-    No product is formed here: apply_network runs the stages on a state,
-    and .payload multiplies them out, left to right, when first read.
+    No product is formed here: each net's payload becomes one block, which
+    apply_network runs on a state and .payload multiplies out when read.
     Consequence of the ordering: chronological application ("apply A then
     B") corresponds to the reversed list [net_B, net_A].
     """
-    dim = _common_register_dim(nets)
-    return QcpuNetwork(register_dim=dim, stages=tuple(nets))
+    _require_common_register(nets)
+    return QcpuNetwork(blocks=tuple(net.payload for net in nets))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from .errors import (
 )
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_operator
-from .numerics import as_state, require_sign
-from .qcpu import QcpuNetwork, build_network, compose_product
+from .numerics import as_state, require_mass, require_sign
+from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
 
@@ -201,8 +201,7 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
     drifts at p0/mu.  Continuum physics: used as a reference profile to
     sample on a grid, not as a grid object itself.
     """
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    require_mass(mu)
     sigma_sq = spec.sigma ** 2
     alpha = 1.0 + 1j * t / (2.0 * mu * sigma_sq)
     prefactor = (2.0 * math.pi * sigma_sq) ** -0.25 / np.sqrt(alpha)
@@ -248,22 +247,8 @@ def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
 
 def _free_energies(grid: GridSpec, mu: float) -> np.ndarray:
     """Free-particle energy p^2 / (2 mu) of each Fourier mode."""
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+    require_mass(mu)
     return spectral_momentum_values(grid) ** 2 / (2.0 * mu)
-
-
-def free_particle_network(grid: GridSpec, mu: float, t: float, sign: int = -1) -> QcpuNetwork:
-    """Connector-chained network for the momentum-representation free step.
-
-    Payload equals diag(e^{sign i p^2 t / 2 mu}) . F: Fourier transform
-    first, then the diagonal phase.  Note there is no inverse transform here;
-    the output lives in the momentum representation.  spectral_evolution
-    applies the position-space round trip to a state.
-    """
-    phase_net = diagonal_phase_network(_free_energies(grid, mu), t, sign)
-    fourier_net = build_network(dft_operator(grid))
-    return compose_product([phase_net, fourier_net])
 
 
 def spectral_evolution(

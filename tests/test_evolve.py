@@ -488,12 +488,12 @@ GRID_COMPARES = [(16.0, 4, 0.0625, 1.0), (32.0, 8, 1 / 64, 0.125)]
 @pytest.mark.parametrize("length, k, dt, total_time", GRID_COMPARES, ids=["N16", "N256"])
 def test_compare_forms_no_chained_payload(tmp_path, monkeypatch, length, k, dt, total_time):
     """compare feeds the state through each rung's chained step networks;
-    reading a chained network's payload, the N x N product of its stages,
+    reading a chained network's payload, the N x N product of its blocks,
     raises."""
     payload = QcpuNetwork.payload
 
     def built_payload_only(net):
-        if net.stages:
+        if len(net.blocks) > 1:
             raise AssertionError("compare formed a chained N x N product")
         return payload.__get__(net, QcpuNetwork)
 
@@ -522,7 +522,7 @@ def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, 
     path.write_text(json.dumps(grid_compare_config(tmp_path / "out", length, k, dt, total_time)))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
     report = json.loads((tmp_path / "out" / "compare_report.json").read_text())
-    assert [len(net.stages) for net, _, _ in fed] == [r["steps"] for r in report["rungs"]]
+    assert [len(net.blocks) for net, _, _ in fed] == [r["steps"] for r in report["rungs"]]
     for net, psi, state in fed:
         reference = net.payload @ psi
         assert np.max(np.abs(state - reference)) <= 1e-14 * np.max(np.abs(reference))

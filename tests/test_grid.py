@@ -60,6 +60,14 @@ def test_grid_rejects_bad_qubit_count(bad):
         GridSpec(length=1.0, qubits=bad)
 
 
+@pytest.mark.parametrize("bad", ["no", 1, None])
+def test_grid_rejects_non_bool_centered(bad):
+    """A truthy "no" would center the grid, and to_dict would echo a value
+    that parse_run_config refuses."""
+    with pytest.raises(InvalidSpec, match="centered must be True or False"):
+        GridSpec(length=16.0, qubits=4, centered=bad)
+
+
 @pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan")])
 def test_grid_rejects_bad_length(bad):
     with pytest.raises(InvalidSpec):

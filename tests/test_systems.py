@@ -30,7 +30,6 @@ from qcpusim import (
     diagonal_phase_network,
     exact_evolution,
     fidelity,
-    free_particle_network,
     gaussian_packet,
     harmonic_energies,
     harmonic_network,
@@ -438,17 +437,6 @@ def test_spectral_kinetic_eigenvalues_are_p_squared_over_2mu():
     eigenvalues = np.sort(np.linalg.eigvalsh(h))
     expected = np.sort(spectral_momentum_values(g) ** 2 / (2.0 * mu))
     assert np.max(np.abs(eigenvalues - expected)) < 1e-10
-
-
-def test_free_particle_network_block():
-    """The payload is the diagonal phase times the Fourier matrix: the
-    output of this network lives in the momentum representation."""
-    g = GridSpec(length=10.0, qubits=3)
-    mu, t = 1.0, 0.7
-    block = free_particle_network(g, mu, t).payload
-    phases = np.exp(-1j * t * spectral_momentum_values(g) ** 2 / (2.0 * mu))
-    expected = phases[:, None] * dft_operator(g)
-    assert np.max(np.abs(block - expected)) < 1e-13
 
 
 def test_diagonal_phase_network_payload():
