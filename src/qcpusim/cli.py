@@ -123,11 +123,9 @@ def _directory_lock(out_dir: Path):
 
 def _cmd_verify_identities(args) -> int:
     if args.dim < 1 or args.dim > 64:
-        print(f"error: --dim must be between 1 and 64, got {args.dim}", file=sys.stderr)
-        return 2
+        raise QcpuSimError(f"--dim must be between 1 and 64, got {args.dim}")
     if args.seed < 0:
-        print(f"error: --seed must be nonnegative, got {args.seed}", file=sys.stderr)
-        return 2
+        raise QcpuSimError(f"--seed must be nonnegative, got {args.seed}")
     report = identity_suite(args.seed, args.dim)
     _write_json_atomic(Path(args.out), report)
     if not report["all_pass"]:
@@ -209,9 +207,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
 
 def _cmd_compare(args) -> int:
     if not 2 <= args.ladder <= MAX_LADDER:
-        print(f"error: --ladder must be between 2 and {MAX_LADDER}, got {args.ladder}",
-              file=sys.stderr)
-        return 2
+        raise QcpuSimError(f"--ladder must be between 2 and {MAX_LADDER}, got {args.ladder}")
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg.outputs.directory)
     report = run_compare(cfg, args.ladder, out_dir)
@@ -231,8 +227,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     if args.k > MAX_GRID_QUBITS:
-        print(f"error: --k must be at most {MAX_GRID_QUBITS}, got {args.k}", file=sys.stderr)
-        return 2
+        raise QcpuSimError(f"--k must be at most {MAX_GRID_QUBITS}, got {args.k}")
     rows = spectrum_rows(GridSpec(length=args.L, qubits=args.k), args.mu)
     _write_csv_atomic(Path(args.out), list(rows[0]), rows)
     worst = max(max(r["momentum_abs_diff"], r["kinetic_abs_diff"]) for r in rows)

@@ -19,17 +19,17 @@ import math
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidSpec, NonHermitianInput, NonPositiveMass,
-                     NonSquareInput, ZeroVector)
+from .errors import (DimensionMismatch, InvalidSpec, NonHermitianInput, NonPositiveFrequency,
+                     NonPositiveMass, NonSquareInput, ZeroVector)
 
 HERMITICITY_TOL = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex128 array without copying when possible."""
+    """Coerce to a square complex128 matrix without copying when possible."""
     out = np.asarray(m, dtype=complex)
-    if out.ndim != 2:
-        raise NonSquareInput(f"expected a matrix, got ndim={out.ndim}")
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise NonSquareInput(f"expected a square matrix, got {out.shape}")
     return out
 
 
@@ -50,7 +50,13 @@ def require_sign(sign) -> int:
 def require_mass(mu) -> None:
     """Refuse a particle mass that is not positive and finite."""
     if not (mu > 0.0) or not math.isfinite(mu):
-        raise NonPositiveMass(f"mass must be positive and finite, got {mu!r}")
+        raise NonPositiveMass(f"mu must be positive and finite, got {mu!r}")
+
+
+def require_frequency(omega) -> None:
+    """Refuse an oscillator frequency that is not positive and finite."""
+    if not (omega > 0.0) or not math.isfinite(omega):
+        raise NonPositiveFrequency(f"omega must be positive and finite, got {omega!r}")
 
 
 def tensor(a, b) -> np.ndarray:
@@ -72,8 +78,6 @@ HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
 def hermiticity_defect(h) -> float:
     """Max-abs difference between a square matrix and its conjugate transpose."""
     h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonSquareInput(f"Hermitian check needs a square matrix, got {h.shape}")
     if not h.size:
         return 0.0
     n = h.shape[0]
@@ -243,8 +247,6 @@ def spectral_norm_upper_bound(h) -> float:
     square matrix; cheap and good enough for time-step selection.
     """
     h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NonSquareInput(f"expected square matrix, got {h.shape}")
     if h.size == 0:
         return 0.0
     absh = np.abs(h)

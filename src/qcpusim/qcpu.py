@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonSquareInput
+from .errors import DimensionMismatch, IndexOutOfRange
 from .numerics import as_complex_matrix, as_state, tensor
 
 # Auxiliary-qubit ladder pair: the lowering operator |0><1| and raising
@@ -89,10 +89,21 @@ class QcpuNetwork:
     network, one per chained network for a product, multiplied out only
     when `payload` is read.  The factor list exists to exercise the
     factorized construction (the factors commute, since every cross term
-    contains the squared raising operator).
+    contains the squared raising operator).  Construction stores each block
+    as a square complex matrix and refuses an empty tuple or blocks on
+    registers of different dims.
     """
 
     blocks: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        blocks = tuple(as_complex_matrix(block) for block in self.blocks)
+        dims = {block.shape[0] for block in blocks}
+        if not dims:
+            raise DimensionMismatch("need at least one network")
+        if len(dims) > 1:
+            raise DimensionMismatch(f"networks live on different registers: {sorted(dims)}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def register_dim(self) -> int:
@@ -122,10 +133,7 @@ class QcpuNetwork:
 
 def build_network(u) -> QcpuNetwork:
     """Network for an arbitrary square payload, one factor per nonzero entry."""
-    u = as_complex_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise NonSquareInput(f"payload must be square, got {u.shape}")
-    return QcpuNetwork(blocks=(u.copy(),))
+    return QcpuNetwork(blocks=(np.array(u, dtype=complex),))
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -135,9 +143,13 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     because they contain the squared auxiliary raising operator.  Each
     right-multiplication by I + u * E[2m+1, 2n] is done as the column
     update it is, adding u times column 2m+1 to column 2n; factor_matrix
-    stays the dense reference for one factor.
+    stays the dense reference for one factor.  An order that is not a
+    permutation of the factor indices is refused.
     """
-    indices = range(len(net.factors)) if order is None else order
+    count = len(net.factors)
+    indices = range(count) if order is None else order
+    if order is not None and not np.array_equal(np.sort(order), np.arange(count)):
+        raise IndexOutOfRange(f"factor order must be a permutation of range({count})")
     out = np.eye(2 * net.register_dim, dtype=complex)
     for i in indices:
         f = net.factors[i]
@@ -178,22 +190,14 @@ def raising_block(matrix) -> np.ndarray:
     return m[1::2, 0::2].copy()
 
 
-def _require_common_register(nets: Sequence[QcpuNetwork]) -> None:
-    dims = {net.register_dim for net in nets}
-    if not dims:
-        raise DimensionMismatch("need at least one network")
-    if len(dims) > 1:
-        raise DimensionMismatch(f"networks live on different registers: {sorted(dims)}")
-
-
 def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     """Network for the sum of payloads.
 
     Multiplying the constituent networks' dense forms (in any order) yields
     exactly this network's dense form; the cross terms cancel structurally.
     """
-    _require_common_register(nets)
-    return build_network(sum((net.payload for net in nets[1:]), nets[0].payload))
+    payloads = QcpuNetwork(blocks=tuple(net.payload for net in nets)).blocks
+    return build_network(sum(payloads[1:], payloads[0]))
 
 
 def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
@@ -210,7 +214,6 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     Consequence of the ordering: chronological application ("apply A then
     B") corresponds to the reversed list [net_B, net_A].
     """
-    _require_common_register(nets)
     return QcpuNetwork(blocks=tuple(net.payload for net in nets))
 
 

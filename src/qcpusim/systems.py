@@ -31,14 +31,12 @@ from .errors import (
     GridMismatch,
     InvalidSpec,
     NonFiniteValue,
-    NonPositiveFrequency,
-    NonPositiveMass,
     PacketWidthWarning,
     ZeroVector,
 )
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_operator
-from .numerics import as_state, require_mass, require_sign
+from .numerics import as_state, require_frequency, require_mass, require_sign
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -152,10 +150,10 @@ class SystemSpec:
                         if key not in names and getattr(self, key) is not None})
         if stray:
             raise InvalidSpec(f"system kind {self.kind!r} does not take {stray}")
-        if self.omega is not None and (not (self.omega > 0.0) or not math.isfinite(self.omega)):
-            raise NonPositiveFrequency(f"omega must be positive and finite, got {self.omega!r}")
-        if self.mu is not None and (not (self.mu > 0.0) or not math.isfinite(self.mu)):
-            raise NonPositiveMass(f"mu must be positive and finite, got {self.mu!r}")
+        if self.omega is not None:
+            require_frequency(self.omega)
+        if self.mu is not None:
+            require_mass(self.mu)
         if self.u is not None and not math.isfinite(float(self.u)):
             raise NonFiniteValue(f"field constant u must be finite, got {self.u!r}")
 
@@ -287,8 +285,7 @@ def spectral_kinetic_matrix(grid: GridSpec, mu: float) -> np.ndarray:
 
 def harmonic_energies(omega: float, levels: int) -> np.ndarray:
     """Ladder spectrum omega * (m + 1/2) for m = 0 .. levels-1."""
-    if not (omega > 0.0) or not math.isfinite(omega):
-        raise NonPositiveFrequency(f"omega must be positive and finite, got {omega!r}")
+    require_frequency(omega)
     if levels < 1:
         raise InvalidSpec(f"need at least one level, got {levels}")
     return omega * (np.arange(levels) + 0.5)

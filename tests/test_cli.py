@@ -102,10 +102,14 @@ def test_verify_identities_is_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_identities_dim_bounds(tmp_path):
-    assert main(["verify-identities", "--dim", "0"]) == 2
-    assert main(["verify-identities", "--dim", "65"]) == 2
-    assert main(["verify-identities", "--seed", "-1"]) == 2
+def test_verify_identities_dim_bounds(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for flags, message in ((["--dim", "0"], "--dim must be between 1 and 64, got 0"),
+                           (["--dim", "65"], "--dim must be between 1 and 64, got 65"),
+                           (["--seed", "-1"], "--seed must be nonnegative, got -1")):
+        assert main(["verify-identities", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2():

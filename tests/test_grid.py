@@ -146,7 +146,7 @@ def test_kinetic_needs_four_points():
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, float("nan")])
 def test_kinetic_rejects_bad_mass(mu):
-    with pytest.raises(NonPositiveMass):
+    with pytest.raises(NonPositiveMass, match=f"^mu must be positive and finite, got {mu!r}$"):
         kinetic_operator(GridSpec(length=1.0, qubits=3), mu)
 
 

@@ -21,10 +21,12 @@ from qcpusim import (
     PotentialSpec,
     SystemSpec,
     ZeroVector,
+    build_network,
     exact_evolution,
     fidelity,
     hermiticity_defect,
     kinetic_operator,
+    raising_block,
     require_hermitian,
     spectral_kinetic_matrix,
     spectral_norm_upper_bound,
@@ -118,9 +120,11 @@ def test_require_hermitian_rejects_rectangular():
 @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (0, 3)])
 def test_hermiticity_defect_rejects_non_square(shape):
     """A row or column vector does not broadcast against its transpose into a
-    zero defect: the defect of a non-square matrix is refused."""
-    with pytest.raises(NonSquareInput, match=re.escape(f"square matrix, got {shape}")):
-        hermiticity_defect(np.ones(shape))
+    zero defect: the defect of a non-square matrix is refused, and every
+    function that takes a square matrix refuses it with the same message."""
+    for check in (hermiticity_defect, spectral_norm_upper_bound, build_network, raising_block):
+        with pytest.raises(NonSquareInput, match=re.escape(f"square matrix, got {shape}")):
+            check(np.ones(shape))
 
 
 def test_exact_evolution_is_unitary():

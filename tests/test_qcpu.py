@@ -7,6 +7,7 @@ equality rather than tolerances.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -322,6 +323,33 @@ def test_chained_network_runs_stage_by_stage(n, kinds, seed):
     assert np.max(np.abs(project_aux(staged, 1) - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert np.array_equal(project_aux(staged, 0), psi)
     assert np.array_equal(apply_network(chain, psi), staged)
+
+
+def test_network_needs_blocks_on_one_register():
+    """A network is refused where it is made, not first where it is used."""
+    with pytest.raises(DimensionMismatch, match=r"^need at least one network$"):
+        QcpuNetwork(blocks=())
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape("networks live on different registers: [3, 4]")):
+        QcpuNetwork(blocks=(np.eye(3), np.eye(4)))
+    with pytest.raises(NonSquareInput, match=re.escape("square matrix, got (2, 3)")):
+        QcpuNetwork(blocks=(np.eye(2), np.ones((2, 3))))
+
+
+def test_network_stores_complex_blocks():
+    net = QcpuNetwork(blocks=[np.eye(2), [[0, 1], [1, 0]]])
+    assert isinstance(net.blocks, tuple)
+    assert all(block.dtype == complex for block in net.blocks)
+    assert np.array_equal(net.payload, [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("order", [[0, 0], [7], [0, 1], [0, 1, 2, 3], [0, 1, 1], [-1, 0, 1]])
+def test_dense_from_factors_refuses_a_non_permutation(order):
+    """Repeating or dropping a factor would silently give a wrong matrix:
+    [0, 0] puts 2, not 1, in the [1, 0] entry."""
+    net = build_network([[1, 2], [0, 3]])
+    with pytest.raises(IndexOutOfRange, match=re.escape("permutation of range(3)")):
+        dense_from_factors(net, order)
 
 
 def test_compose_product_empty_needs_dim():

@@ -462,6 +462,13 @@ def test_harmonic_energies_ladder():
     assert np.array_equal(harmonic_energies(2.0, 4), np.array([1.0, 3.0, 5.0, 7.0]))
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf])
+def test_harmonic_energies_rejects_bad_frequency(omega):
+    """The same check, and message, as SystemSpec's omega."""
+    with pytest.raises(NonPositiveFrequency, match=f"^omega must be positive and finite, got {omega!r}$"):
+        harmonic_energies(omega, 2)
+
+
 def test_harmonic_energies_validation():
     with pytest.raises(NonPositiveFrequency):
         harmonic_energies(-1.0, 4)
