@@ -27,8 +27,8 @@ from .errors import (
     DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning,
 )
 from .numerics import (
-    as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern, require_hermitian,
-    require_sign,
+    as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern, nonzero_product,
+    require_hermitian, require_sign,
 )
 from .qcpu import (
     QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
@@ -88,16 +88,14 @@ def euler_states(h: np.ndarray, psi0: np.ndarray, evo: EvolutionConfig):
 
     Omega = I + sign*i*dt*h is never formed: its row-major nonzeros are the
     checked h's nonzeros plus the diagonal, valued bit for bit as euler_step's,
-    and each step sums Omega_ij * state_j over those only, O(nnz) work.
+    and each step is one `nonzero_product` over those only, O(nnz) work.
     """
-    n = h.shape[0]
-    rows, cols = nonzero_pattern(h)
-    values = (evo.sign * 1j * evo.dt) * h[rows, cols] + (rows == cols)
+    rows, cols, values = nonzero_pattern(h)
+    values = (evo.sign * 1j * evo.dt) * values + (rows == cols)
     state = psi0
     yield 0, state
     for i in range(1, evo.steps + 1):
-        terms = values * state[cols]
-        state = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
+        state = nonzero_product(rows, cols, values, state)
         yield i, state
 
 

@@ -30,7 +30,7 @@ from .errors import (
     InvalidSpec,
     NonFiniteValue,
 )
-from .numerics import as_state, require_mass, tensor
+from .numerics import as_state, nonzero_pattern, nonzero_product, require_mass, tensor
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,16 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
 def spectrum_rows(grid: GridSpec, mu: float) -> list[dict]:
     """Per plane-wave mode n, the analytic momentum and kinetic eigenvalues
     against <mode|op|mode> measured on the dense operators, and their
-    absolute differences."""
-    momentum = momentum_operator(grid)
-    kinetic = kinetic_operator(grid, mu)
+    absolute differences, each operator applied by `nonzero_product` in O(N)."""
+    momentum = nonzero_pattern(momentum_operator(grid))
+    kinetic = nonzero_pattern(kinetic_operator(grid, mu))
     rows = []
     for n in range(grid.size):
         mode = plane_wave_mode(grid, n)
         p_ana = momentum_eigenvalue(grid, n)
         t_ana = kinetic_eigenvalue(grid, mu, n)
-        p_num = float(np.vdot(mode, momentum @ mode).real)
-        t_num = float(np.vdot(mode, kinetic @ mode).real)
+        p_num = float(np.vdot(mode, nonzero_product(*momentum, mode)).real)
+        t_num = float(np.vdot(mode, nonzero_product(*kinetic, mode)).real)
         rows.append({"mode": n, "momentum_analytic": p_ana, "momentum_numeric": p_num,
                      "momentum_abs_diff": abs(p_ana - p_num), "kinetic_analytic": t_ana,
                      "kinetic_numeric": t_num, "kinetic_abs_diff": abs(t_ana - t_num)})

@@ -3,12 +3,13 @@
 Every operator (network payloads, discretized operators, time evolution)
 is a plain N x N complex128 ``numpy`` array, and every state a complex
 vector.  This module holds the coercions and checks on those arrays, the
-row-major nonzero pattern that sparse stepping reads, the exact-evolution
-oracle, and the fidelity metric used for all comparisons.  The oracle
-applies e^{sign i H t} to the initial state without forming it: by a
-Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) when that is
-cheaper, as for a stencil H, and otherwise by the Hermitian
-eigendecomposition, in real arithmetic for an H with a zero imaginary part.
+row-major nonzero pattern that sparse stepping reads and the one product
+of an operator with a state on it, the exact-evolution oracle, and the
+fidelity metric used for all comparisons.  The oracle applies
+e^{sign i H t} to the initial state without forming it: by a Chebyshev
+series on H's nonzeros (Tal-Ezer & Kosloff 1984) when that is cheaper, as
+for a stencil H, and otherwise by the Hermitian eigendecomposition, in
+real arithmetic for an H with a zero imaginary part.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import (DimensionMismatch, InvalidSpec, NonHermitianInput, NonPositiveFrequency,
-                     NonPositiveMass, NonSquareInput, ZeroVector)
+                     NonPositiveMass, NonSquareInput, NumericalFailure, ZeroVector)
 
 HERMITICITY_TOL = 1e-10
 
@@ -97,74 +98,82 @@ def require_hermitian(h) -> np.ndarray:
     return h
 
 
-def nonzero_pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (rows, cols) of a square h's nonzero entries and its whole
-    diagonal, so every row holds at least its diagonal entry."""
+def nonzero_pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major (rows, cols, values) of a square h's nonzero entries and its
+    whole diagonal, so every row holds at least its diagonal entry."""
     mask = h != 0
     np.fill_diagonal(mask, True)
-    return np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), in a tenth of its time
+    rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
+    return rows, cols, h[rows, cols]
+
+
+def nonzero_product(rows, cols, values, v) -> np.ndarray:
+    """A @ v for a square A given by its row-major nonzeros (rows, cols, values),
+    in O(nnz): each row sums its terms values * v[cols] in column order, by one
+    np.bincount for the real and one for the imaginary parts.  The Euler steps,
+    the oracle's series and `grid.spectrum_rows` all multiply by it."""
+    terms = values * v[cols]
+    return np.bincount(rows, terms.real, len(v)) + 1j * np.bincount(rows, terms.imag, len(v))
 
 
 def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     """exp(sign * i * h * t) @ psi for Hermitian h, never forming the propagator.
 
     This is the oracle every approximate evolution path is compared against.
-    psi is a state vector or a matrix of column states (``np.eye(n)`` gives
-    the propagator itself).  It takes the cheaper of two routes, both exact
-    to round-off: a Chebyshev series on h's nonzeros (`_chebyshev_evolution`),
-    whose cost grows with the nonzeros and with |t| times h's spectral
-    width, or the eigendecomposition, V (e^{sign i lambda t} * (V^dag psi)),
-    at O(N^3).  There an h with no nonzero imaginary entry is diagonalised as
-    a real symmetric matrix, and its real eigenvectors act on psi's real and
+    psi is one state of h's dimension (DimensionMismatch otherwise).  It
+    takes the cheaper of two routes, both exact to round-off: a Chebyshev
+    series on h's nonzeros (`_chebyshev_evolution`), whose cost grows with
+    the nonzeros and with |t| times h's spectral width, or the
+    eigendecomposition, V (e^{sign i lambda t} * (V^dag psi)), at O(N^3).
+    There an h with no nonzero imaginary entry is diagonalised as a real
+    symmetric matrix, and its real eigenvectors act on psi's real and
     imaginary parts in real arithmetic.
     """
     require_sign(sign)
     h = require_hermitian(h)
-    psi = np.asarray(psi, dtype=complex)
-    columns = psi.reshape(psi.shape[0], -1)
-    out = _chebyshev_evolution(h, t, columns, sign, h.shape[0] ** 3)
-    if out is None:
-        out = _eigh_evolution(h, t, columns, sign)
-    return out.reshape(psi.shape)
-
-
-def _eigh_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int) -> np.ndarray:
+    psi = as_state(psi)
+    if psi.shape[0] != h.shape[0]:
+        raise DimensionMismatch(f"state dim {psi.shape[0]} != operator dim {h.shape[0]}")
+    out = _chebyshev_evolution(h, t, psi, sign, h.shape[0] ** 3)
+    if out is not None:
+        return out
     real = not h.imag.any()
     eigenvalues, v = np.linalg.eigh(h.real if real else h)
-    phases = np.exp(1j * sign * eigenvalues * t)[:, None]
+    phases = np.exp(1j * sign * eigenvalues * t)
     if real:
-        return _real_matmul(v, phases * _real_matmul(v.T, columns))
-    return v @ (phases * (v.conj().T @ columns))
+        return _real_matvec(v, phases * _real_matvec(v.T, psi))
+    return v @ (phases * (v.conj().T @ psi))
 
 
-# One Chebyshev term costs 13.5-16.6 ns per nonzero per state column, and
-# the real eigh 0.23-0.24 ns per N^3, at N = 1024 on the stencil H (ratio
-# 60-69; 41-45 at N = 256), measured on a 2-vCPU Xeon host with numpy 2.4
-# and one BLAS thread: a term on one nonzero weighs about 64 units of N^3.
+# One Chebyshev term costs 13.5-16.6 ns per nonzero, and the real eigh
+# 0.23-0.24 ns per N^3, at N = 1024 on the stencil H (ratio 60-69; 41-45 at
+# N = 256), measured on a 2-vCPU Xeon host with numpy 2.4 and one BLAS
+# thread: a term on one nonzero weighs about 64 units of N^3.  Those terms
+# ran an np.add.reduceat product; nonzero_product runs within 10% of it.
 CHEBYSHEV_COST = 64
 BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
 
-def _chebyshev_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int, budget: float):
-    """e^{sign i h t} columns by a Chebyshev series, or None where its
-    cost, terms * nonzeros * columns * CHEBYSHEV_COST, exceeds budget (N^3
-    for the eigendecomposition it replaces).
+def _chebyshev_evolution(h: np.ndarray, t: float, psi: np.ndarray, sign: int, budget: float):
+    """e^{sign i h t} psi by a Chebyshev series, or None where its cost,
+    terms * nonzeros * CHEBYSHEV_COST, exceeds budget (N^3 for the
+    eigendecomposition it replaces).
 
     The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, so
     e^{sign i h t} = e^{sign i c t} e^{i s z X} with X = (h - c) / w, z = |t| w
     and s = sign * sign(t), and the Jacobi-Anger expansion gives
     e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
-    polynomials.  Each term is one product with X on h's nonzero pattern.
+    polynomials.  Each term is one `nonzero_product` with X on h's pattern.
     The series needs more than z terms, and z is at least |t| times the
     RMS spread of the eigenvalues, which h's Frobenius norm and trace give
     without a temporary; with np.count_nonzero(h) that bounds the cost from
     below, so a dense h goes to eigh before any nonzero array is made.
     """
-    n, m = columns.shape
+    n = h.shape[0]
 
     def affordable(terms, nonzeros):
-        return terms * nonzeros * m * CHEBYSHEV_COST <= budget
+        return terms * nonzeros * CHEBYSHEV_COST <= budget
 
     if n == 0:
         return None
@@ -172,8 +181,7 @@ def _chebyshev_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int
     spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
     if not affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h)):
         return None
-    rows, cols = nonzero_pattern(h)
-    values = h[rows, cols]
+    rows, cols, values = nonzero_pattern(h)
     diagonal = rows == cols
     centres = values[diagonal].real
     radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), n)
@@ -189,21 +197,15 @@ def _chebyshev_evolution(h: np.ndarray, t: float, columns: np.ndarray, sign: int
     s = sign if t >= 0 else -sign
     coefficients = 2 * bessel * np.array([1, s * 1j, -1, -s * 1j])[np.arange(len(bessel)) % 4]
     coefficients[0] /= 2
-    state = np.ascontiguousarray(columns.T)  # one row per state: the reduction runs along rows
-    out = coefficients[0] * state
+    out = coefficients[0] * psi
     if len(bessel) > 1:
         twice_x = 2 * (values - centre * diagonal) / width
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-
-        def twice_x_times(v):
-            return np.add.reduceat(twice_x * np.take(v, cols, axis=1), starts, axis=1)
-
-        previous, state = state, twice_x_times(state) / 2
+        previous, state = psi, nonzero_product(rows, cols, twice_x, psi) / 2
         out = out + coefficients[1] * state
         for a in coefficients[2:]:
-            previous, state = state, twice_x_times(state) - previous
+            previous, state = state, nonzero_product(rows, cols, twice_x, state) - previous
             out += a * state
-    return np.exp(1j * sign * centre * t) * out.T
+    return np.exp(1j * sign * centre * t) * out
 
 
 def bessel_series(z: float) -> np.ndarray:
@@ -230,14 +232,11 @@ def bessel_series(z: float) -> np.ndarray:
     return j[:np.flatnonzero((order > z) & (np.abs(j) < BESSEL_FLOOR))[0]]
 
 
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex matrix z, as one real product.
-
-    Viewing z's columns as interleaved (real, imag) float columns keeps numpy
-    from promoting a to a complex copy of itself.
-    """
-    z = np.ascontiguousarray(z)
-    return (a @ z.view(np.float64)).view(complex)
+def _real_matvec(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex vector z, as one real product on
+    z viewed as (n, 2) floats, so numpy never promotes a to a complex copy."""
+    z = np.ascontiguousarray(z)[:, None]
+    return (a @ z.view(np.float64)).view(complex)[:, 0]
 
 
 def spectral_norm_upper_bound(h) -> float:
@@ -265,4 +264,7 @@ def fidelity(a, b) -> float:
     norm_b = np.linalg.norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ZeroVector("fidelity needs two nonzero states")
-    return min(1.0, float(np.abs(np.vdot(a, b)) / (norm_a * norm_b)))
+    ratio = float(np.abs(np.vdot(a, b))) / float(norm_a * norm_b)  # inf / inf: NaN, no warning
+    if math.isnan(ratio):  # min(1.0, NaN) would read as perfect agreement
+        raise NumericalFailure("fidelity of a state that is not finite")
+    return min(1.0, ratio)

@@ -118,15 +118,12 @@ class QcpuNetwork:
     def factors(self) -> tuple[QcpuFactor, ...]:
         """One factor per nonzero payload entry, in row-major order."""
         rows, cols = np.nonzero(self.payload)
-        return tuple(
-            QcpuFactor(m=int(m), n=int(n), u=complex(self.payload[m, n]))
-            for m, n in zip(rows, cols)
-        )
+        return tuple(QcpuFactor(m=int(m), n=int(n), u=complex(self.payload[m, n]))
+                     for m, n in zip(rows, cols))
 
     def dense(self) -> np.ndarray:
         """Closed form I (x) I + payload (x) |1><0| by direct block assembly."""
-        n = self.register_dim
-        out = np.eye(2 * n, dtype=complex)
+        out = np.eye(2 * self.register_dim, dtype=complex)
         out[1::2, 0::2] += self.payload
         return out
 
@@ -144,11 +141,12 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     right-multiplication by I + u * E[2m+1, 2n] is done as the column
     update it is, adding u times column 2m+1 to column 2n; factor_matrix
     stays the dense reference for one factor.  An order that is not a
-    permutation of the factor indices is refused.
+    permutation of the factor indices, integers all, is refused.
     """
     count = len(net.factors)
-    indices = range(count) if order is None else order
-    if order is not None and not np.array_equal(np.sort(order), np.arange(count)):
+    indices = range(count) if order is None else np.asarray(order)
+    if order is not None and (indices.size and indices.dtype.kind not in "iu"
+                              or not np.array_equal(np.sort(indices), np.arange(count))):
         raise IndexOutOfRange(f"factor order must be a permutation of range({count})")
     out = np.eye(2 * net.register_dim, dtype=complex)
     for i in indices:
@@ -181,12 +179,17 @@ def project_aux(state, branch: int) -> np.ndarray:
     """Sub-vector of amplitudes on one auxiliary branch, unnormalized."""
     if branch not in (0, 1):
         raise IndexOutOfRange(f"auxiliary branch must be 0 or 1, got {branch}")
-    return as_state(state)[branch::2].copy()
+    state = as_state(state)
+    if state.shape[0] % 2:
+        raise DimensionMismatch(f"a network state has 2N amplitudes, got {state.shape[0]}")
+    return state[branch::2].copy()
 
 
 def raising_block(matrix) -> np.ndarray:
     """Extract the payload block (raised rows, lowered columns) of a 2N x 2N matrix."""
     m = as_complex_matrix(matrix)
+    if m.shape[0] % 2:
+        raise DimensionMismatch(f"a network matrix is 2N x 2N, got {m.shape}")
     return m[1::2, 0::2].copy()
 
 
@@ -266,9 +269,7 @@ def identity_suite(seed: int, dim: int) -> dict:
     for r in (1, 2, 3):
         payloads = [_random_payload(rng, dim) for _ in range(r)]
         nets = [build_network(u) for u in payloads]
-        chain = eye
-        for net in nets:
-            chain = chain @ (c @ net.dense())
+        chain = reduce(np.matmul, [c @ net.dense() for net in nets], eye)
         sandwich = eye + c_dag @ chain @ c @ c_dag
         record("product_rule", compose_product(nets).dense(), sandwich)
         record("block_extraction", raising_block(sandwich), reduce(np.matmul, payloads))

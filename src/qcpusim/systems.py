@@ -207,11 +207,9 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
     phase_const = -1j * spec.p0 ** 2 * t / (2.0 * mu)
 
     def profile(x):
-        shift = np.asarray(x, dtype=float) - center
-        exponent = -shift ** 2 / (4.0 * sigma_sq * alpha) + 1j * spec.p0 * (
-            np.asarray(x, dtype=float) - spec.x0
-        ) + phase_const
-        return prefactor * np.exp(exponent)
+        x = np.asarray(x, dtype=float)
+        return prefactor * np.exp(
+            -(x - center) ** 2 / (4.0 * sigma_sq * alpha) + 1j * spec.p0 * (x - spec.x0) + phase_const)
 
     return profile
 

@@ -32,6 +32,7 @@ from qcpusim import (
     wavefunction_header,
     wavefunction_records,
 )
+from qcpusim.grid import spectrum_rows
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,21 @@ def test_kinetic_eigenvalue_on_plane_waves():
         mode = plane_wave_mode(g, n)
         expected = kinetic_eigenvalue(g, 2.0, n) * mode
         assert np.max(np.abs(t @ mode - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("length, mu", [(10.0, 1.0), (1.0, 0.3)])
+def test_spectrum_rows_match_the_dense_operators(k, length, mu):
+    """Each mode's numeric columns equal <mode|op @ mode> on the dense
+    operators to 1e-12 relative to the column's largest value."""
+    g = GridSpec(length=length, qubits=k)
+    rows = spectrum_rows(g, mu)
+    assert [row["mode"] for row in rows] == list(range(g.size))
+    modes = [plane_wave_mode(g, n) for n in range(g.size)]
+    for key, op in (("momentum", momentum_operator(g)), ("kinetic", kinetic_operator(g, mu))):
+        reference = np.array([np.vdot(mode, op @ mode).real for mode in modes])
+        numeric = np.array([row[f"{key}_numeric"] for row in rows])
+        assert np.max(np.abs(numeric - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_kinetic_needs_four_points():

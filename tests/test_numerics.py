@@ -18,6 +18,7 @@ from qcpusim import (
     InvalidSpec,
     NonHermitianInput,
     NonSquareInput,
+    NumericalFailure,
     PotentialSpec,
     SystemSpec,
     ZeroVector,
@@ -33,7 +34,9 @@ from qcpusim import (
     tensor,
 )
 from qcpusim.cli import main
-from qcpusim.numerics import BESSEL_FLOOR, _chebyshev_evolution, bessel_series
+from qcpusim.numerics import (
+    BESSEL_FLOOR, _chebyshev_evolution, bessel_series, nonzero_pattern, nonzero_product,
+)
 from qcpusim.systems import system_route
 from test_grid import shift_matrix, transposition_matrix
 
@@ -41,6 +44,11 @@ from test_grid import shift_matrix, transposition_matrix
 def random_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2.0
+
+
+def exact_propagator(h, t, sign=-1):
+    """The propagator e^{sign i h t}, built column by column from the oracle."""
+    return np.column_stack([exact_evolution(h, t, e, sign) for e in np.eye(len(h))])
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +137,29 @@ def test_hermiticity_defect_rejects_non_square(shape):
 
 def test_exact_evolution_is_unitary():
     h = random_hermitian(np.random.default_rng(2), 6)
-    u = exact_evolution(h, 0.7, np.eye(6))
+    u = exact_propagator(h, 0.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(6))) < 1e-12
 
 
 def test_exact_evolution_group_property():
     """exp(-iH(t1+t2)) must equal exp(-iHt1) exp(-iHt2)."""
     h = random_hermitian(np.random.default_rng(3), 5)
-    u1 = exact_evolution(h, 0.3, np.eye(5))
-    u2 = exact_evolution(h, 0.5, np.eye(5))
-    u12 = exact_evolution(h, 0.8, np.eye(5))
+    u1 = exact_propagator(h, 0.3)
+    u2 = exact_propagator(h, 0.5)
+    u12 = exact_propagator(h, 0.8)
     assert np.max(np.abs(u1 @ u2 - u12)) < 1e-12
 
 
 def test_exact_evolution_sign_conjugate():
     h = random_hermitian(np.random.default_rng(4), 4)
-    fwd = exact_evolution(h, 1.1, np.eye(4), sign=-1)
-    back = exact_evolution(h, 1.1, np.eye(4), sign=1)
+    fwd = exact_propagator(h, 1.1, sign=-1)
+    back = exact_propagator(h, 1.1, sign=1)
     assert np.max(np.abs(fwd @ back - np.eye(4))) < 1e-12
 
 
 def test_exact_evolution_phases_eigenvector():
     vals = np.array([0.5, 1.5, -2.0])
-    u = exact_evolution(np.diag(vals), 2.0, np.eye(3))
+    u = exact_propagator(np.diag(vals), 2.0)
     e1 = np.zeros(3, dtype=complex)
     e1[1] = 1.0
     assert np.max(np.abs(u @ e1 - np.exp(-1j * vals[1] * 2.0) * e1)) < 1e-14
@@ -160,7 +168,7 @@ def test_exact_evolution_phases_eigenvector():
 def test_exact_evolution_invalid_sign():
     for sign in (0, True, -1.0):
         with pytest.raises(InvalidSpec):
-            exact_evolution(np.eye(2), 1.0, np.eye(2), sign=sign)
+            exact_propagator(np.eye(2), 1.0, sign=sign)
 
 
 @st.composite
@@ -185,8 +193,16 @@ def test_exact_evolution_matches_dense_propagator(case):
     eigenvalues, v = np.linalg.eigh(h)
     propagator = (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
     assert np.max(np.abs(exact_evolution(h, t, psi, sign) - propagator @ psi)) < 1e-12
-    n = h.shape[0]
-    assert np.max(np.abs(exact_evolution(h, t, np.eye(n), sign) - propagator)) < 1e-12
+    assert np.max(np.abs(exact_propagator(h, t, sign) - propagator)) < 1e-12
+
+
+@pytest.mark.parametrize("psi", [np.eye(3), np.ones((3, 1)), np.ones(2), np.ones(4), np.ones(0)])
+def test_exact_evolution_takes_one_state_of_h_dimension(psi):
+    """A matrix of states, or a state of another length, is refused: a
+    longer one must not come back cut short or zero-padded."""
+    h = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        exact_evolution(h, 0.5, psi)
 
 
 def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
@@ -202,7 +218,7 @@ def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
     spectral_h = spectral_kinetic_matrix(g, 0.7)
     psi = np.ones(g.size, dtype=complex)
     for h in (stencil_h, spectral_h):
-        assert _chebyshev_evolution(h, 50.0, psi[:, None], -1, g.size ** 3) is None
+        assert _chebyshev_evolution(h, 50.0, psi, -1, g.size ** 3) is None
     seen = []
     eigh = np.linalg.eigh
 
@@ -222,7 +238,7 @@ def test_exact_evolution_of_real_h_forms_no_complex_propagator():
     g = GridSpec(length=32.0, qubits=8)
     h = kinetic_operator(g, 1.0) + np.diag(np.linspace(0.0, 1.0, g.size))
     psi = np.ones(g.size, dtype=complex)
-    assert _chebyshev_evolution(h, 50.0, psi[:, None], -1, g.size ** 3) is None
+    assert _chebyshev_evolution(h, 50.0, psi, -1, g.size ** 3) is None
     tracemalloc.start()
     try:
         exact_evolution(h, 50.0, psi)
@@ -230,6 +246,26 @@ def test_exact_evolution_of_real_h_forms_no_complex_propagator():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * h.nbytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0),
+       empty_rows=st.floats(0.0, 1.0))
+def test_nonzero_product_matches_the_dense_product(n, seed, density, empty_rows):
+    """On a random complex sparse A, some of its rows empty, the product on
+    A's row-major nonzeros equals A @ v to 1e-12 relative to |A| @ |v|, and
+    the zeros of a filled diagonal leave its bits alone."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a[rng.random((n, n)) >= density] = 0.0
+    a[rng.random(n) < empty_rows] = 0.0
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rows, cols = np.nonzero(a)
+    expected = a @ v
+    out = nonzero_product(rows, cols, a[rows, cols], v)
+    assert out.shape == (n,)
+    assert np.all(np.abs(out - expected) <= 1e-12 * (np.abs(a) @ np.abs(v)))
+    assert np.max(np.abs(nonzero_product(*nonzero_pattern(a), v) - out)) == 0.0
 
 
 def test_hermiticity_defect_compares_in_row_blocks():
@@ -321,14 +357,13 @@ def chebyshev_cases(draw):
 @given(chebyshev_cases())
 def test_chebyshev_series_matches_eigh(case):
     """The Chebyshev branch, run whatever its cost, agrees with the
-    eigendecomposition propagator to 1e-12 on a vector and on columns."""
+    eigendecomposition propagator to 1e-12 on each state."""
     h, t, sign, columns = case
     eigenvalues, v = np.linalg.eigh(h)
     propagator = (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
-    out = _chebyshev_evolution(h, t, columns, sign, math.inf)
-    assert np.max(np.abs(out - propagator @ columns)) < 1e-12
-    vector = _chebyshev_evolution(h, t, columns[:, :1], sign, math.inf)
-    assert np.max(np.abs(vector[:, 0] - propagator @ columns[:, 0])) < 1e-12
+    for psi in columns.T:
+        out = _chebyshev_evolution(h, t, psi, sign, math.inf)
+        assert np.max(np.abs(out - propagator @ psi)) < 1e-12
 
 
 def _count_eigh(monkeypatch):
@@ -440,6 +475,14 @@ def test_fidelity_zero_vector_rejected():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fidelity(np.ones(2), np.ones(3))
+
+
+@pytest.mark.parametrize("a", [[math.nan, 1.0], [math.inf, 0.0], [complex(0.0, math.inf), 1.0]])
+def test_fidelity_refuses_a_state_that_is_not_finite(a):
+    """min(1.0, NaN) is 1.0: a non-finite state must not read as perfect agreement."""
+    for pair in ((a, [1.0, 0.0]), ([1.0, 0.0], a)):
+        with pytest.raises(NumericalFailure):
+            fidelity(*pair)
 
 
 @settings(max_examples=40, deadline=None)

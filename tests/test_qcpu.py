@@ -165,10 +165,23 @@ def test_project_aux_invalid_branch():
         project_aux(np.zeros(4), 2)
 
 
+@pytest.mark.parametrize("branch", [0, 1])
+def test_project_aux_refuses_an_odd_length(branch):
+    """A network state holds 2N amplitudes; three would split into 2 and 1."""
+    with pytest.raises(DimensionMismatch, match="2N amplitudes, got 3"):
+        project_aux(np.ones(3), branch)
+
+
 def test_raising_block_roundtrip():
     rng = np.random.default_rng(16)
     u = random_payload(rng, 5)
     assert np.array_equal(raising_block(build_network(u).dense()), u)
+
+
+def test_raising_block_refuses_an_odd_size():
+    """A 3 x 3 matrix is no network's 2N x 2N form; it sliced to a (1, 2) block."""
+    with pytest.raises(DimensionMismatch, match=re.escape("2N x 2N, got (3, 3)")):
+        raising_block(np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +356,12 @@ def test_network_stores_complex_blocks():
     assert np.array_equal(net.payload, [[0, 1], [1, 0]])
 
 
-@pytest.mark.parametrize("order", [[0, 0], [7], [0, 1], [0, 1, 2, 3], [0, 1, 1], [-1, 0, 1]])
+@pytest.mark.parametrize("order", [[0, 0], [7], [0, 1], [0, 1, 2, 3], [0, 1, 1], [-1, 0, 1],
+                                   np.array([1.0, 0.0, 2.0])])
 def test_dense_from_factors_refuses_a_non_permutation(order):
     """Repeating or dropping a factor would silently give a wrong matrix:
-    [0, 0] puts 2, not 1, in the [1, 0] entry."""
+    [0, 0] puts 2, not 1, in the [1, 0] entry.  A float order sorts to the
+    indices but cannot index the factors."""
     net = build_network([[1, 2], [0, 3]])
     with pytest.raises(IndexOutOfRange, match=re.escape("permutation of range(3)")):
         dense_from_factors(net, order)

@@ -40,6 +40,7 @@ from qcpusim import (
     spectral_momentum_values,
 )
 from qcpusim.systems import POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, system_route
+from test_numerics import exact_propagator
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +409,7 @@ def test_spectral_propagator_matches_exact_evolution():
     g = GridSpec(length=10.0, qubits=4)
     mu, t = 1.3, 0.9
     u = np.column_stack([spectral_evolution(g, mu, t, e) for e in np.eye(g.size)])
-    reference = exact_evolution(spectral_kinetic_matrix(g, mu), t, np.eye(g.size))
+    reference = exact_propagator(spectral_kinetic_matrix(g, mu), t)
     assert np.max(np.abs(u - reference)) < 1e-10
 
 
