@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    h = stepped_hamiltonian(cfg.system, cfg.grid)
+    h = stepped_hamiltonian(cfg.system, cfg.grid).dense()  # the networks take dense payloads
     psi0 = cfg.initial_state.build(cfg.grid)
     norm_bound = spectral_norm_upper_bound(h)
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))

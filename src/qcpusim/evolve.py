@@ -27,8 +27,8 @@ from .errors import (
     DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning,
 )
 from .numerics import (
-    as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern, nonzero_product,
-    require_hermitian, require_sign,
+    SparseOperator, as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern,
+    nonzero_product, require_hermitian, require_sign,
 )
 from .qcpu import (
     QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
@@ -68,8 +68,9 @@ class EvolutionConfig:
         return int(round(self.total_time / self.dt))
 
 
-def _check_step(h, dt: float, sign: int) -> np.ndarray:
-    """Validate the (h, dt, sign) of an Euler step; returns h as a complex matrix."""
+def _check_step(h, dt: float, sign: int):
+    """Validate the (h, dt, sign) of an Euler step; returns h as a complex
+    matrix, or the SparseOperator it is."""
     h = require_hermitian(h)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
@@ -83,12 +84,13 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
-def euler_states(h: np.ndarray, psi0: np.ndarray, evo: EvolutionConfig):
+def euler_states(h, psi0: np.ndarray, evo: EvolutionConfig):
     """Yield (step, state) for steps 0..evo.steps of Euler steps Omega @ state.
 
     Omega = I + sign*i*dt*h is never formed: its row-major nonzeros are the
     checked h's nonzeros plus the diagonal, valued bit for bit as euler_step's,
     and each step is one `nonzero_product` over those only, O(nnz) work.
+    h is a dense matrix or a SparseOperator, whose nonzeros are read as held.
     """
     rows, cols, values = nonzero_pattern(h)
     values = (evo.sign * 1j * evo.dt) * values + (rows == cols)
@@ -168,9 +170,10 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 
     Raises NumericalFailure as soon as a state leaves double range.  Pass
     both to run_report to compare the final state against the exact
-    propagator.
+    propagator.  h is a square matrix or a SparseOperator.
     """
-    h = as_complex_matrix(h)
+    if not isinstance(h, SparseOperator):
+        h = as_complex_matrix(h)
     psi0 = as_state(psi)
     if h.shape[0] != psi0.shape[0]:
         raise DimensionMismatch(f"state dim {psi0.shape[0]} != operator dim {h.shape[0]}")

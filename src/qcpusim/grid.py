@@ -2,10 +2,13 @@
 
 A grid has N = 2^k points spaced L/N apart, either starting at the origin
 (default) or centered on it.  Wavefunctions are plain amplitude vectors over
-the grid points with periodic indexing, and every operator is a dense
-complex matrix.  The momentum operator is the Hermitian central difference
+the grid points with periodic indexing, and operators are dense complex
+matrices.  The momentum operator is the Hermitian central difference
 of cyclic shifts by one point; the kinetic operator is its exact square over
-shift-by-two stencils; potentials are diagonal matrices.  A pair of
+shift-by-two stencils; potentials are diagonal matrices.  Each stencil
+operator's formula is also evaluated on its own entries only
+(`stencil_nonzeros`), which gives its row-major nonzeros in O(N), bit for
+bit those of the dense matrix, with no N x N array.  A pair of
 particles lives on the tensor product of two grids, with particle 1 as the
 slow index: one-particle operators are lifted onto it and a pair
 interaction is a diagonal over its points.
@@ -98,14 +101,7 @@ def momentum_operator(grid: GridSpec) -> np.ndarray:
     Hermitian.  Plane-wave mode n is an eigenvector with eigenvalue
     (N/L) sin(2 pi n / N).
     """
-    n = grid.size
-    if n < 3:
-        raise DegenerateGrid(
-            f"momentum needs at least 3 grid points (shift-by-one stencil collides), got {n}"
-        )
-    eye = np.eye(n, dtype=complex)
-    scale = -0.5j * (n / grid.length)
-    return scale * (np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1))
+    return _dense_stencil(grid.size, _momentum_formula(grid))
 
 
 def kinetic_operator(grid: GridSpec, mu: float) -> np.ndarray:
@@ -114,15 +110,66 @@ def kinetic_operator(grid: GridSpec, mu: float) -> np.ndarray:
 
     Plane-wave mode n has eigenvalue (1/4 mu)(N/L)^2 (1 - cos(4 pi n / N)).
     """
+    return _dense_stencil(grid.size, _kinetic_formula(grid, mu))
+
+
+def momentum_nonzeros(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nonzero_pattern(momentum_operator(grid)), bit for bit, in O(N)."""
+    return stencil_nonzeros(grid.size, (1, -1), _momentum_formula(grid))
+
+
+def kinetic_nonzeros(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nonzero_pattern(kinetic_operator(grid, mu)), bit for bit, in O(N)."""
+    return stencil_nonzeros(grid.size, (2, -2), _kinetic_formula(grid, mu))
+
+
+def _momentum_formula(grid: GridSpec):
+    n = grid.size
+    if n < 3:
+        raise DegenerateGrid(
+            f"momentum needs at least 3 grid points (shift-by-one stencil collides), got {n}"
+        )
+    scale = -0.5j * (n / grid.length)
+    return lambda shift: scale * (shift(1) - shift(-1))
+
+
+def _kinetic_formula(grid: GridSpec, mu: float):
     require_mass(mu)
     n = grid.size
     if n < 4:
         raise DegenerateGrid(
             f"kinetic needs at least 4 grid points (shift-by-two stencil collides), got {n}"
         )
-    eye = np.eye(n, dtype=complex)
     pref = (n / grid.length) ** 2
-    return -(pref / (8.0 * mu)) * (np.roll(eye, 2, axis=1) + np.roll(eye, -2, axis=1) - 2.0 * eye)
+    return lambda shift: -(pref / (8.0 * mu)) * (shift(2) + shift(-2) - 2.0 * shift(0))
+
+
+def _dense_stencil(n: int, formula) -> np.ndarray:
+    """formula(shift) with shift(s) the N x N cyclic shift np.roll(eye, s, axis=1)."""
+    eye = np.eye(n, dtype=complex)
+    return formula(lambda s: eye if s == 0 else np.roll(eye, s, axis=1))
+
+
+def stencil_nonzeros(n: int, offsets, formula) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major (rows, cols, values) of formula(shift)'s nonzeros and its
+    whole diagonal, for a formula over the cyclic shifts by the given
+    offsets, in O(n): formula runs on the entries at columns i and i + s
+    (mod n) of each row i, where shift(s) is the rolled identity's 0 or 1.
+    Each value thus comes from the dense matrix's own arithmetic, and the
+    result equals `nonzero_pattern(_dense_stencil(n, formula))` byte for
+    byte.  Offsets that coincide mod n (s = -s at n = 2s) share one entry.
+    Where formula gives a nonzero off the stencil (NaN, from an infinite
+    scale times 0), every entry is a nonzero, and the dense pattern is
+    returned.
+    """
+    if formula(lambda s: np.zeros(1, dtype=complex))[0] != 0:
+        return nonzero_pattern(_dense_stencil(n, formula))
+    steps = sorted({s % n for s in (0, *offsets)})
+    rows = np.repeat(np.arange(n), len(steps))
+    cols = np.sort((np.arange(n)[:, None] + steps) % n, axis=1).ravel()
+    values = formula(lambda s: (cols == (rows + s) % n).astype(complex))
+    keep = (values != 0) | (rows == cols)
+    return rows[keep], cols[keep], values[keep]
 
 
 def potential_operator(grid: GridSpec, v: Callable[[float], float]) -> np.ndarray:
@@ -212,10 +259,11 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
 
 def spectrum_rows(grid: GridSpec, mu: float) -> list[dict]:
     """Per plane-wave mode n, the analytic momentum and kinetic eigenvalues
-    against <mode|op|mode> measured on the dense operators, and their
-    absolute differences, each operator applied by `nonzero_product` in O(N)."""
-    momentum = nonzero_pattern(momentum_operator(grid))
-    kinetic = nonzero_pattern(kinetic_operator(grid, mu))
+    against <mode|op|mode> measured on the stencil operators, and their
+    absolute differences, each operator applied by `nonzero_product` on its
+    `stencil_nonzeros` in O(N)."""
+    momentum = momentum_nonzeros(grid)
+    kinetic = kinetic_nonzeros(grid, mu)
     rows = []
     for n in range(grid.size):
         mode = plane_wave_mode(grid, n)

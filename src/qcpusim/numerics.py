@@ -1,11 +1,15 @@
-"""Dense complex linear algebra substrate.
+"""Complex linear algebra substrate.
 
-Every operator (network payloads, discretized operators, time evolution)
-is a plain N x N complex128 ``numpy`` array, and every state a complex
-vector.  This module holds the coercions and checks on those arrays, the
-row-major nonzero pattern that sparse stepping reads and the one product
-of an operator with a state on it, the exact-evolution oracle, and the
-fidelity metric used for all comparisons.  The oracle applies
+An operator is a plain N x N complex128 ``numpy`` array (network payloads,
+the spectral kinds' H, the references), or a `SparseOperator`: a stencil
+or diagonal H held as its row-major nonzeros, with a `dense()` form for
+the references and eigh.  Every state is a complex vector.  This module
+holds the coercions and checks on operators, the row-major nonzero
+pattern that sparse stepping reads and the one product of an operator
+with a state on it, the exact-evolution oracle, and the fidelity metric
+used for all comparisons.  The Hermiticity check, the norm bound and the
+oracle take a SparseOperator in O(nnz) and give what they give on its
+dense() form, bit for bit.  The oracle applies
 e^{sign i H t} to the initial state without forming it: by a Chebyshev
 series on H's nonzeros (Tal-Ezer & Kosloff 1984) when that is cheaper, as
 for a stencil H, and otherwise by the Hermitian eigendecomposition, in
@@ -17,6 +21,8 @@ All functions are pure; values are never mutated after construction.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +75,29 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+@dataclass(frozen=True, eq=False)
+class SparseOperator:
+    """A square operator of dimension `size` held as its row-major nonzeros,
+    its whole diagonal included: the (rows, cols, values) that
+    `nonzero_pattern(dense())` gives, byte for byte.  `dense()` builds the
+    N x N matrix, for the references and eigh only.  The arrays are
+    read-only."""
+
+    size: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dense: Callable[[], np.ndarray]
+
+    def __post_init__(self) -> None:
+        for a in (self.rows, self.cols, self.values):
+            a.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.size, self.size
+
+
 # ---------------------------------------------------------------------------
 # Hermiticity, the nonzero pattern, and the exact-evolution oracle
 # ---------------------------------------------------------------------------
@@ -77,7 +106,21 @@ HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
 
 
 def hermiticity_defect(h) -> float:
-    """Max-abs difference between a square matrix and its conjugate transpose."""
+    """Max-abs difference between a square matrix and its conjugate transpose.
+
+    A SparseOperator pairs each nonzero with its mirror entry, found by
+    binary search in the row-major keys, or 0 where the mirror is not a
+    nonzero: the same per-entry differences, and so the same maximum, as
+    on its dense() form, whose other entries give 0 - 0."""
+    if isinstance(h, SparseOperator):
+        rows, cols, values = nonzero_pattern(h)
+        if not len(rows):
+            return 0.0
+        keys, mirror_keys = rows * h.size + cols, cols * h.size + rows
+        mirror = np.minimum(np.searchsorted(keys, mirror_keys), len(keys) - 1)
+        partner = np.where(keys[mirror] == mirror_keys, values[mirror], 0.0)
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(values - partner.conj())))
     h = as_complex_matrix(h)
     if not h.size:
         return 0.0
@@ -90,17 +133,23 @@ def hermiticity_defect(h) -> float:
         ]))
 
 
-def require_hermitian(h) -> np.ndarray:
-    h = as_complex_matrix(h)
+def require_hermitian(h):
+    """h, a square matrix as complex128 or a SparseOperator, if it is finite
+    and Hermitian to HERMITICITY_TOL; NonHermitianInput otherwise."""
+    if not isinstance(h, SparseOperator):
+        h = as_complex_matrix(h)
     defect = hermiticity_defect(h)
     if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite h) fails too
         raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")
     return h
 
 
-def nonzero_pattern(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nonzero_pattern(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major (rows, cols, values) of a square h's nonzero entries and its
-    whole diagonal, so every row holds at least its diagonal entry."""
+    whole diagonal, so every row holds at least its diagonal entry; a
+    SparseOperator's own arrays."""
+    if isinstance(h, SparseOperator):
+        return h.rows, h.cols, h.values
     mask = h != 0
     np.fill_diagonal(mask, True)
     rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
@@ -127,7 +176,8 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     eigendecomposition, V (e^{sign i lambda t} * (V^dag psi)), at O(N^3).
     There an h with no nonzero imaginary entry is diagonalised as a real
     symmetric matrix, and its real eigenvectors act on psi's real and
-    imaginary parts in real arithmetic.
+    imaginary parts in real arithmetic.  A SparseOperator h calls dense()
+    only for the eigendecomposition.
     """
     require_sign(sign)
     h = require_hermitian(h)
@@ -137,6 +187,8 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     out = _chebyshev_evolution(h, t, psi, sign, h.shape[0] ** 3)
     if out is not None:
         return out
+    if isinstance(h, SparseOperator):
+        h = h.dense()
     real = not h.imag.any()
     eigenvalues, v = np.linalg.eigh(h.real if real else h)
     phases = np.exp(1j * sign * eigenvalues * t)
@@ -155,7 +207,7 @@ BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
 
-def _chebyshev_evolution(h: np.ndarray, t: float, psi: np.ndarray, sign: int, budget: float):
+def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float):
     """e^{sign i h t} psi by a Chebyshev series, or None where its cost,
     terms * nonzeros * CHEBYSHEV_COST, exceeds budget (N^3 for the
     eigendecomposition it replaces).
@@ -166,9 +218,12 @@ def _chebyshev_evolution(h: np.ndarray, t: float, psi: np.ndarray, sign: int, bu
     e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
     polynomials.  Each term is one `nonzero_product` with X on h's pattern.
     The series needs more than z terms, and z is at least |t| times the
-    RMS spread of the eigenvalues, which h's Frobenius norm and trace give
-    without a temporary; with np.count_nonzero(h) that bounds the cost from
-    below, so a dense h goes to eigh before any nonzero array is made.
+    RMS spread of the eigenvalues, which a dense h's Frobenius norm and
+    trace give without a temporary; with np.count_nonzero(h) that bounds
+    the cost from below, so a dense h goes to eigh before any nonzero array
+    is made.  A SparseOperator holds its nonzeros already and skips that
+    gate: the spread is at most w, so the gates below refuse whatever it
+    would refuse.
     """
     n = h.shape[0]
 
@@ -177,10 +232,11 @@ def _chebyshev_evolution(h: np.ndarray, t: float, psi: np.ndarray, sign: int, bu
 
     if n == 0:
         return None
-    trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
-    spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
-    if not affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h)):
-        return None
+    if not isinstance(h, SparseOperator):
+        trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
+        spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
+        if not affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h)):
+            return None
     rows, cols, values = nonzero_pattern(h)
     diagonal = rows == cols
     centres = values[diagonal].real
@@ -243,8 +299,19 @@ def spectral_norm_upper_bound(h) -> float:
     """Certified upper bound on the largest singular value.
 
     Uses sqrt(||h||_1 * ||h||_inf), which dominates the spectral norm for any
-    square matrix; cheap and good enough for time-step selection.
+    square matrix; cheap and good enough for time-step selection.  On a
+    SparseOperator of power-of-two size it sums |h| over the nonzeros in
+    the order numpy sums the dense rows and columns, so the bound is the
+    dense() one bit for bit; another size, 0 included, bounds dense().
     """
+    if isinstance(h, SparseOperator):
+        if h.size & (h.size - 1) or not h.size:
+            return spectral_norm_upper_bound(h.dense())
+        rows, cols, values = nonzero_pattern(h)
+        absh = np.abs(values)
+        row_sum = float(np.max(_pairwise_row_sums(rows, cols, absh, h.size)))
+        col_sum = float(np.max(np.bincount(cols, absh, h.size)))  # axis 0: row by row
+        return float(np.sqrt(row_sum * col_sum))
     h = as_complex_matrix(h)
     if h.size == 0:
         return 0.0
@@ -252,6 +319,40 @@ def spectral_norm_upper_bound(h) -> float:
     row_sum = float(np.max(absh.sum(axis=1)))
     col_sum = float(np.max(absh.sum(axis=0)))
     return float(np.sqrt(row_sum * col_sum))
+
+
+PAIRWISE_BLOCK = 128  # numpy's pairwise summation: the most terms summed without a split
+PAIRWISE_LANES = 8  # and the running sums it interleaves within one block
+
+
+def _pairwise_row_sums(rows, cols, weights, n: int) -> np.ndarray:
+    """Row sums of the n x n matrix with these row-major nonnegative
+    entries, each rounded as np.sum(dense, axis=1) rounds it, for n a power
+    of two: numpy's pairwise summation adds a row of fewer than 8 terms in
+    order, and otherwise splits it in halves down to blocks of up to 128
+    terms, each summed as 8 interleaved running sums (lane j takes terms
+    j, j + 8, ...) that are then added as a binary tree.  The dense zeros
+    change no partial sum, so renumbering each column to its place in that
+    tree (block, then lane, then term) makes every tree node a run of
+    consecutive keys.  The lane runs are summed in order, and each level
+    above them adds pairs, halving the keys, until one key is left per row.
+    """
+    if n < PAIRWISE_LANES:
+        return np.bincount(rows, weights, n)
+    block = min(n, PAIRWISE_BLOCK)
+    run = block // PAIRWISE_LANES  # terms per lane within a block
+    place = cols % block
+    keys = rows * n + cols - place + place % PAIRWISE_LANES * run + place // PAIRWISE_LANES
+    order = np.argsort(keys)
+    keys, sums = keys[order], weights[order]
+    for shift in range(run.bit_length() - 1, n.bit_length()):  # the lane runs, then each level
+        level = keys >> shift
+        first = np.r_[True, level[1:] != level[:-1]]
+        sums = np.bincount(np.cumsum(first) - 1, sums)  # in key order: each run left to right
+        keys = keys[first]
+    out = np.zeros(n)
+    out[keys >> (n.bit_length() - 1)] = sums
+    return out
 
 
 def fidelity(a, b) -> float:

@@ -13,6 +13,9 @@ Two discretizations of the free particle coexist deliberately: the spectral
 one here (exact diagonal in the Fourier basis) and the shift-stencil one in
 grid.kinetic_operator.  They agree only in the continuum limit, so each is
 compared against its own reference, never against the other at coarse N.
+The spectral kinds' H is a dense matrix.  The H that the grid kinds and the
+oscillator step (`stepped_hamiltonian`) is a `numerics.SparseOperator`: its
+nonzeros are built in O(N), and its N x N form only when asked for.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .errors import (
     ZeroVector,
 )
 from .evolve import EvolutionConfig, euler_states
-from .grid import GridSpec, dft_operator, kinetic_operator
-from .numerics import as_state, require_frequency, require_mass, require_sign
+from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
+from .numerics import SparseOperator, as_state, require_frequency, require_mass, require_sign
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -300,31 +303,43 @@ def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> Qcp
 # Propagation routes: the one place a system kind picks its physics
 # ---------------------------------------------------------------------------
 
-def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> np.ndarray:
-    """The dense H that `compare` steps, and `simulate` too for the oscillator
-    and the grid kind: the shift-stencil H, kinetic plus potential, of each
-    grid kind, or the oscillator's diagonal energy matrix, having no grid."""
+def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
+    """The H that `compare` steps, and `simulate` too for the oscillator and
+    the grid kind: the shift-stencil H, kinetic plus potential, of each grid
+    kind, or the oscillator's diagonal energy matrix, having no grid.  Its
+    nonzeros are built in O(N) (`grid.kinetic_nonzeros` plus the potential
+    on the diagonal); dense() builds the N x N matrix they come from,
+    `grid.kinetic_operator` plus the potential's diagonal matrix."""
+    n = grid.size
     if system.kind == "harmonic":
-        return np.diag(harmonic_energies(system.omega, grid.size)).astype(complex)
+        energies = harmonic_energies(system.omega, n)
+        diagonal = np.arange(n)
+        return SparseOperator(n, diagonal, diagonal, energies.astype(complex),
+                              lambda: np.diag(energies).astype(complex))
+    mu = system.mu
+    rows, cols, kinetic = kinetic_nonzeros(grid, mu)
     if system.kind == "free_particle":
-        return kinetic_operator(grid, system.mu)
+        return SparseOperator(n, rows, cols, kinetic, lambda: kinetic_operator(grid, mu))
     values = (system.potential.values_on(grid) if system.kind == "grid_schrodinger"
-              else np.full(grid.size, float(system.u)))
-    return kinetic_operator(grid, system.mu) + np.diag(values).astype(complex)
+              else np.full(n, float(system.u)))
+    return SparseOperator(
+        n, rows, cols, kinetic + np.where(rows == cols, values[rows], 0.0).astype(complex),
+        lambda: kinetic_operator(grid, mu) + np.diag(values).astype(complex))
 
 
 @dataclass(frozen=True)
 class Route:
-    """How `simulate` runs one system kind: the dense `hamiltonian` behind
-    its dt bound and exact oracle (`numerics.exact_evolution`: a Chebyshev
-    series on its nonzeros or its eigendecomposition, whichever is
-    cheaper), and `states(psi0, evo)`, which yields
+    """How `simulate` runs one system kind: the `hamiltonian` behind its dt
+    bound and exact oracle (`numerics.exact_evolution`: a Chebyshev series
+    on its nonzeros or its eigendecomposition, whichever is cheaper), a
+    `SparseOperator` for the oscillator and the grid kind and a dense
+    matrix for the spectral kinds, and `states(psi0, evo)`, which yields
     (step, state) for steps 0..evo.steps without an N x N product: Euler
     steps on Omega's nonzeros, read from H (`evolve.euler_states`), or psi0
     evolved in closed form to each step's time (`_closed_form`)."""
 
     method: str
-    hamiltonian: np.ndarray
+    hamiltonian: np.ndarray | SparseOperator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 
@@ -344,9 +359,9 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     `stepped_hamiltonian`; the free particle and constant field by FFT
     (`spectral_evolution`), with the spectral kinetic matrix as H."""
     if system.kind == "harmonic":
-        h = stepped_hamiltonian(system, grid)  # diagonal: the energies omega (m + 1/2)
+        h = stepped_hamiltonian(system, grid)  # its nonzeros: the energies omega (m + 1/2)
         return Route("energy_eigenbasis", h, _closed_form(
-            lambda psi0, t, sign: _phases(h.diagonal().real, t, sign) * psi0))
+            lambda psi0, t, sign: _phases(h.values.real, t, sign) * psi0))
     if system.kind == "grid_schrodinger":
         h = stepped_hamiltonian(system, grid)
         return Route("euler_network", h, partial(euler_states, h))

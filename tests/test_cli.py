@@ -12,12 +12,13 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim.cli import LOCK_NAME, _write_snapshot, main
+from qcpusim.cli import LOCK_NAME, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
 
 
@@ -365,6 +366,55 @@ def test_simulate_overflow_exits_1_without_bad_snapshot(tmp_path, capsys):
     assert capsys.readouterr().err == err
     assert not (out_dir / "compare_report.json").exists()
     assert not (out_dir / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("evolution, code, lines, files", [
+    ({"dt": 0.0625, "total_time": 1.0}, 1, [
+        "warning: Euler steps run at dt * ||H|| bound r = inf >= 1; ||psi||^2 may grow by up to "
+        "(1 + r^2)^16 = 10^inf",
+        "numerical failure: non-finite amplitude detected at step 1",
+    ], ["snapshot_000000.jsonl"]),
+    ({"auto_epsilon": 0.05, "total_time": 1.0}, 2, [
+        "error: norm bound must be finite and nonnegative, got inf",
+    ], None),
+], ids=["dt", "auto_epsilon"])
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # as a console run sees it
+def test_potential_that_overflows_keeps_its_exit(tmp_path, capsys, evolution, code, lines, files):
+    """A quadratic coefficient of 1e308 makes the potential inf away from the
+    centre: with an explicit dt the first Euler step is NaN (exit 1), and
+    with auto_epsilon the norm bound is inf (exit 2), each after the one
+    overflow warning of the potential's values."""
+    out_dir = tmp_path / "out"
+    data = grid_config(out_dir)
+    data["system"]["potential"]["coefficient"] = 1e308
+    data["evolution"] = evolution
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == code
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: overflow encountered in multiply", *lines]
+    assert (sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else None) == files
+
+
+def test_grid_route_at_n_2048_builds_no_n_by_n_array(tmp_path):
+    """`simulate` on the grid kind at k = 11 steps, bounds and checks H, and
+    runs the oracle, on H's 3N nonzeros: its traced peak stays under 8 MB,
+    where one N x N complex array is 64 MB.  The horizon is short because
+    the packet's periodic tail reaches the top modes, which Euler steps
+    grow by up to (1 + r^2) each."""
+    out_dir = tmp_path / "k11"
+    data = grid_config(out_dir)
+    data["grid"]["k"] = 11
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.01}
+    data["outputs"]["snapshot_every"] = 10**6
+    cfg = load_run_config(write_config(tmp_path, data))
+    tracemalloc.start()
+    try:
+        summary = run_simulation(cfg, out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["steps"] == 1640
+    assert summary["final_fidelity"] >= 1 - 1e-6
+    assert peak < 8 * 2**20
 
 
 def test_simulate_diagnostics_match_evolve_euler(tmp_path):

@@ -32,7 +32,8 @@ from qcpusim import (
     wavefunction_header,
     wavefunction_records,
 )
-from qcpusim.grid import spectrum_rows
+from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros, spectrum_rows
+from qcpusim.numerics import nonzero_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,28 @@ def test_spectrum_rows_match_the_dense_operators(k, length, mu):
         reference = np.array([np.vdot(mode, op @ mode).real for mode in modes])
         numeric = np.array([row[f"{key}_numeric"] for row in rows])
         assert np.max(np.abs(numeric - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("length, mu, kinetic_entries", [
+    (10.0, 1.0, "stencil"), (1.0, 0.3, "stencil"), (1e200, 1.0, "diagonal"), (3.0, 5e-324, "all"),
+], ids=["plain", "short-box", "scale-underflows", "scale-overflows"])
+def test_stencil_nonzeros_equal_the_dense_patterns(k, length, mu, kinetic_entries):
+    """The O(N) nonzeros of each stencil equal nonzero_pattern of the dense
+    operator byte for byte: the wrap rows' column order, the collided
+    +-2 entry at N = 4, and the diagonal's signed zeros.  A kinetic scale
+    that underflows leaves -0.0 off the diagonal, which is no nonzero; one
+    that overflows makes every dense entry NaN (inf * 0), so every entry is
+    one."""
+    g = GridSpec(length=length, qubits=k, centered=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(momentum_nonzeros(g), nonzero_pattern(momentum_operator(g))),
+                 (kinetic_nonzeros(g, mu), nonzero_pattern(kinetic_operator(g, mu)))]
+    for fast, reference in pairs:
+        for a, b in zip(fast, reference):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    per_row = {"stencil": 3 if k > 2 else 2, "diagonal": 1, "all": g.size}[kinetic_entries]
+    assert len(pairs[1][0][0]) == per_row * g.size
 
 
 def test_kinetic_needs_four_points():

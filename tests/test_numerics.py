@@ -35,7 +35,8 @@ from qcpusim import (
 )
 from qcpusim.cli import main
 from qcpusim.numerics import (
-    BESSEL_FLOOR, _chebyshev_evolution, bessel_series, nonzero_pattern, nonzero_product,
+    BESSEL_FLOOR, SparseOperator, _chebyshev_evolution, bessel_series, nonzero_pattern,
+    nonzero_product,
 )
 from qcpusim.systems import system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -306,6 +307,47 @@ def test_hermiticity_defect_matches_whole_matrix_difference(n, seed, bad, in_las
         expected = float(np.max(np.abs(h - h.conj().T)))
     defect = hermiticity_defect(h)
     assert defect == expected or (math.isnan(defect) and math.isnan(expected))
+
+
+def sparse_of(h) -> SparseOperator:
+    """h as a SparseOperator: its nonzero_pattern, with dense() giving h."""
+    return SparseOperator(h.shape[0], *nonzero_pattern(h), lambda: h)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 4, 8, 16, 64, 128, 256, 512]), st.integers(1, 200)),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    bad=st.sampled_from([0.0, math.inf, math.nan, complex(0.0, math.nan), 1e-3, 1e300]),
+    hermitian=st.booleans(),
+)
+def test_sparse_operator_checks_equal_the_dense_ones(n, seed, density, bad, hermitian):
+    """On a random sparse matrix held as a SparseOperator, the Hermiticity
+    defect, the refusal and its text, and the norm bound all equal those of
+    the dense matrix bit for bit: the bound's row sums are rounded in
+    numpy's pairwise order at power-of-two sizes up to 4 blocks of 128,
+    and other sizes bound dense()."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, n) if hermitian else rng.standard_normal((n, n)) + 0j
+    scale = rng.lognormal(0.0, 1.5, n)
+    h = scale[:, None] * h * scale  # rows and columns of very different weight
+    h[rng.random((n, n)) >= density] = 0.0
+    h[rng.integers(0, n), rng.integers(0, n)] += bad
+    op = sparse_of(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected, defect = hermiticity_defect(h), hermiticity_defect(op)
+        bounds = spectral_norm_upper_bound(h), spectral_norm_upper_bound(op)
+    assert defect == expected or (math.isnan(defect) and math.isnan(expected))
+    assert bounds[0] == bounds[1] or (math.isnan(bounds[0]) and math.isnan(bounds[1]))
+    messages = []
+    for operator in (h, op):
+        try:
+            require_hermitian(operator)
+            messages.append(None)
+        except NonHermitianInput as exc:
+            messages.append(str(exc))
+    assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-67, 1e-5, 0.5, 3.0, 40.0, 500.0])

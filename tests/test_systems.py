@@ -39,7 +39,12 @@ from qcpusim import (
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
-from qcpusim.systems import POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, system_route
+from qcpusim.numerics import (
+    _chebyshev_evolution, hermiticity_defect, nonzero_pattern, spectral_norm_upper_bound,
+)
+from qcpusim.systems import (
+    POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, stepped_hamiltonian, system_route,
+)
 from test_numerics import exact_propagator
 
 
@@ -571,3 +576,53 @@ def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
     for step, state in states:
         expected = _reference_state(system, grid, psi0, step * evo.dt, sign)
         assert np.max(np.abs(state - expected)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stepped H: its O(N) nonzeros against its dense form
+# ---------------------------------------------------------------------------
+
+@st.composite
+def stepped_systems(draw):
+    """A system of every kind at k = 2..7 (k = 2: the +-2 shifts collide),
+    every potential form included, on a random grid."""
+    k = draw(st.integers(2, 7))
+    grid = GridSpec(length=draw(st.floats(1.0, 64.0)), qubits=k, centered=draw(st.booleans()))
+    kind = draw(st.sampled_from(sorted(SYSTEM_PARAMETERS)))
+    mu = draw(st.floats(0.01, 100.0))
+    values = st.floats(-50.0, 50.0)
+    if kind == "harmonic":
+        return SystemSpec(kind=kind, omega=draw(st.floats(0.01, 100.0))), grid
+    if kind == "free_particle":
+        return SystemSpec(kind=kind, mu=mu), grid
+    if kind == "constant_field":
+        return SystemSpec(kind=kind, mu=mu, u=draw(values)), grid
+    form = draw(st.sampled_from(sorted(POTENTIAL_PARAMETER)))
+    param = (tuple(draw(st.lists(values, min_size=grid.size, max_size=grid.size)))
+             if form == "table" else draw(values))
+    potential = PotentialSpec(form=form, **{POTENTIAL_PARAMETER[form]: param})
+    return SystemSpec(kind=kind, mu=mu, potential=potential), grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stepped_systems(), t=st.one_of(st.floats(-0.5, 0.5), st.floats(-20.0, 20.0)),
+       sign=st.sampled_from((-1, 1)), seed=st.integers(0, 2**32 - 1))
+def test_stepped_hamiltonian_nonzeros_match_its_dense_form(case, t, sign, seed):
+    """The stepped H's O(N) nonzeros are nonzero_pattern(dense()) byte for
+    byte, so its Hermiticity defect and norm bound are the dense ones bit
+    for bit.  The oracle on it runs the series wherever the dense H would,
+    and gives the same bytes whenever both take the same branch."""
+    system, grid = case
+    op = stepped_hamiltonian(system, grid)
+    h = op.dense()
+    for a, b in zip(nonzero_pattern(op), nonzero_pattern(h)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert hermiticity_defect(op) == hermiticity_defect(h) == 0.0
+    assert spectral_norm_upper_bound(op) == spectral_norm_upper_bound(h)
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    series = [_chebyshev_evolution(m, t, psi, sign, grid.size ** 3) is not None for m in (op, h)]
+    assert series[0] or not series[1]
+    if series[0] == series[1]:
+        out = exact_evolution(op, t, psi, sign)
+        assert out.tobytes() == exact_evolution(h, t, psi, sign).tobytes()
