@@ -9,10 +9,10 @@ The same step is realized as an auxiliary-qubit network by the sum rule,
 Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
 connector-chained product of identical step networks, whose payload is
 Omega^steps; it runs on a state one step network at a time.  Both are built
-from h alone, whatever system h came from.  Steps with dt * ||h|| bound
-r >= 1 may grow the norm by up to (1 + r^2) each, and warn_if_unstable says
-so before they run.  compare_ladder runs the network and the Euler loop
-against the exact oracle over a dt-halving ladder and fits their order.
+from h alone, any `numerics` operator.  Steps with dt * ||h|| bound r >= 1
+may grow the norm by up to (1 + r^2) each, and warn_if_unstable says so
+before they run.  compare_ladder runs the network and the Euler loop against
+the exact oracle over a dt-halving ladder and fits their order.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning,
-)
+from .errors import InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning
 from .numerics import (
-    SparseOperator, as_complex_matrix, as_state, exact_evolution, fidelity, nonzero_pattern,
-    nonzero_product, require_hermitian, require_sign,
+    as_operator, as_state, exact_evolution, fidelity, nonzero_pattern, nonzero_product,
+    require_hermitian, require_sign,
 )
 from .qcpu import (
     QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
@@ -69,8 +67,7 @@ class EvolutionConfig:
 
 
 def _check_step(h, dt: float, sign: int):
-    """Validate the (h, dt, sign) of an Euler step; returns h as a complex
-    matrix, or the SparseOperator it is."""
+    """Validate the (h, dt, sign) of an Euler step; returns h as an operator."""
     h = require_hermitian(h)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
@@ -80,7 +77,7 @@ def _check_step(h, dt: float, sign: int):
 
 def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
     """One first-order propagator factor I + sign*i*h*dt."""
-    h = _check_step(h, dt, sign)
+    h = _check_step(h, dt, sign).dense()
     return np.eye(h.shape[0], dtype=complex) + (sign * 1j * dt) * h
 
 
@@ -90,7 +87,6 @@ def euler_states(h, psi0: np.ndarray, evo: EvolutionConfig):
     Omega = I + sign*i*dt*h is never formed: its row-major nonzeros are the
     checked h's nonzeros plus the diagonal, valued bit for bit as euler_step's,
     and each step is one `nonzero_product` over those only, O(nnz) work.
-    h is a dense matrix or a SparseOperator, whose nonzeros are read as held.
     """
     rows, cols, values = nonzero_pattern(h)
     values = (evo.sign * 1j * evo.dt) * values + (rows == cols)
@@ -170,14 +166,10 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 
     Raises NumericalFailure as soon as a state leaves double range.  Pass
     both to run_report to compare the final state against the exact
-    propagator.  h is a square matrix or a SparseOperator.
+    propagator.
     """
-    if not isinstance(h, SparseOperator):
-        h = as_complex_matrix(h)
-    psi0 = as_state(psi)
-    if h.shape[0] != psi0.shape[0]:
-        raise DimensionMismatch(f"state dim {psi0.shape[0]} != operator dim {h.shape[0]}")
     h = _check_step(h, cfg.dt, cfg.sign)
+    psi0 = as_state(psi, h.size)
     norm_sq = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _, state, ns in checked_states(euler_states(h, psi0.copy(), cfg)):
@@ -192,10 +184,10 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
     """Single Euler step as a network, assembled by the sum rule.
 
-    Composes Q(I) and Q(sign*i*dt*h); the payload is bit-equal to
-    euler_step(h, dt, sign), and raises as it does.
+    Composes Q(I) and Q(sign*i*dt*h), h's dense() form; the payload is
+    bit-equal to euler_step(h, dt, sign), and raises as it does.
     """
-    h = _check_step(h, dt, sign)
+    h = _check_step(h, dt, sign).dense()
     identity = build_network(np.eye(h.shape[0], dtype=complex))
     return compose_sum([identity, build_network((sign * 1j * dt) * h)])
 
@@ -227,6 +219,7 @@ def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int, norm_bound: floa
     before any step runs.  The order is the mean log2 error ratio over the
     rung pairs in the first-order regime, or None with the reason.
     """
+    h = as_operator(h)  # once: every rung reads its one Hermiticity check and nonzero scan
     warn_if_unstable(base, norm_bound)
     oracle = exact_evolution(h, base.total_time, psi0, base.sign)
     rungs = []

@@ -1,19 +1,14 @@
 """Complex linear algebra substrate.
 
-An operator is a plain N x N complex128 ``numpy`` array (network payloads,
-the spectral kinds' H, the references), or a `SparseOperator`: a stencil
-or diagonal H held as its row-major nonzeros, with a `dense()` form for
-the references and eigh.  Every state is a complex vector.  This module
-holds the coercions and checks on operators, the row-major nonzero
-pattern that sparse stepping reads and the one product of an operator
-with a state on it, the exact-evolution oracle, and the fidelity metric
-used for all comparisons.  The Hermiticity check, the norm bound and the
-oracle take a SparseOperator in O(nnz) and give what they give on its
-dense() form, bit for bit.  The oracle applies
-e^{sign i H t} to the initial state without forming it: by a Chebyshev
-series on H's nonzeros (Tal-Ezer & Kosloff 1984) when that is cheaper, as
-for a stencil H, and otherwise by the Hermitian eigendecomposition, in
-real arithmetic for an H with a zero imaginary part.
+An operator is one type in two forms, picked by `as_operator` alone: a
+`DenseOperator` wraps an N x N complex128 matrix, and a `SparseOperator`
+holds a stencil or diagonal H as its row-major nonzeros, with a `dense()`
+form for the references and eigh.  Both give the nonzeros and Hermiticity
+defect (each computed once), the norm bound, `dense()` and the series
+pre-gate; a SparseOperator gives in O(nnz) what its dense() gives, bit for
+bit.  States are complex vectors.  The oracle applies e^{sign i H t} to a
+state by a Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) or by
+the eigendecomposition, whichever is cheaper.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -22,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,10 +36,12 @@ def as_complex_matrix(m) -> np.ndarray:
     return out
 
 
-def as_state(v) -> np.ndarray:
+def as_state(v, dim: int | None = None) -> np.ndarray:
     out = np.asarray(v, dtype=complex)
     if out.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got ndim={out.ndim}")
+    if dim is not None and out.shape[0] != dim:
+        raise DimensionMismatch(f"state dim {out.shape[0]} != operator dim {dim}")
     return out
 
 
@@ -75,13 +73,18 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+# ---------------------------------------------------------------------------
+# The operator, its checks, and the exact-evolution oracle
+# ---------------------------------------------------------------------------
+
+HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
+
+
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
-    """A square operator of dimension `size` held as its row-major nonzeros,
-    its whole diagonal included: the (rows, cols, values) that
-    `nonzero_pattern(dense())` gives, byte for byte.  `dense()` builds the
-    N x N matrix, for the references and eigh only.  The arrays are
-    read-only."""
+    """A square operator of dimension `size` held as its read-only row-major
+    nonzeros, its whole diagonal included: `nonzero_pattern(dense())`, byte
+    for byte.  `dense()` builds the N x N matrix, for references and eigh."""
 
     size: int
     rows: np.ndarray
@@ -94,50 +97,102 @@ class SparseOperator:
             a.flags.writeable = False
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self.size, self.size
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows, self.cols, self.values
 
-
-# ---------------------------------------------------------------------------
-# Hermiticity, the nonzero pattern, and the exact-evolution oracle
-# ---------------------------------------------------------------------------
-
-HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
-
-
-def hermiticity_defect(h) -> float:
-    """Max-abs difference between a square matrix and its conjugate transpose.
-
-    A SparseOperator pairs each nonzero with its mirror entry, found by
-    binary search in the row-major keys, or 0 where the mirror is not a
-    nonzero: the same per-entry differences, and so the same maximum, as
-    on its dense() form, whose other entries give 0 - 0."""
-    if isinstance(h, SparseOperator):
-        rows, cols, values = nonzero_pattern(h)
+    @cached_property
+    def defect(self) -> float:
+        """dense()'s defect: each nonzero against its mirror entry, found by binary
+        search in the row-major keys, or 0, as dense()'s other entries give 0 - 0."""
+        rows, cols, values = self.nonzeros
         if not len(rows):
             return 0.0
-        keys, mirror_keys = rows * h.size + cols, cols * h.size + rows
+        keys, mirror_keys = rows * self.size + cols, cols * self.size + rows
         mirror = np.minimum(np.searchsorted(keys, mirror_keys), len(keys) - 1)
         partner = np.where(keys[mirror] == mirror_keys, values[mirror], 0.0)
         with np.errstate(invalid="ignore"):
             return float(np.max(np.abs(values - partner.conj())))
+
+    def norm_bound(self) -> float:
+        """dense()'s bound: at a power-of-two size |h| is summed over the nonzeros
+        in numpy's order for the dense rows and columns; another size bounds dense()."""
+        if self.size & (self.size - 1) or not self.size:
+            return spectral_norm_upper_bound(self.dense())
+        rows, cols, values = self.nonzeros
+        absh = np.abs(values)
+        row_sum = float(np.max(_pairwise_row_sums(rows, cols, absh, self.size)))
+        col_sum = float(np.max(np.bincount(cols, absh, self.size)))  # axis 0: row by row
+        return float(np.sqrt(row_sum * col_sum))
+
+    def affords_series(self, t: float, affordable) -> bool:
+        return True  # held nonzeros: the series' own gates refuse all the dense one would
+
+
+@dataclass(frozen=True, eq=False)
+class DenseOperator:
+    """A square complex128 matrix of dimension `size`, wrapped by `as_operator`
+    without a copy; it caches its nonzeros and defect, so the matrix must not change."""
+
+    size: int
+    matrix: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
+
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h = self.matrix
+        mask = h != 0
+        np.fill_diagonal(mask, True)
+        rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
+        return rows, cols, h[rows, cols]
+
+    @cached_property
+    def defect(self) -> float:
+        h = self.matrix
+        if not h.size:
+            return 0.0
+        with np.errstate(invalid="ignore"):  # an inf entry gives NaN (inf - inf), silently
+            # np.max, not max(): a NaN block maximum must reach the result
+            return float(np.max([
+                np.max(np.abs(h[i:i + HERMITICITY_BLOCK] - h[:, i:i + HERMITICITY_BLOCK].conj().T))
+                for i in range(0, h.shape[0], HERMITICITY_BLOCK)
+            ]))
+
+    def norm_bound(self) -> float:
+        h = self.matrix
+        if h.size == 0:
+            return 0.0
+        absh = np.abs(h)
+        row_sum = float(np.max(absh.sum(axis=1)))
+        col_sum = float(np.max(absh.sum(axis=0)))
+        return float(np.sqrt(row_sum * col_sum))
+
+    def affords_series(self, t: float, affordable) -> bool:
+        """The series needs over |t| times the eigenvalues' RMS spread terms, which the
+        Frobenius norm and trace give: a costly H goes to eigh before any nonzero array."""
+        h, n = self.matrix, self.size
+        trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
+        spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
+        return affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h))
+
+
+def as_operator(h) -> SparseOperator | DenseOperator:
+    """h if it is an operator, else h as a square complex128 DenseOperator."""
+    if isinstance(h, (SparseOperator, DenseOperator)):
+        return h
     h = as_complex_matrix(h)
-    if not h.size:
-        return 0.0
-    n = h.shape[0]
-    with np.errstate(invalid="ignore"):  # an inf entry gives NaN (inf - inf), silently
-        # np.max, not max(): a NaN block maximum must reach the result
-        return float(np.max([
-            np.max(np.abs(h[i:i + HERMITICITY_BLOCK] - h[:, i:i + HERMITICITY_BLOCK].conj().T))
-            for i in range(0, n, HERMITICITY_BLOCK)
-        ]))
+    return DenseOperator(h.shape[0], h)
 
 
-def require_hermitian(h):
-    """h, a square matrix as complex128 or a SparseOperator, if it is finite
-    and Hermitian to HERMITICITY_TOL; NonHermitianInput otherwise."""
-    if not isinstance(h, SparseOperator):
-        h = as_complex_matrix(h)
+def hermiticity_defect(h) -> float:
+    """Max-abs difference between h's dense form and its conjugate transpose."""
+    return as_operator(h).defect
+
+
+def require_hermitian(h) -> SparseOperator | DenseOperator:
+    """h as an operator if finite and Hermitian to HERMITICITY_TOL, else NonHermitianInput."""
+    h = as_operator(h)
     defect = hermiticity_defect(h)
     if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite h) fails too
         raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")
@@ -146,14 +201,8 @@ def require_hermitian(h):
 
 def nonzero_pattern(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major (rows, cols, values) of a square h's nonzero entries and its
-    whole diagonal, so every row holds at least its diagonal entry; a
-    SparseOperator's own arrays."""
-    if isinstance(h, SparseOperator):
-        return h.rows, h.cols, h.values
-    mask = h != 0
-    np.fill_diagonal(mask, True)
-    rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
-    return rows, cols, h[rows, cols]
+    whole diagonal, so every row holds at least its diagonal entry."""
+    return as_operator(h).nonzeros
 
 
 def nonzero_product(rows, cols, values, v) -> np.ndarray:
@@ -168,27 +217,20 @@ def nonzero_product(rows, cols, values, v) -> np.ndarray:
 def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     """exp(sign * i * h * t) @ psi for Hermitian h, never forming the propagator.
 
-    This is the oracle every approximate evolution path is compared against.
-    psi is one state of h's dimension (DimensionMismatch otherwise).  It
-    takes the cheaper of two routes, both exact to round-off: a Chebyshev
-    series on h's nonzeros (`_chebyshev_evolution`), whose cost grows with
-    the nonzeros and with |t| times h's spectral width, or the
-    eigendecomposition, V (e^{sign i lambda t} * (V^dag psi)), at O(N^3).
-    There an h with no nonzero imaginary entry is diagonalised as a real
-    symmetric matrix, and its real eigenvectors act on psi's real and
-    imaginary parts in real arithmetic.  A SparseOperator h calls dense()
-    only for the eigendecomposition.
+    The oracle of every approximate path, for one state psi of h's dimension
+    (DimensionMismatch otherwise), by the cheaper of two routes, both exact
+    to round-off: a Chebyshev series on h's nonzeros (`_chebyshev_evolution`),
+    whose cost grows with the nonzeros and with |t| times h's spectral width,
+    or the eigendecomposition of h.dense(), V (e^{sign i lambda t} * (V^dag psi))
+    at O(N^3), in real arithmetic for an h with no nonzero imaginary entry.
     """
     require_sign(sign)
     h = require_hermitian(h)
-    psi = as_state(psi)
-    if psi.shape[0] != h.shape[0]:
-        raise DimensionMismatch(f"state dim {psi.shape[0]} != operator dim {h.shape[0]}")
-    out = _chebyshev_evolution(h, t, psi, sign, h.shape[0] ** 3)
+    psi = as_state(psi, h.size)
+    out = _chebyshev_evolution(h, t, psi, sign, h.size ** 3)
     if out is not None:
         return out
-    if isinstance(h, SparseOperator):
-        h = h.dense()
+    h = h.dense()
     real = not h.imag.any()
     eigenvalues, v = np.linalg.eigh(h.real if real else h)
     phases = np.exp(1j * sign * eigenvalues * t)
@@ -216,28 +258,18 @@ def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float)
     e^{sign i h t} = e^{sign i c t} e^{i s z X} with X = (h - c) / w, z = |t| w
     and s = sign * sign(t), and the Jacobi-Anger expansion gives
     e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
-    polynomials.  Each term is one `nonzero_product` with X on h's pattern.
-    The series needs more than z terms, and z is at least |t| times the
-    RMS spread of the eigenvalues, which a dense h's Frobenius norm and
-    trace give without a temporary; with np.count_nonzero(h) that bounds
-    the cost from below, so a dense h goes to eigh before any nonzero array
-    is made.  A SparseOperator holds its nonzeros already and skips that
-    gate: the spread is at most w, so the gates below refuse whatever it
-    would refuse.
+    polynomials.  Each term is one `nonzero_product` with X on h's nonzeros,
+    which h's pre-gate (`affords_series`) may refuse to build.
     """
-    n = h.shape[0]
+    h = as_operator(h)
+    n = h.size
 
     def affordable(terms, nonzeros):
         return terms * nonzeros * CHEBYSHEV_COST <= budget
 
-    if n == 0:
+    if n == 0 or not h.affords_series(t, affordable):
         return None
-    if not isinstance(h, SparseOperator):
-        trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
-        spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
-        if not affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h)):
-            return None
-    rows, cols, values = nonzero_pattern(h)
+    rows, cols, values = h.nonzeros
     diagonal = rows == cols
     centres = values[diagonal].real
     radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), n)
@@ -296,29 +328,9 @@ def _real_matvec(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm_upper_bound(h) -> float:
-    """Certified upper bound on the largest singular value.
-
-    Uses sqrt(||h||_1 * ||h||_inf), which dominates the spectral norm for any
-    square matrix; cheap and good enough for time-step selection.  On a
-    SparseOperator of power-of-two size it sums |h| over the nonzeros in
-    the order numpy sums the dense rows and columns, so the bound is the
-    dense() one bit for bit; another size, 0 included, bounds dense().
-    """
-    if isinstance(h, SparseOperator):
-        if h.size & (h.size - 1) or not h.size:
-            return spectral_norm_upper_bound(h.dense())
-        rows, cols, values = nonzero_pattern(h)
-        absh = np.abs(values)
-        row_sum = float(np.max(_pairwise_row_sums(rows, cols, absh, h.size)))
-        col_sum = float(np.max(np.bincount(cols, absh, h.size)))  # axis 0: row by row
-        return float(np.sqrt(row_sum * col_sum))
-    h = as_complex_matrix(h)
-    if h.size == 0:
-        return 0.0
-    absh = np.abs(h)
-    row_sum = float(np.max(absh.sum(axis=1)))
-    col_sum = float(np.max(absh.sum(axis=0)))
-    return float(np.sqrt(row_sum * col_sum))
+    """Certified upper bound on the largest singular value: sqrt(||h||_1 * ||h||_inf),
+    which dominates the spectral norm of any square matrix; cheap, for time steps."""
+    return as_operator(h).norm_bound()
 
 
 PAIRWISE_BLOCK = 128  # numpy's pairwise summation: the most terms summed without a split

@@ -13,9 +13,6 @@ Two discretizations of the free particle coexist deliberately: the spectral
 one here (exact diagonal in the Fourier basis) and the shift-stencil one in
 grid.kinetic_operator.  They agree only in the continuum limit, so each is
 compared against its own reference, never against the other at coarse N.
-The spectral kinds' H is a dense matrix.  The H that the grid kinds and the
-oscillator step (`stepped_hamiltonian`) is a `numerics.SparseOperator`: its
-nonzeros are built in O(N), and its N x N form only when asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ from .errors import (
 )
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
-from .numerics import SparseOperator, as_state, require_frequency, require_mass, require_sign
+from .numerics import (DenseOperator, SparseOperator, as_operator, as_state,
+                       require_frequency, require_mass, require_sign)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -305,11 +303,9 @@ def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> Qcp
 
 def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
     """The H that `compare` steps, and `simulate` too for the oscillator and
-    the grid kind: the shift-stencil H, kinetic plus potential, of each grid
-    kind, or the oscillator's diagonal energy matrix, having no grid.  Its
-    nonzeros are built in O(N) (`grid.kinetic_nonzeros` plus the potential
-    on the diagonal); dense() builds the N x N matrix they come from,
-    `grid.kinetic_operator` plus the potential's diagonal matrix."""
+    the grid kind: each grid kind's shift-stencil H, kinetic plus potential,
+    or the oscillator's diagonal energies, as nonzeros built in O(N) whose
+    dense() is `grid.kinetic_operator` plus the potential's diagonal."""
     n = grid.size
     if system.kind == "harmonic":
         energies = harmonic_energies(system.omega, n)
@@ -330,16 +326,15 @@ def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
 @dataclass(frozen=True)
 class Route:
     """How `simulate` runs one system kind: the `hamiltonian` behind its dt
-    bound and exact oracle (`numerics.exact_evolution`: a Chebyshev series
-    on its nonzeros or its eigendecomposition, whichever is cheaper), a
-    `SparseOperator` for the oscillator and the grid kind and a dense
-    matrix for the spectral kinds, and `states(psi0, evo)`, which yields
-    (step, state) for steps 0..evo.steps without an N x N product: Euler
-    steps on Omega's nonzeros, read from H (`evolve.euler_states`), or psi0
-    evolved in closed form to each step's time (`_closed_form`)."""
+    bound and exact oracle (`numerics.exact_evolution`), sparse for the
+    oscillator and the grid kind and dense for the spectral kinds, and
+    `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
+    without an N x N product: Euler steps on Omega's nonzeros, read from H
+    (`evolve.euler_states`), or psi0 evolved in closed form to each step's
+    time (`_closed_form`)."""
 
     method: str
-    hamiltonian: np.ndarray | SparseOperator
+    hamiltonian: SparseOperator | DenseOperator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 
@@ -359,9 +354,9 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     `stepped_hamiltonian`; the free particle and constant field by FFT
     (`spectral_evolution`), with the spectral kinetic matrix as H."""
     if system.kind == "harmonic":
-        h = stepped_hamiltonian(system, grid)  # its nonzeros: the energies omega (m + 1/2)
-        return Route("energy_eigenbasis", h, _closed_form(
-            lambda psi0, t, sign: _phases(h.values.real, t, sign) * psi0))
+        energies = harmonic_energies(system.omega, grid.size)
+        return Route("energy_eigenbasis", stepped_hamiltonian(system, grid), _closed_form(
+            lambda psi0, t, sign: _phases(energies, t, sign) * psi0))
     if system.kind == "grid_schrodinger":
         h = stepped_hamiltonian(system, grid)
         return Route("euler_network", h, partial(euler_states, h))
@@ -370,5 +365,5 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     h = spectral_kinetic_matrix(grid, mu)
     energies = _free_energies(grid, mu)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, h if u is None else h + u * np.eye(grid.size), _closed_form(
+    return Route(method, as_operator(h if u is None else h + u * np.eye(grid.size)), _closed_form(
         lambda psi0, t, sign: _fft_evolution(energies, t, psi0, sign, u or 0.0)))

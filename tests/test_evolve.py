@@ -1,5 +1,6 @@
 """Euler stepping, its diagnostics, and the network realization of a run."""
 
+import functools
 import json
 import math
 import sys
@@ -20,9 +21,11 @@ from qcpusim import (
     InvalidSpec,
     NonHermitianInput,
     NumericalFailure,
+    PotentialSpec,
     QcpuNetwork,
     ResidualTimeError,
     StabilityWarning,
+    SystemSpec,
     apply_network,
     euler_step,
     evolve_euler,
@@ -37,7 +40,8 @@ from qcpusim import (
 )
 from qcpusim.cli import main
 from qcpusim.evolve import checked_states, euler_states, run_report, warn_if_unstable
-from qcpusim.numerics import hermiticity_defect
+from qcpusim.numerics import DenseOperator, SparseOperator, hermiticity_defect, nonzero_pattern
+from qcpusim.systems import stepped_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -400,6 +404,60 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
+    """A three-rung compare on the README grid config computes H's
+    Hermiticity defect and its dense nonzeros once each, for the oracle and
+    every Euler and network rung together."""
+    calls = {"defect": 0, "nonzeros": 0}
+
+    def counting(cls, name):
+        compute = cls.__dict__[name].func
+
+        def counted(self):
+            calls[name] += 1
+            return compute(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+
+    for cls, name in ((DenseOperator, "defect"), (DenseOperator, "nonzeros"),
+                      (SparseOperator, "defect")):
+        counting(cls, name)
+    config = {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "quadratic", "coefficient": 0.05}},
+        "grid": {"L": 16.0, "k": 4, "centered": True},
+        "evolution": {"dt": 0.0625, "total_time": 1.0},
+        "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    assert calls == {"defect": 1, "nonzeros": 1}
+
+
+def test_euler_states_read_only_the_operator_nonzeros():
+    """Stepping reads an operator's nonzeros, never its dense form: on a
+    SparseOperator whose dense() refuses, euler_states and evolve_euler give,
+    bit for bit, what they give on the dense matrix."""
+    rng = np.random.default_rng(7)
+    h = random_hermitian(rng, 12)
+    h[np.abs(h) < 0.6] = 0.0  # |h| is symmetric, so h stays Hermitian
+
+    def refuse():
+        raise AssertionError("stepping densified the operator")
+
+    op = SparseOperator(12, *nonzero_pattern(h), refuse)
+    psi0 = random_state(rng, 12)
+    evo = EvolutionConfig(dt=0.05, total_time=0.5)
+    pairs = zip(euler_states(op, psi0, evo), euler_states(h, psi0, evo))
+    assert all(i == j and np.array_equal(a, b) for (i, a), (j, b) in pairs)
+    (final, norm_sq), (ref_final, ref_norm_sq) = evolve_euler(op, psi0, evo), evolve_euler(h, psi0, evo)
+    assert np.array_equal(final, ref_final) and np.array_equal(norm_sq, ref_norm_sq)
+
+
 def test_runs_form_no_dense_euler_step(tmp_path, monkeypatch):
     """simulate on the README grid config checks H's Hermiticity once (the
     oracle's check) and builds no dense Euler step; neither does a
@@ -562,6 +620,28 @@ def test_step_network_payload_bit_equals_euler_step(n, dt, sign, seed):
     """The sum rule Q(I) . Q(sign i dt h) carries exactly I + sign i dt h."""
     h = random_hermitian(np.random.default_rng(seed), n)
     assert np.array_equal(step_network(h, dt, sign).payload, euler_step(h, dt, sign))
+
+
+@pytest.mark.parametrize("system", [
+    SystemSpec(kind="grid_schrodinger", mu=1.0,
+               potential=PotentialSpec(form="quadratic", coefficient=0.05)),
+    SystemSpec(kind="free_particle", mu=0.7),
+    SystemSpec(kind="constant_field", mu=1.0, u=0.4),
+    SystemSpec(kind="harmonic", omega=1.3),
+])
+def test_step_network_takes_the_stepped_operator(system):
+    """step_network, whole_network and euler_step take the stepped H as the
+    SparseOperator it is and give, bit for bit, what they give on its dense()."""
+    op = stepped_hamiltonian(system, GridSpec(length=16.0, qubits=4, centered=True))
+    h = op.dense()
+    for sign in (1, -1):
+        assert np.array_equal(step_network(op, 0.0625, sign).payload,
+                              step_network(h, 0.0625, sign).payload)
+        assert np.array_equal(euler_step(op, 0.0625, sign), euler_step(h, 0.0625, sign))
+    cfg = EvolutionConfig(dt=0.0625, total_time=0.25)
+    chained, reference = whole_network(op, cfg), whole_network(h, cfg)
+    assert len(chained.blocks) == len(reference.blocks) == cfg.steps
+    assert all(np.array_equal(a, b) for a, b in zip(chained.blocks, reference.blocks))
 
 
 def test_step_network_rejects_non_hermitian():

@@ -35,8 +35,8 @@ from qcpusim import (
 )
 from qcpusim.cli import main
 from qcpusim.numerics import (
-    BESSEL_FLOOR, SparseOperator, _chebyshev_evolution, bessel_series, nonzero_pattern,
-    nonzero_product,
+    BESSEL_FLOOR, DenseOperator, SparseOperator, _chebyshev_evolution, as_operator,
+    bessel_series, nonzero_pattern, nonzero_product,
 )
 from qcpusim.systems import system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -312,6 +312,22 @@ def test_hermiticity_defect_matches_whole_matrix_difference(n, seed, bad, in_las
 def sparse_of(h) -> SparseOperator:
     """h as a SparseOperator: its nonzero_pattern, with dense() giving h."""
     return SparseOperator(h.shape[0], *nonzero_pattern(h), lambda: h)
+
+
+def test_as_operator_decides_the_form_once():
+    """as_operator returns an operator as it is and wraps a square matrix,
+    without a copy, as a DenseOperator; require_hermitian returns that
+    operator, which computes its nonzeros once."""
+    h = random_hermitian(np.random.default_rng(3), 5)
+    op = as_operator(h)
+    assert isinstance(op, DenseOperator) and op.dense() is h and op.size == 5
+    assert as_operator(op) is op and require_hermitian(op) is op
+    assert nonzero_pattern(op) is nonzero_pattern(op)
+    sparse = sparse_of(h)
+    assert as_operator(sparse) is sparse and require_hermitian(sparse) is sparse
+    assert isinstance(as_operator(np.eye(3)).dense()[0, 0], np.complex128)
+    with pytest.raises(NonSquareInput):
+        as_operator(np.ones((2, 3)))
 
 
 @settings(max_examples=120, deadline=None)
