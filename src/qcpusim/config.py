@@ -37,8 +37,9 @@ _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteVal
 # Every parameter some system kind takes, in table order.
 _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() for key in keys))
 # N = 2**k.  simulate on the grid kind and the oscillator builds no N x N array, but
-# compare's dense H and payloads, the spectral kinds' spectral_kinetic_matrix and
-# the oracle's eigh do.  At k = 11 a complex one is 64 MB; beyond, not laptop-scale.
+# compare's payloads (on the stepped H's dense form, which it builds once), the
+# spectral kinds' spectral_kinetic_matrix and the oracle's eigh do.  At k = 11 a
+# complex one is 64 MB; beyond, not laptop-scale.
 MAX_GRID_QUBITS = 11
 # The most steps a run may take: over 1000 times the longest workload's 896.
 MAX_STEPS = 2**20

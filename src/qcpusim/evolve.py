@@ -213,12 +213,15 @@ def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
 
 def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int, norm_bound: float) -> dict:
     """Network, Euler and exact evolution of psi0 on rungs r < ladder of
-    dt = base.dt / 2**r, and the convergence order they show.
+    dt = base.dt / 2**r, and the convergence order they show; a ladder of
+    fewer than 2 rungs has no pair to fit and is refused (InvalidSpec).
 
     norm_bound bounds ||h||; the coarsest rung, with the largest r, warns
     before any step runs.  The order is the mean log2 error ratio over the
     rung pairs in the first-order regime, or None with the reason.
     """
+    if ladder < 2:
+        raise InvalidSpec(f"ladder must have at least 2 rungs, got {ladder}")
     h = as_operator(h)  # once: every rung reads its one Hermiticity check and nonzero scan
     warn_if_unstable(base, norm_bound)
     oracle = exact_evolution(h, base.total_time, psi0, base.sign)

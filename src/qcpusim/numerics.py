@@ -3,10 +3,11 @@
 An operator is one type in two forms, picked by `as_operator` alone: a
 `DenseOperator` wraps an N x N complex128 matrix, and a `SparseOperator`
 holds a stencil or diagonal H as its row-major nonzeros, with a `dense()`
-form for the references and eigh.  Both give the nonzeros and Hermiticity
-defect (each computed once), the norm bound, `dense()` and the series
-pre-gate; a SparseOperator gives in O(nnz) what its dense() gives, bit for
-bit.  States are complex vectors.  The oracle applies e^{sign i H t} to a
+form, built once, for the references and eigh.  Both give the nonzeros and
+Hermiticity defect (each computed once), the norm bound, `dense()` and the
+series pre-gate; a SparseOperator gives in O(nnz) what its dense() gives,
+bit for bit, as both add each row and column of |h| in index order for the
+bound.  States are complex vectors.  The oracle applies e^{sign i H t} to a
 state by a Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) or by
 the eigendecomposition, whichever is cheaper.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -84,7 +85,8 @@ HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
 class SparseOperator:
     """A square operator of dimension `size` held as its read-only row-major
     nonzeros, its whole diagonal included: `nonzero_pattern(dense())`, byte
-    for byte.  `dense()` builds the N x N matrix, for references and eigh."""
+    for byte.  `dense()` builds the N x N matrix on its first call, for
+    references and eigh, and returns that one array, not to be changed, ever after."""
 
     size: int
     rows: np.ndarray
@@ -95,6 +97,7 @@ class SparseOperator:
     def __post_init__(self) -> None:
         for a in (self.rows, self.cols, self.values):
             a.flags.writeable = False
+        object.__setattr__(self, "dense", cache(self.dense))  # built at most once
 
     @property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,15 +117,9 @@ class SparseOperator:
             return float(np.max(np.abs(values - partner.conj())))
 
     def norm_bound(self) -> float:
-        """dense()'s bound: at a power-of-two size |h| is summed over the nonzeros
-        in numpy's order for the dense rows and columns; another size bounds dense()."""
-        if self.size & (self.size - 1) or not self.size:
-            return spectral_norm_upper_bound(self.dense())
         rows, cols, values = self.nonzeros
         absh = np.abs(values)
-        row_sum = float(np.max(_pairwise_row_sums(rows, cols, absh, self.size)))
-        col_sum = float(np.max(np.bincount(cols, absh, self.size)))  # axis 0: row by row
-        return float(np.sqrt(row_sum * col_sum))
+        return _norm_bound(np.bincount(rows, absh, self.size), np.bincount(cols, absh, self.size))
 
     def affords_series(self, t: float, affordable) -> bool:
         return True  # held nonzeros: the series' own gates refuse all the dense one would
@@ -163,10 +160,8 @@ class DenseOperator:
         h = self.matrix
         if h.size == 0:
             return 0.0
-        absh = np.abs(h)
-        row_sum = float(np.max(absh.sum(axis=1)))
-        col_sum = float(np.max(absh.sum(axis=0)))
-        return float(np.sqrt(row_sum * col_sum))
+        absh = np.abs(h)  # cumsum adds in index order, as bincount does; np.sum pairs terms
+        return _norm_bound(np.cumsum(absh, axis=1)[:, -1], np.cumsum(absh, axis=0)[-1])
 
     def affords_series(self, t: float, affordable) -> bool:
         """The series needs over |t| times the eigenvalues' RMS spread terms, which the
@@ -217,14 +212,17 @@ def nonzero_product(rows, cols, values, v) -> np.ndarray:
 def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     """exp(sign * i * h * t) @ psi for Hermitian h, never forming the propagator.
 
-    The oracle of every approximate path, for one state psi of h's dimension
-    (DimensionMismatch otherwise), by the cheaper of two routes, both exact
+    The oracle of every approximate path, for a finite t (InvalidSpec
+    otherwise) and one state psi of h's dimension (DimensionMismatch
+    otherwise), by the cheaper of two routes, both exact
     to round-off: a Chebyshev series on h's nonzeros (`_chebyshev_evolution`),
     whose cost grows with the nonzeros and with |t| times h's spectral width,
     or the eigendecomposition of h.dense(), V (e^{sign i lambda t} * (V^dag psi))
     at O(N^3), in real arithmetic for an h with no nonzero imaginary entry.
     """
     require_sign(sign)
+    if not math.isfinite(t):
+        raise InvalidSpec(f"time must be finite, got {t!r}")
     h = require_hermitian(h)
     psi = as_state(psi, h.size)
     out = _chebyshev_evolution(h, t, psi, sign, h.size ** 3)
@@ -333,38 +331,9 @@ def spectral_norm_upper_bound(h) -> float:
     return as_operator(h).norm_bound()
 
 
-PAIRWISE_BLOCK = 128  # numpy's pairwise summation: the most terms summed without a split
-PAIRWISE_LANES = 8  # and the running sums it interleaves within one block
-
-
-def _pairwise_row_sums(rows, cols, weights, n: int) -> np.ndarray:
-    """Row sums of the n x n matrix with these row-major nonnegative
-    entries, each rounded as np.sum(dense, axis=1) rounds it, for n a power
-    of two: numpy's pairwise summation adds a row of fewer than 8 terms in
-    order, and otherwise splits it in halves down to blocks of up to 128
-    terms, each summed as 8 interleaved running sums (lane j takes terms
-    j, j + 8, ...) that are then added as a binary tree.  The dense zeros
-    change no partial sum, so renumbering each column to its place in that
-    tree (block, then lane, then term) makes every tree node a run of
-    consecutive keys.  The lane runs are summed in order, and each level
-    above them adds pairs, halving the keys, until one key is left per row.
-    """
-    if n < PAIRWISE_LANES:
-        return np.bincount(rows, weights, n)
-    block = min(n, PAIRWISE_BLOCK)
-    run = block // PAIRWISE_LANES  # terms per lane within a block
-    place = cols % block
-    keys = rows * n + cols - place + place % PAIRWISE_LANES * run + place // PAIRWISE_LANES
-    order = np.argsort(keys)
-    keys, sums = keys[order], weights[order]
-    for shift in range(run.bit_length() - 1, n.bit_length()):  # the lane runs, then each level
-        level = keys >> shift
-        first = np.r_[True, level[1:] != level[:-1]]
-        sums = np.bincount(np.cumsum(first) - 1, sums)  # in key order: each run left to right
-        keys = keys[first]
-    out = np.zeros(n)
-    out[keys >> (n.bit_length() - 1)] = sums
-    return out
+def _norm_bound(row_sums, col_sums) -> float:
+    """sqrt(max row sum * max column sum) of |h|, each sum added in index order."""
+    return float(np.sqrt(float(np.max(row_sums, initial=0.0)) * float(np.max(col_sums, initial=0.0))))
 
 
 def fidelity(a, b) -> float:

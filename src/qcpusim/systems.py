@@ -305,7 +305,8 @@ def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
     """The H that `compare` steps, and `simulate` too for the oscillator and
     the grid kind: each grid kind's shift-stencil H, kinetic plus potential,
     or the oscillator's diagonal energies, as nonzeros built in O(N) whose
-    dense() is `grid.kinetic_operator` plus the potential's diagonal."""
+    dense(), built once for the step networks and eigh, is
+    `grid.kinetic_operator` plus the potential's diagonal."""
     n = grid.size
     if system.kind == "harmonic":
         energies = harmonic_energies(system.omega, n)

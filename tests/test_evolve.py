@@ -38,8 +38,11 @@ from qcpusim import (
     step_network,
     whole_network,
 )
+from qcpusim import cli
 from qcpusim.cli import main
-from qcpusim.evolve import checked_states, euler_states, run_report, warn_if_unstable
+from qcpusim.evolve import (
+    checked_states, compare_ladder, euler_states, run_report, warn_if_unstable,
+)
 from qcpusim.numerics import DenseOperator, SparseOperator, hermiticity_defect, nonzero_pattern
 from qcpusim.systems import stepped_hamiltonian
 
@@ -233,7 +236,7 @@ def test_euler_states_bit_equal_stepping_on_euler_step(
     h[0, 2] = h[2, 0] = 5e-324
     psi0 = random_state(rng, n)
     evo = SimpleNamespace(dt=dt, steps=steps, sign=sign)  # EvolutionConfig refuses dt = 0
-    stepped = list(euler_states(h.view(_NoDenseProduct), psi0, evo))
+    stepped = list(euler_states(DenseOperator(n, h.view(_NoDenseProduct)), psi0, evo))
     expected = omega_nonzero_states(euler_step(h, dt, sign), psi0, steps)
     assert [i for i, _ in stepped] == list(range(steps + 1))
     assert all(np.array_equal(state, ref) for (_, state), ref in zip(stepped, expected))
@@ -405,25 +408,27 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
 
 
 def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
-    """A three-rung compare on the README grid config computes H's
-    Hermiticity defect and its dense nonzeros once each, for the oracle and
-    every Euler and network rung together."""
-    calls = {"defect": 0, "nonzeros": 0}
+    """A three-rung compare on the README grid config makes no DenseOperator:
+    the oracle and every Euler and network rung hold the stepped H, which
+    computes its Hermiticity defect once and calls its dense builder once."""
+    calls = {"DenseOperator": 0, "defect": 0, "dense": 0}
+    init, defect = DenseOperator.__init__, SparseOperator.defect.func
 
-    def counting(cls, name):
-        compute = cls.__dict__[name].func
-
-        def counted(self):
+    def counting(name, fn):
+        def counted(*args):
             calls[name] += 1
-            return compute(self)
+            return fn(*args)
+        return counted
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, prop)
+    def counting_builder(system, grid):
+        op = stepped_hamiltonian(system, grid)
+        return SparseOperator(op.size, *op.nonzeros, counting("dense", op.dense))
 
-    for cls, name in ((DenseOperator, "defect"), (DenseOperator, "nonzeros"),
-                      (SparseOperator, "defect")):
-        counting(cls, name)
+    monkeypatch.setattr(DenseOperator, "__init__", counting("DenseOperator", init))
+    prop = functools.cached_property(counting("defect", defect))
+    prop.__set_name__(SparseOperator, "defect")
+    monkeypatch.setattr(SparseOperator, "defect", prop)
+    monkeypatch.setattr(cli, "stepped_hamiltonian", counting_builder)
     config = {
         "system": {"kind": "grid_schrodinger", "mu": 1.0,
                    "potential": {"form": "quadratic", "coefficient": 0.05}},
@@ -435,7 +440,16 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
-    assert calls == {"defect": 1, "nonzeros": 1}
+    assert calls == {"DenseOperator": 0, "defect": 1, "dense": 1}
+
+
+@pytest.mark.parametrize("ladder", [0, 1])
+def test_compare_ladder_needs_two_rungs(ladder):
+    """A ladder of fewer than two rungs has no rung pair to fit an order
+    over, and is refused before any rung runs."""
+    h = np.diag([1.0, 2.0])
+    with pytest.raises(InvalidSpec, match=f"ladder must have at least 2 rungs, got {ladder}"):
+        compare_ladder(h, np.ones(2), EvolutionConfig(dt=0.1, total_time=0.2), ladder, 2.0)
 
 
 def test_euler_states_read_only_the_operator_nonzeros():

@@ -38,7 +38,7 @@ from qcpusim.numerics import (
     BESSEL_FLOOR, DenseOperator, SparseOperator, _chebyshev_evolution, as_operator,
     bessel_series, nonzero_pattern, nonzero_product,
 )
-from qcpusim.systems import system_route
+from qcpusim.systems import stepped_hamiltonian, system_route
 from test_grid import shift_matrix, transposition_matrix
 
 
@@ -170,6 +170,24 @@ def test_exact_evolution_invalid_sign():
     for sign in (0, True, -1.0):
         with pytest.raises(InvalidSpec):
             exact_propagator(np.eye(2), 1.0, sign=sign)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exact_evolution_refuses_a_time_that_is_not_finite(t):
+    """A time that is not finite is refused, as spectral_evolution refuses
+    it, before any work and with no numpy warning: on a stencil H whose
+    oracle runs the series at t = 0.5 and on a dense H that takes eigh."""
+    stencil = stepped_hamiltonian(SystemSpec(kind="free_particle", mu=1.0),
+                                  GridSpec(length=16.0, qubits=6, centered=True))
+    dense = random_hermitian(np.random.default_rng(5), 4)
+    psi = np.ones(64, dtype=complex)
+    assert _chebyshev_evolution(stencil, 0.5, psi, -1, 64**3) is not None
+    assert _chebyshev_evolution(dense, 0.5, psi[:4], -1, 4**3) is None
+    for h, state in ((stencil, psi), (dense, psi[:4])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSpec, match=re.escape(f"time must be finite, got {t!r}")):
+                exact_evolution(h, t, state)
 
 
 @st.composite
@@ -341,9 +359,7 @@ def test_as_operator_decides_the_form_once():
 def test_sparse_operator_checks_equal_the_dense_ones(n, seed, density, bad, hermitian):
     """On a random sparse matrix held as a SparseOperator, the Hermiticity
     defect, the refusal and its text, and the norm bound all equal those of
-    the dense matrix bit for bit: the bound's row sums are rounded in
-    numpy's pairwise order at power-of-two sizes up to 4 blocks of 128,
-    and other sizes bound dense()."""
+    the dense matrix bit for bit."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n) if hermitian else rng.standard_normal((n, n)) + 0j
     scale = rng.lognormal(0.0, 1.5, n)
@@ -364,6 +380,55 @@ def test_sparse_operator_checks_equal_the_dense_ones(n, seed, density, bad, herm
         except NonHermitianInput as exc:
             messages.append(str(exc))
     assert messages[0] == messages[1]
+
+
+def index_order_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(9, 300), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+def test_norm_bound_adds_each_row_and_column_in_index_order(n, seed, density):
+    """Both forms bound H by sqrt(max row sum * max column sum) of |H|, bit for
+    bit, with every row and column added in index order, the dense one in C
+    and in Fortran layout: on a matrix whose heaviest row, one entry of 1 and
+    the rest below half its ulp, numpy's pairwise summation rounds otherwise."""
+    rng = np.random.default_rng(seed)
+    small = rng.uniform(0.6e-16, 1e-16, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
+    h = np.where(rng.random((n, n)) < density, small, 0.0)
+    heavy = rng.integers(0, n)
+    h[heavy] = small[heavy]
+    h[heavy, 0] = 1.0
+    absh = np.abs(h)
+    row_sum = max(index_order_sum(row) for row in absh)
+    col_sum = max(index_order_sum(col) for col in absh.T)
+    assert row_sum == 1.0 < float(np.max(absh.sum(axis=1)))  # pairwise rounds the heavy row up
+    expected = math.sqrt(row_sum * col_sum)
+    for op in (h, np.asfortranarray(h), sparse_of(h)):
+        assert spectral_norm_upper_bound(op) == expected
+
+
+def test_sparse_operator_builds_its_dense_form_once():
+    """dense() returns the one array its builder made, however often it is
+    called; a builder that raises is called again on the next call."""
+    h = random_hermitian(np.random.default_rng(4), 6)
+    built = []
+
+    def build():
+        built.append(len(built))
+        if len(built) == 1:
+            raise NumericalFailure("the first build fails")
+        return h.copy()
+
+    op = SparseOperator(6, *nonzero_pattern(h), build)
+    with pytest.raises(NumericalFailure):
+        op.dense()
+    first = op.dense()
+    assert op.dense() is first and len(built) == 2
+    assert np.array_equal(first, h)
 
 
 @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-67, 1e-5, 0.5, 3.0, 40.0, 500.0])
