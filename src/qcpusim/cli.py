@@ -23,8 +23,6 @@ out of the same output directory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -38,7 +36,7 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import checked_states, compare_ladder, run_report, warn_if_unstable
+from .evolve import checked_states, compare_ladder, run_report, warn_if_drifted, warn_if_unstable
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
 from .numerics import spectral_norm_upper_bound
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
@@ -78,11 +76,11 @@ def _write_json_atomic(path: Path, payload) -> None:
 
 
 def _write_csv_atomic(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_text_atomic(path, buffer.getvalue())
+    """The bytes of csv.DictWriter with lineterminator "\n", for rows whose fields
+    are ints and Python floats, which csv writes by repr and never quotes."""
+    lines = [",".join(fieldnames)]
+    lines.extend(",".join([repr(row[name]) for name in fieldnames]) for row in rows)
+    _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_snapshot(path: Path, grid: GridSpec, state: np.ndarray) -> None:
@@ -155,8 +153,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
         raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
-    if route.method == "euler_network":
-        warn_if_unstable(evo, norm_bound)
+    warned = route.method == "euler_network" and warn_if_unstable(evo, norm_bound)
 
     norm_sq = []
     with _directory_lock(out_dir):
@@ -174,6 +171,8 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
             "wall_time_s": time.perf_counter() - started,
         }
         _write_json_atomic(out_dir / "summary.json", summary)
+    if not warned:  # one warning a run: at r >= 1 the drift was foretold
+        warn_if_drifted(fields, norm_sq[0])
     return summary
 
 

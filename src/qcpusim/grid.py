@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -260,17 +261,17 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
 def spectrum_rows(grid: GridSpec, mu: float) -> list[dict]:
     """Per plane-wave mode n, the analytic momentum and kinetic eigenvalues
     against <mode|op|mode> measured on the stencil operators, and their
-    absolute differences, each operator applied by `nonzero_product` on its
-    `stencil_nonzeros` in O(N)."""
-    momentum = momentum_nonzeros(grid)
-    kinetic = kinetic_nonzeros(grid, mu)
+    absolute differences, each operator's `stencil_nonzeros` laid out once as
+    a `nonzero_product` and applied to each mode in O(N)."""
+    momentum = nonzero_product(*momentum_nonzeros(grid), grid.size)
+    kinetic = nonzero_product(*kinetic_nonzeros(grid, mu), grid.size)
     rows = []
     for n in range(grid.size):
         mode = plane_wave_mode(grid, n)
         p_ana = momentum_eigenvalue(grid, n)
         t_ana = kinetic_eigenvalue(grid, mu, n)
-        p_num = float(np.vdot(mode, nonzero_product(*momentum, mode)).real)
-        t_num = float(np.vdot(mode, nonzero_product(*kinetic, mode)).real)
+        p_num = float(np.vdot(mode, momentum(mode)).real)
+        t_num = float(np.vdot(mode, kinetic(mode)).real)
         rows.append({"mode": n, "momentum_analytic": p_ana, "momentum_numeric": p_num,
                      "momentum_abs_diff": abs(p_ana - p_num), "kinetic_analytic": t_ana,
                      "kinetic_numeric": t_num, "kinetic_abs_diff": abs(t_ana - t_num)})
@@ -292,24 +293,24 @@ def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
     Each line is the bytes of ``json.dumps(row, sort_keys=True)`` for the row
     {"m": m, "x": x_m, "re": Re z, "im": Im z, "prob": |z|^2}.  A finite
     Python float prints as its shortest round-trip repr under both, so the
-    rows are formatted directly; a state with a non-finite part, or one
-    whose |z|^2 overflows, is written through json.dumps (``Infinity``,
-    ``NaN``).
+    rows are formatted directly around each grid's fixed text, built once;
+    a state with a non-finite part, or one whose |z|^2 overflows, is written
+    through json.dumps (``Infinity``, ``NaN``).
     """
     amps = as_state(amplitudes)
     if amps.shape[0] != grid.size:
         raise DimensionMismatch(f"amplitudes must have length {grid.size}, got {amps.shape[0]}")
-    xs = grid.points
     if np.isfinite(amps).all():
         try:
             # abs(z) ** 2 on a Python complex rounds as numpy's scalar does;
             # it raises OverflowError where numpy gives inf.
             return [
-                f'{{"im": {z.imag!r}, "m": {m}, "prob": {abs(z) ** 2!r}, "re": {z.real!r}, "x": {x!r}}}'
-                for m, (x, z) in enumerate(zip(xs.tolist(), amps.tolist()))
+                f'{{"im": {z.imag!r}{middle}{abs(z) ** 2!r}, "re": {z.real!r}{tail}'
+                for middle, tail, z in zip(*_record_text(grid), amps.tolist())
             ]
         except OverflowError:
             pass
+    xs = grid.points
     return [
         json.dumps(
             {"m": m, "x": float(xs[m]), "re": float(z.real), "im": float(z.imag),
@@ -318,3 +319,11 @@ def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
         )
         for m, z in enumerate(amps)
     ]
+
+
+@lru_cache(maxsize=8)
+def _record_text(grid: GridSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The fixed text of each snapshot row of a grid: the `, "m": m, "prob": `
+    between Im z and |z|^2, and the `, "x": x_m}` after Re z."""
+    return (tuple(f', "m": {m}, "prob": ' for m in range(grid.size)),
+            tuple(f', "x": {x!r}}}' for x in grid.points.tolist()))

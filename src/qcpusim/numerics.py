@@ -7,7 +7,9 @@ form, built once, for the references and eigh.  Both give the nonzeros and
 Hermiticity defect (each computed once), the norm bound, `dense()` and the
 series pre-gate; a SparseOperator gives in O(nnz) what its dense() gives,
 bit for bit, as both add each row and column of |h| in index order for the
-bound.  States are complex vectors.  The oracle applies e^{sign i H t} to a
+bound.  States are complex vectors.  `nonzero_product` lays nonzeros out once
+as equal-length rows and multiplies a state by them, bit for bit as a
+bincount of the terms would sum them.  The oracle applies e^{sign i H t} to a
 state by a Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) or by
 the eigendecomposition, whichever is cheaper.
 
@@ -165,11 +167,13 @@ class DenseOperator:
 
     def affords_series(self, t: float, affordable) -> bool:
         """The series needs over |t| times the eigenvalues' RMS spread terms, which the
-        Frobenius norm and trace give: a costly H goes to eigh before any nonzero array."""
+        Frobenius norm and trace give, each on at least n times the widest row's
+        nonzeros: a costly H goes to eigh before any nonzero array."""
         h, n = self.matrix, self.size
         trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
         spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
-        return affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1, np.count_nonzero(h))
+        return affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1,
+                          n * int(np.max(np.count_nonzero(h, axis=1))))
 
 
 def as_operator(h) -> SparseOperator | DenseOperator:
@@ -200,13 +204,41 @@ def nonzero_pattern(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return as_operator(h).nonzeros
 
 
-def nonzero_product(rows, cols, values, v) -> np.ndarray:
-    """A @ v for a square A given by its row-major nonzeros (rows, cols, values),
-    in O(nnz): each row sums its terms values * v[cols] in column order, by one
-    np.bincount for the real and one for the imaginary parts.  The Euler steps,
-    the oracle's series and `grid.spectrum_rows` all multiply by it."""
-    terms = values * v[cols]
-    return np.bincount(rows, terms.real, len(v)) + 1j * np.bincount(rows, terms.imag, len(v))
+def nonzero_product(rows, cols, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> A @ v for the n x n A given by its row-major nonzeros (rows, cols,
+    values), in O(n w) per product, w the widest row.
+
+    The nonzeros are laid out once as w slabs of length n, slab j holding
+    each row's j-th term (ELLPACK; Rice & Boisvert 1985); a row shorter than
+    w is padded at its end with 0 on its own column.  A product is one gather
+    and multiply and w - 1 slab additions, which sum each row as
+    ((0.0 + t_0) + t_1) + ... in column order: the float additions of
+    np.bincount over the nonzeros, so every finite state gets their bits.  (A
+    padded row also reads its own entry of v, which shows only where that
+    entry is not finite.)  The Euler steps, the oracle's series and `grid.spectrum_rows` build it
+    once and multiply by it.
+    """
+    width = _row_width(rows, n)
+    slots = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each term's place in its row
+    cols_t = np.tile(np.arange(n), (width, 1))
+    values_t = np.zeros((width, n), dtype=complex)
+    cols_t[slots, rows] = cols
+    values_t[slots, rows] = values
+
+    def product(v: np.ndarray) -> np.ndarray:
+        terms = values_t * v[cols_t]
+        out = 0j + terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
+
+    return product
+
+
+def _row_width(rows, n: int) -> int:
+    """The widest of n rows, at least 1, given the row-major row indices of
+    their nonzeros: a `nonzero_product` multiplies n times this many entries."""
+    return max(1, int(np.max(np.diff(np.searchsorted(rows, np.arange(n + 1))), initial=0)))
 
 
 def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
@@ -237,27 +269,29 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     return v @ (phases * (v.conj().T @ psi))
 
 
-# One Chebyshev term costs 13.5-16.6 ns per nonzero, and the real eigh
-# 0.23-0.24 ns per N^3, at N = 1024 on the stencil H (ratio 60-69; 41-45 at
-# N = 256), measured on a 2-vCPU Xeon host with numpy 2.4 and one BLAS
-# thread: a term on one nonzero weighs about 64 units of N^3.  Those terms
-# ran an np.add.reduceat product; nonzero_product runs within 10% of it.
-CHEBYSHEV_COST = 64
+# One Chebyshev term (a `nonzero_product` with 2X, a subtraction and a scaled
+# addition) costs 4.2-7.7 ns per padded nonzero at N = 1024 and 7.7-17 ns at
+# N = 256, and the real eigh 0.18-0.21 and 0.32-0.47 ns per N^3, on the stencil
+# H, measured on a 2-vCPU Xeon host with numpy 2.4 and one BLAS thread (best
+# of 7 x 400 terms, five runs): ratio 23-36 at N = 1024 and 23-38 at N = 256,
+# so a term on one nonzero weighs about 32 units of N^3.
+CHEBYSHEV_COST = 32
 BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
 
 def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float):
     """e^{sign i h t} psi by a Chebyshev series, or None where its cost,
-    terms * nonzeros * CHEBYSHEV_COST, exceeds budget (N^3 for the
+    terms * N * (widest row) * CHEBYSHEV_COST, exceeds budget (N^3 for the
     eigendecomposition it replaces).
 
     The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, so
     e^{sign i h t} = e^{sign i c t} e^{i s z X} with X = (h - c) / w, z = |t| w
     and s = sign * sign(t), and the Jacobi-Anger expansion gives
     e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
-    polynomials.  Each term is one `nonzero_product` with X on h's nonzeros,
-    which h's pre-gate (`affords_series`) may refuse to build.
+    polynomials.  Each term is one product with 2X, laid out once as a
+    `nonzero_product` on h's nonzeros, which h's pre-gate (`affords_series`)
+    may refuse to build.
     """
     h = as_operator(h)
     n = h.size
@@ -275,21 +309,22 @@ def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float)
     pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
     centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
     z = abs(t) * width
-    if not affordable(z + 1, len(rows)):  # more than z terms: spare the Bessel loop
+    nonzeros = _row_width(rows, n) * n
+    if not affordable(z + 1, nonzeros):  # more than z terms: spare the Bessel loop
         return None
     bessel = bessel_series(z)
-    if not affordable(len(bessel), len(rows)):
+    if not affordable(len(bessel), nonzeros):
         return None
     s = sign if t >= 0 else -sign
     coefficients = 2 * bessel * np.array([1, s * 1j, -1, -s * 1j])[np.arange(len(bessel)) % 4]
     coefficients[0] /= 2
     out = coefficients[0] * psi
     if len(bessel) > 1:
-        twice_x = 2 * (values - centre * diagonal) / width
-        previous, state = psi, nonzero_product(rows, cols, twice_x, psi) / 2
+        twice_x = nonzero_product(rows, cols, 2 * (values - centre * diagonal) / width, n)
+        previous, state = psi, twice_x(psi) / 2
         out = out + coefficients[1] * state
         for a in coefficients[2:]:
-            previous, state = state, nonzero_product(rows, cols, twice_x, state) - previous
+            previous, state = state, twice_x(state) - previous
             out += a * state
     return np.exp(1j * sign * centre * t) * out
 

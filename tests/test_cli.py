@@ -8,6 +8,7 @@ bytes test records.
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim.cli import LOCK_NAME, _write_snapshot, main, run_simulation
+from qcpusim import evolve
+from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
 
 
@@ -543,6 +545,50 @@ def test_closed_form_route_does_not_warn(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     assert main(["compare", "--config", str(config), "--ladder", "2"]) == 0
     assert capsys.readouterr().err.startswith("warning: Euler steps run at dt * ||H|| bound r = 3.04 >= 1;")
+
+
+def test_run_that_lost_its_state_warns_once(tmp_path, capsys, monkeypatch):
+    """The README grid config at k = 10 over 10256 steps at r = 0.05 passes
+    the a-priori check, but its ||psi||^2 drifts to 33.9 times the initial
+    value: it exits 0 with one `warning:` line, and its artifacts are the
+    bytes of the same run with the warning switched off, timing aside."""
+    data = grid_config(tmp_path / "out")
+    data["grid"]["k"] = 10
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.25}
+    data["outputs"]["snapshot_every"] = 10**6
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+    assert capsys.readouterr().err == (
+        "warning: ||psi||^2 drifted by up to 33.9 times its initial value (limit 1); "
+        "final fidelity 0.169\n")
+    monkeypatch.setattr(evolve, "DRIFT_LIMIT", math.inf)
+    data["outputs"]["directory"] = str(tmp_path / "quiet")
+    assert main(["simulate", "--config", str(write_config(tmp_path, data, "quiet.json"))]) == 0
+    assert capsys.readouterr().err == ""
+    names = ["diagnostics.csv", "snapshot_000000.jsonl", "snapshot_010256.jsonl", "summary.json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+    for name in names:
+        got, quiet = ((tmp_path / d / name).read_text() for d in ("out", "quiet"))
+        if name == "summary.json":
+            got, quiet = (json.loads(text) for text in (got, quiet))
+            for summary in (got, quiet):
+                del summary["wall_time_s"], summary["config"]["outputs"]["directory"]
+        assert got == quiet
+
+
+def test_csv_rows_are_the_dictwriter_bytes(tmp_path):
+    """diagnostics.csv and the spectrum table hold ints and floats, which
+    csv.DictWriter writes by repr: the direct rows give its bytes."""
+    fields = ["step", "time", "norm_sq", "drift"]
+    rows = [{"step": 0, "time": -0.0, "norm_sq": 1e-05, "drift": 1e16},
+            {"step": 7, "time": math.inf, "norm_sq": math.nan, "drift": -math.inf},
+            {"step": -3, "time": 5e-324, "norm_sq": 0.1 + 0.2, "drift": 2**63}]
+    for table in (rows, []):
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table)
+        _write_csv_atomic(tmp_path / "t.csv", fields, table)
+        assert (tmp_path / "t.csv").read_bytes() == buffer.getvalue().encode()
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],

@@ -16,8 +16,9 @@ from dense linear algebra written out here:
 * the snapshots as json.dumps of each record;
 * compare's network as the payload chain Omega Omega ... Omega applied to psi0.
 
-It asserts the exact file list and printed lines, byte-equal non-numeric
-fields, and:
+It asserts the exact file list and printed lines (stderr: empty, or the
+one drift warning where the written drift is past `evolve.DRIFT_LIMIT`),
+byte-equal non-numeric fields, and:
 
 * states, norms and fidelities within 1e-12 relative;
 * differences of two states (the drift, error_euler_vs_exact) within 1e-12
@@ -40,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcpusim.cli import main
+from qcpusim.evolve import DRIFT_LIMIT
 
 KINDS = ("free_particle", "harmonic", "constant_field", "grid_schrodinger")
 METHODS = {"free_particle": "spectral_momentum", "harmonic": "energy_eigenbasis",
@@ -200,7 +202,7 @@ def check_snapshot(path: Path, config, expected: np.ndarray) -> None:
     assert_relative([r["prob"] for r in records], np.abs(expected) ** 2)
 
 
-def check_simulate(out_dir: Path, config, stdout: str) -> None:
+def check_simulate(out_dir: Path, config, stdout: str, stderr: str) -> None:
     evolution, kind = config["evolution"], config["system"]["kind"]
     dt, sign, every = evolution["dt"], evolution["sign"], config["outputs"]["snapshot_every"]
     steps = round(evolution["total_time"] / dt)
@@ -239,15 +241,20 @@ def check_simulate(out_dir: Path, config, stdout: str) -> None:
     assert_absolute(summary["max_norm_drift"], np.max(np.abs(norm_sq - norm_sq[0])))
     assert stdout == (f"simulated {steps} steps ({METHODS[kind]}); final fidelity "
                       f"{summary['final_fidelity']:.12f}; artifacts in {out_dir}\n")
+    drift = summary["max_norm_drift"] / float(rows[0][2])
+    assert stderr == ("" if drift <= DRIFT_LIMIT else
+                      f"warning: ||psi||^2 drifted by up to {drift:.3g} times its initial value "
+                      f"(limit {DRIFT_LIMIT:g}); final fidelity {summary['final_fidelity']:.3g}\n")
 
 
-def check_compare(out_dir: Path, config, stdout: str) -> None:
+def check_compare(out_dir: Path, config, stdout: str, stderr: str) -> None:
     evolution = config["evolution"]
     dt, sign, total_time = evolution["dt"], evolution["sign"], evolution["total_time"]
     steps = round(total_time / dt)
     psi0 = initial_state(config)
     _, h = dense_hamiltonians(config)
     oracle = evolved(h, total_time, psi0, sign)
+    assert stderr == ""
     assert [p.name for p in out_dir.iterdir()] == ["compare_report.json"]
     text = (out_dir / "compare_report.json").read_text()
     report = json.loads(text)
@@ -303,5 +310,5 @@ def test_runs_match_dense_references(kind, data):
             path = tmp / f"{command}.json"
             path.write_text(json.dumps(run_config))
             stdout, stderr = run([command, "--config", str(path), *extra])
-            assert stderr == ""
-            (check_simulate if command == "simulate" else check_compare)(out_dir, run_config, stdout)
+            check = check_simulate if command == "simulate" else check_compare
+            check(out_dir, run_config, stdout, stderr)

@@ -41,7 +41,8 @@ from qcpusim import (
 from qcpusim import cli
 from qcpusim.cli import main
 from qcpusim.evolve import (
-    checked_states, compare_ladder, euler_states, run_report, warn_if_unstable,
+    DRIFT_LIMIT, checked_states, compare_ladder, euler_states, run_report, warn_if_drifted,
+    warn_if_unstable,
 )
 from qcpusim.numerics import DenseOperator, SparseOperator, hermiticity_defect, nonzero_pattern
 from qcpusim.systems import stepped_hamiltonian
@@ -181,6 +182,21 @@ def test_norm_growth_stays_below_stability_bound(n, r, steps, seed):
         warnings.simplefilter("always")
         warn_if_unstable(cfg, bound)
     assert [w.category for w in caught] == ([StabilityWarning] if ratio >= 1.0 else [])
+
+
+@pytest.mark.parametrize("drift, initial, warns", [
+    (0.0, 1.0, False), (1.0, 1.0, False), (1.0000000000000002, 1.0, True), (2.5, 4.0, False),
+    (4.5, 4.0, True), (1e300, 1e-300, True),
+])
+def test_drift_warning_is_relative_to_the_initial_norm(drift, initial, warns):
+    """A run warns after the fact exactly when its largest ||psi||^2 drift
+    exceeds DRIFT_LIMIT times the initial ||psi||^2, an overflowing ratio
+    included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warn_if_drifted({"max_norm_drift": drift, "final_fidelity": 0.5}, initial)
+    assert DRIFT_LIMIT == 1.0
+    assert [w.category for w in caught] == ([StabilityWarning] if warns else [])
 
 
 def omega_nonzero_states(omega, psi0, steps):

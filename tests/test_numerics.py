@@ -34,6 +34,7 @@ from qcpusim import (
     tensor,
 )
 from qcpusim.cli import main
+from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
     BESSEL_FLOOR, DenseOperator, SparseOperator, _chebyshev_evolution, as_operator,
     bessel_series, nonzero_pattern, nonzero_product,
@@ -281,10 +282,80 @@ def test_nonzero_product_matches_the_dense_product(n, seed, density, empty_rows)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rows, cols = np.nonzero(a)
     expected = a @ v
-    out = nonzero_product(rows, cols, a[rows, cols], v)
+    out = nonzero_product(rows, cols, a[rows, cols], n)(v)
     assert out.shape == (n,)
     assert np.all(np.abs(out - expected) <= 1e-12 * (np.abs(a) @ np.abs(v)))
-    assert np.max(np.abs(nonzero_product(*nonzero_pattern(a), v) - out)) == 0.0
+    assert np.max(np.abs(nonzero_product(*nonzero_pattern(a), n)(v) - out)) == 0.0
+
+
+def bincount_product(rows, cols, values, v):
+    """A @ v as np.bincount sums each row's terms: ((0.0 + t_0) + t_1) + ...
+    in the order of the nonzeros, real and imaginary parts apart."""
+    terms = values * v[cols]
+    return np.bincount(rows, terms.real, len(v)) + 1j * np.bincount(rows, terms.imag, len(v))
+
+
+@st.composite
+def product_operators(draw):
+    """(rows, cols, values, n, holds_diagonal): a stencil or diagonal H at
+    N = 4..64, or a random ragged pattern from np.nonzero (empty rows, no
+    diagonal) or from nonzero_pattern (every row holds its diagonal)."""
+    kind = draw(st.sampled_from(("kinetic", "momentum", "harmonic", "stepped", "nonzero", "pattern")))
+    if kind in ("nonzero", "pattern"):
+        n = draw(st.integers(1, 64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a[rng.random((n, n)) >= draw(st.floats(0.0, 1.0))] = 0.0
+        a[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
+        if kind == "pattern":
+            return (*nonzero_pattern(a), n, True)
+        rows, cols = np.nonzero(a)
+        return rows, cols, a[rows, cols], n, False
+    grid = GridSpec(length=draw(st.floats(1.0, 100.0)), qubits=draw(st.integers(2, 6)),
+                    centered=draw(st.booleans()))
+    mu = draw(st.floats(0.1, 10.0))
+    if kind == "kinetic":
+        return (*kinetic_nonzeros(grid, mu), grid.size, True)
+    if kind == "momentum":
+        return (*momentum_nonzeros(grid), grid.size, True)
+    system = (SystemSpec(kind="harmonic", omega=mu) if kind == "harmonic" else SystemSpec(
+        kind="grid_schrodinger", mu=mu,
+        potential=PotentialSpec(form="quadratic", coefficient=draw(st.floats(-5.0, 5.0)))))
+    return (*stepped_hamiltonian(system, grid).nonzeros, grid.size, True)
+
+
+SPECIAL_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=product_operators(), data=st.data())
+def test_nonzero_product_is_the_bincount_sum_bit_for_bit(case, data):
+    """The padded row-ordered product equals the bincount sum byte for byte
+    on states with zeros, -0.0 and subnormal parts, and on basis states at
+    the wrap indices; with an inf in the state, the same entries are not
+    finite wherever every row reads its own entry."""
+    rows, cols, values, n, holds_diagonal = case
+    product = nonzero_product(rows, cols, values, n)
+    part = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(-1e3, 1e3),
+                     st.floats(-1e-300, 1e-300))
+    re, im = (data.draw(arrays(np.float64, n, elements=part)) for _ in range(2))
+    states = []
+    for a, b in ((re, im), (im, re)):
+        v = a.astype(complex)
+        v.imag = b  # a + 1j * b would turn -0.0 parts into +0.0
+        states += [v, v.conj()]
+    for i in sorted({0, 1 % n, (n - 2) % n, n - 1}):
+        basis = np.zeros(n, dtype=complex)
+        basis[i] = data.draw(st.sampled_from((1.0, -1.0, 1j, -0.0, 5e-324)))
+        states.append(basis)
+    for v in states:
+        out = product(v)
+        assert out.shape == (n,) and out.tobytes() == bincount_product(rows, cols, values, v).tobytes()
+    if holds_diagonal:
+        v = states[0].copy()
+        v[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from((np.inf, -np.inf, complex(0.0, np.inf))))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(np.isfinite(product(v)), np.isfinite(bincount_product(rows, cols, values, v)))
 
 
 def test_hermiticity_defect_compares_in_row_blocks():
