@@ -38,7 +38,7 @@ class NonPositiveFrequency(QcpuSimError):
 
 
 class NonFiniteValue(QcpuSimError):
-    """A sampled function produced NaN or Inf."""
+    """A sampled function, or an operator's scale or energies, produced NaN or Inf."""
 
 
 class GridMismatch(QcpuSimError):

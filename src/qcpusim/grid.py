@@ -34,7 +34,7 @@ from .errors import (
     InvalidSpec,
     NonFiniteValue,
 )
-from .numerics import as_state, nonzero_pattern, nonzero_product, require_mass, tensor
+from .numerics import as_state, nonzero_product, require_mass, tensor
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ def _momentum_formula(grid: GridSpec):
         raise DegenerateGrid(
             f"momentum needs at least 3 grid points (shift-by-one stencil collides), got {n}"
         )
+    if not math.isfinite(n / grid.length):
+        raise NonFiniteValue(f"momentum scale N/L overflows at N = {n}, L = {grid.length!r}")
     scale = -0.5j * (n / grid.length)
     return lambda shift: scale * (shift(1) - shift(-1))
 
@@ -141,8 +143,14 @@ def _kinetic_formula(grid: GridSpec, mu: float):
         raise DegenerateGrid(
             f"kinetic needs at least 4 grid points (shift-by-two stencil collides), got {n}"
         )
-    pref = (n / grid.length) ** 2
-    return lambda shift: -(pref / (8.0 * mu)) * (shift(2) + shift(-2) - 2.0 * shift(0))
+    try:
+        scale = (n / grid.length) ** 2 / (8.0 * mu)
+    except OverflowError:  # (N/L)^2 past the largest float
+        scale = math.inf
+    if not math.isfinite(4.0 * scale):  # the top eigenvalue, twice the largest entry
+        raise NonFiniteValue(f"kinetic scale (N/L)^2/2mu overflows at N = {n}, "
+                             f"L = {grid.length!r}, mu = {mu!r}")
+    return lambda shift: -scale * (shift(2) + shift(-2) - 2.0 * shift(0))
 
 
 def _dense_stencil(n: int, formula) -> np.ndarray:
@@ -159,12 +167,9 @@ def stencil_nonzeros(n: int, offsets, formula) -> tuple[np.ndarray, np.ndarray, 
     Each value thus comes from the dense matrix's own arithmetic, and the
     result equals `nonzero_pattern(_dense_stencil(n, formula))` byte for
     byte.  Offsets that coincide mod n (s = -s at n = 2s) share one entry.
-    Where formula gives a nonzero off the stencil (NaN, from an infinite
-    scale times 0), every entry is a nonzero, and the dense pattern is
-    returned.
+    The formulas refuse a scale that is not finite, so off the stencil each
+    gives a scale times 0, which is no nonzero.
     """
-    if formula(lambda s: np.zeros(1, dtype=complex))[0] != 0:
-        return nonzero_pattern(_dense_stencil(n, formula))
     steps = sorted({s % n for s in (0, *offsets)})
     rows = np.repeat(np.arange(n), len(steps))
     cols = np.sort((np.arange(n)[:, None] + steps) % n, axis=1).ravel()
@@ -297,9 +302,7 @@ def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
     a state with a non-finite part, or one whose |z|^2 overflows, is written
     through json.dumps (``Infinity``, ``NaN``).
     """
-    amps = as_state(amplitudes)
-    if amps.shape[0] != grid.size:
-        raise DimensionMismatch(f"amplitudes must have length {grid.size}, got {amps.shape[0]}")
+    amps = as_state(amplitudes, grid.size)
     if np.isfinite(amps).all():
         try:
             # abs(z) ** 2 on a Python complex rounds as numpy's scalar does;

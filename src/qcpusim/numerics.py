@@ -4,14 +4,14 @@ An operator is one type in two forms, picked by `as_operator` alone: a
 `DenseOperator` wraps an N x N complex128 matrix, and a `SparseOperator`
 holds a stencil or diagonal H as its row-major nonzeros, with a `dense()`
 form, built once, for the references and eigh.  Both give the nonzeros and
-Hermiticity defect (each computed once), the norm bound, `dense()` and the
-series pre-gate; a SparseOperator gives in O(nnz) what its dense() gives,
-bit for bit, as both add each row and column of |h| in index order for the
-bound.  States are complex vectors.  `nonzero_product` lays nonzeros out once
-as equal-length rows and multiplies a state by them, bit for bit as a
-bincount of the terms would sum them.  The oracle applies e^{sign i H t} to a
-state by a Chebyshev series on H's nonzeros (Tal-Ezer & Kosloff 1984) or by
-the eigendecomposition, whichever is cheaper.
+Hermiticity defect (each computed once), the norm bound, `dense()` and
+`gershgorin()`, each row's centre and radius and the widest row; a
+SparseOperator gives in O(nnz) what its dense() gives, bit for bit, as both
+add each row and column of |h| in index order.  States are complex vectors.
+`nonzero_product` lays nonzeros out once as equal-length rows and multiplies
+a state by them, bit for bit as a bincount of the terms would sum them.  The
+oracle applies e^{sign i H t} to a state by a Chebyshev series on H's nonzeros
+(Tal-Ezer & Kosloff 1984) or by eigh, whichever one gate finds cheaper.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -123,8 +123,11 @@ class SparseOperator:
         absh = np.abs(values)
         return _norm_bound(np.bincount(rows, absh, self.size), np.bincount(cols, absh, self.size))
 
-    def affords_series(self, t: float, affordable) -> bool:
-        return True  # held nonzeros: the series' own gates refuse all the dense one would
+    def gershgorin(self) -> tuple[np.ndarray, np.ndarray, int]:
+        rows, cols, values = self.nonzeros
+        diagonal = rows == cols
+        radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), self.size)
+        return values[diagonal].real, radii, _row_width(rows, self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +168,14 @@ class DenseOperator:
         absh = np.abs(h)  # cumsum adds in index order, as bincount does; np.sum pairs terms
         return _norm_bound(np.cumsum(absh, axis=1)[:, -1], np.cumsum(absh, axis=0)[-1])
 
-    def affords_series(self, t: float, affordable) -> bool:
-        """The series needs over |t| times the eigenvalues' RMS spread terms, which the
-        Frobenius norm and trace give, each on at least n times the widest row's
-        nonzeros: a costly H goes to eigh before any nonzero array."""
-        h, n = self.matrix, self.size
-        trace = float(h.trace().real)  # Python floats: an overflow gives inf or NaN, hence eigh
-        spread_sq = (float(np.vdot(h, h).real) - trace * trace / n) / n
-        return affordable(abs(t) * math.sqrt(max(spread_sq, 0.0)) + 1,
-                          n * int(np.max(np.count_nonzero(h, axis=1))))
+    def gershgorin(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Each row's Re h_ii and other |entries| added in index order, as the sparse
+        form's bincount adds them, and the widest row, its diagonal counted."""
+        h = self.matrix
+        off = np.abs(h)
+        np.fill_diagonal(off, 0.0)
+        width = np.count_nonzero(h, axis=1) + (h.diagonal() == 0)
+        return h.diagonal().real, np.cumsum(off, axis=1)[:, -1:].ravel(), int(np.max(width, initial=1))
 
 
 def as_operator(h) -> SparseOperator | DenseOperator:
@@ -285,42 +287,36 @@ def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float)
     terms * N * (widest row) * CHEBYSHEV_COST, exceeds budget (N^3 for the
     eigendecomposition it replaces).
 
-    The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, so
-    e^{sign i h t} = e^{sign i c t} e^{i s z X} with X = (h - c) / w, z = |t| w
-    and s = sign * sign(t), and the Jacobi-Anger expansion gives
-    e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k the Chebyshev
-    polynomials.  Each term is one product with 2X, laid out once as a
-    `nonzero_product` on h's nonzeros, which h's pre-gate (`affords_series`)
-    may refuse to build.
+    The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, read with
+    the widest row from `h.gershgorin()`, so e^{sign i h t} = e^{sign i c t}
+    e^{i s z X} with X = (h - c) / w, z = |t| w and s = sign * sign(t), and the
+    Jacobi-Anger expansion gives e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z)
+    T_k(X), T_k the Chebyshev polynomials.  Each term is one product with 2X,
+    laid out once as a `nonzero_product` on h's nonzeros, which are read only
+    once the series is affordable.
     """
     h = as_operator(h)
     n = h.size
-
-    def affordable(terms, nonzeros):
-        return terms * nonzeros * CHEBYSHEV_COST <= budget
-
-    if n == 0 or not h.affords_series(t, affordable):
+    if n == 0:
         return None
-    rows, cols, values = h.nonzeros
-    diagonal = rows == cols
-    centres = values[diagonal].real
-    radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), n)
+    centres, radii, row_width = h.gershgorin()
     lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
     pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
     centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
     z = abs(t) * width
-    nonzeros = _row_width(rows, n) * n
-    if not affordable(z + 1, nonzeros):  # more than z terms: spare the Bessel loop
+    nonzeros = row_width * n  # padded, per term
+    if not (z + 1) * nonzeros * CHEBYSHEV_COST <= budget:  # more than z terms: spare the Bessel loop
         return None
     bessel = bessel_series(z)
-    if not affordable(len(bessel), nonzeros):
+    if not len(bessel) * nonzeros * CHEBYSHEV_COST <= budget:
         return None
     s = sign if t >= 0 else -sign
     coefficients = 2 * bessel * np.array([1, s * 1j, -1, -s * 1j])[np.arange(len(bessel)) % 4]
     coefficients[0] /= 2
     out = coefficients[0] * psi
     if len(bessel) > 1:
-        twice_x = nonzero_product(rows, cols, 2 * (values - centre * diagonal) / width, n)
+        rows, cols, values = h.nonzeros
+        twice_x = nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, n)
         previous, state = psi, twice_x(psi) / 2
         out = out + coefficients[1] * state
         for a in coefficients[2:]:

@@ -161,11 +161,7 @@ def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
     The blocks act right to left, each raised branch feeding the next
     block, and the network's own payload is never read.
     """
-    psi = as_state(register_state)
-    if psi.shape[0] != net.register_dim:
-        raise DimensionMismatch(
-            f"state dim {psi.shape[0]} != register dim {net.register_dim}"
-        )
+    psi = as_state(register_state, net.register_dim)
     raised = psi
     for block in reversed(net.blocks):
         raised = block @ raised

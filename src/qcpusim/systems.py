@@ -245,7 +245,11 @@ def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
 def _free_energies(grid: GridSpec, mu: float) -> np.ndarray:
     """Free-particle energy p^2 / (2 mu) of each Fourier mode."""
     require_mass(mu)
-    return spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+    with np.errstate(over="ignore"):
+        energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+    if not np.isfinite(energies).all():
+        raise NonFiniteValue(f"free-particle energy p^2/2mu overflows at L = {grid.length}, mu = {mu!r}")
+    return energies
 
 
 def spectral_evolution(
@@ -256,9 +260,7 @@ def spectral_evolution(
     dft_operator's F is ifft(., norm="ortho") and F^dag is fft(., norm="ortho").
     The constant u factors into the global phase e^{sign i u t}; u = 0 is free.
     """
-    state = as_state(psi)
-    if state.shape[0] != grid.size:
-        raise DimensionMismatch(f"state dim {state.shape[0]} != grid size {grid.size}")
+    state = as_state(psi, grid.size)
     return _fft_evolution(_free_energies(grid, mu), t, state, sign, u)
 
 
@@ -287,6 +289,8 @@ def harmonic_energies(omega: float, levels: int) -> np.ndarray:
     require_frequency(omega)
     if levels < 1:
         raise InvalidSpec(f"need at least one level, got {levels}")
+    if not math.isfinite(omega * (levels - 0.5)):  # the top level's energy
+        raise NonFiniteValue(f"oscillator energy omega (m + 1/2) overflows at omega = {omega!r}")
     return omega * (np.arange(levels) + 0.5)
 
 

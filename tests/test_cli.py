@@ -333,6 +333,44 @@ def test_unbuildable_initial_state_writes_nothing(tmp_path, capsys, command, ini
     assert not out_dir.exists()
 
 
+KINETIC_OVERFLOWS = "kinetic scale (N/L)^2/2mu overflows at N = 16, "
+
+
+@pytest.mark.parametrize("make, section, key, value, simulate_line, compare_line", [
+    (grid_config, "grid", "L", 1e-160, KINETIC_OVERFLOWS + "L = 1e-160, mu = 1.0", None),
+    (grid_config, "system", "mu", 1e-310, KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310", None),
+    (free_particle_config, "system", "mu", 1e-310,
+     "free-particle energy p^2/2mu overflows at L = 16.0, mu = 1e-310",
+     KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310"),
+    (harmonic_config, "system", "omega", 1e308,
+     "oscillator energy omega (m + 1/2) overflows at omega = 1e+308", None),
+], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast"])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_h_that_overflows_is_refused_before_the_lock(tmp_path, capsys, command, make, section,
+                                                     key, value, simulate_line, compare_line):
+    """An H whose scale or energies overflow is refused where they are
+    computed: exit 2, one error line, no output directory."""
+    out_dir = tmp_path / "never"
+    data = make(out_dir)
+    data[section][key] = value
+    data["initial_state"] = {"basis_state": 3}
+    assert main([command, "--config", str(write_config(tmp_path, data))]) == 2
+    line = compare_line if command == "compare" and compare_line else simulate_line
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, line", [
+    (["--L", "1e-160"], KINETIC_OVERFLOWS + "L = 1e-160, mu = 1.0"),
+    (["--L", "10", "--mu", "1e-310"], KINETIC_OVERFLOWS + "L = 10.0, mu = 1e-310"),
+], ids=["short-box", "light-mass"])
+def test_spectrum_refuses_a_kinetic_scale_that_overflows(tmp_path, capsys, args, line):
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", *args, "--k", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -620,6 +620,49 @@ def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
     harmonic["outputs"]["snapshot_every"] = 1000
     _simulate(tmp_path, harmonic, "harmonic")
     assert calls[-1] == (64, 64) and len(calls) == 4
+
+
+@st.composite
+def gershgorin_matrices(draw):
+    """A square complex matrix of N = 1..32 with entries over 40 decades, so
+    the order of each row's additions shows in its sum, and zero entries,
+    zero diagonal entries, empty rows and -0.0 parts."""
+    n = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a *= 10.0 ** rng.integers(-20, 20, (n, n))
+    a[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    a[np.diag(rng.random(n) < draw(st.floats(0.0, 1.0)))] = 0.0
+    a[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    for part in (a.real, a.imag):
+        part[rng.random((n, n)) < draw(st.floats(0.0, 0.5))] = -0.0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(gershgorin_matrices())
+def test_dense_gershgorin_is_its_sparse_twins_bit_for_bit(a):
+    """A DenseOperator's row centres and radii are those of the SparseOperator
+    on its nonzeros byte for byte, and its widest row is the same width."""
+    n = len(a)
+    dense = DenseOperator(n, a).gershgorin()
+    sparse = SparseOperator(n, *nonzero_pattern(a), lambda: a).gershgorin()
+    for x, y in zip(dense[:2], sparse[:2]):
+        assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+    assert dense[2] == sparse[2]
+
+
+def test_dense_h_the_series_refuses_builds_no_nonzeros():
+    """The free-particle H at L = 64, k = 8 over t = 0.25 goes to eigh on the
+    Gershgorin gate alone, before its N^2 nonzero arrays are built."""
+    g = GridSpec(length=64.0, qubits=8)
+    op = DenseOperator(g.size, spectral_kinetic_matrix(g, 1.0))
+    psi = np.ones(g.size, dtype=complex) / math.sqrt(g.size)
+    assert _chebyshev_evolution(op, 0.25, psi, -1, g.size ** 3) is None
+    exact_evolution(op, 0.25, psi)
+    assert "nonzeros" not in op.__dict__
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     arrays(
