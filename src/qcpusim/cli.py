@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import checked_states, compare_ladder, run_report, warn_if_drifted, warn_if_unstable
+from .evolve import compare_ladder, run_report, run_states, warn_if_drifted, warn_if_unstable
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
 from .numerics import spectral_norm_upper_bound
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
@@ -155,13 +155,12 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
     warned = route.method == "euler_network" and warn_if_unstable(evo, norm_bound)
 
-    norm_sq = []
+    def snapshot(step, state):
+        if step % every == 0 or step == evo.steps:
+            _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
+
     with _directory_lock(out_dir):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step, state, ns in checked_states(route.states(psi0, evo)):
-                norm_sq.append(ns)
-                if step % every == 0 or step == evo.steps:
-                    _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
+        state, norm_sq = run_states(route.states(psi0, evo), snapshot)
         fields, rows = run_report(h, psi0, evo, state, norm_sq)
         _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
         summary = {
@@ -198,7 +197,7 @@ def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
-    report = {"config": cfg.to_dict(), **compare_ladder(h, psi0, base, ladder, norm_bound)}
+    report = {"config": cfg.to_dict(), **compare_ladder(h, psi0, base, ladder)}
     with _directory_lock(out_dir):
         _write_json_atomic(out_dir / "compare_report.json", report)
     return report

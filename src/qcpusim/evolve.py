@@ -5,6 +5,8 @@ applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
 and that drift is tracked per step rather than hidden.  Stepping reads
 Omega's nonzeros from h's plus the diagonal and acts on those only, so a
 stencil step costs O(N); euler_step's dense Omega is only the reference.
+Every run, Euler or closed form, steps through run_states, which checks
+each state and collects the squared norms.
 The same step is realized as an auxiliary-qubit network by the sum rule,
 Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
 connector-chained product of identical step networks, whose payload is
@@ -142,24 +144,29 @@ def warn_if_drifted(summary: dict, initial_norm_sq: float) -> None:
         )
 
 
-def checked_states(states):
-    """Yield (step, state, norm_sq) for each (step, state) a propagator yields.
+def run_states(states, visit=None):
+    """Step a propagator's (step, state) pairs under np.errstate(over="ignore",
+    invalid="ignore"), pass each to visit(step, state) once checked, and
+    return (last state, squared norms of every state).
 
-    Raises NumericalFailure at the first state whose amplitudes,
+    NumericalFailure is raised at the first state whose amplitudes,
     probabilities or norm left double range, so no artifact records an inf.
-    The norm, a sum of terms re^2 + im^2 that are each >= 0 or NaN, is
-    finite exactly when every amplitude and probability is, so the
-    elementwise scan runs only to name the failure of a non-finite norm.
-    Callers step under np.errstate(over="ignore", invalid="ignore").
+    The norm, a sum of terms re^2 + im^2 each >= 0 or NaN, is finite exactly
+    when they all are, so the elementwise scan only names the failure.
     """
-    for step, state in states:
-        norm_sq = float(np.vdot(state, state).real)
-        if not math.isfinite(norm_sq):
-            probs = state.real**2 + state.imag**2
-            if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
-                raise NumericalFailure(f"non-finite amplitude detected at step {step}")
-            raise NumericalFailure(f"non-finite norm at step {step}")
-        yield step, state, norm_sq
+    norm_sq = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, state in states:
+            ns = float(np.vdot(state, state).real)
+            if not math.isfinite(ns):
+                probs = state.real**2 + state.imag**2
+                if not (np.all(np.isfinite(state)) and np.all(np.isfinite(probs))):
+                    raise NumericalFailure(f"non-finite amplitude detected at step {step}")
+                raise NumericalFailure(f"non-finite norm at step {step}")
+            norm_sq.append(ns)
+            if visit is not None:
+                visit(step, state)
+    return state, np.array(norm_sq)
 
 
 def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> tuple[dict, list[dict]]:
@@ -188,20 +195,10 @@ def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> tuple[dict, lis
 
 
 def evolve_euler(h, psi, cfg: EvolutionConfig):
-    """Apply the Euler step cfg.steps times; returns (final state, squared
-    norms of steps 0..cfg.steps).
-
-    Raises NumericalFailure as soon as a state leaves double range.  Pass
-    both to run_report to compare the final state against the exact
-    propagator.
-    """
+    """cfg.steps Euler steps of psi, checked by run_states: returns (final
+    state, squared norms of steps 0..cfg.steps), the run for run_report."""
     h = _check_step(h, cfg.dt, cfg.sign)
-    psi0 = as_state(psi, h.size)
-    norm_sq = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, state, ns in checked_states(euler_states(h, psi0.copy(), cfg)):
-            norm_sq.append(ns)
-    return state, np.array(norm_sq)
+    return run_states(euler_states(h, as_state(psi, h.size).copy(), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +235,19 @@ def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
 # The dt-halving ladder
 # ---------------------------------------------------------------------------
 
-def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int, norm_bound: float) -> dict:
+def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int) -> dict:
     """Network, Euler and exact evolution of psi0 on rungs r < ladder of
     dt = base.dt / 2**r, and the convergence order they show; a ladder of
     fewer than 2 rungs has no pair to fit and is refused (InvalidSpec).
 
-    norm_bound bounds ||h||; the coarsest rung, with the largest r, warns
-    before any step runs.  The order is the mean log2 error ratio over the
+    h's `norm_bound()` bounds ||h||; the coarsest rung, with the largest r,
+    warns before any step runs.  The order is the mean log2 error ratio over the
     rung pairs in the first-order regime, or None with the reason.
     """
     if ladder < 2:
         raise InvalidSpec(f"ladder must have at least 2 rungs, got {ladder}")
     h = as_operator(h)  # once: every rung reads its one Hermiticity check and nonzero scan
+    norm_bound = h.norm_bound()
     warn_if_unstable(base, norm_bound)
     oracle = exact_evolution(h, base.total_time, psi0, base.sign)
     rungs = []

@@ -130,9 +130,7 @@ def _momentum_formula(grid: GridSpec):
         raise DegenerateGrid(
             f"momentum needs at least 3 grid points (shift-by-one stencil collides), got {n}"
         )
-    if not math.isfinite(n / grid.length):
-        raise NonFiniteValue(f"momentum scale N/L overflows at N = {n}, L = {grid.length!r}")
-    scale = -0.5j * (n / grid.length)
+    scale = -0.5j * _momentum_scale(grid)
     return lambda shift: scale * (shift(1) - shift(-1))
 
 
@@ -143,14 +141,31 @@ def _kinetic_formula(grid: GridSpec, mu: float):
         raise DegenerateGrid(
             f"kinetic needs at least 4 grid points (shift-by-two stencil collides), got {n}"
         )
+    scale = _kinetic_scale(grid, mu)
+    return lambda shift: -scale * (shift(2) + shift(-2) - 2.0 * shift(0))
+
+
+def _momentum_scale(grid: GridSpec) -> float:
+    """N/L, the momentum stencil's scale, refused (NonFiniteValue) where it overflows."""
+    scale = grid.size / grid.length
+    if not math.isfinite(scale):
+        raise NonFiniteValue(f"momentum scale N/L overflows at N = {grid.size}, L = {grid.length!r}")
+    return scale
+
+
+def _kinetic_scale(grid: GridSpec, mu: float) -> float:
+    """(N/L)^2 / 8 mu, the kinetic stencil's scale, refused (NonFiniteValue)
+    where the top eigenvalue, 4 * scale, is not finite.  The mass divides
+    last: a huge mass cannot overflow 8 mu and zero the scale, and dividing
+    by 8 first is exact, so on normal doubles the bits are (N/L)^2 / (8 mu)'s."""
     try:
-        scale = (n / grid.length) ** 2 / (8.0 * mu)
+        scale = (grid.size / grid.length) ** 2 / 8.0 / mu
     except OverflowError:  # (N/L)^2 past the largest float
         scale = math.inf
-    if not math.isfinite(4.0 * scale):  # the top eigenvalue, twice the largest entry
-        raise NonFiniteValue(f"kinetic scale (N/L)^2/2mu overflows at N = {n}, "
+    if not math.isfinite(4.0 * scale):
+        raise NonFiniteValue(f"kinetic scale (N/L)^2/2mu overflows at N = {grid.size}, "
                              f"L = {grid.length!r}, mu = {mu!r}")
-    return lambda shift: -scale * (shift(2) + shift(-2) - 2.0 * shift(0))
+    return scale
 
 
 def _dense_stencil(n: int, formula) -> np.ndarray:
@@ -245,7 +260,7 @@ def plane_wave_mode(grid: GridSpec, n: int) -> np.ndarray:
 
 def momentum_eigenvalue(grid: GridSpec, n: int) -> float:
     """Eigenvalue of the central-difference momentum on plane-wave mode n."""
-    return (grid.size / grid.length) * math.sin(2.0 * math.pi * n / grid.size)
+    return _momentum_scale(grid) * math.sin(2.0 * math.pi * n / grid.size)
 
 
 def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
@@ -259,8 +274,7 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
     size = grid.size
     folded = n % size
     folded = min(folded, size - folded)
-    pref = (size / grid.length) ** 2
-    return (pref / (4.0 * mu)) * (1.0 - math.cos(4.0 * math.pi * folded / size))
+    return (2.0 * _kinetic_scale(grid, mu)) * (1.0 - math.cos(4.0 * math.pi * folded / size))
 
 
 def spectrum_rows(grid: GridSpec, mu: float) -> list[dict]:

@@ -243,10 +243,11 @@ def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
 
 
 def _free_energies(grid: GridSpec, mu: float) -> np.ndarray:
-    """Free-particle energy p^2 / (2 mu) of each Fourier mode."""
+    """Free-particle energy p^2 / (2 mu) of each Fourier mode, divided by 2
+    first (exactly) and by mu last, so a huge mass cannot zero it."""
     require_mass(mu)
     with np.errstate(over="ignore"):
-        energies = spectral_momentum_values(grid) ** 2 / (2.0 * mu)
+        energies = spectral_momentum_values(grid) ** 2 / 2.0 / mu
     if not np.isfinite(energies).all():
         raise NonFiniteValue(f"free-particle energy p^2/2mu overflows at L = {grid.length}, mu = {mu!r}")
     return energies
@@ -260,16 +261,8 @@ def spectral_evolution(
     dft_operator's F is ifft(., norm="ortho") and F^dag is fft(., norm="ortho").
     The constant u factors into the global phase e^{sign i u t}; u = 0 is free.
     """
-    state = as_state(psi, grid.size)
-    return _fft_evolution(_free_energies(grid, mu), t, state, sign, u)
-
-
-def _fft_evolution(
-    energies: np.ndarray, t: float, state: np.ndarray, sign: int, u: float
-) -> np.ndarray:
-    """spectral_evolution with the mode energies p^2/2mu given, so a route
-    computes them once for all its steps."""
-    out = np.fft.fft(_phases(energies, t, sign) * np.fft.ifft(state, norm="ortho"), norm="ortho")
+    coefficients = np.fft.ifft(as_state(psi, grid.size), norm="ortho")
+    out = np.fft.fft(_phases(_free_energies(grid, mu), t, sign) * coefficients, norm="ortho")
     return out if u == 0.0 else _phases([u], t, sign)[0] * out
 
 
@@ -336,19 +329,30 @@ class Route:
     `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
     without an N x N product: Euler steps on Omega's nonzeros, read from H
     (`evolve.euler_states`), or psi0 evolved in closed form to each step's
-    time (`_closed_form`)."""
+    time (`_eigenbasis_states`)."""
 
     method: str
     hamiltonian: SparseOperator | DenseOperator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 
-def _closed_form(propagate):
-    """Route states of psi0 at step 0, then propagate(psi0, i * dt, sign) at step i."""
+def _eigenbasis_states(energies: np.ndarray, spectral: bool, u: float = 0.0):
+    """Route states of psi0 evolved in closed form by `spectral_evolution`'s
+    expressions: psi0's coefficients in H's eigenbasis (psi0 itself, or its
+    inverse FFT if `spectral`) are taken once, and step i phases them by
+    e^{sign i E t} at t = i * dt, transforms back and applies the field's
+    e^{sign i u t}.  E, u, dt and sign were checked finite when built."""
+    field = np.array([u], dtype=float)
+
     def states(psi0, evo):
+        coefficients = np.fft.ifft(psi0, norm="ortho") if spectral else psi0
         yield 0, psi0
         for i in range(1, evo.steps + 1):
-            yield i, propagate(psi0, i * evo.dt, evo.sign)
+            t = i * evo.dt
+            state = np.exp((evo.sign * 1j * t) * energies) * coefficients
+            if spectral:
+                state = np.fft.fft(state, norm="ortho")
+            yield i, state if u == 0.0 else np.exp((evo.sign * 1j * t) * field)[0] * state
 
     return states
 
@@ -359,16 +363,14 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     `stepped_hamiltonian`; the free particle and constant field by FFT
     (`spectral_evolution`), with the spectral kinetic matrix as H."""
     if system.kind == "harmonic":
-        energies = harmonic_energies(system.omega, grid.size)
-        return Route("energy_eigenbasis", stepped_hamiltonian(system, grid), _closed_form(
-            lambda psi0, t, sign: _phases(energies, t, sign) * psi0))
+        return Route("energy_eigenbasis", stepped_hamiltonian(system, grid),
+                     _eigenbasis_states(harmonic_energies(system.omega, grid.size), spectral=False))
     if system.kind == "grid_schrodinger":
         h = stepped_hamiltonian(system, grid)
         return Route("euler_network", h, partial(euler_states, h))
 
     mu, u = system.mu, system.u
     h = spectral_kinetic_matrix(grid, mu)
-    energies = _free_energies(grid, mu)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, as_operator(h if u is None else h + u * np.eye(grid.size)), _closed_form(
-        lambda psi0, t, sign: _fft_evolution(energies, t, psi0, sign, u or 0.0)))
+    return Route(method, as_operator(h if u is None else h + u * np.eye(grid.size)),
+                 _eigenbasis_states(_free_energies(grid, mu), spectral=True, u=u or 0.0))

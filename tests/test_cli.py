@@ -178,6 +178,25 @@ def test_simulate_free_particle_spectral_route(tmp_path):
     assert summary["max_norm_drift"] <= 1e-12
 
 
+@pytest.mark.parametrize("system", [
+    {"kind": "free_particle", "mu": 1.0}, {"kind": "constant_field", "mu": 1.0, "u": -1.3},
+], ids=["free_particle", "constant_field"])
+def test_spectral_simulate_transforms_psi0_once(tmp_path, monkeypatch, system):
+    """A spectral run takes psi0's Fourier coefficients once, not once a
+    step: S steps make one inverse FFT and S forward FFTs."""
+    calls = {"ifft": 0, "fft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    data = free_particle_config(tmp_path / "out")
+    data["system"] = system
+    data["evolution"] = {"dt": 0.125, "total_time": 1.0}
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+    assert calls == {"ifft": 1, "fft": 8}
+
+
 def test_simulate_constant_field_route(tmp_path):
     out_dir = tmp_path / "const"
     data = {
@@ -369,6 +388,18 @@ def test_spectrum_refuses_a_kinetic_scale_that_overflows(tmp_path, capsys, args,
     assert main(["spectrum", *args, "--k", "4", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
     assert not out.exists()
+
+
+def test_spectrum_at_a_huge_mass_keeps_the_kinetic_scale(tmp_path):
+    """A mass past 2.2e307, where 8 mu overflows, divides last and no longer
+    zeroes the kinetic column: mode 1's analytic and measured values are
+    (N/L)^2 / 4 mu * (1 - cos(pi / 4)), with (N/L)^2 / 8 mu = 3.2e-7."""
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--L", "1e-150", "--k", "4", "--mu", "1e308", "--out", str(out)]) == 0
+    row = list(csv.DictReader(out.open()))[1]
+    expected = 2.0 * (16.0 / 1e-150) ** 2 / 8.0 / 1e308 * (1.0 - math.cos(math.pi / 4.0))
+    assert float(row["kinetic_analytic"]) == pytest.approx(expected, rel=1e-12)
+    assert float(row["kinetic_numeric"]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_simulate_missing_config_exit_2(tmp_path):

@@ -41,7 +41,7 @@ from qcpusim import (
 from qcpusim import cli
 from qcpusim.cli import main
 from qcpusim.evolve import (
-    DRIFT_LIMIT, checked_states, compare_ladder, euler_states, run_report, warn_if_drifted,
+    DRIFT_LIMIT, compare_ladder, euler_states, run_report, run_states, warn_if_drifted,
     warn_if_unstable,
 )
 from qcpusim.numerics import DenseOperator, SparseOperator, hermiticity_defect, nonzero_pattern
@@ -317,7 +317,7 @@ def test_evolve_euler_rejects_overflowing_probabilities():
 
 
 def _old_checked_states(states):
-    """checked_states as it was: the elementwise amplitude and probability
+    """The state check as it was: the elementwise amplitude and probability
     scan on every state, then the norm."""
     for step, state in states:
         probs = state.real**2 + state.imag**2
@@ -357,12 +357,12 @@ _BAD_AMPLITUDES = st.sampled_from([
     ),
     overflow_at=st.one_of(st.none(), st.integers(0, 4)),
 )
-def test_checked_states_agrees_with_elementwise_check(n, steps, seed, injections, overflow_at):
+def test_run_states_agrees_with_elementwise_check(n, steps, seed, injections, overflow_at):
     """Checking the norm first raises the same NumericalFailure, with the
-    same message and step, and yields the same states and norms as the
-    elementwise scan did: for injected inf and NaN parts, an amplitude just
-    above 1.34e154 (whose probability overflows), and states whose
-    probabilities are finite but sum past double range."""
+    same message and step, visits the same states before it and returns the
+    same norms as the elementwise scan did: for injected inf and NaN parts,
+    an amplitude just above 1.34e154 (whose probability overflows), and
+    states whose probabilities are finite but sum past double range."""
     rng = np.random.default_rng(seed)
     states = [(i, rng.standard_normal(n) + 1j * rng.standard_normal(n)) for i in range(steps + 1)]
     for step, index, value in injections:
@@ -370,11 +370,38 @@ def test_checked_states_agrees_with_elementwise_check(n, steps, seed, injections
             states[step][1][index % n] = value
     if overflow_at is not None and overflow_at <= steps:
         states[overflow_at][1][:] = 1e154  # each |z|^2 = 1e308 is finite; for N > 1 their sum is not
-    yielded, error = _outcome(checked_states, states)
+    visited, error, norm_sq = [], None, None
+    try:
+        last, norm_sq = run_states(iter(states), lambda step, state: visited.append((step, state)))
+    except NumericalFailure as exc:
+        error = str(exc)
     expected, expected_error = _outcome(_old_checked_states, states)
     assert error == expected_error
-    assert [(i, norm) for i, _, norm in yielded] == [(i, norm) for i, _, norm in expected]
-    assert all(a is b for (_, a, _), (_, b, _) in zip(yielded, expected))
+    assert [i for i, _ in visited] == [i for i, _, _ in expected]
+    assert all(a is b for (_, a), (_, b, _) in zip(visited, expected))
+    if error is None:
+        assert last is states[-1][1]
+        assert list(norm_sq) == [norm for _, _, norm in expected]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_states_restores_the_error_state(fails):
+    """run_states steps under its own np.errstate, so an overflowing step
+    raises NumericalFailure, not FloatingPointError, and the caller's error
+    state is the same afterwards, whether the run finished or raised."""
+    def states():
+        yield 0, np.ones(2, dtype=complex)
+        big = np.full(2, 1e200, dtype=complex)
+        yield 1, big * big if fails else big / 1e200
+
+    with np.errstate(all="raise", under="warn"):
+        before = np.geterr()
+        if fails:
+            with pytest.raises(NumericalFailure, match="non-finite amplitude detected at step 1"):
+                run_states(states())
+        else:
+            run_states(states())
+        assert np.geterr() == before
 
 
 def test_report_rows_and_summary():
@@ -465,7 +492,7 @@ def test_compare_ladder_needs_two_rungs(ladder):
     over, and is refused before any rung runs."""
     h = np.diag([1.0, 2.0])
     with pytest.raises(InvalidSpec, match=f"ladder must have at least 2 rungs, got {ladder}"):
-        compare_ladder(h, np.ones(2), EvolutionConfig(dt=0.1, total_time=0.2), ladder, 2.0)
+        compare_ladder(h, np.ones(2), EvolutionConfig(dt=0.1, total_time=0.2), ladder)
 
 
 def test_euler_states_read_only_the_operator_nonzeros():

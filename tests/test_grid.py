@@ -32,7 +32,7 @@ from qcpusim import (
     wavefunction_header,
     wavefunction_records,
 )
-from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros, spectrum_rows
+from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros, spectrum_rows, stencil_nonzeros
 from qcpusim.numerics import nonzero_pattern
 
 
@@ -270,6 +270,68 @@ def test_kinetic_eigenvalue_degeneracy_is_exact():
     g = GridSpec(length=10.0, qubits=5)
     for n in range(1, g.size // 2):
         assert kinetic_eigenvalue(g, 1.0, n) == kinetic_eigenvalue(g, 1.0, g.size - n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: kinetic_eigenvalue(GridSpec(1e-160, 4), 1.0, 1),
+     "kinetic scale (N/L)^2/2mu overflows at N = 16, L = 1e-160, mu = 1.0"),
+    (lambda: kinetic_eigenvalue(GridSpec(10.0, 4), 1e-310, 1),
+     "kinetic scale (N/L)^2/2mu overflows at N = 16, L = 10.0, mu = 1e-310"),
+    (lambda: momentum_eigenvalue(GridSpec(1e-320, 4), 1),
+     "momentum scale N/L overflows at N = 16, L = 1e-320"),
+], ids=["kinetic-short-box", "kinetic-light-mass", "momentum-short-box"])
+def test_analytic_eigenvalues_refuse_the_stencils_scales(call, message):
+    """The analytic eigenvalues read the stencils' one checked scale, so they
+    refuse what the stencils refuse, with the same NonFiniteValue."""
+    with pytest.raises(NonFiniteValue) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+def test_stencil_refusals_keep_their_order():
+    """Mass first, then grid size, then scale."""
+    with pytest.raises(NonPositiveMass):
+        kinetic_operator(GridSpec(1e-160, 1), 0.0)
+    with pytest.raises(DegenerateGrid):
+        kinetic_operator(GridSpec(1e-160, 1), 1.0)
+    with pytest.raises(NonFiniteValue):
+        kinetic_operator(GridSpec(1e-160, 2), 1.0)
+    with pytest.raises(DegenerateGrid):
+        momentum_operator(GridSpec(1e-320, 1))
+
+
+def test_a_huge_mass_keeps_the_kinetic_scale():
+    """A mass past 2.2e307, where 8 mu overflows, divides last: the stencil
+    and its analytic eigenvalues keep (N/L)^2 / 8 mu = 3.2e-7, not 0."""
+    g = GridSpec(length=1e-150, qubits=4)
+    scale = (16.0 / 1e-150) ** 2 / 8.0 / 1e308
+    assert scale == pytest.approx(3.2e-7)
+    rows, cols, values = kinetic_nonzeros(g, 1e308)
+    assert np.array_equal(values[rows == cols], np.full(16, 2.0 * scale, dtype=complex))
+    for n in range(g.size):
+        expected = 2.0 * scale * (1.0 - math.cos(4.0 * math.pi * min(n, 16 - n) / 16))
+        assert kinetic_eigenvalue(g, 1e308, n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 11), log_length=st.floats(-100.0, 100.0),
+       log_mu=st.floats(-100.0, 100.0), n=st.integers(0, 2047))
+def test_dividing_by_the_mass_last_keeps_every_bit(k, log_length, log_mu, n):
+    """On normal doubles (N/L)^2 / 8 / mu is (N/L)^2 / (8 mu) bit for bit,
+    and 2 * that is (N/L)^2 / (4 mu): the stencil and the analytic
+    eigenvalue keep the bytes of the formulas that multiplied the mass."""
+    g, mu = GridSpec(length=10.0 ** log_length, qubits=k), 10.0 ** log_mu
+    pref = (g.size / g.length) ** 2
+    if not math.isfinite(pref / (2.0 * mu)) or pref / (8.0 * mu) < 2.3e-308:
+        return  # refused, or subnormal
+    scale = pref / (8.0 * mu)
+    stencil = stencil_nonzeros(g.size, (2, -2),
+                               lambda shift: -scale * (shift(2) + shift(-2) - 2.0 * shift(0)))
+    for a, b in zip(kinetic_nonzeros(g, mu), stencil):
+        assert a.tobytes() == b.tobytes()
+    folded = min(n % g.size, g.size - n % g.size)
+    expected = (pref / (4.0 * mu)) * (1.0 - math.cos(4.0 * math.pi * folded / g.size))
+    assert kinetic_eigenvalue(g, mu, n) == expected
 
 
 def test_momentum_eigenvalue_formula():

@@ -43,7 +43,7 @@ from qcpusim.numerics import (
     _chebyshev_evolution, hermiticity_defect, nonzero_pattern, spectral_norm_upper_bound,
 )
 from qcpusim.systems import (
-    POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, stepped_hamiltonian, system_route,
+    POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, _free_energies, stepped_hamiltonian, system_route,
 )
 from test_numerics import exact_propagator
 
@@ -576,6 +576,64 @@ def test_simulate_route_states_match_acceptance_constructions(system, sign, k):
     for step, state in states:
         expected = _reference_state(system, grid, psi0, step * evo.dt, sign)
         assert np.max(np.abs(state - expected)) <= 1e-12
+
+
+def _per_step_closed_form(system, grid, psi0, t, sign):
+    """A closed-form route's state at time t by the per-step formulas the
+    routes used before: psi0 transformed again at each step, and the
+    energies p^2 / (2 mu) and omega (m + 1/2) phased as given."""
+    def phases(values):
+        return np.exp((sign * 1j * t) * np.asarray(values, dtype=float))
+
+    if system.kind == "harmonic":
+        return phases(harmonic_energies(system.omega, grid.size)) * psi0
+    energies = spectral_momentum_values(grid) ** 2 / (2.0 * system.mu)
+    out = np.fft.fft(phases(energies) * np.fft.ifft(psi0, norm="ortho"), norm="ortho")
+    u = system.u or 0.0
+    return out if u == 0.0 else phases([u])[0] * out
+
+
+@st.composite
+def closed_form_systems(draw):
+    """The oscillator, the free particle or the constant field, u = 0 or
+    not, on a grid of N = 2..64 points."""
+    grid = GridSpec(length=draw(st.floats(1.0, 64.0)), qubits=draw(st.integers(1, 6)))
+    kind = draw(st.sampled_from(["harmonic", "free_particle", "constant_field"]))
+    if kind == "harmonic":
+        return SystemSpec(kind=kind, omega=draw(st.floats(0.01, 100.0))), grid
+    mu = draw(st.floats(0.01, 100.0))
+    if kind == "free_particle":
+        return SystemSpec(kind=kind, mu=mu), grid
+    u = draw(st.sampled_from([0.0, -1.3]) | st.floats(-50.0, 50.0))
+    return SystemSpec(kind=kind, mu=mu, u=u), grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=closed_form_systems(), steps=st.integers(0, 20), dt=st.floats(1e-3, 1.0),
+       sign=st.sampled_from((-1, 1)), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_route_states_are_the_per_step_formulas(case, steps, dt, sign, seed):
+    """Taking psi0's coefficients once per run gives, byte for byte, the
+    states of the per-step formulas that transformed psi0 at every step."""
+    system, grid = case
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    evo = EvolutionConfig(dt=dt, total_time=steps * dt, sign=sign)
+    states = list(system_route(system, grid).states(psi0, evo))
+    assert [step for step, _ in states] == list(range(steps + 1))
+    assert states[0][1] is psi0
+    for step, state in states[1:]:
+        expected = _per_step_closed_form(system, grid, psi0, step * dt, sign)
+        assert state.tobytes() == expected.tobytes()
+
+
+def test_free_energies_survive_a_huge_mass():
+    """p^2 / 2 mu divides by the mass last, so a mass past 9e307, where
+    2 mu overflows, no longer zeroes every energy."""
+    grid = GridSpec(length=1e-150, qubits=4)
+    energies = _free_energies(grid, 1e308)
+    assert np.all(energies[1:] > 0.0)
+    np.testing.assert_allclose(energies, (spectral_momentum_values(grid) / 1e154) ** 2 / 2.0,
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
