@@ -105,8 +105,10 @@ def _directory_lock(out_dir: Path):
             f"{out_dir} is locked by another run (remove {lock} if that run is dead)",
         ) from None
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
         yield
     finally:
         try:

@@ -1,17 +1,17 @@
 """Complex linear algebra substrate.
 
-An operator is one type in two forms, picked by `as_operator` alone: a
-`DenseOperator` wraps an N x N complex128 matrix, and a `SparseOperator`
-holds a stencil or diagonal H as its row-major nonzeros, with a `dense()`
-form, built once, for the references and eigh.  Both give the nonzeros and
-Hermiticity defect (each computed once), the norm bound, `dense()` and
-`gershgorin()`, each row's centre and radius and the widest row; a
-SparseOperator gives in O(nnz) what its dense() gives, bit for bit, as both
-add each row and column of |h| in index order.  States are complex vectors.
-`nonzero_product` lays nonzeros out once as equal-length rows and multiplies
-a state by them, bit for bit as a bincount of the terms would sum them.  The
-oracle applies e^{sign i H t} to a state by a Chebyshev series on H's nonzeros
-(Tal-Ezer & Kosloff 1984) or by eigh, whichever one gate finds cheaper.
+An operator has the two forms the physics has: a `SparseOperator` holds a
+stencil or diagonal H, or any square matrix `as_operator` is given, as its
+row-major nonzeros, and a `FourierOperator` holds the spectral kinds' H =
+F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Both give
+their Hermiticity defect, norm bound and `gershgorin()` data (each row's
+centre and radius and the cost of a row in a product) in O(nnz) or O(N),
+their product with 2 (H - c) / w, and `dense()`, built once, for the
+references and eigh.  States are complex vectors.  `nonzero_product` lays
+nonzeros out once as equal-length rows and multiplies a state by them, bit
+for bit as a bincount of the terms would sum them.  The oracle applies
+e^{sign i H t} to a state by a Chebyshev series on that product (Tal-Ezer &
+Kosloff 1984) or by eigh, whichever one gate finds cheaper.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -80,9 +80,6 @@ def tensor(a, b) -> np.ndarray:
 # The operator, its checks, and the exact-evolution oracle
 # ---------------------------------------------------------------------------
 
-HERMITICITY_BLOCK = 64  # rows compared per block: a 64 x N temporary, not N x N
-
-
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """A square operator of dimension `size` held as its read-only row-major
@@ -110,18 +107,18 @@ class SparseOperator:
         """dense()'s defect: each nonzero against its mirror entry, found by binary
         search in the row-major keys, or 0, as dense()'s other entries give 0 - 0."""
         rows, cols, values = self.nonzeros
-        if not len(rows):
-            return 0.0
         keys, mirror_keys = rows * self.size + cols, cols * self.size + rows
         mirror = np.minimum(np.searchsorted(keys, mirror_keys), len(keys) - 1)
         partner = np.where(keys[mirror] == mirror_keys, values[mirror], 0.0)
         with np.errstate(invalid="ignore"):
-            return float(np.max(np.abs(values - partner.conj())))
+            return float(np.max(np.abs(values - partner.conj()), initial=0.0))
 
     def norm_bound(self) -> float:
+        """sqrt(max row sum * max column sum) of |h|, each sum added in index order."""
         rows, cols, values = self.nonzeros
         absh = np.abs(values)
-        return _norm_bound(np.bincount(rows, absh, self.size), np.bincount(cols, absh, self.size))
+        row_sum, col_sum = (np.max(np.bincount(i, absh, self.size), initial=0.0) for i in (rows, cols))
+        return float(np.sqrt(float(row_sum) * float(col_sum)))
 
     def gershgorin(self) -> tuple[np.ndarray, np.ndarray, int]:
         rows, cols, values = self.nonzeros
@@ -129,61 +126,59 @@ class SparseOperator:
         radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), self.size)
         return values[diagonal].real, radii, _row_width(rows, self.size)
 
+    def scaled_product(self, centre: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> 2 (H - centre) / width @ v, as a `nonzero_product`."""
+        rows, cols, values = self.nonzeros
+        return nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, self.size)
+
 
 @dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """A square complex128 matrix of dimension `size`, wrapped by `as_operator`
-    without a copy; it caches its nonzeros and defect, so the matrix must not change."""
+class FourierOperator:
+    """H = F^dag diag(energies) F of dimension `size`, F the orthonormal inverse
+    DFT, held as its read-only real mode energies: Hermitian, a product is two
+    FFTs, and `dense()` builds the N x N matrix once, for references and eigh."""
 
     size: int
-    matrix: np.ndarray
+    energies: np.ndarray
+    dense: Callable[[], np.ndarray]
 
-    def dense(self) -> np.ndarray:
-        return self.matrix
+    def __post_init__(self) -> None:
+        self.energies.flags.writeable = False
+        object.__setattr__(self, "dense", cache(self.dense))  # built at most once
 
     @cached_property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = self.matrix
-        mask = h != 0
-        np.fill_diagonal(mask, True)
-        rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
-        return rows, cols, h[rows, cols]
+        return nonzero_pattern(self.dense())  # for Euler steps only: all N^2 entries
 
-    @cached_property
+    @property
     def defect(self) -> float:
-        h = self.matrix
-        if not h.size:
-            return 0.0
-        with np.errstate(invalid="ignore"):  # an inf entry gives NaN (inf - inf), silently
-            # np.max, not max(): a NaN block maximum must reach the result
-            return float(np.max([
-                np.max(np.abs(h[i:i + HERMITICITY_BLOCK] - h[:, i:i + HERMITICITY_BLOCK].conj().T))
-                for i in range(0, h.shape[0], HERMITICITY_BLOCK)
-            ]))
+        """0, or NaN for an energy that is not finite, as h - h^dag gives inf - inf."""
+        return 0.0 if np.isfinite(self.energies).all() else math.nan
 
     def norm_bound(self) -> float:
-        h = self.matrix
-        if h.size == 0:
-            return 0.0
-        absh = np.abs(h)  # cumsum adds in index order, as bincount does; np.sum pairs terms
-        return _norm_bound(np.cumsum(absh, axis=1)[:, -1], np.cumsum(absh, axis=0)[-1])
+        return float(np.max(np.abs(self.energies), initial=0.0))
 
     def gershgorin(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Each row's Re h_ii and other |entries| added in index order, as the sparse
-        form's bincount adds them, and the widest row, its diagonal counted."""
-        h = self.matrix
-        off = np.abs(h)
-        np.fill_diagonal(off, 0.0)
-        width = np.count_nonzero(h, axis=1) + (h.diagonal() == 0)
-        return h.diagonal().real, np.cumsum(off, axis=1)[:, -1:].ravel(), int(np.max(width, initial=1))
+        """The energies as centres, zero radii, and log2 N as a row's cost: at N = 256
+        and 1024 an FFT term costs 15-31 eigh units of N^3 per N log2 N, a nonzero 32."""
+        return self.energies, np.zeros(self.size), max(1, (self.size - 1).bit_length())
+
+    def scaled_product(self, centre: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> 2 (H - centre) / width @ v, by FFT."""
+        scale = 2 * (self.energies - centre) / width
+        return lambda v: np.fft.fft(scale * np.fft.ifft(v, norm="ortho"), norm="ortho")
 
 
-def as_operator(h) -> SparseOperator | DenseOperator:
-    """h if it is an operator, else h as a square complex128 DenseOperator."""
-    if isinstance(h, (SparseOperator, DenseOperator)):
+def as_operator(h) -> SparseOperator | FourierOperator:
+    """h if it is an operator, else the square complex128 h as a SparseOperator on
+    its nonzeros and whole diagonal, with h itself, not copied, as its dense()."""
+    if isinstance(h, (SparseOperator, FourierOperator)):
         return h
     h = as_complex_matrix(h)
-    return DenseOperator(h.shape[0], h)
+    mask = h != 0
+    np.fill_diagonal(mask, True)
+    rows, cols = np.divmod(np.flatnonzero(mask), h.shape[0])  # np.nonzero(mask), 10x faster
+    return SparseOperator(h.shape[0], rows, cols, h[rows, cols], lambda: h)
 
 
 def hermiticity_defect(h) -> float:
@@ -191,7 +186,7 @@ def hermiticity_defect(h) -> float:
     return as_operator(h).defect
 
 
-def require_hermitian(h) -> SparseOperator | DenseOperator:
+def require_hermitian(h) -> SparseOperator | FourierOperator:
     """h as an operator if finite and Hermitian to HERMITICITY_TOL, else NonHermitianInput."""
     h = as_operator(h)
     defect = hermiticity_defect(h)
@@ -201,8 +196,7 @@ def require_hermitian(h) -> SparseOperator | DenseOperator:
 
 
 def nonzero_pattern(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major (rows, cols, values) of a square h's nonzero entries and its
-    whole diagonal, so every row holds at least its diagonal entry."""
+    """Row-major (rows, cols, values) of a square h's nonzeros and whole diagonal."""
     return as_operator(h).nonzeros
 
 
@@ -249,8 +243,8 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     The oracle of every approximate path, for a finite t (InvalidSpec
     otherwise) and one state psi of h's dimension (DimensionMismatch
     otherwise), by the cheaper of two routes, both exact
-    to round-off: a Chebyshev series on h's nonzeros (`_chebyshev_evolution`),
-    whose cost grows with the nonzeros and with |t| times h's spectral width,
+    to round-off: a Chebyshev series on h's product (`_chebyshev_evolution`),
+    whose cost grows with one product's and with |t| times h's spectral width,
     or the eigendecomposition of h.dense(), V (e^{sign i lambda t} * (V^dag psi))
     at O(N^3), in real arithmetic for an h with no nonzero imaginary entry.
     """
@@ -284,27 +278,27 @@ GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
 def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float):
     """e^{sign i h t} psi by a Chebyshev series, or None where its cost,
-    terms * N * (widest row) * CHEBYSHEV_COST, exceeds budget (N^3 for the
-    eigendecomposition it replaces).
+    terms * N * (a row's cost: its nonzeros, or log2 N by FFT) * CHEBYSHEV_COST,
+    exceeds budget (N^3 for the eigendecomposition it replaces).
 
     The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, read with
-    the widest row from `h.gershgorin()`, so e^{sign i h t} = e^{sign i c t}
+    a row's cost from `h.gershgorin()`, so e^{sign i h t} = e^{sign i c t}
     e^{i s z X} with X = (h - c) / w, z = |t| w and s = sign * sign(t), and the
     Jacobi-Anger expansion gives e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z)
     T_k(X), T_k the Chebyshev polynomials.  Each term is one product with 2X,
-    laid out once as a `nonzero_product` on h's nonzeros, which are read only
-    once the series is affordable.
+    `h.scaled_product`, made only once the series is affordable: by FFT, or
+    laid out once as a `nonzero_product` on h's nonzeros.
     """
     h = as_operator(h)
     n = h.size
     if n == 0:
         return None
-    centres, radii, row_width = h.gershgorin()
+    centres, radii, row_cost = h.gershgorin()
     lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
     pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
     centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
     z = abs(t) * width
-    nonzeros = row_width * n  # padded, per term
+    nonzeros = row_cost * n  # padded, per term, or their FFT equivalent
     if not (z + 1) * nonzeros * CHEBYSHEV_COST <= budget:  # more than z terms: spare the Bessel loop
         return None
     bessel = bessel_series(z)
@@ -315,8 +309,7 @@ def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float)
     coefficients[0] /= 2
     out = coefficients[0] * psi
     if len(bessel) > 1:
-        rows, cols, values = h.nonzeros
-        twice_x = nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, n)
+        twice_x = h.scaled_product(centre, width)
         previous, state = psi, twice_x(psi) / 2
         out = out + coefficients[1] * state
         for a in coefficients[2:]:
@@ -360,11 +353,6 @@ def spectral_norm_upper_bound(h) -> float:
     """Certified upper bound on the largest singular value: sqrt(||h||_1 * ||h||_inf),
     which dominates the spectral norm of any square matrix; cheap, for time steps."""
     return as_operator(h).norm_bound()
-
-
-def _norm_bound(row_sums, col_sums) -> float:
-    """sqrt(max row sum * max column sum) of |h|, each sum added in index order."""
-    return float(np.sqrt(float(np.max(row_sums, initial=0.0)) * float(np.max(col_sums, initial=0.0))))
 
 
 def fidelity(a, b) -> float:

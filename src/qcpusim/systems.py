@@ -36,8 +36,8 @@ from .errors import (
 )
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
-from .numerics import (DenseOperator, SparseOperator, as_operator, as_state,
-                       require_frequency, require_mass, require_sign)
+from .numerics import (FourierOperator, SparseOperator, as_state, require_frequency,
+                       require_mass, require_sign)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -324,15 +324,15 @@ def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
 @dataclass(frozen=True)
 class Route:
     """How `simulate` runs one system kind: the `hamiltonian` behind its dt
-    bound and exact oracle (`numerics.exact_evolution`), sparse for the
-    oscillator and the grid kind and dense for the spectral kinds, and
+    bound and exact oracle (`numerics.exact_evolution`), its nonzeros for the
+    oscillator and the grid kind and its mode energies for the spectral kinds, and
     `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
     without an N x N product: Euler steps on Omega's nonzeros, read from H
     (`evolve.euler_states`), or psi0 evolved in closed form to each step's
     time (`_eigenbasis_states`)."""
 
     method: str
-    hamiltonian: SparseOperator | DenseOperator
+    hamiltonian: SparseOperator | FourierOperator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 
@@ -361,7 +361,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     """The route of each kind, in its natural representation: the oscillator
     by its energy phases and the grid kind by Euler steps, both on
     `stepped_hamiltonian`; the free particle and constant field by FFT
-    (`spectral_evolution`), with the spectral kinetic matrix as H."""
+    (`spectral_evolution`), with H as the energies E + u its states phase by."""
     if system.kind == "harmonic":
         return Route("energy_eigenbasis", stepped_hamiltonian(system, grid),
                      _eigenbasis_states(harmonic_energies(system.omega, grid.size), spectral=False))
@@ -370,7 +370,9 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         return Route("euler_network", h, partial(euler_states, h))
 
     mu, u = system.mu, system.u
-    h = spectral_kinetic_matrix(grid, mu)
+    energies = _free_energies(grid, mu)
+    kinetic = partial(spectral_kinetic_matrix, grid, mu)
+    dense = kinetic if u is None else lambda: kinetic() + u * np.eye(grid.size)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, as_operator(h if u is None else h + u * np.eye(grid.size)),
-                 _eigenbasis_states(_free_energies(grid, mu), spectral=True, u=u or 0.0))
+    return Route(method, FourierOperator(grid.size, energies if u is None else energies + u, dense),
+                 _eigenbasis_states(energies, spectral=True, u=u or 0.0))

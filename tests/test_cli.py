@@ -8,6 +8,7 @@ bytes test records.
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
-from qcpusim import evolve
+from qcpusim import evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
 
@@ -488,6 +489,33 @@ def test_grid_route_at_n_2048_builds_no_n_by_n_array(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_free_particle_at_n_2048_builds_no_n_by_n_array(tmp_path, monkeypatch):
+    """`simulate` on the free particle at k = 11 bounds and checks H and runs
+    the oracle's series on H's 2048 mode energies: it never builds the dense
+    spectral_kinetic_matrix (64 MB) and its traced peak stays under 8 MB."""
+
+    def refuse(*args):
+        raise AssertionError("simulate built the dense spectral H")
+
+    monkeypatch.setattr(systems, "spectral_kinetic_matrix", refuse)
+    out_dir = tmp_path / "k11"
+    data = free_particle_config(out_dir)
+    data["grid"] = {"L": 181.01933598375618, "k": 11, "centered": True}
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.0625}
+    data["initial_state"]["gaussian"]["x0"] = 0.0
+    data["outputs"]["snapshot_every"] = 10**6
+    cfg = load_run_config(write_config(tmp_path, data))
+    tracemalloc.start()
+    try:
+        summary = run_simulation(cfg, out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["method"] == "spectral_momentum" and summary["steps"] == 790
+    assert summary["final_fidelity"] >= 1 - 1e-12
+    assert peak < 8 * 2**20
+
+
 def test_simulate_diagnostics_match_evolve_euler(tmp_path):
     """The grid route's diagnostics.csv records evolve_euler's squared norms."""
     out_dir = tmp_path / "diag"
@@ -511,6 +539,25 @@ def test_lock_blocks_concurrent_run(tmp_path, capsys):
     assert "locked by another run" in capsys.readouterr().err
     # the foreign lock must be left in place for its owner
     assert (out_dir / LOCK_NAME).exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors on Linux")
+def test_lock_closes_its_descriptor_when_the_pid_write_fails(tmp_path, monkeypatch, capsys):
+    """A lock whose pid cannot be written is closed and removed: the run
+    exits 2 and leaves no lock file and no open descriptor behind."""
+    out_dir = tmp_path / "full"
+    config = write_config(tmp_path, harmonic_config(out_dir))
+    before = set(os.listdir("/proc/self/fd"))
+
+    def refuse(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", refuse)
+    assert main(["simulate", "--config", str(config)]) == 2
+    monkeypatch.undo()
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out_dir / LOCK_NAME).exists()
+    assert set(os.listdir("/proc/self/fd")) <= before
 
 
 def test_snapshot_rewrite_is_byte_identical(tmp_path):

@@ -44,7 +44,7 @@ from qcpusim.evolve import (
     DRIFT_LIMIT, compare_ladder, euler_states, run_report, run_states, warn_if_drifted,
     warn_if_unstable,
 )
-from qcpusim.numerics import DenseOperator, SparseOperator, hermiticity_defect, nonzero_pattern
+from qcpusim.numerics import SparseOperator, hermiticity_defect, nonzero_pattern
 from qcpusim.systems import stepped_hamiltonian
 
 
@@ -252,7 +252,8 @@ def test_euler_states_bit_equal_stepping_on_euler_step(
     h[0, 2] = h[2, 0] = 5e-324
     psi0 = random_state(rng, n)
     evo = SimpleNamespace(dt=dt, steps=steps, sign=sign)  # EvolutionConfig refuses dt = 0
-    stepped = list(euler_states(DenseOperator(n, h.view(_NoDenseProduct)), psi0, evo))
+    op = SparseOperator(n, *nonzero_pattern(h), lambda: h.view(_NoDenseProduct))
+    stepped = list(euler_states(op, psi0, evo))
     expected = omega_nonzero_states(euler_step(h, dt, sign), psi0, steps)
     assert [i for i, _ in stepped] == list(range(steps + 1))
     assert all(np.array_equal(state, ref) for (_, state), ref in zip(stepped, expected))
@@ -451,11 +452,12 @@ def test_compare_builds_one_oracle(tmp_path, monkeypatch):
 
 
 def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
-    """A three-rung compare on the README grid config makes no DenseOperator:
-    the oracle and every Euler and network rung hold the stepped H, which
-    computes its Hermiticity defect once and calls its dense builder once."""
-    calls = {"DenseOperator": 0, "defect": 0, "dense": 0}
-    init, defect = DenseOperator.__init__, SparseOperator.defect.func
+    """A three-rung compare on the README grid config holds no matrix as an
+    operator: the oracle and every Euler and network rung hold the stepped H
+    (built once, and once more below to count its builder), which computes
+    its Hermiticity defect once and calls its dense builder once."""
+    calls = {"SparseOperator": 0, "defect": 0, "dense": 0}
+    init, defect = SparseOperator.__post_init__, SparseOperator.defect.func
 
     def counting(name, fn):
         def counted(*args):
@@ -467,7 +469,7 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
         op = stepped_hamiltonian(system, grid)
         return SparseOperator(op.size, *op.nonzeros, counting("dense", op.dense))
 
-    monkeypatch.setattr(DenseOperator, "__init__", counting("DenseOperator", init))
+    monkeypatch.setattr(SparseOperator, "__post_init__", counting("SparseOperator", init))
     prop = functools.cached_property(counting("defect", defect))
     prop.__set_name__(SparseOperator, "defect")
     monkeypatch.setattr(SparseOperator, "defect", prop)
@@ -483,7 +485,7 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
-    assert calls == {"DenseOperator": 0, "defect": 1, "dense": 1}
+    assert calls == {"SparseOperator": 2, "defect": 1, "dense": 1}
 
 
 @pytest.mark.parametrize("ladder", [0, 1])

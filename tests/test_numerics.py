@@ -36,10 +36,10 @@ from qcpusim import (
 from qcpusim.cli import main
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
-    BESSEL_FLOOR, DenseOperator, SparseOperator, _chebyshev_evolution, as_operator,
+    BESSEL_FLOOR, FourierOperator, SparseOperator, _chebyshev_evolution, as_operator,
     bessel_series, nonzero_pattern, nonzero_product,
 )
-from qcpusim.systems import stepped_hamiltonian, system_route
+from qcpusim.systems import spectral_evolution, stepped_hamiltonian, system_route
 from test_grid import shift_matrix, transposition_matrix
 
 
@@ -359,7 +359,7 @@ def test_nonzero_product_is_the_bincount_sum_bit_for_bit(case, data):
 
 
 def test_hermiticity_defect_compares_in_row_blocks():
-    """At N = 1024 the check holds one block of rows at a time, far under
+    """At N = 1024 the check compares each nonzero with its mirror, far under
     the two N x N complex temporaries (33.7 MB) of h - h^dag."""
     n = 1024
     h = np.zeros((n, n), dtype=complex)
@@ -385,9 +385,9 @@ def test_hermiticity_defect_compares_in_row_blocks():
     in_last_block=st.booleans(),
 )
 def test_hermiticity_defect_matches_whole_matrix_difference(n, seed, bad, in_last_block):
-    """The blocked defect equals the whole-matrix max |h - h^dag| bit for
-    bit, an inf (inf - inf) or NaN entry giving NaN in both, also when only
-    the last block of rows holds it."""
+    """The defect on h's nonzeros equals the whole-matrix max |h - h^dag| bit
+    for bit, an inf (inf - inf) or NaN entry giving NaN in both, also when
+    only the last row holds it."""
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n)
     i, j = (n - 1, n - 1) if in_last_block else rng.integers(0, n, 2)
@@ -404,16 +404,21 @@ def sparse_of(h) -> SparseOperator:
 
 
 def test_as_operator_decides_the_form_once():
-    """as_operator returns an operator as it is and wraps a square matrix,
-    without a copy, as a DenseOperator; require_hermitian returns that
-    operator, which computes its nonzeros once."""
+    """as_operator returns an operator as it is and holds a square matrix as
+    a SparseOperator on its nonzeros and whole diagonal, whose dense() is the
+    matrix itself, not a copy; require_hermitian returns that operator."""
     h = random_hermitian(np.random.default_rng(3), 5)
+    h[0, 0], h[1, 3], h[3, 1] = 0.0, 0.0, 0.0
     op = as_operator(h)
-    assert isinstance(op, DenseOperator) and op.dense() is h and op.size == 5
+    assert isinstance(op, SparseOperator) and op.dense() is h and op.size == 5
     assert as_operator(op) is op and require_hermitian(op) is op
-    assert nonzero_pattern(op) is nonzero_pattern(op)
-    sparse = sparse_of(h)
-    assert as_operator(sparse) is sparse and require_hermitian(sparse) is sparse
+    rows, cols, values = nonzero_pattern(op)
+    keep = (h != 0) | np.eye(5, dtype=bool)
+    assert np.array_equal(rows, np.nonzero(keep)[0]) and np.array_equal(cols, np.nonzero(keep)[1])
+    assert values.tobytes() == h[keep].tobytes()
+    fourier = FourierOperator(2, np.array([0.0, 1.0]), lambda: np.eye(2, dtype=complex))
+    assert as_operator(fourier) is fourier and require_hermitian(fourier) is fourier
+    assert nonzero_pattern(fourier)[0].tolist() == [0, 1] == nonzero_pattern(fourier)[1].tolist()
     assert isinstance(as_operator(np.eye(3)).dense()[0, 0], np.complex128)
     with pytest.raises(NonSquareInput):
         as_operator(np.ones((2, 3)))
@@ -463,10 +468,10 @@ def index_order_sum(values) -> float:
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(9, 300), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
 def test_norm_bound_adds_each_row_and_column_in_index_order(n, seed, density):
-    """Both forms bound H by sqrt(max row sum * max column sum) of |H|, bit for
-    bit, with every row and column added in index order, the dense one in C
-    and in Fortran layout: on a matrix whose heaviest row, one entry of 1 and
-    the rest below half its ulp, numpy's pairwise summation rounds otherwise."""
+    """The bound of H is sqrt(max row sum * max column sum) of |H|, bit for
+    bit, with every row and column added in index order: on a matrix whose
+    heaviest row, one entry of 1 and the rest below half its ulp, numpy's
+    pairwise summation rounds otherwise."""
     rng = np.random.default_rng(seed)
     small = rng.uniform(0.6e-16, 1e-16, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
     h = np.where(rng.random((n, n)) < density, small, 0.0)
@@ -478,7 +483,7 @@ def test_norm_bound_adds_each_row_and_column_in_index_order(n, seed, density):
     col_sum = max(index_order_sum(col) for col in absh.T)
     assert row_sum == 1.0 < float(np.max(absh.sum(axis=1)))  # pairwise rounds the heavy row up
     expected = math.sqrt(row_sum * col_sum)
-    for op in (h, np.asfortranarray(h), sparse_of(h)):
+    for op in (h, sparse_of(h)):
         assert spectral_norm_upper_bound(op) == expected
 
 
@@ -599,10 +604,20 @@ def _simulate(tmp_path, config, name):
         assert main(["simulate", "--config", str(path)]) == 0
 
 
+FREE_STREAM = {
+    "system": {"kind": "free_particle", "mu": 1.0},
+    "grid": {"L": 32.0, "k": 8},
+    "evolution": {"dt": 0.0078125, "total_time": 2.0},
+    "initial_state": {"gaussian": {"x0": 0.0, "p0": 1.0, "sigma": 1.5}},
+    "outputs": {"snapshot_every": 10**6},
+}
+
+
 def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
-    """The grid kind at k = 8 runs the oracle as a Chebyshev series; the
-    README configs, a stream-like dense spectral H and an oscillator at
-    t * ||H|| about 1e5 take eigh."""
+    """The grid kind at k = 8 and the free particle at k = 10 run the oracle
+    as a Chebyshev series; the README configs, the spectral H as a matrix, an
+    oscillator at t * ||H|| about 1e5, and the free particle in the `stream`
+    workload's shape and its self-test's take eigh."""
     calls = _count_eigh(monkeypatch)
     grid_k8 = json.loads(json.dumps(README_GRID))
     grid_k8["grid"]["k"] = 8
@@ -620,47 +635,61 @@ def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
     harmonic["outputs"]["snapshot_every"] = 1000
     _simulate(tmp_path, harmonic, "harmonic")
     assert calls[-1] == (64, 64) and len(calls) == 4
+    # z = 2 * 158 = 316: over the N^2 / (32 log2 N) - 1 = 255 terms eigh affords
+    _simulate(tmp_path, FREE_STREAM, "stream")
+    tiny = json.loads(json.dumps(FREE_STREAM))
+    tiny["grid"], tiny["evolution"] = {"L": 8.0, "k": 4}, {"dt": 0.0625, "total_time": 0.25}
+    _simulate(tmp_path, tiny, "stream_tiny")
+    assert calls[4:] == [(256, 256), (16, 16)]
+    free_k10 = json.loads(json.dumps(FREE_STREAM))
+    free_k10["grid"] = {"L": 128.0, "k": 10}
+    free_k10["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.0625}
+    _simulate(tmp_path, free_k10, "free_k10")
+    assert len(calls) == 6
 
 
 @st.composite
-def gershgorin_matrices(draw):
-    """A square complex matrix of N = 1..32 with entries over 40 decades, so
-    the order of each row's additions shows in its sum, and zero entries,
-    zero diagonal entries, empty rows and -0.0 parts."""
-    n = draw(st.integers(1, 32))
+def fourier_cases(draw):
+    """A free particle or constant field on a grid of k = 1..6 with random
+    mu, L and u, a horizon t of either sign with |t| max |E + u| up to 300,
+    a sign and a unit state."""
+    kind = draw(st.sampled_from(["free_particle", "constant_field"]))
+    u = draw(st.floats(-20.0, 20.0)) if kind == "constant_field" else None
+    system = SystemSpec(kind=kind, mu=draw(st.floats(0.2, 5.0)), u=u)
+    grid = GridSpec(length=draw(st.floats(4.0, 40.0)), qubits=draw(st.integers(1, 6)),
+                    centered=draw(st.booleans()))
+    op = system_route(system, grid).hamiltonian
+    t = draw(st.floats(-1.0, 1.0)) * 300.0 / max(op.norm_bound(), 1e-300)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    a *= 10.0 ** rng.integers(-20, 20, (n, n))
-    a[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
-    a[np.diag(rng.random(n) < draw(st.floats(0.0, 1.0)))] = 0.0
-    a[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
-    for part in (a.real, a.imag):
-        part[rng.random((n, n)) < draw(st.floats(0.0, 0.5))] = -0.0
-    return a
+    psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return system, grid, op, t, draw(st.sampled_from((-1, 1))), psi / np.linalg.norm(psi)
 
 
-@settings(max_examples=200, deadline=None)
-@given(gershgorin_matrices())
-def test_dense_gershgorin_is_its_sparse_twins_bit_for_bit(a):
-    """A DenseOperator's row centres and radii are those of the SparseOperator
-    on its nonzeros byte for byte, and its widest row is the same width."""
-    n = len(a)
-    dense = DenseOperator(n, a).gershgorin()
-    sparse = SparseOperator(n, *nonzero_pattern(a), lambda: a).gershgorin()
-    for x, y in zip(dense[:2], sparse[:2]):
-        assert x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
-    assert dense[2] == sparse[2]
-
-
-def test_dense_h_the_series_refuses_builds_no_nonzeros():
-    """The free-particle H at L = 64, k = 8 over t = 0.25 goes to eigh on the
-    Gershgorin gate alone, before its N^2 nonzero arrays are built."""
-    g = GridSpec(length=64.0, qubits=8)
-    op = DenseOperator(g.size, spectral_kinetic_matrix(g, 1.0))
-    psi = np.ones(g.size, dtype=complex) / math.sqrt(g.size)
-    assert _chebyshev_evolution(op, 0.25, psi, -1, g.size ** 3) is None
-    exact_evolution(op, 0.25, psi)
-    assert "nonzeros" not in op.__dict__
+@settings(max_examples=80, deadline=None)
+@given(fourier_cases())
+def test_fourier_operator_matches_the_dense_spectral_h(case):
+    """The spectral kinds' H held as its mode energies has the product, the
+    spectral interval, the norm bound and the oracle, series or eigh, of the
+    dense spectral_kinetic_matrix (+ u I) to 1e-12 relative, and its oracle
+    is spectral_evolution's closed form."""
+    system, grid, op, t, sign, psi = case
+    u = system.u or 0.0
+    dense = spectral_kinetic_matrix(grid, system.mu) + u * np.eye(grid.size)
+    scale = op.norm_bound()
+    eigenvalues, v = np.linalg.eigh(dense)
+    assert abs(scale - np.max(np.abs(eigenvalues))) <= 1e-12 * scale
+    centres, radii, _ = op.gershgorin()
+    lo, hi = np.min(centres - radii), np.max(centres + radii)
+    assert abs(lo - eigenvalues[0]) <= 1e-12 * scale and abs(hi - eigenvalues[-1]) <= 1e-12 * scale
+    centre, width = (lo + hi) / 2, max((hi - lo) / 2, 1e-3 * scale)
+    product = op.scaled_product(centre, width)(psi)
+    assert np.max(np.abs(product - 2 * (dense - centre * np.eye(grid.size)) / width @ psi)) \
+        <= 1e-12 * 2 * scale / width
+    reference = v @ (np.exp(1j * sign * eigenvalues * t) * (v.conj().T @ psi))
+    closed_form = spectral_evolution(grid, system.mu, t, psi, sign, u)
+    for out in (exact_evolution(op, t, psi, sign), _chebyshev_evolution(op, t, psi, sign, math.inf)):
+        assert np.max(np.abs(out - reference)) <= 1e-12
+        assert np.max(np.abs(out - closed_form)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
