@@ -2,9 +2,9 @@
 
 One Euler step is Omega = I + sign*i*h*dt.  It is deliberately not unitary:
 applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
-and that drift is tracked per step rather than hidden.  Stepping reads
-Omega's nonzeros from h's plus the diagonal and acts on those only, so a
-stencil step costs O(N); euler_step's dense Omega is only the reference.
+and that drift is tracked per step rather than hidden.  Stepping multiplies
+by h's operator's `euler_product`, so a stencil step costs O(N) and a
+spectral one two FFTs; euler_step's dense Omega is only the reference.
 Every run, Euler or closed form, steps through run_states, which checks
 each state and collects the squared norms.
 The same step is realized as an auxiliary-qubit network by the sum rule,
@@ -27,10 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning
-from .numerics import (
-    as_operator, as_state, exact_evolution, fidelity, nonzero_pattern, nonzero_product,
-    require_hermitian, require_sign,
-)
+from .numerics import as_operator, as_state, exact_evolution, fidelity, require_hermitian, require_sign
 from .qcpu import (
     QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
 )
@@ -87,14 +84,11 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
 def euler_states(h, psi0: np.ndarray, evo: EvolutionConfig):
     """Yield (step, state) for steps 0..evo.steps of Euler steps Omega @ state.
 
-    Omega = I + sign*i*dt*h is never formed: its row-major nonzeros are the
-    checked h's nonzeros plus the diagonal, valued bit for bit as euler_step's,
-    laid out once as a `nonzero_product`, and each step multiplies by it:
-    O(N) work for a stencil h.
+    Omega = I + sign*i*dt*h is never formed: h's operator makes its product,
+    `euler_product`, once, O(N) work a step for a stencil h and two FFTs for
+    the spectral kinds' mode energies.
     """
-    rows, cols, values = nonzero_pattern(h)
-    values = (evo.sign * 1j * evo.dt) * values + (rows == cols)
-    omega = nonzero_product(rows, cols, values, len(psi0))
+    omega = as_operator(h).euler_product(evo.sign * 1j * evo.dt)
     state = psi0
     yield 0, state
     for i in range(1, evo.steps + 1):

@@ -115,12 +115,12 @@ def kinetic_operator(grid: GridSpec, mu: float) -> np.ndarray:
 
 
 def momentum_nonzeros(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """nonzero_pattern(momentum_operator(grid)), bit for bit, in O(N)."""
+    """as_operator(momentum_operator(grid)).nonzeros, bit for bit, in O(N)."""
     return stencil_nonzeros(grid.size, (1, -1), _momentum_formula(grid))
 
 
 def kinetic_nonzeros(grid: GridSpec, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """nonzero_pattern(kinetic_operator(grid, mu)), bit for bit, in O(N)."""
+    """as_operator(kinetic_operator(grid, mu)).nonzeros, bit for bit, in O(N)."""
     return stencil_nonzeros(grid.size, (2, -2), _kinetic_formula(grid, mu))
 
 
@@ -180,8 +180,8 @@ def stencil_nonzeros(n: int, offsets, formula) -> tuple[np.ndarray, np.ndarray, 
     offsets, in O(n): formula runs on the entries at columns i and i + s
     (mod n) of each row i, where shift(s) is the rolled identity's 0 or 1.
     Each value thus comes from the dense matrix's own arithmetic, and the
-    result equals `nonzero_pattern(_dense_stencil(n, formula))` byte for
-    byte.  Offsets that coincide mod n (s = -s at n = 2s) share one entry.
+    result equals `as_operator(_dense_stencil(n, formula)).nonzeros` byte
+    for byte.  Offsets that coincide mod n (s = -s at n = 2s) share one entry.
     The formulas refuse a scale that is not finite, so off the stencil each
     gives a scale times 0, which is no nonzero.
     """

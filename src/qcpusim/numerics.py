@@ -6,10 +6,11 @@ row-major nonzeros, and a `FourierOperator` holds the spectral kinds' H =
 F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Both give
 their Hermiticity defect, norm bound and `gershgorin()` data (each row's
 centre and radius and the cost of a row in a product) in O(nnz) or O(N),
-their product with 2 (H - c) / w, and `dense()`, built once, for the
-references and eigh.  States are complex vectors.  `nonzero_product` lays
-nonzeros out once as equal-length rows and multiplies a state by them, bit
-for bit as a bincount of the terms would sum them.  The oracle applies
+their products with 2 (H - c) / w, for the oracle, and with I + a H, for
+Euler steps, and `dense()`, built once, for the references and eigh.
+States are complex vectors.  `nonzero_product` lays nonzeros out once as
+equal-length rows and multiplies a state by them, bit for bit as a
+bincount of the terms would sum them.  The oracle applies
 e^{sign i H t} to a state by a Chebyshev series on that product (Tal-Ezer &
 Kosloff 1984) or by eigh, whichever one gate finds cheaper.
 
@@ -83,8 +84,8 @@ def tensor(a, b) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """A square operator of dimension `size` held as its read-only row-major
-    nonzeros, its whole diagonal included: `nonzero_pattern(dense())`, byte
-    for byte.  `dense()` builds the N x N matrix on its first call, for
+    nonzeros, its whole diagonal included: those `as_operator(dense())` reads,
+    byte for byte.  `dense()` builds the N x N matrix on its first call, for
     references and eigh, and returns that one array, not to be changed, ever after."""
 
     size: int
@@ -131,6 +132,11 @@ class SparseOperator:
         rows, cols, values = self.nonzeros
         return nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, self.size)
 
+    def euler_product(self, a: complex) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> (I + a H) @ v, as a `nonzero_product`: O(N) for a stencil H."""
+        rows, cols, values = self.nonzeros
+        return nonzero_product(rows, cols, a * values + (rows == cols), self.size)
+
 
 @dataclass(frozen=True, eq=False)
 class FourierOperator:
@@ -145,10 +151,6 @@ class FourierOperator:
     def __post_init__(self) -> None:
         self.energies.flags.writeable = False
         object.__setattr__(self, "dense", cache(self.dense))  # built at most once
-
-    @cached_property
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return nonzero_pattern(self.dense())  # for Euler steps only: all N^2 entries
 
     @property
     def defect(self) -> float:
@@ -167,6 +169,11 @@ class FourierOperator:
         """v -> 2 (H - centre) / width @ v, by FFT."""
         scale = 2 * (self.energies - centre) / width
         return lambda v: np.fft.fft(scale * np.fft.ifft(v, norm="ortho"), norm="ortho")
+
+    def euler_product(self, a: complex) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> (I + a H) @ v, by FFT."""
+        factor = 1 + a * self.energies
+        return lambda v: np.fft.fft(factor * np.fft.ifft(v, norm="ortho"), norm="ortho")
 
 
 def as_operator(h) -> SparseOperator | FourierOperator:
@@ -187,17 +194,16 @@ def hermiticity_defect(h) -> float:
 
 
 def require_hermitian(h) -> SparseOperator | FourierOperator:
-    """h as an operator if finite and Hermitian to HERMITICITY_TOL, else NonHermitianInput."""
+    """h as an operator if finite and Hermitian to HERMITICITY_TOL times max(1, its
+    norm bound), so a large H is not refused for its rounding, else NonHermitianInput.
+    A bound that overflowed scales nothing: the tolerance is then HERMITICITY_TOL."""
     h = as_operator(h)
     defect = hermiticity_defect(h)
-    if not defect <= HERMITICITY_TOL:  # a NaN defect (non-finite h) fails too
+    bound = h.norm_bound()
+    scale = max(1.0, bound) if math.isfinite(bound) else 1.0
+    if not defect <= HERMITICITY_TOL * scale:  # a NaN defect (non-finite h) fails too
         raise NonHermitianInput(f"not a finite Hermitian matrix: max |h - h^dag| = {defect:.3e}")
     return h
-
-
-def nonzero_pattern(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major (rows, cols, values) of a square h's nonzeros and whole diagonal."""
-    return as_operator(h).nonzeros
 
 
 def nonzero_product(rows, cols, values, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -211,8 +217,8 @@ def nonzero_product(rows, cols, values, n: int) -> Callable[[np.ndarray], np.nda
     ((0.0 + t_0) + t_1) + ... in column order: the float additions of
     np.bincount over the nonzeros, so every finite state gets their bits.  (A
     padded row also reads its own entry of v, which shows only where that
-    entry is not finite.)  The Euler steps, the oracle's series and `grid.spectrum_rows` build it
-    once and multiply by it.
+    entry is not finite.)  The Euler steps, the oracle's series and `grid.spectrum_rows`
+    build it once and multiply by it.
     """
     width = _row_width(rows, n)
     slots = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each term's place in its row

@@ -327,7 +327,7 @@ class Route:
     bound and exact oracle (`numerics.exact_evolution`), its nonzeros for the
     oscillator and the grid kind and its mode energies for the spectral kinds, and
     `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
-    without an N x N product: Euler steps on Omega's nonzeros, read from H
+    without an N x N product: Euler steps by H's `euler_product`
     (`evolve.euler_states`), or psi0 evolved in closed form to each step's
     time (`_eigenbasis_states`)."""
 
@@ -370,9 +370,15 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
         return Route("euler_network", h, partial(euler_states, h))
 
     mu, u = system.mu, system.u
-    energies = _free_energies(grid, mu)
+    energies = levels = _free_energies(grid, mu)
+    if u is not None:
+        with np.errstate(over="ignore"):
+            levels = energies + u
+        if not np.isfinite(levels).all():  # refused here, before any output is written
+            raise NonFiniteValue(f"constant-field energy p^2/2mu + u overflows at L = {grid.length}, "
+                                 f"mu = {mu!r}, u = {u!r}")
     kinetic = partial(spectral_kinetic_matrix, grid, mu)
     dense = kinetic if u is None else lambda: kinetic() + u * np.eye(grid.size)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, FourierOperator(grid.size, energies if u is None else energies + u, dense),
+    return Route(method, FourierOperator(grid.size, levels, dense),
                  _eigenbasis_states(energies, spectral=True, u=u or 0.0))

@@ -391,6 +391,24 @@ def test_spectrum_refuses_a_kinetic_scale_that_overflows(tmp_path, capsys, args,
     assert not out.exists()
 
 
+def test_constant_field_whose_energies_overflow_writes_nothing(tmp_path, capsys):
+    """A constant field whose E + u overflows (mu 1e-305, u 1e308) is refused
+    where its route is built, before the output lock: exit 2, one error line
+    and no output directory, not an overflow warning and five snapshots."""
+    out_dir = tmp_path / "never"
+    data = {
+        "system": {"kind": "constant_field", "mu": 1e-305, "u": 1e308},
+        "grid": {"L": 1.0, "k": 4},
+        "evolution": {"dt": 0.0625, "total_time": 0.25},
+        "initial_state": {"gaussian": {"x0": 0.5, "p0": 0.0, "sigma": 0.1}},
+        "outputs": {"directory": str(out_dir)},
+    }
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "error: constant-field energy p^2/2mu + u overflows at L = 1.0, mu = 1e-305, u = 1e+308\n")
+    assert not out_dir.exists()
+
+
 def test_spectrum_at_a_huge_mass_keeps_the_kinetic_scale(tmp_path):
     """A mass past 2.2e307, where 8 mu overflows, divides last and no longer
     zeroes the kinetic column: mode 1's analytic and measured values are

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -44,8 +45,8 @@ from qcpusim.evolve import (
     DRIFT_LIMIT, compare_ladder, euler_states, run_report, run_states, warn_if_drifted,
     warn_if_unstable,
 )
-from qcpusim.numerics import SparseOperator, hermiticity_defect, nonzero_pattern
-from qcpusim.systems import stepped_hamiltonian
+from qcpusim.numerics import FourierOperator, SparseOperator, as_operator, hermiticity_defect
+from qcpusim.systems import stepped_hamiltonian, system_route
 
 
 def random_hermitian(rng, n):
@@ -252,7 +253,7 @@ def test_euler_states_bit_equal_stepping_on_euler_step(
     h[0, 2] = h[2, 0] = 5e-324
     psi0 = random_state(rng, n)
     evo = SimpleNamespace(dt=dt, steps=steps, sign=sign)  # EvolutionConfig refuses dt = 0
-    op = SparseOperator(n, *nonzero_pattern(h), lambda: h.view(_NoDenseProduct))
+    op = SparseOperator(n, *as_operator(h).nonzeros, lambda: h.view(_NoDenseProduct))
     stepped = list(euler_states(op, psi0, evo))
     expected = omega_nonzero_states(euler_step(h, dt, sign), psi0, steps)
     assert [i for i, _ in stepped] == list(range(steps + 1))
@@ -508,13 +509,61 @@ def test_euler_states_read_only_the_operator_nonzeros():
     def refuse():
         raise AssertionError("stepping densified the operator")
 
-    op = SparseOperator(12, *nonzero_pattern(h), refuse)
+    op = SparseOperator(12, *as_operator(h).nonzeros, refuse)
     psi0 = random_state(rng, 12)
     evo = EvolutionConfig(dt=0.05, total_time=0.5)
     pairs = zip(euler_states(op, psi0, evo), euler_states(h, psi0, evo))
     assert all(i == j and np.array_equal(a, b) for (i, a), (j, b) in pairs)
     (final, norm_sq), (ref_final, ref_norm_sq) = evolve_euler(op, psi0, evo), evolve_euler(h, psi0, evo)
     assert np.array_equal(final, ref_final) and np.array_equal(norm_sq, ref_norm_sq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["free_particle", "constant_field"]),
+    k=st.integers(1, 6),
+    mu=st.floats(0.1, 10.0),
+    length=st.floats(1.0, 50.0),
+    u=st.floats(-10.0, 10.0),
+    r=st.floats(0.01, 2.0),
+    steps=st.integers(0, 20),
+    sign=st.sampled_from([1, -1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_euler_steps_equal_the_dense_euler_power(kind, k, mu, length, u, r, steps, sign,
+                                                          seed):
+    """Euler steps on the spectral kinds' route H, held as its mode energies,
+    are two FFTs each and equal the dense Euler factor's power on psi to
+    1e-12 relative, at dt = r / ||H|| bound for r from 0.01 to 2."""
+    grid = GridSpec(length=length, qubits=k)
+    system = SystemSpec(kind=kind, mu=mu, u=u if kind == "constant_field" else None)
+    h = system_route(system, grid).hamiltonian
+    assert isinstance(h, FourierOperator)
+    psi = random_state(np.random.default_rng(seed), grid.size)
+    dt = r / h.norm_bound()
+    final, norm_sq = evolve_euler(h, psi, EvolutionConfig(dt=dt, total_time=steps * dt, sign=sign))
+    direct = np.linalg.matrix_power(euler_step(h.dense(), dt, sign), steps) @ psi
+    assert len(norm_sq) == steps + 1
+    assert np.linalg.norm(final - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_spectral_euler_steps_build_no_n_by_n_array():
+    """Four Euler steps on the free particle's route H at k = 11 (N = 2048)
+    never build its dense form: the traced peak stays under 8 MB, where the
+    dense H alone is 64 MB."""
+    grid = GridSpec(length=181.01933598375618, qubits=11, centered=True)
+    h = system_route(SystemSpec(kind="free_particle", mu=1.0), grid).hamiltonian
+    psi = random_state(np.random.default_rng(11), grid.size)
+    dt = 0.05 / h.norm_bound()
+    tracemalloc.start()
+    try:
+        final, norm_sq = evolve_euler(h, psi, EvolutionConfig(dt=dt, total_time=4 * dt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert h.dense.cache_info().currsize == 0  # dense() was never called
+    assert len(norm_sq) == 5 and np.isfinite(final).all()
 
 
 def test_runs_form_no_dense_euler_step(tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from qcpusim import (
     wavefunction_records,
 )
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros, spectrum_rows, stencil_nonzeros
-from qcpusim.numerics import nonzero_pattern
+from qcpusim.numerics import as_operator
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +161,19 @@ def test_spectrum_rows_match_the_dense_operators(k, length, mu):
     (10.0, 1.0, "stencil"), (1.0, 0.3, "stencil"), (1e200, 1.0, "diagonal"), (3.0, 5e-324, None),
 ], ids=["plain", "short-box", "scale-underflows", "scale-overflows"])
 def test_stencil_nonzeros_equal_the_dense_patterns(k, length, mu, kinetic_entries):
-    """The O(N) nonzeros of each stencil equal nonzero_pattern of the dense
+    """The O(N) nonzeros of each stencil equal as_operator(.).nonzeros of the dense
     operator byte for byte: the wrap rows' column order, the collided
     +-2 entry at N = 4, and the diagonal's signed zeros.  A kinetic scale
     that underflows leaves -0.0 off the diagonal, which is no nonzero; one
     that overflows is refused by both forms."""
     g = GridSpec(length=length, qubits=k, centered=True)
-    pairs = [(momentum_nonzeros(g), nonzero_pattern(momentum_operator(g)))]
+    pairs = [(momentum_nonzeros(g), as_operator(momentum_operator(g)).nonzeros)]
     if kinetic_entries is None:
         for build in (kinetic_nonzeros, kinetic_operator):
             with pytest.raises(NonFiniteValue, match=r"^kinetic scale \(N/L\)\^2/2mu overflows at N = "):
                 build(g, mu)
     else:
-        pairs.append((kinetic_nonzeros(g, mu), nonzero_pattern(kinetic_operator(g, mu))))
+        pairs.append((kinetic_nonzeros(g, mu), as_operator(kinetic_operator(g, mu)).nonzeros))
         per_row = {"stencil": 3 if k > 2 else 2, "diagonal": 1}[kinetic_entries]
         assert len(pairs[1][0][0]) == per_row * g.size
     for fast, reference in pairs:

@@ -37,7 +37,7 @@ from qcpusim.cli import main
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
     BESSEL_FLOOR, FourierOperator, SparseOperator, _chebyshev_evolution, as_operator,
-    bessel_series, nonzero_pattern, nonzero_product,
+    bessel_series, nonzero_product,
 )
 from qcpusim.systems import spectral_evolution, stepped_hamiltonian, system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -285,7 +285,7 @@ def test_nonzero_product_matches_the_dense_product(n, seed, density, empty_rows)
     out = nonzero_product(rows, cols, a[rows, cols], n)(v)
     assert out.shape == (n,)
     assert np.all(np.abs(out - expected) <= 1e-12 * (np.abs(a) @ np.abs(v)))
-    assert np.max(np.abs(nonzero_product(*nonzero_pattern(a), n)(v) - out)) == 0.0
+    assert np.max(np.abs(nonzero_product(*as_operator(a).nonzeros, n)(v) - out)) == 0.0
 
 
 def bincount_product(rows, cols, values, v):
@@ -299,7 +299,7 @@ def bincount_product(rows, cols, values, v):
 def product_operators(draw):
     """(rows, cols, values, n, holds_diagonal): a stencil or diagonal H at
     N = 4..64, or a random ragged pattern from np.nonzero (empty rows, no
-    diagonal) or from nonzero_pattern (every row holds its diagonal)."""
+    diagonal) or from as_operator (every row holds its diagonal)."""
     kind = draw(st.sampled_from(("kinetic", "momentum", "harmonic", "stepped", "nonzero", "pattern")))
     if kind in ("nonzero", "pattern"):
         n = draw(st.integers(1, 64))
@@ -308,7 +308,7 @@ def product_operators(draw):
         a[rng.random((n, n)) >= draw(st.floats(0.0, 1.0))] = 0.0
         a[rng.random(n) < draw(st.floats(0.0, 1.0))] = 0.0
         if kind == "pattern":
-            return (*nonzero_pattern(a), n, True)
+            return (*as_operator(a).nonzeros, n, True)
         rows, cols = np.nonzero(a)
         return rows, cols, a[rows, cols], n, False
     grid = GridSpec(length=draw(st.floats(1.0, 100.0)), qubits=draw(st.integers(2, 6)),
@@ -399,8 +399,8 @@ def test_hermiticity_defect_matches_whole_matrix_difference(n, seed, bad, in_las
 
 
 def sparse_of(h) -> SparseOperator:
-    """h as a SparseOperator: its nonzero_pattern, with dense() giving h."""
-    return SparseOperator(h.shape[0], *nonzero_pattern(h), lambda: h)
+    """h as a SparseOperator: as_operator's nonzeros, with dense() giving h."""
+    return SparseOperator(h.shape[0], *as_operator(h).nonzeros, lambda: h)
 
 
 def test_as_operator_decides_the_form_once():
@@ -412,13 +412,16 @@ def test_as_operator_decides_the_form_once():
     op = as_operator(h)
     assert isinstance(op, SparseOperator) and op.dense() is h and op.size == 5
     assert as_operator(op) is op and require_hermitian(op) is op
-    rows, cols, values = nonzero_pattern(op)
+    rows, cols, values = op.nonzeros
     keep = (h != 0) | np.eye(5, dtype=bool)
     assert np.array_equal(rows, np.nonzero(keep)[0]) and np.array_equal(cols, np.nonzero(keep)[1])
     assert values.tobytes() == h[keep].tobytes()
     fourier = FourierOperator(2, np.array([0.0, 1.0]), lambda: np.eye(2, dtype=complex))
     assert as_operator(fourier) is fourier and require_hermitian(fourier) is fourier
-    assert nonzero_pattern(fourier)[0].tolist() == [0, 1] == nonzero_pattern(fourier)[1].tolist()
+    assert not hasattr(fourier, "nonzeros")  # its Euler product is two FFTs, not N^2 entries
+    v = np.array([1.0 + 2.0j, -0.5j])
+    h_v = fourier.scaled_product(0.0, 2.0)(v)  # 2 (H - 0) / 2 @ v
+    assert np.allclose(fourier.euler_product(0.25j)(v), v + 0.25j * h_v, rtol=0, atol=1e-15)
     assert isinstance(as_operator(np.eye(3)).dense()[0, 0], np.complex128)
     with pytest.raises(NonSquareInput):
         as_operator(np.ones((2, 3)))
@@ -499,7 +502,7 @@ def test_sparse_operator_builds_its_dense_form_once():
             raise NumericalFailure("the first build fails")
         return h.copy()
 
-    op = SparseOperator(6, *nonzero_pattern(h), build)
+    op = SparseOperator(6, *as_operator(h).nonzeros, build)
     with pytest.raises(NumericalFailure):
         op.dense()
     first = op.dense()

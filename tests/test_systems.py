@@ -18,6 +18,7 @@ from qcpusim import (
     InitialStateSpec,
     InvalidSpec,
     NonFiniteValue,
+    NonHermitianInput,
     NonPositiveFrequency,
     NonPositiveMass,
     OutputSpec,
@@ -36,11 +37,12 @@ from qcpusim import (
     parse_run_config,
     sample,
     spectral_evolution,
+    require_hermitian,
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
 from qcpusim.numerics import (
-    _chebyshev_evolution, hermiticity_defect, nonzero_pattern, spectral_norm_upper_bound,
+    _chebyshev_evolution, as_operator, hermiticity_defect, spectral_norm_upper_bound,
 )
 from qcpusim.systems import (
     POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, _free_energies, stepped_hamiltonian, system_route,
@@ -436,6 +438,27 @@ def test_spectral_kinetic_matrix_is_hermitian():
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
+def test_hermiticity_tolerance_is_relative_to_the_norm_bound():
+    """require_hermitian refuses a defect above HERMITICITY_TOL times max(1, the
+    norm bound): the dense spectral H with energies up to 3.2e8 has a rounding
+    defect of 1.5e-8 and runs, agreeing with the oracle on its mode energies,
+    while a unit-scale matrix with a 1e-9 defect is still refused, as is a
+    matrix whose norm bound overflows to inf (1e200 squared)."""
+    grid = GridSpec(length=1.0, qubits=8)
+    h = spectral_kinetic_matrix(grid, 1e-3)
+    assert hermiticity_defect(h) > 1e-8
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    out = exact_evolution(h, 1e-8, psi)
+    fourier = system_route(SystemSpec(kind="free_particle", mu=1e-3), grid).hamiltonian
+    reference = exact_evolution(fourier, 1e-8, psi)
+    assert np.linalg.norm(out - reference) <= 1e-10 * np.linalg.norm(reference)
+    with pytest.raises(NonHermitianInput, match=r"max \|h - h\^dag\| = 1\.000e-09$"):
+        require_hermitian(np.array([[1.0, 1e-9], [0.0, 1.0]]))
+    with pytest.raises(NonHermitianInput, match=r"= 1\.000e\+200$"):
+        require_hermitian(np.array([[0.0, 1e200], [0.0, 0.0]]))
+
+
 def test_spectral_kinetic_eigenvalues_are_p_squared_over_2mu():
     g = GridSpec(length=10.0, qubits=4)
     mu = 2.0
@@ -666,14 +689,14 @@ def stepped_systems(draw):
 @given(case=stepped_systems(), t=st.one_of(st.floats(-0.5, 0.5), st.floats(-20.0, 20.0)),
        sign=st.sampled_from((-1, 1)), seed=st.integers(0, 2**32 - 1))
 def test_stepped_hamiltonian_nonzeros_match_its_dense_form(case, t, sign, seed):
-    """The stepped H's O(N) nonzeros are nonzero_pattern(dense()) byte for
+    """The stepped H's O(N) nonzeros are as_operator(dense())'s byte for
     byte, so its Hermiticity defect, norm bound and Gershgorin data are the
     dense ones bit for bit.  The oracle's one gate, on that data, sends both
     forms down the same branch, where they give the same bytes."""
     system, grid = case
     op = stepped_hamiltonian(system, grid)
     h = op.dense()
-    for a, b in zip(nonzero_pattern(op), nonzero_pattern(h)):
+    for a, b in zip(op.nonzeros, as_operator(h).nonzeros):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert hermiticity_defect(op) == hermiticity_defect(h) == 0.0
     assert spectral_norm_upper_bound(op) == spectral_norm_upper_bound(h)
