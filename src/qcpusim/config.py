@@ -36,8 +36,8 @@ from .systems import (
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
 # Every parameter some system kind takes, in table order.
 _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() for key in keys))
-# N = 2**k.  Only the oracle's eigh and compare's payloads, on the stepped H's dense
-# form, build an N x N array: at k = 11 a complex one is 64 MB; beyond, not laptop-scale.
+# N = 2**k.  Only the oracle's eigh, on H's dense form, builds an N x N array: at
+# k = 11 a complex one is 64 MB; beyond, not laptop-scale.
 MAX_GRID_QUBITS = 11
 # The most steps a run may take: over 1000 times the longest workload's 896.
 MAX_STEPS = 2**20

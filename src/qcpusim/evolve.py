@@ -3,19 +3,23 @@
 One Euler step is Omega = I + sign*i*h*dt.  It is deliberately not unitary:
 applying it to a state grows the squared norm by exactly dt^2 * ||h psi||^2,
 and that drift is tracked per step rather than hidden.  Stepping multiplies
-by h's operator's `euler_product`, so a stencil step costs O(N) and a
-spectral one two FFTs; euler_step's dense Omega is only the reference.
+by Omega as h's operator makes it, `affine(sign*i*dt, 1)`, so a stencil step
+costs O(N) and a spectral one two FFTs; euler_step's dense Omega is only
+the reference.
 Every run, Euler or closed form, steps through run_states, which checks
 each state and collects the squared norms.
 The same step is realized as an auxiliary-qubit network by the sum rule,
-Q(I) composed with Q(sign*i*dt*h), and a whole evolution is the
-connector-chained product of identical step networks, whose payload is
-Omega^steps; it runs on a state one step network at a time.  Both are built
-from h alone, any `numerics` operator.  Steps with dt * ||h|| bound r >= 1
-may grow the norm by up to (1 + r^2) each, and warn_if_unstable says so
-before they run; at r < 1 a long run can still drift, and warn_if_drifted
-says so after it.  compare_ladder runs the network and the Euler loop against
-the exact oracle over a dt-halving ladder and fits their order.
+Q(I) composed with Q(sign*i*dt*h), both on h's operator, whose block is
+the operator Omega, and a whole evolution is the connector-chained product
+of identical step networks, whose payload is Omega^steps; it runs on a
+state one step network at a time, each by the same product as an Euler
+step, so a rung of compare costs O(steps nnz) and holds no N x N array.
+Both are built from h alone, any `numerics` operator.  Steps with
+dt * ||h|| bound r >= 1 may grow the norm by up to (1 + r^2) each, and
+warn_if_unstable says so before they run; at r < 1 a long run can still
+drift, and warn_if_drifted says so after it.  compare_ladder runs the
+network and the Euler loop against the exact oracle over a dt-halving
+ladder and fits their order.
 """
 
 from __future__ import annotations
@@ -84,11 +88,11 @@ def euler_step(h, dt: float, sign: int = -1) -> np.ndarray:
 def euler_states(h, psi0: np.ndarray, evo: EvolutionConfig):
     """Yield (step, state) for steps 0..evo.steps of Euler steps Omega @ state.
 
-    Omega = I + sign*i*dt*h is never formed: h's operator makes its product,
-    `euler_product`, once, O(N) work a step for a stencil h and two FFTs for
-    the spectral kinds' mode energies.
+    Omega = I + sign*i*dt*h is never formed as a matrix: h's operator makes
+    it, `affine(sign*i*dt, 1)`, whose product is O(N) work a step for a
+    stencil h and two FFTs for the spectral kinds' mode energies.
     """
-    omega = as_operator(h).euler_product(evo.sign * 1j * evo.dt)
+    omega = as_operator(h).affine(evo.sign * 1j * evo.dt, 1).matvec
     state = psi0
     yield 0, state
     for i in range(1, evo.steps + 1):
@@ -202,22 +206,24 @@ def evolve_euler(h, psi, cfg: EvolutionConfig):
 def step_network(h, dt: float, sign: int = -1) -> QcpuNetwork:
     """Single Euler step as a network, assembled by the sum rule.
 
-    Composes Q(I) and Q(sign*i*dt*h), h's dense() form; the payload is
-    bit-equal to euler_step(h, dt, sign), and raises as it does.
+    Composes Q(I) and Q(sign*i*dt*h), each on h's operator (`affine`), into
+    the network of the operator Omega = I + sign*i*dt*h, whose values are
+    euler_states' bit for bit; no N x N array is made.  Its payload, Omega's
+    dense(), is bit-equal to euler_step(h, dt, sign), and it raises as that does.
     """
-    h = _check_step(h, dt, sign).dense()
-    identity = build_network(np.eye(h.shape[0], dtype=complex))
-    return compose_sum([identity, build_network((sign * 1j * dt) * h)])
+    h = _check_step(h, dt, sign)
+    identity = build_network(h.affine(0, 1))
+    return compose_sum([identity, build_network(h.affine(sign * 1j * dt, 0))])
 
 
 def whole_network(h, cfg: EvolutionConfig) -> QcpuNetwork:
     """Connector-chained product of cfg.steps identical step networks of h.
 
-    The chain keeps one payload block per step and forms no product:
-    apply_network runs them on a state one after another, O(steps N^2), and
-    its raised branch reproduces evolve_euler's final state.  Reading
-    .payload multiplies out the steps-fold power of the Euler step, and
-    .dense() gives the 2N x 2N form, for the references.
+    The chain keeps one block per step, the step network's operator, and
+    forms no product: apply_network runs them on a state one after another,
+    O(steps nnz), and its raised branch is evolve_euler's final state, bit
+    for bit.  Reading .payload multiplies out the steps-fold power of the
+    Euler step, and .dense() gives the 2N x 2N form, for the references.
     """
     steps = cfg.steps
     if steps < 1:

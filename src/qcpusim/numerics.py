@@ -6,11 +6,14 @@ row-major nonzeros, and a `FourierOperator` holds the spectral kinds' H =
 F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Both give
 their Hermiticity defect, norm bound and `gershgorin()` data (each row's
 centre and radius and the cost of a row in a product) in O(nnz) or O(N),
-their products with 2 (H - c) / w, for the oracle, and with I + a H, for
-Euler steps, and `dense()`, built once, for the references and eigh.
-States are complex vectors.  `nonzero_product` lays nonzeros out once as
-equal-length rows and multiplies a state by them, bit for bit as a
-bincount of the terms would sum them.  The oracle applies
+their product with 2 (H - c) / w, for the oracle, their own product
+(`matvec`), laid out once, and `dense()`, built once, for the references
+and eigh.  Each makes alpha I + beta H in its own form (`affine`), so an
+Euler step I + a H and the step networks' blocks cost O(nnz) or two FFTs
+a product, and operators of one form add (`+`) as the networks' sum rule
+does.  States are complex vectors.  `nonzero_product` lays nonzeros out
+once as equal-length rows and multiplies a state by them, bit for bit as
+a bincount of the terms would sum them.  The oracle applies
 e^{sign i H t} to a state by a Chebyshev series on that product (Tal-Ezer &
 Kosloff 1984) or by eigh, whichever one gate finds cheaper.
 
@@ -84,9 +87,10 @@ def tensor(a, b) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SparseOperator:
     """A square operator of dimension `size` held as its read-only row-major
-    nonzeros, its whole diagonal included: those `as_operator(dense())` reads,
-    byte for byte.  `dense()` builds the N x N matrix on its first call, for
-    references and eigh, and returns that one array, not to be changed, ever after."""
+    nonzeros, its whole diagonal included: for an H, those `as_operator(dense())`
+    reads, byte for byte (an `affine` one may also hold zeros).  `dense()` builds
+    the N x N matrix on its first call, for references and eigh, and returns
+    that one array, not to be changed, ever after."""
 
     size: int
     rows: np.ndarray
@@ -115,11 +119,16 @@ class SparseOperator:
             return float(np.max(np.abs(values - partner.conj()), initial=0.0))
 
     def norm_bound(self) -> float:
-        """sqrt(max row sum * max column sum) of |h|, each sum added in index order."""
+        """sqrt(max row sum * max column sum) of |h|, each sum added in index order,
+        or sqrt(row sum) * sqrt(column sum) where finite sums' product overflows."""
         rows, cols, values = self.nonzeros
         absh = np.abs(values)
-        row_sum, col_sum = (np.max(np.bincount(i, absh, self.size), initial=0.0) for i in (rows, cols))
-        return float(np.sqrt(float(row_sum) * float(col_sum)))
+        row_sum, col_sum = (float(np.max(np.bincount(i, absh, self.size), initial=0.0))
+                            for i in (rows, cols))
+        product = row_sum * col_sum
+        if product == math.inf and max(row_sum, col_sum) < math.inf:
+            return math.sqrt(row_sum) * math.sqrt(col_sum)
+        return math.sqrt(product)
 
     def gershgorin(self) -> tuple[np.ndarray, np.ndarray, int]:
         rows, cols, values = self.nonzeros
@@ -132,17 +141,48 @@ class SparseOperator:
         rows, cols, values = self.nonzeros
         return nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, self.size)
 
-    def euler_product(self, a: complex) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> (I + a H) @ v, as a `nonzero_product`: O(N) for a stencil H."""
+    @cached_property
+    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> H @ v, laid out once as a `nonzero_product`: O(N) for a stencil H."""
+        return nonzero_product(*self.nonzeros, self.size)
+
+    def affine(self, beta: complex, alpha: complex) -> SparseOperator:
+        """alpha I + beta H on the same nonzeros: beta * values, plus alpha on the
+        diagonal.  I + a H, an Euler step, is affine(a, 1)."""
         rows, cols, values = self.nonzeros
-        return nonzero_product(rows, cols, a * values + (rows == cols), self.size)
+        return _scattered(self.size, rows, cols, beta * values + alpha * (rows == cols))
+
+    def __add__(self, other: SparseOperator | FourierOperator) -> SparseOperator:
+        """H + G: on one nonzero pattern the sum of their values, O(nnz), else the
+        nonzeros of dense() + dense()."""
+        _require_size(self, other)
+        if (isinstance(other, SparseOperator) and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)):
+            return _scattered(self.size, self.rows, self.cols, self.values + other.values)
+        return as_operator(self.dense() + other.dense())
+
+
+def _scattered(n: int, rows, cols, values) -> SparseOperator:
+    """The SparseOperator on these nonzeros whose dense() scatters them into zeros."""
+    def dense() -> np.ndarray:
+        out = np.zeros((n, n), dtype=complex)
+        out[rows, cols] = values
+        return out
+
+    return SparseOperator(n, rows, cols, values, dense)
+
+
+def _require_size(a, b) -> None:
+    if a.size != b.size:
+        raise DimensionMismatch(f"operator dims differ: {a.size} vs {b.size}")
 
 
 @dataclass(frozen=True, eq=False)
 class FourierOperator:
     """H = F^dag diag(energies) F of dimension `size`, F the orthonormal inverse
-    DFT, held as its read-only real mode energies: Hermitian, a product is two
-    FFTs, and `dense()` builds the N x N matrix once, for references and eigh."""
+    DFT, held as its read-only mode energies: Hermitian for real ones (the
+    spectral kinds' H), a product is two FFTs, and `dense()` builds the N x N
+    matrix once, for references and eigh."""
 
     size: int
     energies: np.ndarray
@@ -152,10 +192,15 @@ class FourierOperator:
         self.energies.flags.writeable = False
         object.__setattr__(self, "dense", cache(self.dense))  # built at most once
 
-    @property
+    @cached_property
     def defect(self) -> float:
-        """0, or NaN for an energy that is not finite, as h - h^dag gives inf - inf."""
-        return 0.0 if np.isfinite(self.energies).all() else math.nan
+        """max |h - h^dag|: 0 for real energies, or NaN for one that is not finite
+        (inf - inf); for complex ones, h - h^dag is the circulant on ifft(E - E*)."""
+        energies = self.energies
+        if not np.iscomplexobj(energies):
+            return 0.0 if np.isfinite(energies).all() else math.nan
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(np.fft.ifft(energies - energies.conj())), initial=0.0))
 
     def norm_bound(self) -> float:
         return float(np.max(np.abs(self.energies), initial=0.0))
@@ -170,10 +215,27 @@ class FourierOperator:
         scale = 2 * (self.energies - centre) / width
         return lambda v: np.fft.fft(scale * np.fft.ifft(v, norm="ortho"), norm="ortho")
 
-    def euler_product(self, a: complex) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> (I + a H) @ v, by FFT."""
-        factor = 1 + a * self.energies
-        return lambda v: np.fft.fft(factor * np.fft.ifft(v, norm="ortho"), norm="ortho")
+    @cached_property
+    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> H @ v, by FFT."""
+        energies = self.energies
+        return lambda v: np.fft.fft(energies * np.fft.ifft(v, norm="ortho"), norm="ortho")
+
+    def affine(self, beta: complex, alpha: complex) -> FourierOperator:
+        """alpha I + beta H, F^dag diag(alpha + beta E) F.  I + a H, an Euler
+        step, is affine(a, 1)."""
+        n = self.size
+        return FourierOperator(n, alpha + beta * self.energies,
+                               lambda: alpha * np.eye(n, dtype=complex) + beta * self.dense())
+
+    def __add__(self, other: SparseOperator | FourierOperator) -> SparseOperator | FourierOperator:
+        """H + G: the sum of their energies for a FourierOperator G, O(N), else
+        the nonzeros of dense() + dense()."""
+        _require_size(self, other)
+        if isinstance(other, FourierOperator):
+            return FourierOperator(self.size, self.energies + other.energies,
+                                   lambda: self.dense() + other.dense())
+        return as_operator(self.dense() + other.dense())
 
 
 def as_operator(h) -> SparseOperator | FourierOperator:

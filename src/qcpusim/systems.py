@@ -302,7 +302,7 @@ def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
     """The H that `compare` steps, and `simulate` too for the oscillator and
     the grid kind: each grid kind's shift-stencil H, kinetic plus potential,
     or the oscillator's diagonal energies, as nonzeros built in O(N) whose
-    dense(), built once for the step networks and eigh, is
+    dense(), built once for eigh and the references, is
     `grid.kinetic_operator` plus the potential's diagonal."""
     n = grid.size
     if system.kind == "harmonic":
@@ -327,7 +327,7 @@ class Route:
     bound and exact oracle (`numerics.exact_evolution`), its nonzeros for the
     oscillator and the grid kind and its mode energies for the spectral kinds, and
     `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
-    without an N x N product: Euler steps by H's `euler_product`
+    without an N x N product: Euler steps by H's `affine(a, 1)`
     (`evolve.euler_states`), or psi0 evolved in closed form to each step's
     time (`_eigenbasis_states`)."""
 

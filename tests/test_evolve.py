@@ -456,7 +456,9 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
     """A three-rung compare on the README grid config holds no matrix as an
     operator: the oracle and every Euler and network rung hold the stepped H
     (built once, and once more below to count its builder), which computes
-    its Hermiticity defect once and calls its dense builder once."""
+    its Hermiticity defect once and calls its dense builder once, for eigh.
+    Each rung makes four operators on H's nonzeros: its Euler step's
+    I + a H, and its step network's Q(I), Q(a H) and their sum."""
     calls = {"SparseOperator": 0, "defect": 0, "dense": 0}
     init, defect = SparseOperator.__post_init__, SparseOperator.defect.func
 
@@ -486,7 +488,7 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
-    assert calls == {"SparseOperator": 2, "defect": 1, "dense": 1}
+    assert calls == {"SparseOperator": 2 + 4 * 3, "defect": 1, "dense": 1}
 
 
 @pytest.mark.parametrize("ladder", [0, 1])
@@ -694,6 +696,48 @@ def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, 
         assert np.max(np.abs(state - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
+def test_compare_runs_no_n_by_n_block(tmp_path, monkeypatch):
+    """compare --ladder 3 on the `chain` benchmark's shape (N = 256) never calls
+    the stepped H's dense(), and every block apply_network runs is an operator."""
+    from qcpusim import evolve
+
+    def refuse():
+        raise AssertionError("compare built the stepped H's dense()")
+
+    def spied_hamiltonian(system, grid):
+        return SparseOperator(grid.size, *stepped_hamiltonian(system, grid).nonzeros, refuse)
+
+    def operator_blocks_only(net, psi):
+        assert not any(isinstance(block, np.ndarray) for block in net.blocks)
+        return apply_network(net, psi)
+
+    monkeypatch.setattr(cli, "stepped_hamiltonian", spied_hamiltonian)
+    monkeypatch.setattr(evolve, "apply_network", operator_blocks_only)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(grid_compare_config(tmp_path / "out", *GRID_COMPARES[1])))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+
+
+def test_compare_at_n_2048_builds_no_n_by_n_array(tmp_path):
+    """compare --ladder 2 on the grid kind at k = 11, the README grid shape
+    (L = 16 * 2^3.5, auto_epsilon 0.05), runs both rungs' networks on H's
+    3N nonzeros: its traced peak stays under 16 MB, where one N x N complex
+    array is 64 MB."""
+    data = grid_compare_config(tmp_path / "out", 16.0 * 2 ** 3.5, 11, None, 0.0625)
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.0625}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        assert main(["compare", "--config", str(path), "--ladder", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    report = json.loads((tmp_path / "out" / "compare_report.json").read_text())
+    assert report["min_fidelity_network_vs_euler"] >= 1 - 1e-12
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Network realization
 # ---------------------------------------------------------------------------
@@ -739,7 +783,8 @@ def test_step_network_payload_bit_equals_euler_step(n, dt, sign, seed):
 ])
 def test_step_network_takes_the_stepped_operator(system):
     """step_network, whole_network and euler_step take the stepped H as the
-    SparseOperator it is and give, bit for bit, what they give on its dense()."""
+    SparseOperator it is and give, bit for bit, what they give on its dense():
+    each chained block's dense(), too."""
     op = stepped_hamiltonian(system, GridSpec(length=16.0, qubits=4, centered=True))
     h = op.dense()
     for sign in (1, -1):
@@ -749,7 +794,53 @@ def test_step_network_takes_the_stepped_operator(system):
     cfg = EvolutionConfig(dt=0.0625, total_time=0.25)
     chained, reference = whole_network(op, cfg), whole_network(h, cfg)
     assert len(chained.blocks) == len(reference.blocks) == cfg.steps
-    assert all(np.array_equal(a, b) for a, b in zip(chained.blocks, reference.blocks))
+    assert all(a.dense().tobytes() == b.dense().tobytes()
+               for a, b in zip(chained.blocks, reference.blocks))
+
+
+@st.composite
+def stepped_operators(draw):
+    """A random sparse Hermitian H at N from 2 to 64, held as its nonzeros, or
+    the stepped H of one of the four kinds at N from 4 to 64, or a spectral
+    kind's H as its mode energies (`system_route`)."""
+    kind = draw(st.sampled_from(["sparse", "grid_schrodinger", "free_particle",
+                                 "constant_field", "harmonic", "spectral"]))
+    if kind == "sparse":
+        n = draw(st.integers(2, 64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        h = random_hermitian(rng, n)
+        keep = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+        return as_operator(np.where(keep | keep.T, h, 0.0))
+    grid = GridSpec(length=draw(st.floats(4.0, 64.0)), qubits=draw(st.integers(2, 6)), centered=True)
+    system = {
+        "grid_schrodinger": SystemSpec(kind="grid_schrodinger", mu=1.0,
+                                       potential=PotentialSpec(form="quadratic", coefficient=0.05)),
+        "free_particle": SystemSpec(kind="free_particle", mu=draw(st.floats(0.5, 2.0))),
+        "constant_field": SystemSpec(kind="constant_field", mu=1.0, u=draw(st.floats(-5.0, 5.0))),
+        "harmonic": SystemSpec(kind="harmonic", omega=draw(st.floats(0.5, 2.0))),
+        "spectral": SystemSpec(kind="constant_field", mu=1.0, u=draw(st.floats(-5.0, 5.0))),
+    }[kind]
+    if kind == "spectral":
+        return system_route(system, grid).hamiltonian
+    return stepped_hamiltonian(system, grid)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stepped_operators(), st.floats(0.01, 1.0), st.integers(1, 20), st.sampled_from([1, -1]),
+       st.integers(0, 2**32 - 1))
+def test_operator_step_networks_run_the_euler_steps(op, r, steps, sign, seed):
+    """On an operator H, a step network's payload is euler_step bit for bit, and
+    a whole network's raised branch equals its payload applied to psi to 1e-12
+    of the largest amplitude and evolve_euler's final state bit for bit."""
+    dt = r / max(op.norm_bound(), 1e-300)
+    assert step_network(op, dt, sign).payload.tobytes() == euler_step(op, dt, sign).tobytes()
+    cfg = EvolutionConfig(dt=dt, total_time=steps * dt, sign=sign)
+    psi = random_state(np.random.default_rng(seed), op.size)
+    net = whole_network(op, cfg)
+    raised = project_aux(apply_network(net, psi), 1)
+    reference = net.payload @ psi
+    assert np.max(np.abs(raised - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert raised.tobytes() == evolve_euler(op, psi, cfg)[0].tobytes()
 
 
 def test_step_network_rejects_non_hermitian():

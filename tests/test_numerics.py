@@ -403,6 +403,35 @@ def sparse_of(h) -> SparseOperator:
     return SparseOperator(h.shape[0], *as_operator(h).nonzeros, lambda: h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.complex_numbers(max_magnitude=2.0), st.floats(-2.0, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_affine_operators_and_sums_match_their_dense_forms(k, beta, alpha, seed):
+    """alpha I + beta H in each form, and the sum of two operators of one form
+    or, by the dense fallback, of two patterns or forms: dense(), matvec and the
+    Hermiticity defect agree with the dense arithmetic to 1e-12 of its scale."""
+    grid = GridSpec(length=8.0, qubits=k, centered=True)
+    sparse = stepped_hamiltonian(SystemSpec(kind="grid_schrodinger", mu=1.0,
+                                            potential=PotentialSpec(form="quadratic", coefficient=0.05)),
+                                 grid)
+    fourier = system_route(SystemSpec(kind="constant_field", mu=1.0, u=0.5), grid).hamiltonian
+    rng = np.random.default_rng(seed)
+    other = as_operator(random_hermitian(rng, grid.size))
+    v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    cases = [(op.affine(beta, alpha), alpha * np.eye(grid.size) + beta * op.dense())
+             for op in (sparse, fourier)]
+    cases += [(a + b, a.dense() + b.dense())
+              for a, b in [(sparse, sparse.affine(beta, alpha)), (fourier, fourier.affine(beta, alpha)),
+                           (sparse, other), (sparse, fourier), (fourier, sparse)]]
+    for op, expected in cases:
+        scale = 1e-12 * max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(op.dense() - expected)) <= scale
+        assert np.max(np.abs(op.matvec(v) - expected @ v)) <= scale * np.max(np.abs(v)) * grid.size
+        assert abs(op.defect - hermiticity_defect(expected)) <= scale
+    with pytest.raises(DimensionMismatch, match=re.escape(f"operator dims differ: {grid.size} vs 1")):
+        fourier + as_operator(np.eye(1))
+
+
 def test_as_operator_decides_the_form_once():
     """as_operator returns an operator as it is and holds a square matrix as
     a SparseOperator on its nonzeros and whole diagonal, whose dense() is the
@@ -421,7 +450,7 @@ def test_as_operator_decides_the_form_once():
     assert not hasattr(fourier, "nonzeros")  # its Euler product is two FFTs, not N^2 entries
     v = np.array([1.0 + 2.0j, -0.5j])
     h_v = fourier.scaled_product(0.0, 2.0)(v)  # 2 (H - 0) / 2 @ v
-    assert np.allclose(fourier.euler_product(0.25j)(v), v + 0.25j * h_v, rtol=0, atol=1e-15)
+    assert np.allclose(fourier.affine(0.25j, 1).matvec(v), v + 0.25j * h_v, rtol=0, atol=1e-15)
     assert isinstance(as_operator(np.eye(3)).dense()[0, 0], np.complex128)
     with pytest.raises(NonSquareInput):
         as_operator(np.ones((2, 3)))
@@ -488,6 +517,23 @@ def test_norm_bound_adds_each_row_and_column_in_index_order(n, seed, density):
     expected = math.sqrt(row_sum * col_sum)
     for op in (h, sparse_of(h)):
         assert spectral_norm_upper_bound(op) == expected
+
+
+def test_norm_bound_of_a_finite_h_is_finite():
+    """The constant field with mu 1e-305 and u 1e308 at L = 1, k = 4 is a
+    finite stencil H (entries up to 1.06e308) whose max row and column sums
+    multiply past double range: its bound is sqrt(row sum) * sqrt(column sum),
+    finite and above every |h|, and the Hermiticity tolerance scales with such
+    a bound, so a relative rounding defect of 4e-16 at 1e300 passes."""
+    op = stepped_hamiltonian(SystemSpec(kind="constant_field", mu=1e-305, u=1e308),
+                             GridSpec(length=1.0, qubits=4, centered=True))
+    row_sum = float(np.max(np.bincount(op.rows, np.abs(op.values), op.size)))
+    assert math.isinf(row_sum * row_sum)
+    bound = spectral_norm_upper_bound(op)
+    assert bound == math.sqrt(row_sum) * math.sqrt(row_sum) >= np.max(np.abs(op.values))
+    h = np.array([[0.0, 1e300], [1e300 * (1 + 4e-16), 0.0]])
+    assert math.isfinite(spectral_norm_upper_bound(h)) and hermiticity_defect(h) > 1e284
+    assert np.array_equal(require_hermitian(h).dense(), h)  # not refused
 
 
 def test_sparse_operator_builds_its_dense_form_once():

@@ -443,7 +443,7 @@ def test_hermiticity_tolerance_is_relative_to_the_norm_bound():
     norm bound): the dense spectral H with energies up to 3.2e8 has a rounding
     defect of 1.5e-8 and runs, agreeing with the oracle on its mode energies,
     while a unit-scale matrix with a 1e-9 defect is still refused, as is a
-    matrix whose norm bound overflows to inf (1e200 squared)."""
+    matrix whose defect is its norm bound, 1e200 (whose square overflows)."""
     grid = GridSpec(length=1.0, qubits=8)
     h = spectral_kinetic_matrix(grid, 1e-3)
     assert hermiticity_defect(h) > 1e-8
