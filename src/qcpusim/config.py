@@ -90,7 +90,8 @@ def _reject_unknown(data: dict, known: set, field: str) -> None:
 
 @dataclass(frozen=True)
 class EvolutionSettings:
-    """Raw time-stepping choices before a Hamiltonian norm bound is known."""
+    """Raw time-stepping choices before a Hamiltonian norm bound is known;
+    total_time, dt and auto_epsilon are stored as the floats a parsed config holds."""
 
     total_time: float
     dt: float | None = None
@@ -98,20 +99,23 @@ class EvolutionSettings:
     sign: int = -1
 
     def __post_init__(self) -> None:
-        total_time = _as_number(self.total_time, "evolution.total_time")
-        if total_time < 0.0:
-            raise ConfigError("evolution.total_time", f"must be nonnegative, got {total_time}")
+        object.__setattr__(self, "total_time", _as_number(self.total_time, "evolution.total_time"))
+        if self.total_time < 0.0:
+            raise ConfigError("evolution.total_time", f"must be nonnegative, got {self.total_time}")
         if (self.dt is None) == (self.auto_epsilon is None):
             raise ConfigError("evolution", "give exactly one of 'dt' or 'auto_epsilon'")
         for key in ("dt", "auto_epsilon"):
             value = getattr(self, key)
-            if value is not None and _as_number(value, f"evolution.{key}") <= 0.0:
-                raise ConfigError(f"evolution.{key}", f"must be positive, got {float(value)}")
+            if value is not None:
+                value = _as_number(value, f"evolution.{key}")
+                object.__setattr__(self, key, value)
+                if value <= 0.0:
+                    raise ConfigError(f"evolution.{key}", f"must be positive, got {value}")
         sign = _as_int(self.sign, "evolution.sign")
         if sign not in (1, -1):
             raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
         if self.dt is not None:
-            self._check_steps(total_time / self.dt)
+            self._check_steps(self.total_time / self.dt)
             try:
                 EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
             except ResidualTimeError as exc:

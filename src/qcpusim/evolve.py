@@ -257,6 +257,7 @@ def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int) -> dict:
         network_state = project_aux(apply_network(whole_network(h, evo), psi0), 1)
         rungs.append({"dt": evo.dt, "steps": evo.steps,
                       "fidelity_network_vs_euler": fidelity(network_state, euler_state),
+                      "max_abs_network_vs_euler": float(np.max(np.abs(network_state - euler_state))),
                       "fidelity_euler_vs_exact": fidelity(euler_state, oracle),
                       "error_euler_vs_exact": float(np.linalg.norm(euler_state - oracle))})
 
@@ -278,4 +279,5 @@ def compare_ladder(h, psi0, base: EvolutionConfig, ladder: int) -> dict:
         "asymptotic": order is not None,
         "reason": reason,
         "min_fidelity_network_vs_euler": min(r["fidelity_network_vs_euler"] for r in rungs),
+        "max_abs_network_vs_euler": max(r["max_abs_network_vs_euler"] for r in rungs),
     }

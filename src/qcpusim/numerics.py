@@ -152,7 +152,7 @@ class SparseOperator:
         rows, cols, values = self.nonzeros
         return _scattered(self.size, rows, cols, beta * values + alpha * (rows == cols))
 
-    def __add__(self, other: SparseOperator | FourierOperator) -> SparseOperator:
+    def __add__(self, other: Operator) -> SparseOperator:
         """H + G: on one nonzero pattern the sum of their values, O(nnz), else the
         nonzeros of dense() + dense()."""
         _require_size(self, other)
@@ -228,7 +228,7 @@ class FourierOperator:
         return FourierOperator(n, alpha + beta * self.energies,
                                lambda: alpha * np.eye(n, dtype=complex) + beta * self.dense())
 
-    def __add__(self, other: SparseOperator | FourierOperator) -> SparseOperator | FourierOperator:
+    def __add__(self, other: Operator) -> Operator:
         """H + G: the sum of their energies for a FourierOperator G, O(N), else
         the nonzeros of dense() + dense()."""
         _require_size(self, other)
@@ -238,10 +238,13 @@ class FourierOperator:
         return as_operator(self.dense() + other.dense())
 
 
-def as_operator(h) -> SparseOperator | FourierOperator:
+Operator = SparseOperator | FourierOperator  # the two forms, the type of every H and network block
+
+
+def as_operator(h) -> Operator:
     """h if it is an operator, else the square complex128 h as a SparseOperator on
     its nonzeros and whole diagonal, with h itself, not copied, as its dense()."""
-    if isinstance(h, (SparseOperator, FourierOperator)):
+    if isinstance(h, Operator):
         return h
     h = as_complex_matrix(h)
     mask = h != 0
@@ -255,7 +258,7 @@ def hermiticity_defect(h) -> float:
     return as_operator(h).defect
 
 
-def require_hermitian(h) -> SparseOperator | FourierOperator:
+def require_hermitian(h) -> Operator:
     """h as an operator if finite and Hermitian to HERMITICITY_TOL times max(1, its
     norm bound), so a large H is not refused for its rounding, else NonHermitianInput.
     A bound that overflowed scales nothing: the tolerance is then HERMITICITY_TOL."""

@@ -16,13 +16,13 @@ networks; products compose by splicing the connector I (x) |0><1| between
 networks, which feeds each raised output branch into the next network's
 input branch.  The connector sandwich touches only the payload blocks, so
 a network is stored as its payload blocks, one for a built network and
-one per chained network for compose_product, which forms no product.  A
-block is an N x N matrix or a `numerics` operator, kept as it is: the
-paper's network does not fix how U is stored.  Operator payloads add as
-operators, so the sum rule on Q(I) and Q(a H), both on H's operator, gives
-the operator I + a H in O(nnz).  apply_network multiplies a state by the
-blocks right to left, each by its own product (a matrix's N^2, an
-operator's O(nnz) or two FFTs), each raised branch becoming the next
+one per chained block for compose_product, which forms no product.  Every
+block is a `numerics` operator: the paper's network does not fix how U is
+stored, and a matrix enters through `as_operator`, as a `SparseOperator`
+on its nonzeros.  Payloads add as operators, so the sum rule on Q(I) and
+Q(a H), both on H's operator, gives the operator I + a H in O(nnz).
+apply_network multiplies a state by the blocks right to left, each by its
+`matvec` (O(nnz) or two FFTs), each raised branch becoming the next
 block's input as the connector does; the blocks' left-to-right N x N
 product is formed only when .payload is read.
 Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
@@ -42,10 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .numerics import FourierOperator, SparseOperator, as_complex_matrix, as_state, tensor
-
-Block = np.ndarray | SparseOperator | FourierOperator
-_OPERATORS = (SparseOperator, FourierOperator)
+from .numerics import Operator, as_complex_matrix, as_operator, as_state, tensor
 
 # Auxiliary-qubit ladder pair: the lowering operator |0><1| and raising
 # operator |1><0|.  They square to zero and their anticommutator is the
@@ -92,23 +89,22 @@ def factor_matrix(factor: QcpuFactor, register_dim: int) -> np.ndarray:
 class QcpuNetwork:
     """Network for one payload: closed form plus its ordered factor list.
 
-    `blocks` are the payload blocks, left to right: one for a built
-    network, one per chained network for a product, multiplied out only
-    when `payload` is read.  The factor list exists to exercise the
-    factorized construction (the factors commute, since every cross term
-    contains the squared raising operator).  Construction keeps an operator
-    block as it is, stores any other as a square complex matrix, and
-    refuses an empty tuple or blocks on registers of different dims.
-    `payload`, `factors` and `dense()` read an operator block's dense(),
-    for the references only.
+    `blocks` are the payload blocks, left to right, each a `numerics`
+    operator: one for a built network, one per chained block for a
+    product, multiplied out only when `payload` is read.  The factor list
+    exists to exercise the factorized construction (the factors commute,
+    since every cross term contains the squared raising operator).
+    Construction takes each block through `as_operator`, so a matrix
+    becomes a `SparseOperator` on its nonzeros, and refuses an empty tuple
+    or blocks on registers of different dims.  `payload`, `factors` and
+    `dense()` read the blocks' dense(), for the references only.
     """
 
-    blocks: tuple[Block, ...]
+    blocks: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(block if isinstance(block, _OPERATORS) else as_complex_matrix(block)
-                       for block in self.blocks)
-        dims = {_size(block) for block in blocks}
+        blocks = tuple(map(as_operator, self.blocks))
+        dims = {block.size for block in blocks}
         if not dims:
             raise DimensionMismatch("need at least one network")
         if len(dims) > 1:
@@ -117,12 +113,12 @@ class QcpuNetwork:
 
     @property
     def register_dim(self) -> int:
-        return _size(self.blocks[0])
+        return self.blocks[0].size
 
     @cached_property
     def payload(self) -> np.ndarray:
-        """The N x N payload, the blocks' matrices multiplied left to right."""
-        return reduce(np.matmul, map(_matrix, self.blocks))
+        """The N x N payload, the blocks' dense() multiplied left to right."""
+        return reduce(np.matmul, (block.dense() for block in self.blocks))
 
     @cached_property
     def factors(self) -> tuple[QcpuFactor, ...]:
@@ -138,25 +134,10 @@ class QcpuNetwork:
         return out
 
 
-def _size(block: Block) -> int:
-    return block.shape[0] if isinstance(block, np.ndarray) else block.size
-
-
-def _matrix(block: Block) -> np.ndarray:
-    """A block as its N x N matrix: a matrix as it is, an operator's dense()."""
-    return block if isinstance(block, np.ndarray) else block.dense()
-
-
-def _payload_block(net: QcpuNetwork) -> Block:
-    """A network's payload as one block: its one block as it is, or its blocks
-    multiplied out."""
-    return net.blocks[0] if len(net.blocks) == 1 else net.payload
-
-
 def build_network(u) -> QcpuNetwork:
     """Network for an arbitrary square payload, one factor per nonzero entry:
-    a `numerics` operator, kept as it is, or a matrix, copied."""
-    return QcpuNetwork(blocks=(u if isinstance(u, _OPERATORS) else np.array(u, dtype=complex),))
+    a `numerics` operator, kept as it is, or a copy of a matrix, as its operator."""
+    return QcpuNetwork(blocks=(u if isinstance(u, Operator) else np.array(u, dtype=complex),))
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -184,14 +165,13 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
 def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
     """Feed psi in on the lowered branch: returns psi (x) |0> + (U psi) (x) |1>.
 
-    The blocks act right to left, each by its own product (a matrix by
-    `@`, an operator by its `matvec`), each raised branch feeding the next
-    block, and the network's own payload is never read.
+    The blocks act right to left, each by its `matvec`, each raised branch
+    feeding the next block, and the network's own payload is never read.
     """
     psi = as_state(register_state, net.register_dim)
     raised = psi
     for block in reversed(net.blocks):
-        raised = block @ raised if isinstance(block, np.ndarray) else block.matvec(raised)
+        raised = block.matvec(raised)
     out = np.zeros(2 * net.register_dim, dtype=complex)
     out[0::2] = psi
     out[1::2] = raised
@@ -221,13 +201,12 @@ def compose_sum(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
 
     Multiplying the constituent networks' dense forms (in any order) yields
     exactly this network's dense form; the cross terms cancel structurally.
-    Operator payloads add as operators (`+`), so Q(I) and Q(a H) on H's
-    operator give the operator I + a H in O(nnz); matrix payloads, and any
-    mix, add as N x N matrices.
+    Each net joins as one operator, its one block or, for a chain, its
+    payload's, and they add with `+`: Q(I) and Q(a H) on H's operator give
+    the operator I + a H in O(nnz).
     """
-    payloads = QcpuNetwork(blocks=tuple(map(_payload_block, nets))).blocks
-    if any(isinstance(payload, np.ndarray) for payload in payloads):
-        payloads = tuple(map(_matrix, payloads))
+    payloads = QcpuNetwork(blocks=tuple(
+        net.blocks[0] if len(net.blocks) == 1 else net.payload for net in nets)).blocks
     return build_network(sum(payloads[1:], payloads[0]))
 
 
@@ -240,22 +219,13 @@ def compose_product(nets: Sequence[QcpuNetwork]) -> QcpuNetwork:
     (P_1...P_r) (x) |0><0| + (P_1...P_{r-1}) (x) |0><1|, and the sandwich
     keeps only C^dag (P_1...P_r (x) |0><0|) = P_1...P_r (x) |1><0|: the
     network for the N x N product payload_1 . payload_2 ... payload_r.
-    No product is formed here: each net's blocks are kept, operators as
-    they are, which apply_network runs on a state and .payload multiplies
-    out when read; a chained network of matrix blocks only joins as its
-    payload, one block.  Consequence of the ordering: chronological
-    application ("apply A then B") corresponds to the reversed list
-    [net_B, net_A].
+    No product is formed here: the chain keeps every net's blocks, in
+    order, so a chain of chains still costs each block's own product, which
+    apply_network runs on a state and .payload multiplies out when read.
+    Consequence of the ordering: chronological application ("apply A then
+    B") corresponds to the reversed list [net_B, net_A].
     """
-    return QcpuNetwork(blocks=tuple(block for net in nets for block in _chain_blocks(net)))
-
-
-def _chain_blocks(net: QcpuNetwork) -> tuple[Block, ...]:
-    """The blocks a chain keeps of net: its blocks, or for matrices only their
-    product, the payload, as one block."""
-    if all(isinstance(block, np.ndarray) for block in net.blocks):
-        return (_payload_block(net),)
-    return net.blocks
+    return QcpuNetwork(blocks=tuple(block for net in nets for block in net.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +258,7 @@ def identity_suite(seed: int, dim: int) -> dict:
         net = build_network(u)
         record("closed_form", net.dense(), eye + tensor(u, AUX_CREATE))
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        record("apply_project", project_aux(apply_network(net, psi), 1), u @ psi)
+        record("apply_project", project_aux(apply_network(net, psi), 1), as_operator(u).matvec(psi))
 
     for _ in range(2):
         net = build_network(_random_payload(rng, dim))

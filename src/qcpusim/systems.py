@@ -36,7 +36,7 @@ from .errors import (
 )
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
-from .numerics import (FourierOperator, SparseOperator, as_state, require_frequency,
+from .numerics import (FourierOperator, Operator, SparseOperator, as_state, require_frequency,
                        require_mass, require_sign)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
@@ -232,8 +232,12 @@ def _phases(values, t: float, sign: int) -> np.ndarray:
 
 
 def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:
-    """Network for the diagonal unitary with phases e^{sign * i * value * t}."""
-    return build_network(np.diag(_phases(values, t, sign)))
+    """Network for the diagonal unitary with phases e^{sign * i * value * t},
+    one block on its N diagonal nonzeros; dense() is built only when read."""
+    phases = _phases(values, t, sign)
+    diagonal = np.arange(len(phases))
+    return build_network(SparseOperator(len(phases), diagonal, diagonal, phases,
+                                        lambda: np.diag(phases)))
 
 
 def spectral_momentum_values(grid: GridSpec) -> np.ndarray:
@@ -332,7 +336,7 @@ class Route:
     time (`_eigenbasis_states`)."""
 
     method: str
-    hamiltonian: SparseOperator | FourierOperator
+    hamiltonian: Operator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
 
 

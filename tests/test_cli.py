@@ -19,7 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcpusim import ConfigError, evolve_euler, load_run_config, spectral_norm_upper_bound
+from qcpusim import (ConfigError, EvolutionSettings, evolve_euler, load_run_config,
+                     spectral_norm_upper_bound)
 from qcpusim import evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
@@ -972,3 +973,27 @@ def test_simulate_out_directory_is_a_file_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(config)]) == 2
     assert "File exists" in one_error_line(capsys)
     assert out.read_text() == "not a directory\n"
+
+
+def test_in_memory_settings_write_what_parsed_ones_do(tmp_path):
+    """EvolutionSettings given integer times stores the floats a parsed
+    config holds, so run_simulation writes the same bytes from either:
+    "dt": 1.0 in the echo and times 1.0, 2.0, ... in the CSV."""
+    data = harmonic_config(tmp_path / "out")
+    data["evolution"] = {"dt": 1, "total_time": 3}
+    parsed = load_run_config(write_config(tmp_path, data))
+    built = dataclasses.replace(parsed, evolution=EvolutionSettings(total_time=3, dt=1))
+    assert built == parsed
+    assert (type(built.evolution.dt), type(built.evolution.total_time)) == (float, float)
+    assert type(EvolutionSettings(total_time=2, auto_epsilon=1).auto_epsilon) is float
+    written = []
+    for name, cfg in (("parsed", parsed), ("built", built)):
+        run_simulation(cfg, tmp_path / name)
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        del summary["wall_time_s"]
+        written.append((summary, (tmp_path / name / "diagnostics.csv").read_bytes()))
+    assert written[0] == written[1]
+    summary, diagnostics = written[1]
+    assert summary["config"]["evolution"] == {"dt": 1.0, "total_time": 3.0, "sign": -1}
+    assert [row["time"] for row in csv.DictReader(io.StringIO(diagnostics.decode()))] == [
+        "0.0", "1.0", "2.0", "3.0"]

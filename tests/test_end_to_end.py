@@ -260,7 +260,7 @@ def check_compare(out_dir: Path, config, stdout: str, stderr: str) -> None:
     report = json.loads(text)
     assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert set(report) == {"config", "ladder", "rungs", "convergence_order", "asymptotic", "reason",
-                           "min_fidelity_network_vs_euler"}
+                           "min_fidelity_network_vs_euler", "max_abs_network_vs_euler"}
     assert report["config"] == config
     assert report["ladder"] == 2
 
@@ -270,8 +270,9 @@ def check_compare(out_dir: Path, config, stdout: str, stderr: str) -> None:
         omega = np.eye(h.shape[0]) + (sign * 1j * rung_dt) * h
         euler = np.linalg.matrix_power(omega, rung_steps) @ psi0
         network = reduce(np.matmul, [omega] * rung_steps) @ psi0
-        assert set(got) == {"dt", "steps", "fidelity_network_vs_euler", "fidelity_euler_vs_exact",
-                            "error_euler_vs_exact"}
+        assert set(got) == {"dt", "steps", "fidelity_network_vs_euler", "max_abs_network_vs_euler",
+                            "fidelity_euler_vs_exact", "error_euler_vs_exact"}
+        assert got["max_abs_network_vs_euler"] == 0.0  # the same products, bit for bit
         assert (got["dt"], got["steps"]) == (rung_dt, rung_steps)
         errors.append(float(np.linalg.norm(euler - oracle)))
         fidelities.append(fidelity(network, euler))
@@ -280,6 +281,7 @@ def check_compare(out_dir: Path, config, stdout: str, stderr: str) -> None:
         assert_absolute(got["error_euler_vs_exact"], errors[-1])
     assert len(errors) == 2
     assert_relative(report["min_fidelity_network_vs_euler"], min(fidelities))
+    assert report["max_abs_network_vs_euler"] == 0.0
 
     # dt * ||H|| bound < 1 on both rungs by construction, so the order is
     # log2(e0 / e1) when the error falls; two errors near round-off, or

@@ -696,6 +696,35 @@ def test_compare_rung_states_match_payload_chain(tmp_path, monkeypatch, length, 
         assert np.max(np.abs(state - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("length, k, dt, total_time", GRID_COMPARES, ids=["N16", "N256"])
+def test_compare_reports_max_abs_network_vs_euler(tmp_path, monkeypatch, length, k, dt, total_time):
+    """Each rung reports max |network - Euler| over the amplitudes, and the
+    report its largest: 0.0 for the bit-equal routes, and a state nudged by
+    one ulp reads nonzero there while its fidelity cannot tell it from 1."""
+    from qcpusim import evolve
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(grid_compare_config(tmp_path / "out", length, k, dt, total_time)))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    report = json.loads((tmp_path / "out" / "compare_report.json").read_text())
+    assert [r["max_abs_network_vs_euler"] for r in report["rungs"]] == [0.0, 0.0, 0.0]
+    assert report["max_abs_network_vs_euler"] == 0.0
+
+    def nudged(net, psi):
+        out = apply_network(net, psi)
+        out[1] += np.spacing(out[1].real)
+        return out
+
+    monkeypatch.setattr(evolve, "apply_network", nudged)
+    path.write_text(json.dumps(grid_compare_config(tmp_path / "nudged", length, k, dt, total_time)))
+    assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+    report = json.loads((tmp_path / "nudged" / "compare_report.json").read_text())
+    gaps = [r["max_abs_network_vs_euler"] for r in report["rungs"]]
+    assert all(0.0 < gap <= 1e-15 for gap in gaps)
+    assert report["max_abs_network_vs_euler"] == max(gaps)
+    assert report["min_fidelity_network_vs_euler"] >= 1 - 1e-15
+
+
 def test_compare_runs_no_n_by_n_block(tmp_path, monkeypatch):
     """compare --ladder 3 on the `chain` benchmark's shape (N = 256) never calls
     the stepped H's dense(), and every block apply_network runs is an operator."""

@@ -19,10 +19,14 @@ from qcpusim import (
     AUX_ANNIHILATE,
     AUX_CREATE,
     DimensionMismatch,
+    EvolutionConfig,
+    GridSpec,
     IndexOutOfRange,
     NonSquareInput,
+    PotentialSpec,
     QcpuFactor,
     QcpuNetwork,
+    SystemSpec,
     apply_network,
     build_network,
     compose_product,
@@ -30,11 +34,17 @@ from qcpusim import (
     connector,
     connector_dagger,
     dense_from_factors,
+    diagonal_phase_network,
+    evolve_euler,
     factor_matrix,
+    harmonic_network,
     project_aux,
     raising_block,
     tensor,
+    whole_network,
 )
+from qcpusim.numerics import FourierOperator, Operator, SparseOperator, as_operator
+from qcpusim.systems import stepped_hamiltonian, system_route
 
 complex_entries = st.complex_numbers(
     max_magnitude=2.0, allow_nan=False, allow_infinity=False
@@ -138,7 +148,9 @@ def test_apply_network_branches():
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     lifted = apply_network(build_network(u), psi)
     assert np.array_equal(project_aux(lifted, 0), psi)
-    assert np.array_equal(project_aux(lifted, 1), u @ psi)
+    assert np.array_equal(project_aux(lifted, 1), as_operator(u).matvec(psi))
+    reference = u @ psi
+    assert np.max(np.abs(project_aux(lifted, 1) - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 def test_apply_network_matches_dense_action():
@@ -321,17 +333,18 @@ def test_chained_network_runs_stage_by_stage(n, kinds, seed):
     """apply_network feeds psi through a chain's stages right to left, which
     matches payload @ psi to 1e-12 of its largest amplitude and does not
     depend on whether the payload was read first; the payload, read when
-    wanted, is bit-equal to the eager left-to-right product."""
+    wanted, is bit-equal to the eager left-to-right product of every chained
+    block, and equals the stages' matrices multiplied out to 1e-12."""
     rng = np.random.default_rng(seed)
     stages, matrices = zip(*(chained_stage(rng, n, kind) for kind in kinds))
     chain = compose_product(stages)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     staged = apply_network(chain, psi)
 
-    eager = matrices[0]
-    for m in matrices[1:]:
-        eager = eager @ m
+    eager = functools.reduce(np.matmul, [b.dense() for s in stages for b in s.blocks])
     assert np.array_equal(chain.payload, eager)
+    staged_matrices = functools.reduce(np.matmul, matrices)
+    assert np.max(np.abs(eager - staged_matrices)) <= 1e-12 * np.max(np.abs(staged_matrices))
     reference = chain.payload @ psi
     assert np.max(np.abs(project_aux(staged, 1) - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert np.array_equal(project_aux(staged, 0), psi)
@@ -352,7 +365,7 @@ def test_network_needs_blocks_on_one_register():
 def test_network_stores_complex_blocks():
     net = QcpuNetwork(blocks=[np.eye(2), [[0, 1], [1, 0]]])
     assert isinstance(net.blocks, tuple)
-    assert all(block.dtype == complex for block in net.blocks)
+    assert all(block.dense().dtype == complex for block in net.blocks)
     assert np.array_equal(net.payload, [[0, 1], [1, 0]])
 
 
@@ -375,3 +388,136 @@ def test_compose_product_empty_needs_dim():
 def test_compose_product_dim_conflict():
     with pytest.raises(DimensionMismatch):
         compose_product([build_network(np.eye(2)), build_network(np.eye(3))])
+
+
+# ---------------------------------------------------------------------------
+# Every block is a numerics operator
+# ---------------------------------------------------------------------------
+
+GRID = GridSpec(length=8.0, qubits=3, centered=True)
+
+
+def stencil_operator():
+    """The README grid kind's stepped H on GRID, a SparseOperator."""
+    return stepped_hamiltonian(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=PotentialSpec(
+        form="quadratic", coefficient=0.05)), GRID)
+
+
+def mode_operator():
+    """The free particle's H on GRID, a FourierOperator of its mode energies."""
+    return system_route(SystemSpec(kind="free_particle", mu=1.0), GRID).hamiltonian
+
+
+def test_build_network_makes_every_payload_an_operator():
+    """A matrix, a list or an operator all become one `Operator` block: an
+    operator is kept as it is, a matrix is copied and wrapped on its nonzeros."""
+    u = random_payload(np.random.default_rng(30), 8)
+    for payload, form in ((u, SparseOperator), (u.tolist(), SparseOperator),
+                          (stencil_operator(), SparseOperator), (mode_operator(), FourierOperator)):
+        (block,) = build_network(payload).blocks
+        assert isinstance(block, form) and block.size == 8
+    h, f = stencil_operator(), mode_operator()
+    assert build_network(h).blocks[0] is h and build_network(f).blocks[0] is f
+    held = build_network(u)
+    assert np.array_equal(held.payload, u)
+    u[0, 0] = 99.0  # the network holds a copy
+    assert held.payload[0, 0] != 99.0
+
+
+def test_compose_sum_mixes_matrix_and_operator_nets():
+    """A matrix-built net and an operator-built net add as operators, to the
+    matrix sum; a chain joins as its payload's operator."""
+    rng = np.random.default_rng(31)
+    u, h = random_payload(rng, 8), stencil_operator()
+    mixed = compose_sum([build_network(u), build_network(h)])
+    assert isinstance(mixed.blocks[0], Operator) and len(mixed.blocks) == 1
+    assert np.array_equal(mixed.payload, u + h.dense())
+    chain = compose_product([build_network(u), build_network(mode_operator())])
+    summed = compose_sum([chain, build_network(h)])
+    assert isinstance(summed.blocks[0], Operator) and len(summed.blocks) == 1
+    assert np.array_equal(summed.payload, chain.payload + h.dense())
+
+
+def test_nested_compose_product_keeps_every_block():
+    """A chain of chains flattens to every block, operators as they are, and
+    runs them right to left as the payload product does."""
+    rng = np.random.default_rng(32)
+    u, h, f = random_payload(rng, 8), stencil_operator(), mode_operator()
+    inner = compose_product([build_network(h), build_network(f)])
+    outer = compose_product([build_network(u), inner, inner])
+    assert len(outer.blocks) == 5 and all(isinstance(b, Operator) for b in outer.blocks)
+    assert outer.blocks[1] is h and outer.blocks[2] is f and outer.blocks[3] is h
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    reference = outer.payload @ psi
+    raised = project_aux(apply_network(outer, psi), 1)
+    assert np.max(np.abs(raised - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_phase_networks_hold_their_n_phases_as_nonzeros():
+    """diagonal_phase_network's one block holds exactly the N phases on the
+    diagonal, no N x N array; harmonic_network is one such network."""
+    values = np.array([0.5, -1.0, 2.0, 0.0, 3.5])
+    (block,) = diagonal_phase_network(values, 0.75).blocks
+    assert isinstance(block, SparseOperator)
+    assert np.array_equal(block.rows, np.arange(5)) and np.array_equal(block.cols, np.arange(5))
+    assert np.array_equal(block.values, np.exp(-0.75j * values))
+    assert np.array_equal(block.dense(), np.diag(np.exp(-0.75j * values)))
+    (oscillator,) = harmonic_network(2.0, 3, 0.5, sign=1).blocks
+    assert isinstance(oscillator, SparseOperator) and len(oscillator.values) == 8
+    assert np.array_equal(oscillator.values, np.exp(0.5j * 2.0 * (np.arange(8) + 0.5)))
+
+
+def swapped_branches(net, register_state):
+    """apply_network mis-wired: the raised and lowered branches swapped."""
+    fed = apply_network(net, register_state)
+    out = np.empty_like(fed)
+    out[0::2], out[1::2] = fed[1::2], fed[0::2]
+    return out
+
+
+def unfed_raised_branch(net, register_state):
+    """apply_network mis-wired: psi, not U psi, left on the raised branch."""
+    fed = apply_network(net, register_state)
+    fed[1::2] = fed[0::2]
+    return fed
+
+
+@pytest.mark.parametrize("wrong_apply", [swapped_branches, unfed_raised_branch],
+                         ids=["swapped", "unfed"])
+def test_identity_suite_apply_project_can_fail(monkeypatch, wrong_apply):
+    """The apply_project reference is the operator product built from u
+    alone, so a mis-wired apply_network makes that identity fail."""
+    from qcpusim import qcpu
+
+    monkeypatch.setattr(qcpu, "apply_network", wrong_apply)
+    report = qcpu.identity_suite(42, 8)
+    assert not report["identities"]["apply_project"]["pass"]
+    assert not report["all_pass"]
+
+
+@pytest.mark.parametrize("make_h", [stencil_operator, mode_operator], ids=["stencil", "modes"])
+def test_chained_whole_networks_run_without_dense(monkeypatch, make_h):
+    """apply_network on compose_product of two whole_networks runs every
+    step's operator by its matvec and calls no block's dense(): the state is
+    the two Euler runs one after the other, bit for bit."""
+    from qcpusim import numerics
+
+    rng = np.random.default_rng(33)
+    h = make_h()
+    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    first = EvolutionConfig(dt=0.125, total_time=0.5)
+    second = EvolutionConfig(dt=0.0625, total_time=0.25)
+    expected = evolve_euler(h, evolve_euler(h, psi, first)[0], second)[0]
+
+    def refuse():
+        raise AssertionError("apply_network read a block's dense()")
+
+    monkeypatch.setattr(numerics, "_scattered",
+                        lambda n, rows, cols, values: SparseOperator(n, rows, cols, values, refuse))
+    if isinstance(h, FourierOperator):
+        h = FourierOperator(h.size, h.energies, refuse)
+    else:
+        h = SparseOperator(h.size, *h.nonzeros, refuse)
+    chain = compose_product([whole_network(h, second), whole_network(h, first)])
+    assert len(chain.blocks) == 8
+    assert np.array_equal(project_aux(apply_network(chain, psi), 1), expected)
