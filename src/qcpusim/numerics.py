@@ -3,19 +3,19 @@
 An operator has the two forms the physics has: a `SparseOperator` holds a
 stencil or diagonal H, or any square matrix `as_operator` is given, as its
 row-major nonzeros, and a `FourierOperator` holds the spectral kinds' H =
-F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Both give
-their Hermiticity defect, norm bound and `gershgorin()` data (each row's
+F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Each form
+gives its Hermiticity defect, norm bound and `gershgorin()` data (each row's
 centre and radius and the cost of a row in a product) in O(nnz) or O(N),
-their product with 2 (H - c) / w, for the oracle, their own product
-(`matvec`), laid out once, and `dense()`, built once, for the references
-and eigh.  Each makes alpha I + beta H in its own form (`affine`), so an
-Euler step I + a H and the step networks' blocks cost O(nnz) or two FFTs
-a product, and operators of one form add (`+`) as the networks' sum rule
-does.  States are complex vectors.  `nonzero_product` lays nonzeros out
-once as equal-length rows and multiplies a state by them, bit for bit as
-a bincount of the terms would sum them.  The oracle applies
-e^{sign i H t} to a state by a Chebyshev series on that product (Tal-Ezer &
-Kosloff 1984) or by eigh, whichever one gate finds cheaper.
+and `dense()`, built once, for the references and eigh.  Their base class
+`Operator` writes the algebra once over either form's data: the product
+(`matvec`), laid out once, the oracle's product with 2 (H - c) / w, alpha I
++ beta H (`affine`), so an Euler step I + a H costs O(nnz) or two FFTs a
+product, and the networks' sum rule (`+`).  States are complex vectors.
+`nonzero_product` lays nonzeros out once as equal-length rows and
+multiplies a state by them, bit for bit as a bincount of the terms would
+sum them.  The oracle applies e^{sign i H t} to a state by a Chebyshev
+series on that product (Tal-Ezer & Kosloff 1984) or by eigh, whichever one
+gate finds cheaper.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -84,11 +84,57 @@ def tensor(a, b) -> np.ndarray:
 # The operator, its checks, and the exact-evolution oracle
 # ---------------------------------------------------------------------------
 
+class Operator:
+    """A square operator of dimension `size`, with the algebra written once:
+    its product (`matvec`), the oracle's, alpha I + beta H and H + G.  A form
+    is a frozen dataclass of fields `size`, its `_layout` arrays, its `_data`
+    on them and `dense`, in that order, with the identity on its data
+    (`_identity`) and the product by data of its layout (`_product`).  A
+    made operator has its parents' form and layout, and its dense() is the
+    same arithmetic on their dense()."""
+
+    size: int
+    dense: Callable[[], np.ndarray]
+
+    def __post_init__(self) -> None:
+        for a in (*self._layout, self._data):
+            a.flags.writeable = False
+        object.__setattr__(self, "dense", cache(self.dense))  # built at most once
+
+    def _made(self, data, dense: Callable[[], np.ndarray]) -> Operator:
+        return type(self)(self.size, *self._layout, data, dense)
+
+    @cached_property
+    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> H @ v, laid out once."""
+        return self._product(self._data)
+
+    def scaled_product(self, centre: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> 2 (H - centre) / width @ v, the oracle's Chebyshev term."""
+        return self._product(2 * (self._data - centre * self._identity) / width)
+
+    def affine(self, beta: complex, alpha: complex) -> Operator:
+        """alpha I + beta H in H's form and layout.  I + a H, an Euler step, is
+        affine(a, 1)."""
+        n = self.size
+        return self._made(beta * self._data + alpha * self._identity,
+                          lambda: alpha * np.eye(n, dtype=complex) + beta * self.dense())
+
+    def __add__(self, other: Operator) -> Operator:
+        """H + G: on one form and layout the sum of their data, O(nnz) or O(N),
+        else the nonzeros of dense() + dense()."""
+        if self.size != other.size:
+            raise DimensionMismatch(f"operator dims differ: {self.size} vs {other.size}")
+        if type(other) is type(self) and all(map(np.array_equal, self._layout, other._layout)):
+            return self._made(self._data + other._data, lambda: self.dense() + other.dense())
+        return as_operator(self.dense() + other.dense())
+
+
 @dataclass(frozen=True, eq=False)
-class SparseOperator:
+class SparseOperator(Operator):
     """A square operator of dimension `size` held as its read-only row-major
     nonzeros, its whole diagonal included: for an H, those `as_operator(dense())`
-    reads, byte for byte (an `affine` one may also hold zeros).  `dense()` builds
+    reads, byte for byte (a made one may also hold zeros).  `dense()` builds
     the N x N matrix on its first call, for references and eigh, and returns
     that one array, not to be changed, ever after."""
 
@@ -98,14 +144,25 @@ class SparseOperator:
     values: np.ndarray
     dense: Callable[[], np.ndarray]
 
-    def __post_init__(self) -> None:
-        for a in (self.rows, self.cols, self.values):
-            a.flags.writeable = False
-        object.__setattr__(self, "dense", cache(self.dense))  # built at most once
-
     @property
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.rows, self.cols, self.values
+
+    @property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.rows, self.cols
+
+    @property
+    def _data(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def _identity(self) -> np.ndarray:
+        return self.rows == self.cols
+
+    def _product(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """A `nonzero_product`: O(N) for a stencil H."""
+        return nonzero_product(self.rows, self.cols, values, self.size)
 
     @cached_property
     def defect(self) -> float:
@@ -136,49 +193,9 @@ class SparseOperator:
         radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), self.size)
         return values[diagonal].real, radii, _row_width(rows, self.size)
 
-    def scaled_product(self, centre: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> 2 (H - centre) / width @ v, as a `nonzero_product`."""
-        rows, cols, values = self.nonzeros
-        return nonzero_product(rows, cols, 2 * (values - centre * (rows == cols)) / width, self.size)
-
-    @cached_property
-    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> H @ v, laid out once as a `nonzero_product`: O(N) for a stencil H."""
-        return nonzero_product(*self.nonzeros, self.size)
-
-    def affine(self, beta: complex, alpha: complex) -> SparseOperator:
-        """alpha I + beta H on the same nonzeros: beta * values, plus alpha on the
-        diagonal.  I + a H, an Euler step, is affine(a, 1)."""
-        rows, cols, values = self.nonzeros
-        return _scattered(self.size, rows, cols, beta * values + alpha * (rows == cols))
-
-    def __add__(self, other: Operator) -> SparseOperator:
-        """H + G: on one nonzero pattern the sum of their values, O(nnz), else the
-        nonzeros of dense() + dense()."""
-        _require_size(self, other)
-        if (isinstance(other, SparseOperator) and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols)):
-            return _scattered(self.size, self.rows, self.cols, self.values + other.values)
-        return as_operator(self.dense() + other.dense())
-
-
-def _scattered(n: int, rows, cols, values) -> SparseOperator:
-    """The SparseOperator on these nonzeros whose dense() scatters them into zeros."""
-    def dense() -> np.ndarray:
-        out = np.zeros((n, n), dtype=complex)
-        out[rows, cols] = values
-        return out
-
-    return SparseOperator(n, rows, cols, values, dense)
-
-
-def _require_size(a, b) -> None:
-    if a.size != b.size:
-        raise DimensionMismatch(f"operator dims differ: {a.size} vs {b.size}")
-
 
 @dataclass(frozen=True, eq=False)
-class FourierOperator:
+class FourierOperator(Operator):
     """H = F^dag diag(energies) F of dimension `size`, F the orthonormal inverse
     DFT, held as its read-only mode energies: Hermitian for real ones (the
     spectral kinds' H), a product is two FFTs, and `dense()` builds the N x N
@@ -188,9 +205,16 @@ class FourierOperator:
     energies: np.ndarray
     dense: Callable[[], np.ndarray]
 
-    def __post_init__(self) -> None:
-        self.energies.flags.writeable = False
-        object.__setattr__(self, "dense", cache(self.dense))  # built at most once
+    _layout = ()
+    _identity = 1
+
+    @property
+    def _data(self) -> np.ndarray:
+        return self.energies
+
+    def _product(self, energies: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Two FFTs."""
+        return lambda v: np.fft.fft(energies * np.fft.ifft(v, norm="ortho"), norm="ortho")
 
     @cached_property
     def defect(self) -> float:
@@ -209,36 +233,6 @@ class FourierOperator:
         """The energies as centres, zero radii, and log2 N as a row's cost: at N = 256
         and 1024 an FFT term costs 15-31 eigh units of N^3 per N log2 N, a nonzero 32."""
         return self.energies, np.zeros(self.size), max(1, (self.size - 1).bit_length())
-
-    def scaled_product(self, centre: float, width: float) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> 2 (H - centre) / width @ v, by FFT."""
-        scale = 2 * (self.energies - centre) / width
-        return lambda v: np.fft.fft(scale * np.fft.ifft(v, norm="ortho"), norm="ortho")
-
-    @cached_property
-    def matvec(self) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> H @ v, by FFT."""
-        energies = self.energies
-        return lambda v: np.fft.fft(energies * np.fft.ifft(v, norm="ortho"), norm="ortho")
-
-    def affine(self, beta: complex, alpha: complex) -> FourierOperator:
-        """alpha I + beta H, F^dag diag(alpha + beta E) F.  I + a H, an Euler
-        step, is affine(a, 1)."""
-        n = self.size
-        return FourierOperator(n, alpha + beta * self.energies,
-                               lambda: alpha * np.eye(n, dtype=complex) + beta * self.dense())
-
-    def __add__(self, other: Operator) -> Operator:
-        """H + G: the sum of their energies for a FourierOperator G, O(N), else
-        the nonzeros of dense() + dense()."""
-        _require_size(self, other)
-        if isinstance(other, FourierOperator):
-            return FourierOperator(self.size, self.energies + other.energies,
-                                   lambda: self.dense() + other.dense())
-        return as_operator(self.dense() + other.dense())
-
-
-Operator = SparseOperator | FourierOperator  # the two forms, the type of every H and network block
 
 
 def as_operator(h) -> Operator:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -75,10 +76,11 @@ class QcpuFactor:
 
 
 def factor_matrix(factor: QcpuFactor, register_dim: int) -> np.ndarray:
-    """Dense 2N x 2N matrix of a single factor."""
-    if not (0 <= factor.m < register_dim and 0 <= factor.n < register_dim):
+    """Dense 2N x 2N matrix of a single factor, whose indices are integers in
+    range(register_dim)."""
+    if not all(isinstance(i, Integral) and 0 <= i < register_dim for i in (factor.m, factor.n)):
         raise IndexOutOfRange(
-            f"factor indices ({factor.m}, {factor.n}) outside register of dim {register_dim}"
+            f"factor indices ({factor.m!r}, {factor.n!r}) outside register of dim {register_dim}"
         )
     out = np.eye(2 * register_dim, dtype=complex)
     out[2 * factor.m + 1, 2 * factor.n] += factor.u
@@ -94,16 +96,18 @@ class QcpuNetwork:
     product, multiplied out only when `payload` is read.  The factor list
     exists to exercise the factorized construction (the factors commute,
     since every cross term contains the squared raising operator).
-    Construction takes each block through `as_operator`, so a matrix
-    becomes a `SparseOperator` on its nonzeros, and refuses an empty tuple
-    or blocks on registers of different dims.  `payload`, `factors` and
-    `dense()` read the blocks' dense(), for the references only.
+    Construction keeps an operator block as it is and makes a copy of a
+    matrix block a `SparseOperator` on its nonzeros (`as_operator`), so a
+    later write to the caller's matrix changes nothing here; it refuses an
+    empty tuple or blocks on registers of different dims.  `payload`,
+    `factors` and `dense()` read the blocks' dense(), for the references only.
     """
 
     blocks: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(map(as_operator, self.blocks))
+        blocks = tuple(b if isinstance(b, Operator) else as_operator(np.array(b, dtype=complex))
+                       for b in self.blocks)
         dims = {block.size for block in blocks}
         if not dims:
             raise DimensionMismatch("need at least one network")
@@ -137,7 +141,7 @@ class QcpuNetwork:
 def build_network(u) -> QcpuNetwork:
     """Network for an arbitrary square payload, one factor per nonzero entry:
     a `numerics` operator, kept as it is, or a copy of a matrix, as its operator."""
-    return QcpuNetwork(blocks=(u if isinstance(u, Operator) else np.array(u, dtype=complex),))
+    return QcpuNetwork(blocks=(u,))
 
 
 def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> np.ndarray:
@@ -180,8 +184,8 @@ def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
 
 def project_aux(state, branch: int) -> np.ndarray:
     """Sub-vector of amplitudes on one auxiliary branch, unnormalized."""
-    if branch not in (0, 1):
-        raise IndexOutOfRange(f"auxiliary branch must be 0 or 1, got {branch}")
+    if not (isinstance(branch, Integral) and branch in (0, 1)):
+        raise IndexOutOfRange(f"auxiliary branch must be the integer 0 or 1, got {branch!r}")
     state = as_state(state)
     if state.shape[0] % 2:
         raise DimensionMismatch(f"a network state has 2N amplitudes, got {state.shape[0]}")

@@ -408,8 +408,10 @@ def sparse_of(h) -> SparseOperator:
        st.integers(0, 2**32 - 1))
 def test_affine_operators_and_sums_match_their_dense_forms(k, beta, alpha, seed):
     """alpha I + beta H in each form, and the sum of two operators of one form
-    or, by the dense fallback, of two patterns or forms: dense(), matvec and the
-    Hermiticity defect agree with the dense arithmetic to 1e-12 of its scale."""
+    or, by the dense fallback, of two patterns or forms: dense() is byte for
+    byte alpha I + beta H.dense() or A.dense() + B.dense(), and matvec, the
+    Hermiticity defect and scaled_product agree with the dense arithmetic to
+    1e-12 of its scale."""
     grid = GridSpec(length=8.0, qubits=k, centered=True)
     sparse = stepped_hamiltonian(SystemSpec(kind="grid_schrodinger", mu=1.0,
                                             potential=PotentialSpec(form="quadratic", coefficient=0.05)),
@@ -418,18 +420,53 @@ def test_affine_operators_and_sums_match_their_dense_forms(k, beta, alpha, seed)
     rng = np.random.default_rng(seed)
     other = as_operator(random_hermitian(rng, grid.size))
     v = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    cases = [(op.affine(beta, alpha), alpha * np.eye(grid.size) + beta * op.dense())
-             for op in (sparse, fourier)]
+    eye = np.eye(grid.size, dtype=complex)
+    cases = [(op.affine(beta, alpha), alpha * eye + beta * op.dense()) for op in (sparse, fourier)]
     cases += [(a + b, a.dense() + b.dense())
               for a, b in [(sparse, sparse.affine(beta, alpha)), (fourier, fourier.affine(beta, alpha)),
                            (sparse, other), (sparse, fourier), (fourier, sparse)]]
     for op, expected in cases:
         scale = 1e-12 * max(1.0, np.max(np.abs(expected)))
-        assert np.max(np.abs(op.dense() - expected)) <= scale
+        assert op.dense().tobytes() == expected.tobytes()
         assert np.max(np.abs(op.matvec(v) - expected @ v)) <= scale * np.max(np.abs(v)) * grid.size
         assert abs(op.defect - hermiticity_defect(expected)) <= scale
+    for op in (sparse, fourier):
+        centre, width = alpha, 1.5 + abs(beta)
+        expected = 2 * (op.dense() - centre * eye) / width @ v
+        assert np.max(np.abs(op.scaled_product(centre, width)(v) - expected)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(op.dense()))) * np.max(np.abs(v)) * grid.size
     with pytest.raises(DimensionMismatch, match=re.escape(f"operator dims differ: {grid.size} vs 1")):
         fourier + as_operator(np.eye(1))
+
+
+@pytest.mark.parametrize("form", ["sparse", "fourier"])
+def test_made_operators_build_dense_from_their_parents_dense(form):
+    """An operator made by affine or + builds its dense() from its parents'
+    dense() alone: H's dense() here is a matrix other than its data's, and each
+    made operator's dense() is the rule on that matrix, read once per parent,
+    not its own data's matrix."""
+    rng = np.random.default_rng(35)
+    n = 5
+    shown = random_hermitian(rng, n)  # what H's dense() gives; H's data is another H
+    calls = []
+
+    def dense():
+        calls.append(1)
+        return shown
+
+    if form == "sparse":
+        h = SparseOperator(n, *as_operator(random_hermitian(rng, n)).nonzeros, dense)
+    else:
+        h = FourierOperator(n, rng.standard_normal(n), dense)
+    eye = np.eye(n, dtype=complex)
+    step = h.affine(0.25j, 1)
+    cases = [(step, eye + 0.25j * shown), (h + h, shown + shown),
+             (step + h, (eye + 0.25j * shown) + shown),
+             (h + as_operator(eye), shown + eye),
+             (step.affine(2.0, -1.0), -1.0 * eye + 2.0 * (eye + 0.25j * shown))]
+    for op, expected in cases:
+        assert op.dense().tobytes() == expected.tobytes()
+    assert len(calls) == 1  # h's dense() is built once and every made one reads it
 
 
 def test_as_operator_decides_the_form_once():

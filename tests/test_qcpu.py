@@ -177,6 +177,21 @@ def test_project_aux_invalid_branch():
         project_aux(np.zeros(4), 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: project_aux(np.zeros(4), 1.0),
+    lambda: project_aux(np.zeros(4), np.float64(0.0)),
+    lambda: factor_matrix(QcpuFactor(m=1.0, n=0, u=1.0), 2),
+    lambda: factor_matrix(QcpuFactor(m=0, n=0.5, u=1.0), 2),
+], ids=["branch-float", "branch-numpy-float", "factor-row-float", "factor-column-half"])
+def test_a_non_integer_index_is_out_of_range(call):
+    """An index that is not an integer is refused as IndexOutOfRange, a
+    QcpuSimError, before it reaches numpy's slicing; numpy integers are kept."""
+    with pytest.raises(IndexOutOfRange, match="1.0|0.0|0.5"):
+        call()
+    assert np.array_equal(project_aux(np.arange(4.0), np.int64(1)), [1.0, 3.0])
+    assert factor_matrix(QcpuFactor(m=np.int64(1), n=0, u=2.0), 2)[3, 0] == 2.0
+
+
 @pytest.mark.parametrize("branch", [0, 1])
 def test_project_aux_refuses_an_odd_length(branch):
     """A network state holds 2N amplitudes; three would split into 2 and 1."""
@@ -362,6 +377,17 @@ def test_network_needs_blocks_on_one_register():
         QcpuNetwork(blocks=(np.eye(2), np.ones((2, 3))))
 
 
+def test_network_copies_a_matrix_block():
+    """A network made on a caller's matrix holds a copy: writing to the matrix
+    afterwards changes neither its payload nor what apply_network runs."""
+    m = np.eye(2, dtype=complex)
+    net = QcpuNetwork(blocks=(m,))
+    m[0, 1] = 5.0
+    psi = np.array([0.0, 1.0])
+    assert np.array_equal(net.payload, np.eye(2))
+    assert np.array_equal(net.payload @ psi, project_aux(apply_network(net, psi), 1))
+
+
 def test_network_stores_complex_blocks():
     net = QcpuNetwork(blocks=[np.eye(2), [[0, 1], [1, 0]]])
     assert isinstance(net.blocks, tuple)
@@ -496,12 +522,11 @@ def test_identity_suite_apply_project_can_fail(monkeypatch, wrong_apply):
 
 
 @pytest.mark.parametrize("make_h", [stencil_operator, mode_operator], ids=["stencil", "modes"])
-def test_chained_whole_networks_run_without_dense(monkeypatch, make_h):
+def test_chained_whole_networks_run_without_dense(make_h):
     """apply_network on compose_product of two whole_networks runs every
-    step's operator by its matvec and calls no block's dense(): the state is
-    the two Euler runs one after the other, bit for bit."""
-    from qcpusim import numerics
-
+    step's operator by its matvec and reads no dense(): H's refuses, and every
+    block is made from H, whose dense() a made operator's is built from.  The
+    state is the two Euler runs one after the other, bit for bit."""
     rng = np.random.default_rng(33)
     h = make_h()
     psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -512,8 +537,6 @@ def test_chained_whole_networks_run_without_dense(monkeypatch, make_h):
     def refuse():
         raise AssertionError("apply_network read a block's dense()")
 
-    monkeypatch.setattr(numerics, "_scattered",
-                        lambda n, rows, cols, values: SparseOperator(n, rows, cols, values, refuse))
     if isinstance(h, FourierOperator):
         h = FourierOperator(h.size, h.energies, refuse)
     else:
@@ -521,3 +544,5 @@ def test_chained_whole_networks_run_without_dense(monkeypatch, make_h):
     chain = compose_product([whole_network(h, second), whole_network(h, first)])
     assert len(chain.blocks) == 8
     assert np.array_equal(project_aux(apply_network(chain, psi), 1), expected)
+    with pytest.raises(AssertionError, match="read a block's dense"):
+        chain.blocks[0].dense()
