@@ -8,9 +8,9 @@ computes its report:
 * ``simulate`` steps a configured system's route (`systems.system_route`),
   writing wavefunction snapshots (JSONL) as it goes, then per-step
   diagnostics (CSV) and a summary (JSON).
-* ``compare`` writes `evolve.compare_ladder`: the connector-chained
-  network, the Euler loop and the exact oracle over a dt-halving ladder,
-  their agreement and the observed convergence order.
+* ``compare`` writes `evolve.compare_ladder` on that route's H: the
+  connector-chained network, the Euler loop and the exact oracle over a
+  dt-halving ladder, their agreement and the observed convergence order.
 * ``spectrum`` writes `grid.spectrum_rows`, analytic vs measured momentum
   and kinetic eigenvalues per Fourier mode, as CSV.
 
@@ -40,7 +40,7 @@ from .evolve import compare_ladder, run_report, run_states, warn_if_drifted, war
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
 from .numerics import spectral_norm_upper_bound
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
-from .systems import stepped_hamiltonian, system_route
+from .systems import system_route
 
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
 LOCK_NAME = ".qcpusim.lock"
@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    h = stepped_hamiltonian(cfg.system, cfg.grid)
+    h = system_route(cfg.system, cfg.grid).hamiltonian
     psi0 = cfg.initial_state.build(cfg.grid)
     norm_bound = spectral_norm_upper_bound(h)
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))

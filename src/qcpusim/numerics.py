@@ -120,9 +120,10 @@ class Operator:
         return self._made(beta * self._data + alpha * self._identity,
                           lambda: alpha * np.eye(n, dtype=complex) + beta * self.dense())
 
-    def __add__(self, other: Operator) -> Operator:
+    def __add__(self, other: Operator | np.ndarray) -> Operator:
         """H + G: on one form and layout the sum of their data, O(nnz) or O(N),
-        else the nonzeros of dense() + dense()."""
+        else the nonzeros of dense() + dense().  A matrix G is read as_operator."""
+        other = as_operator(other)
         if self.size != other.size:
             raise DimensionMismatch(f"operator dims differ: {self.size} vs {other.size}")
         if type(other) is type(self) and all(map(np.array_equal, self._layout, other._layout)):

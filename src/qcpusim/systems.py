@@ -7,12 +7,15 @@ Momentum values use signed mode numbers, so the upper half of the mode
 range carries negative momentum.  The harmonic oscillator lives directly
 in its energy eigenbasis where evolution is a diagonal phase over
 omega*(m + 1/2).  A constant field is split off as a global phase
-(interaction picture), leaving free dynamics.
+(interaction picture), leaving free dynamics.  `system_route` builds each
+kind's one H: `simulate` runs it and `compare` steps it, so the network
+check runs on the operator the simulator evolves.
 
 Two discretizations of the free particle coexist deliberately: the spectral
 one here (exact diagonal in the Fourier basis) and the shift-stencil one in
-grid.kinetic_operator.  They agree only in the continuum limit, so each is
-compared against its own reference, never against the other at coarse N.
+grid.kinetic_operator, which the grid kind runs.  They agree only in the
+continuum limit, so each is compared against its own reference, never
+against the other at coarse N.
 """
 
 from __future__ import annotations
@@ -302,38 +305,15 @@ def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> Qcp
 # Propagation routes: the one place a system kind picks its physics
 # ---------------------------------------------------------------------------
 
-def stepped_hamiltonian(system: SystemSpec, grid: GridSpec) -> SparseOperator:
-    """The H that `compare` steps, and `simulate` too for the oscillator and
-    the grid kind: each grid kind's shift-stencil H, kinetic plus potential,
-    or the oscillator's diagonal energies, as nonzeros built in O(N) whose
-    dense(), built once for eigh and the references, is
-    `grid.kinetic_operator` plus the potential's diagonal."""
-    n = grid.size
-    if system.kind == "harmonic":
-        energies = harmonic_energies(system.omega, n)
-        diagonal = np.arange(n)
-        return SparseOperator(n, diagonal, diagonal, energies.astype(complex),
-                              lambda: np.diag(energies).astype(complex))
-    mu = system.mu
-    rows, cols, kinetic = kinetic_nonzeros(grid, mu)
-    if system.kind == "free_particle":
-        return SparseOperator(n, rows, cols, kinetic, lambda: kinetic_operator(grid, mu))
-    values = (system.potential.values_on(grid) if system.kind == "grid_schrodinger"
-              else np.full(n, float(system.u)))
-    return SparseOperator(
-        n, rows, cols, kinetic + np.where(rows == cols, values[rows], 0.0).astype(complex),
-        lambda: kinetic_operator(grid, mu) + np.diag(values).astype(complex))
-
-
 @dataclass(frozen=True)
 class Route:
-    """How `simulate` runs one system kind: the `hamiltonian` behind its dt
-    bound and exact oracle (`numerics.exact_evolution`), its nonzeros for the
-    oscillator and the grid kind and its mode energies for the spectral kinds, and
-    `states(psi0, evo)`, which yields (step, state) for steps 0..evo.steps
-    without an N x N product: Euler steps by H's `affine(a, 1)`
-    (`evolve.euler_states`), or psi0 evolved in closed form to each step's
-    time (`_eigenbasis_states`)."""
+    """How a system kind runs: the `hamiltonian` that `compare` steps and that
+    bounds `simulate`'s dt and drives its exact oracle (`numerics.exact_evolution`),
+    held as nonzeros for the oscillator and the grid kind and as mode energies
+    for the spectral kinds, and `states(psi0, evo)`, which yields (step, state)
+    for steps 0..evo.steps without an N x N product: Euler steps by H's
+    `affine(a, 1)` (`evolve.euler_states`), or psi0 evolved in closed form to
+    each step's time (`_eigenbasis_states`)."""
 
     method: str
     hamiltonian: Operator
@@ -362,18 +342,30 @@ def _eigenbasis_states(energies: np.ndarray, spectral: bool, u: float = 0.0):
 
 
 def system_route(system: SystemSpec, grid: GridSpec) -> Route:
-    """The route of each kind, in its natural representation: the oscillator
-    by its energy phases and the grid kind by Euler steps, both on
-    `stepped_hamiltonian`; the free particle and constant field by FFT
-    (`spectral_evolution`), with H as the energies E + u its states phase by."""
+    """The one place a system kind becomes an H, with its route in its natural
+    representation.  The oscillator: its diagonal energies, phased in closed
+    form.  The grid kind: the shift-stencil kinetic nonzeros plus the potential
+    on the diagonal, built in O(N), stepped by Euler.  The free particle and
+    constant field: the mode energies E + u by FFT (`spectral_evolution`).
+    Each dense(), built only for eigh and the references, is
+    `np.diag(energies)`, `grid.kinetic_operator` plus diag(V), or
+    `spectral_kinetic_matrix` plus u."""
+    n = grid.size
     if system.kind == "harmonic":
-        return Route("energy_eigenbasis", stepped_hamiltonian(system, grid),
-                     _eigenbasis_states(harmonic_energies(system.omega, grid.size), spectral=False))
+        energies = harmonic_energies(system.omega, n)
+        diagonal = np.arange(n)
+        h = SparseOperator(n, diagonal, diagonal, energies.astype(complex),
+                           lambda: np.diag(energies).astype(complex))
+        return Route("energy_eigenbasis", h, _eigenbasis_states(energies, spectral=False))
+    mu, u = system.mu, system.u
     if system.kind == "grid_schrodinger":
-        h = stepped_hamiltonian(system, grid)
+        rows, cols, kinetic = kinetic_nonzeros(grid, mu)
+        values = system.potential.values_on(grid)
+        h = SparseOperator(
+            n, rows, cols, kinetic + np.where(rows == cols, values[rows], 0.0).astype(complex),
+            lambda: kinetic_operator(grid, mu) + np.diag(values).astype(complex))
         return Route("euler_network", h, partial(euler_states, h))
 
-    mu, u = system.mu, system.u
     energies = levels = _free_energies(grid, mu)
     if u is not None:
         with np.errstate(over="ignore"):
@@ -382,7 +374,7 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
             raise NonFiniteValue(f"constant-field energy p^2/2mu + u overflows at L = {grid.length}, "
                                  f"mu = {mu!r}, u = {u!r}")
     kinetic = partial(spectral_kinetic_matrix, grid, mu)
-    dense = kinetic if u is None else lambda: kinetic() + u * np.eye(grid.size)
+    dense = kinetic if u is None else lambda: kinetic() + u * np.eye(n)
     method = "interaction_picture" if system.kind == "constant_field" else "spectral_momentum"
-    return Route(method, FourierOperator(grid.size, levels, dense),
+    return Route(method, FourierOperator(n, levels, dense),
                  _eigenbasis_states(energies, spectral=True, u=u or 0.0))

@@ -357,26 +357,36 @@ def test_unbuildable_initial_state_writes_nothing(tmp_path, capsys, command, ini
 KINETIC_OVERFLOWS = "kinetic scale (N/L)^2/2mu overflows at N = 16, "
 
 
-@pytest.mark.parametrize("make, section, key, value, simulate_line, compare_line", [
-    (grid_config, "grid", "L", 1e-160, KINETIC_OVERFLOWS + "L = 1e-160, mu = 1.0", None),
-    (grid_config, "system", "mu", 1e-310, KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310", None),
+def overflowing_field_config(out_dir):
+    """A constant field at mu 1e-305 on L = 1, whose mode energies are finite
+    but whose E + u overflows for u near the double maximum."""
+    data = free_particle_config(out_dir)
+    data["system"] = {"kind": "constant_field", "mu": 1e-305, "u": 0.0}
+    data["grid"]["L"] = 1.0
+    return data
+
+
+@pytest.mark.parametrize("make, section, key, value, line", [
+    (grid_config, "grid", "L", 1e-160, KINETIC_OVERFLOWS + "L = 1e-160, mu = 1.0"),
+    (grid_config, "system", "mu", 1e-310, KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310"),
     (free_particle_config, "system", "mu", 1e-310,
-     "free-particle energy p^2/2mu overflows at L = 16.0, mu = 1e-310",
-     KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310"),
+     "free-particle energy p^2/2mu overflows at L = 16.0, mu = 1e-310"),
     (harmonic_config, "system", "omega", 1e308,
-     "oscillator energy omega (m + 1/2) overflows at omega = 1e+308", None),
-], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast"])
+     "oscillator energy omega (m + 1/2) overflows at omega = 1e+308"),
+    (overflowing_field_config, "system", "u", 1e308,
+     "constant-field energy p^2/2mu + u overflows at L = 1.0, mu = 1e-305, u = 1e+308"),
+], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast", "field-overflow"])
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_h_that_overflows_is_refused_before_the_lock(tmp_path, capsys, command, make, section,
-                                                     key, value, simulate_line, compare_line):
-    """An H whose scale or energies overflow is refused where they are
-    computed: exit 2, one error line, no output directory."""
+                                                     key, value, line):
+    """An H whose scale or energies overflow is refused where `system_route`
+    computes them, for both commands: exit 2, one error line, no output
+    directory."""
     out_dir = tmp_path / "never"
     data = make(out_dir)
     data[section][key] = value
     data["initial_state"] = {"basis_state": 3}
     assert main([command, "--config", str(write_config(tmp_path, data))]) == 2
-    line = compare_line if command == "compare" and compare_line else simulate_line
     assert capsys.readouterr().err == f"error: {line}\n"
     assert not out_dir.exists()
 
@@ -817,14 +827,14 @@ def test_compare_harmonic_system(tmp_path):
 @pytest.mark.parametrize(
     "system, order",
     [
-        ({"kind": "free_particle", "mu": 1.0}, 1.001),
-        ({"kind": "constant_field", "mu": 1.0, "u": 2.0}, 1.037),
+        ({"kind": "free_particle", "mu": 1.0}, 1.006),
+        ({"kind": "constant_field", "mu": 1.0, "u": 2.0}, 1.040),
     ],
 )
-def test_compare_stencil_systems(tmp_path, system, order):
-    """Free particle and constant field step with the stencil kinetic, not
-    the spectral one that `simulate` uses; the network chain tracks the loop."""
-    out_dir = tmp_path / "cmpstencil"
+def test_compare_spectral_systems(tmp_path, system, order):
+    """Free particle and constant field step the spectral H that `simulate`
+    runs, their mode energies plus u; the network chain tracks the loop."""
+    out_dir = tmp_path / "cmpspectral"
     data = {
         "system": system,
         "grid": {"L": 16.0, "k": 4},

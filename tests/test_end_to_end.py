@@ -4,9 +4,9 @@ run configs, with every artifact recomputed from dense references.
 Hypothesis draws valid run configs, 15 of each system kind, with every
 potential form and initial-state variant, at k = 2..5, either sign,
 snapshot_every 1..3 and a commensurate dt with r = dt * ||H|| bound below 1.
-Potentials and the field constant may cancel the stencil's diagonal, so H
-can have zero diagonal entries, which Euler stepping must still treat as
-Omega's ones.  Both subcommands run in process, and each file is rebuilt
+A potential may cancel the stencil's diagonal, so H can have zero diagonal
+entries, which Euler stepping must still treat as Omega's ones.  Both
+subcommands run in process on each kind's one H, and each file is rebuilt
 from dense linear algebra written out here:
 
 * the Euler route as np.linalg.matrix_power(Omega, i) @ psi0, with
@@ -63,33 +63,30 @@ def stencil_scale(length: float, n: int, mu: float) -> float:
     return (n / length) ** 2 / (8.0 * mu)
 
 
-def dense_hamiltonians(config) -> tuple[np.ndarray, np.ndarray]:
-    """(H of simulate's route, H that compare steps), both dense."""
+def dense_hamiltonian(config) -> np.ndarray:
+    """The one H that simulate runs and compare steps, dense."""
     system, n = config["system"], 2 ** config["grid"]["k"]
     if system["kind"] == "harmonic":
-        h = np.diag(system["omega"] * (np.arange(n) + 0.5)).astype(complex)
-        return h, h
+        return np.diag(system["omega"] * (np.arange(n) + 0.5)).astype(complex)
     length, mu = config["grid"]["L"], system["mu"]
-    c = stencil_scale(length, n, mu)
-    idx = np.arange(n)
-    stencil = np.zeros((n, n), dtype=complex)
-    stencil[idx, idx] = 2.0 * c
-    stencil[idx, (idx + 2) % n] -= c
-    stencil[idx, (idx - 2) % n] -= c  # at n = 4 the same entry again: -2c
     if system["kind"] == "grid_schrodinger":
+        c = stencil_scale(length, n, mu)
+        idx = np.arange(n)
+        stencil = np.zeros((n, n), dtype=complex)
+        stencil[idx, idx] = 2.0 * c
+        stencil[idx, (idx + 2) % n] -= c
+        stencil[idx, (idx - 2) % n] -= c  # at n = 4 the same entry again: -2c
         potential = system["potential"]
         param = potential[POTENTIAL_PARAMETER[potential["form"]]]
         x = grid_points(config)
         v = {"quadratic": lambda: param * x ** 2, "linear": lambda: param * x,
              "constant": lambda: np.full(n, param), "table": lambda: np.array(param)}[potential["form"]]()
-        h = stencil + np.diag(v)
-        return h, h
+        return stencil + np.diag(v)
     modes = np.arange(n)
     p = 2.0 * math.pi * np.where(modes >= n // 2, modes - n, modes) / length
     f = np.exp(2j * np.pi * np.outer(modes, modes) / n) / math.sqrt(n)
     spectral = f.conj().T @ np.diag(p ** 2 / (2.0 * mu)) @ f
-    u = system.get("u", 0.0)
-    return spectral + u * np.eye(n), stencil + u * np.eye(n)
+    return spectral + system.get("u", 0.0) * np.eye(n)
 
 
 def initial_state(config) -> np.ndarray:
@@ -145,11 +142,12 @@ def run_configs(draw, kind):
         system["omega"] = draw(st.floats(0.25, 2.0))
     else:
         system["mu"] = draw(st.floats(0.5, 2.0))
-        # a potential value of -2c zeroes the stencil H's diagonal there
-        value = st.one_of(st.floats(-2.0, 2.0), st.just(-2.0 * stencil_scale(length, n, system["mu"])))
         if kind == "constant_field":
-            system["u"] = draw(value)
+            system["u"] = draw(st.floats(-2.0, 2.0))
         if kind == "grid_schrodinger":
+            # a potential value of -2c zeroes the stencil H's diagonal there
+            value = st.one_of(st.floats(-2.0, 2.0),
+                              st.just(-2.0 * stencil_scale(length, n, system["mu"])))
             form = draw(st.sampled_from(tuple(POTENTIAL_PARAMETER)))
             param = draw(st.lists(value, min_size=n, max_size=n) if form == "table" else value)
             system["potential"] = {"form": form, POTENTIAL_PARAMETER[form]: param}
@@ -171,8 +169,8 @@ def run_configs(draw, kind):
 
     config = {"system": system, "grid": {"L": length, "k": k, "centered": centered},
               "initial_state": initial}
-    _, stepped = dense_hamiltonians(config)
-    bound = float(np.max(np.abs(stepped).sum(axis=1)))  # ||H||_1 = ||H||_inf: H is Hermitian
+    h = dense_hamiltonian(config)
+    bound = float(np.max(np.abs(h).sum(axis=1)))  # ||H||_1 = ||H||_inf: H is Hermitian
     dt = draw(st.floats(0.05, 0.9)) / bound
     steps = draw(st.integers(1, 6))
     config["evolution"] = {"dt": dt, "total_time": steps * dt, "sign": draw(st.sampled_from((-1, 1)))}
@@ -207,7 +205,7 @@ def check_simulate(out_dir: Path, config, stdout: str, stderr: str) -> None:
     dt, sign, every = evolution["dt"], evolution["sign"], config["outputs"]["snapshot_every"]
     steps = round(evolution["total_time"] / dt)
     psi0 = initial_state(config)
-    h, _ = dense_hamiltonians(config)
+    h = dense_hamiltonian(config)
     if kind == "grid_schrodinger":
         states = [euler_state(h, dt, sign, i, psi0) for i in range(steps + 1)]
     else:
@@ -252,7 +250,7 @@ def check_compare(out_dir: Path, config, stdout: str, stderr: str) -> None:
     dt, sign, total_time = evolution["dt"], evolution["sign"], evolution["total_time"]
     steps = round(total_time / dt)
     psi0 = initial_state(config)
-    _, h = dense_hamiltonians(config)
+    h = dense_hamiltonian(config)
     oracle = evolved(h, total_time, psi0, sign)
     assert stderr == ""
     assert [p.name for p in out_dir.iterdir()] == ["compare_report.json"]

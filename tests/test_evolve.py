@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +47,7 @@ from qcpusim.evolve import (
     warn_if_unstable,
 )
 from qcpusim.numerics import FourierOperator, SparseOperator, as_operator, hermiticity_defect
-from qcpusim.systems import stepped_hamiltonian, system_route
+from qcpusim.systems import system_route
 
 
 def random_hermitian(rng, n):
@@ -469,14 +470,16 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
         return counted
 
     def counting_builder(system, grid):
-        op = stepped_hamiltonian(system, grid)
-        return SparseOperator(op.size, *op.nonzeros, counting("dense", op.dense))
+        route = system_route(system, grid)
+        op = route.hamiltonian
+        return replace(route, hamiltonian=SparseOperator(op.size, *op.nonzeros,
+                                                         counting("dense", op.dense)))
 
     monkeypatch.setattr(SparseOperator, "__post_init__", counting("SparseOperator", init))
     prop = functools.cached_property(counting("defect", defect))
     prop.__set_name__(SparseOperator, "defect")
     monkeypatch.setattr(SparseOperator, "defect", prop)
-    monkeypatch.setattr(cli, "stepped_hamiltonian", counting_builder)
+    monkeypatch.setattr(cli, "system_route", counting_builder)
     config = {
         "system": {"kind": "grid_schrodinger", "mu": 1.0,
                    "potential": {"form": "quadratic", "coefficient": 0.05}},
@@ -733,18 +736,64 @@ def test_compare_runs_no_n_by_n_block(tmp_path, monkeypatch):
     def refuse():
         raise AssertionError("compare built the stepped H's dense()")
 
-    def spied_hamiltonian(system, grid):
-        return SparseOperator(grid.size, *stepped_hamiltonian(system, grid).nonzeros, refuse)
+    def spied_route(system, grid):
+        route = system_route(system, grid)
+        return replace(route, hamiltonian=SparseOperator(grid.size, *route.hamiltonian.nonzeros,
+                                                         refuse))
 
     def operator_blocks_only(net, psi):
         assert not any(isinstance(block, np.ndarray) for block in net.blocks)
         return apply_network(net, psi)
 
-    monkeypatch.setattr(cli, "stepped_hamiltonian", spied_hamiltonian)
+    monkeypatch.setattr(cli, "system_route", spied_route)
     monkeypatch.setattr(evolve, "apply_network", operator_blocks_only)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(grid_compare_config(tmp_path / "out", *GRID_COMPARES[1])))
     assert main(["compare", "--config", str(path), "--ladder", "3"]) == 0
+
+
+def test_compare_builds_no_stencil_for_the_free_particle(tmp_path, monkeypatch):
+    """compare on a free-particle config steps the route's mode energies and
+    never reaches the shift-stencil builder."""
+    from qcpusim import systems
+
+    def refuse(*args):
+        raise AssertionError("compare built the shift stencil")
+
+    monkeypatch.setattr(systems, "kinetic_nonzeros", refuse)
+    data = grid_compare_config(tmp_path / "out", 16.0, 4, None, 1.0)
+    data["system"] = {"kind": "free_particle", "mu": 1.0}
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 1.0}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    assert main(["compare", "--config", str(path), "--ladder", "2"]) == 0
+
+
+@pytest.mark.parametrize("system", [
+    {"kind": "grid_schrodinger", "mu": 1.0, "potential": {"form": "quadratic", "coefficient": 0.05}},
+    {"kind": "free_particle", "mu": 1.0},
+    {"kind": "constant_field", "mu": 1.0, "u": 2.0},
+    {"kind": "harmonic", "omega": 1.0},
+], ids=lambda system: system["kind"])
+def test_compare_and_simulate_bound_the_same_h(tmp_path, monkeypatch, system):
+    """On an auto_epsilon config of each kind, simulate and compare hand the
+    same H, one operator of one form, to spectral_norm_upper_bound."""
+    seen = []
+
+    def recording(h):
+        seen.append((type(h), spectral_norm_upper_bound(h)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "spectral_norm_upper_bound", recording)
+    data = grid_compare_config(None, 16.0, 4, None, 0.25)
+    data["system"] = system
+    data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.25}
+    for command, extra in (("simulate", []), ("compare", ["--ladder", "2"])):
+        data["outputs"] = {"directory": str(tmp_path / command), "snapshot_every": 10**6}
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--config", str(path), *extra]) == 0
+    assert len(seen) == 2 and seen[0] == seen[1]
 
 
 def test_compare_at_n_2048_builds_no_n_by_n_array(tmp_path):
@@ -811,10 +860,10 @@ def test_step_network_payload_bit_equals_euler_step(n, dt, sign, seed):
     SystemSpec(kind="harmonic", omega=1.3),
 ])
 def test_step_network_takes_the_stepped_operator(system):
-    """step_network, whole_network and euler_step take the stepped H as the
-    SparseOperator it is and give, bit for bit, what they give on its dense():
+    """step_network, whole_network and euler_step take the route's H as the
+    operator it is and give, bit for bit, what they give on its dense():
     each chained block's dense(), too."""
-    op = stepped_hamiltonian(system, GridSpec(length=16.0, qubits=4, centered=True))
+    op = system_route(system, GridSpec(length=16.0, qubits=4, centered=True)).hamiltonian
     h = op.dense()
     for sign in (1, -1):
         assert np.array_equal(step_network(op, 0.0625, sign).payload,
@@ -830,10 +879,11 @@ def test_step_network_takes_the_stepped_operator(system):
 @st.composite
 def stepped_operators(draw):
     """A random sparse Hermitian H at N from 2 to 64, held as its nonzeros, or
-    the stepped H of one of the four kinds at N from 4 to 64, or a spectral
-    kind's H as its mode energies (`system_route`)."""
+    the route H of one of the four kinds at N from 4 to 64 (`system_route`):
+    nonzeros for the grid kind and the oscillator, mode energies for the
+    spectral kinds."""
     kind = draw(st.sampled_from(["sparse", "grid_schrodinger", "free_particle",
-                                 "constant_field", "harmonic", "spectral"]))
+                                 "constant_field", "harmonic"]))
     if kind == "sparse":
         n = draw(st.integers(2, 64))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -847,11 +897,8 @@ def stepped_operators(draw):
         "free_particle": SystemSpec(kind="free_particle", mu=draw(st.floats(0.5, 2.0))),
         "constant_field": SystemSpec(kind="constant_field", mu=1.0, u=draw(st.floats(-5.0, 5.0))),
         "harmonic": SystemSpec(kind="harmonic", omega=draw(st.floats(0.5, 2.0))),
-        "spectral": SystemSpec(kind="constant_field", mu=1.0, u=draw(st.floats(-5.0, 5.0))),
     }[kind]
-    if kind == "spectral":
-        return system_route(system, grid).hamiltonian
-    return stepped_hamiltonian(system, grid)
+    return system_route(system, grid).hamiltonian
 
 
 @settings(max_examples=80, deadline=None)

@@ -39,7 +39,7 @@ from qcpusim.numerics import (
     BESSEL_FLOOR, FourierOperator, SparseOperator, _chebyshev_evolution, as_operator,
     bessel_series, nonzero_product,
 )
-from qcpusim.systems import spectral_evolution, stepped_hamiltonian, system_route
+from qcpusim.systems import spectral_evolution, system_route
 from test_grid import shift_matrix, transposition_matrix
 
 
@@ -178,8 +178,9 @@ def test_exact_evolution_refuses_a_time_that_is_not_finite(t):
     """A time that is not finite is refused, as spectral_evolution refuses
     it, before any work and with no numpy warning: on a stencil H whose
     oracle runs the series at t = 0.5 and on a dense H that takes eigh."""
-    stencil = stepped_hamiltonian(SystemSpec(kind="free_particle", mu=1.0),
-                                  GridSpec(length=16.0, qubits=6, centered=True))
+    stencil = system_route(SystemSpec(kind="grid_schrodinger", mu=1.0,
+                                      potential=PotentialSpec(form="constant", value=0.0)),
+                           GridSpec(length=16.0, qubits=6, centered=True)).hamiltonian
     dense = random_hermitian(np.random.default_rng(5), 4)
     psi = np.ones(64, dtype=complex)
     assert _chebyshev_evolution(stencil, 0.5, psi, -1, 64**3) is not None
@@ -321,7 +322,7 @@ def product_operators(draw):
     system = (SystemSpec(kind="harmonic", omega=mu) if kind == "harmonic" else SystemSpec(
         kind="grid_schrodinger", mu=mu,
         potential=PotentialSpec(form="quadratic", coefficient=draw(st.floats(-5.0, 5.0)))))
-    return (*stepped_hamiltonian(system, grid).nonzeros, grid.size, True)
+    return (*system_route(system, grid).hamiltonian.nonzeros, grid.size, True)
 
 
 SPECIAL_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0)
@@ -413,9 +414,9 @@ def test_affine_operators_and_sums_match_their_dense_forms(k, beta, alpha, seed)
     Hermiticity defect and scaled_product agree with the dense arithmetic to
     1e-12 of its scale."""
     grid = GridSpec(length=8.0, qubits=k, centered=True)
-    sparse = stepped_hamiltonian(SystemSpec(kind="grid_schrodinger", mu=1.0,
-                                            potential=PotentialSpec(form="quadratic", coefficient=0.05)),
-                                 grid)
+    sparse = system_route(SystemSpec(kind="grid_schrodinger", mu=1.0,
+                                     potential=PotentialSpec(form="quadratic", coefficient=0.05)),
+                          grid).hamiltonian
     fourier = system_route(SystemSpec(kind="constant_field", mu=1.0, u=0.5), grid).hamiltonian
     rng = np.random.default_rng(seed)
     other = as_operator(random_hermitian(rng, grid.size))
@@ -437,6 +438,22 @@ def test_affine_operators_and_sums_match_their_dense_forms(k, beta, alpha, seed)
             <= 1e-12 * max(1.0, np.max(np.abs(op.dense()))) * np.max(np.abs(v)) * grid.size
     with pytest.raises(DimensionMismatch, match=re.escape(f"operator dims differ: {grid.size} vs 1")):
         fourier + as_operator(np.eye(1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_an_operator_plus_a_matrix_reads_the_matrix_as_an_operator(n):
+    """H + G with G a square matrix is H + as_operator(G), for either form of
+    H: at n = 2 no dims mismatch against G's 4 entries, at n = 1 no bare
+    AttributeError; a matrix of another size is refused by its dimension."""
+    energies = np.arange(n, dtype=float)
+    fourier = FourierOperator(n, energies, lambda: np.fft.fft(
+        energies[:, None] * np.fft.ifft(np.eye(n), axis=0, norm="ortho"), axis=0, norm="ortho"))
+    for h in (as_operator(np.eye(n)), fourier):
+        total = h + np.eye(n)
+        assert isinstance(total, SparseOperator)
+        assert total.dense().tobytes() == (h.dense() + np.eye(n)).tobytes()
+        with pytest.raises(DimensionMismatch, match=re.escape(f"operator dims differ: {n} vs {n + 1}")):
+            h + np.eye(n + 1)
 
 
 @pytest.mark.parametrize("form", ["sparse", "fourier"])
@@ -557,13 +574,15 @@ def test_norm_bound_adds_each_row_and_column_in_index_order(n, seed, density):
 
 
 def test_norm_bound_of_a_finite_h_is_finite():
-    """The constant field with mu 1e-305 and u 1e308 at L = 1, k = 4 is a
-    finite stencil H (entries up to 1.06e308) whose max row and column sums
-    multiply past double range: its bound is sqrt(row sum) * sqrt(column sum),
-    finite and above every |h|, and the Hermiticity tolerance scales with such
-    a bound, so a relative rounding defect of 4e-16 at 1e300 passes."""
-    op = stepped_hamiltonian(SystemSpec(kind="constant_field", mu=1e-305, u=1e308),
-                             GridSpec(length=1.0, qubits=4, centered=True))
+    """The grid kind with mu 1e-305 and a constant potential 1e308 at L = 1,
+    k = 4 is a finite stencil H (entries up to 1.06e308) whose max row and
+    column sums multiply past double range: its bound is sqrt(row sum) *
+    sqrt(column sum), finite and above every |h|, and the Hermiticity
+    tolerance scales with such a bound, so a relative rounding defect of 4e-16
+    at 1e300 passes."""
+    op = system_route(SystemSpec(kind="grid_schrodinger", mu=1e-305,
+                                 potential=PotentialSpec(form="constant", value=1e308)),
+                      GridSpec(length=1.0, qubits=4, centered=True)).hamiltonian
     row_sum = float(np.max(np.bincount(op.rows, np.abs(op.values), op.size)))
     assert math.isinf(row_sum * row_sum)
     bound = spectral_norm_upper_bound(op)

@@ -44,7 +44,7 @@ from qcpusim import (
     whole_network,
 )
 from qcpusim.numerics import FourierOperator, Operator, SparseOperator, as_operator
-from qcpusim.systems import stepped_hamiltonian, system_route
+from qcpusim.systems import system_route
 
 complex_entries = st.complex_numbers(
     max_magnitude=2.0, allow_nan=False, allow_infinity=False
@@ -424,9 +424,9 @@ GRID = GridSpec(length=8.0, qubits=3, centered=True)
 
 
 def stencil_operator():
-    """The README grid kind's stepped H on GRID, a SparseOperator."""
-    return stepped_hamiltonian(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=PotentialSpec(
-        form="quadratic", coefficient=0.05)), GRID)
+    """The README grid kind's H on GRID, a SparseOperator."""
+    return system_route(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=PotentialSpec(
+        form="quadratic", coefficient=0.05)), GRID).hamiltonian
 
 
 def mode_operator():

@@ -45,7 +45,7 @@ from qcpusim.numerics import (
     _chebyshev_evolution, as_operator, hermiticity_defect, spectral_norm_upper_bound,
 )
 from qcpusim.systems import (
-    POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, _free_energies, stepped_hamiltonian, system_route,
+    POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, _free_energies, system_route,
 )
 from test_numerics import exact_propagator
 
@@ -660,41 +660,37 @@ def test_free_energies_survive_a_huge_mass():
 
 
 # ---------------------------------------------------------------------------
-# The stepped H: its O(N) nonzeros against its dense form
+# The route's sparse H: its O(N) nonzeros against its dense form
 # ---------------------------------------------------------------------------
 
 @st.composite
-def stepped_systems(draw):
-    """A system of every kind at k = 2..7 (k = 2: the +-2 shifts collide),
-    every potential form included, on a random grid."""
+def sparse_systems(draw):
+    """An oscillator, or the grid kind with every potential form (a constant
+    one is the free particle's stencil shifted by u), at k = 2..7 (k = 2: the
+    +-2 shifts collide) on a random grid."""
     k = draw(st.integers(2, 7))
     grid = GridSpec(length=draw(st.floats(1.0, 64.0)), qubits=k, centered=draw(st.booleans()))
-    kind = draw(st.sampled_from(sorted(SYSTEM_PARAMETERS)))
-    mu = draw(st.floats(0.01, 100.0))
+    if draw(st.booleans()):
+        return SystemSpec(kind="harmonic", omega=draw(st.floats(0.01, 100.0))), grid
     values = st.floats(-50.0, 50.0)
-    if kind == "harmonic":
-        return SystemSpec(kind=kind, omega=draw(st.floats(0.01, 100.0))), grid
-    if kind == "free_particle":
-        return SystemSpec(kind=kind, mu=mu), grid
-    if kind == "constant_field":
-        return SystemSpec(kind=kind, mu=mu, u=draw(values)), grid
     form = draw(st.sampled_from(sorted(POTENTIAL_PARAMETER)))
     param = (tuple(draw(st.lists(values, min_size=grid.size, max_size=grid.size)))
              if form == "table" else draw(values))
     potential = PotentialSpec(form=form, **{POTENTIAL_PARAMETER[form]: param})
-    return SystemSpec(kind=kind, mu=mu, potential=potential), grid
+    return SystemSpec(kind="grid_schrodinger", mu=draw(st.floats(0.01, 100.0)),
+                      potential=potential), grid
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=stepped_systems(), t=st.one_of(st.floats(-0.5, 0.5), st.floats(-20.0, 20.0)),
+@given(case=sparse_systems(), t=st.one_of(st.floats(-0.5, 0.5), st.floats(-20.0, 20.0)),
        sign=st.sampled_from((-1, 1)), seed=st.integers(0, 2**32 - 1))
-def test_stepped_hamiltonian_nonzeros_match_its_dense_form(case, t, sign, seed):
-    """The stepped H's O(N) nonzeros are as_operator(dense())'s byte for
+def test_route_nonzeros_match_their_dense_form(case, t, sign, seed):
+    """The route H's O(N) nonzeros are as_operator(dense())'s byte for
     byte, so its Hermiticity defect, norm bound and Gershgorin data are the
     dense ones bit for bit.  The oracle's one gate, on that data, sends both
     forms down the same branch, where they give the same bytes."""
     system, grid = case
-    op = stepped_hamiltonian(system, grid)
+    op = system_route(system, grid).hamiltonian
     h = op.dense()
     for a, b in zip(op.nonzeros, as_operator(h).nonzeros):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
