@@ -193,8 +193,8 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    h = system_route(cfg.system, cfg.grid).hamiltonian
     psi0 = cfg.initial_state.build(cfg.grid)
+    h = system_route(cfg.system, cfg.grid).hamiltonian
     norm_bound = spectral_norm_upper_bound(h)
     base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
     if base.steps < 1:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpec, NumericalFailure, ResidualTimeError, StabilityWarning
-from .numerics import as_operator, as_state, exact_evolution, fidelity, require_hermitian, require_sign
+from .numerics import (as_operator, as_state, exact_evolution, fidelity, require_hermitian,
+                       require_real, require_sign)
 from .qcpu import (
     QcpuNetwork, apply_network, build_network, compose_product, compose_sum, project_aux,
 )
@@ -52,6 +53,8 @@ class EvolutionConfig:
     sign: int = -1
 
     def __post_init__(self) -> None:
+        require_real("dt", self.dt)
+        require_real("total_time", self.total_time)
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise InvalidSpec(f"dt must be finite and positive, got {self.dt!r}")
         if not math.isfinite(self.total_time) or self.total_time < 0.0:

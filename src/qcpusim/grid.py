@@ -19,7 +19,6 @@ mutually consistent units.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,8 +32,9 @@ from .errors import (
     IndexOutOfRange,
     InvalidSpec,
     NonFiniteValue,
+    NumericalFailure,
 )
-from .numerics import as_state, nonzero_product, require_mass, tensor
+from .numerics import as_state, nonzero_product, require_mass, require_real, tensor
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,10 @@ class GridSpec:
             raise InvalidSpec(f"qubit count must be >= 1, got {self.qubits}")
         if not isinstance(self.centered, bool):
             raise InvalidSpec(f"centered must be True or False, got {self.centered!r}")
-        length = float(self.length)
-        if not math.isfinite(length) or length <= 0.0:
+        require_real("box length", self.length)
+        object.__setattr__(self, "length", float(self.length))
+        if not math.isfinite(self.length) or self.length <= 0.0:
             raise InvalidSpec(f"box length must be finite and positive, got {self.length!r}")
-        object.__setattr__(self, "length", length)
 
     @property
     def size(self) -> int:
@@ -312,9 +312,9 @@ def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
     Each line is the bytes of ``json.dumps(row, sort_keys=True)`` for the row
     {"m": m, "x": x_m, "re": Re z, "im": Im z, "prob": |z|^2}.  A finite
     Python float prints as its shortest round-trip repr under both, so the
-    rows are formatted directly around each grid's fixed text, built once;
-    a state with a non-finite part, or one whose |z|^2 overflows, is written
-    through json.dumps (``Infinity``, ``NaN``).
+    rows are formatted directly around each grid's fixed text, built once.
+    JSON has no inf or NaN, so a state with a non-finite part, or one whose
+    |z|^2 overflows, raises NumericalFailure naming its first such point.
     """
     amps = as_state(amplitudes, grid.size)
     if np.isfinite(amps).all():
@@ -327,15 +327,9 @@ def wavefunction_records(grid: GridSpec, amplitudes) -> list[str]:
             ]
         except OverflowError:
             pass
-    xs = grid.points
-    return [
-        json.dumps(
-            {"m": m, "x": float(xs[m]), "re": float(z.real), "im": float(z.imag),
-             "prob": float(abs(z) ** 2)},
-            sort_keys=True,
-        )
-        for m, z in enumerate(amps)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = int(np.flatnonzero(~np.isfinite(np.abs(amps) ** 2))[0])
+    raise NumericalFailure(f"grid point {m} has amplitude {amps[m]}, whose |z|^2 is not finite")
 
 
 @lru_cache(maxsize=8)

@@ -23,6 +23,7 @@ All functions are pure; values are never mutated after construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
@@ -50,6 +51,13 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     if dim is not None and out.shape[0] != dim:
         raise DimensionMismatch(f"state dim {out.shape[0]} != operator dim {dim}")
     return out
+
+
+def require_real(what: str, *values) -> None:
+    """Refuse each value that is not a real number, such as a string, or is a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidSpec(f"{what} must be a real number, got {value!r}")
 
 
 def require_sign(sign) -> int:

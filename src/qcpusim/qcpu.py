@@ -76,9 +76,10 @@ class QcpuFactor:
 
 
 def factor_matrix(factor: QcpuFactor, register_dim: int) -> np.ndarray:
-    """Dense 2N x 2N matrix of a single factor, whose indices are integers in
-    range(register_dim)."""
-    if not all(isinstance(i, Integral) and 0 <= i < register_dim for i in (factor.m, factor.n)):
+    """Dense 2N x 2N matrix of a single factor, whose indices are integers
+    (not bools) in range(register_dim)."""
+    if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < register_dim
+               for i in (factor.m, factor.n)):
         raise IndexOutOfRange(
             f"factor indices ({factor.m!r}, {factor.n!r}) outside register of dim {register_dim}"
         )
@@ -184,7 +185,7 @@ def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
 
 def project_aux(state, branch: int) -> np.ndarray:
     """Sub-vector of amplitudes on one auxiliary branch, unnormalized."""
-    if not (isinstance(branch, Integral) and branch in (0, 1)):
+    if isinstance(branch, bool) or not (isinstance(branch, Integral) and branch in (0, 1)):
         raise IndexOutOfRange(f"auxiliary branch must be the integer 0 or 1, got {branch!r}")
     state = as_state(state)
     if state.shape[0] % 2:

@@ -21,7 +21,6 @@ against the other at coarse N.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -40,7 +39,7 @@ from .errors import (
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
 from .numerics import (FourierOperator, Operator, SparseOperator, as_state, require_frequency,
-                       require_mass, require_sign)
+                       require_mass, require_real, require_sign)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -61,12 +60,6 @@ SYSTEM_PARAMETERS = {
     "constant_field": ("mu", "u"),
     "grid_schrodinger": ("mu", "potential"),
 }
-
-
-def _require_real(what: str, *values) -> None:
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidSpec(f"{what} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +85,7 @@ class PotentialSpec:
         if self.form == "table":
             if not isinstance(param, (tuple, list, np.ndarray)):
                 raise InvalidSpec(f"potential parameter 'values' must be a sequence, got {param!r}")
-            _require_real("potential parameter 'values' entry", *param)
+            require_real("potential parameter 'values' entry", *param)
             vals = tuple(float(v) for v in param)
             if not vals:
                 raise InvalidSpec("table potential must not be empty")
@@ -100,7 +93,7 @@ class PotentialSpec:
                 raise InvalidSpec("table potential contains non-finite values")
             object.__setattr__(self, "values", vals)
         else:
-            _require_real(f"potential parameter {name!r}", param)
+            require_real(f"potential parameter {name!r}", param)
             if not math.isfinite(float(param)):
                 raise InvalidSpec(f"potential parameter {name!r} must be finite, got {param!r}")
         stray = [key for key in POTENTIAL_PARAMETER.values()
@@ -149,7 +142,7 @@ class SystemSpec:
             if getattr(self, name) is None:
                 raise InvalidSpec(f"{self.kind} system needs {name!r}")
             if name != "potential":
-                _require_real(f"system parameter {name!r}", getattr(self, name))
+                require_real(f"system parameter {name!r}", getattr(self, name))
         stray = sorted({key for keys in SYSTEM_PARAMETERS.values() for key in keys
                         if key not in names and getattr(self, key) is not None})
         if stray:

@@ -366,7 +366,8 @@ def overflowing_field_config(out_dir):
     return data
 
 
-@pytest.mark.parametrize("make, section, key, value, line", [
+# Configs whose H overflows, each with the key that makes it overflow and its line.
+OVERFLOWING_H = pytest.mark.parametrize("make, section, key, value, line", [
     (grid_config, "grid", "L", 1e-160, KINETIC_OVERFLOWS + "L = 1e-160, mu = 1.0"),
     (grid_config, "system", "mu", 1e-310, KINETIC_OVERFLOWS + "L = 16.0, mu = 1e-310"),
     (free_particle_config, "system", "mu", 1e-310,
@@ -376,6 +377,9 @@ def overflowing_field_config(out_dir):
     (overflowing_field_config, "system", "u", 1e308,
      "constant-field energy p^2/2mu + u overflows at L = 1.0, mu = 1e-305, u = 1e+308"),
 ], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast", "field-overflow"])
+
+
+@OVERFLOWING_H
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_h_that_overflows_is_refused_before_the_lock(tmp_path, capsys, command, make, section,
                                                      key, value, line):
@@ -388,6 +392,22 @@ def test_h_that_overflows_is_refused_before_the_lock(tmp_path, capsys, command, 
     data["initial_state"] = {"basis_state": 3}
     assert main([command, "--config", str(write_config(tmp_path, data))]) == 2
     assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out_dir.exists()
+
+
+@OVERFLOWING_H
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_bad_initial_state_is_named_before_an_overflowing_h(tmp_path, capsys, command, make,
+                                                              section, key, value, line):
+    """Both commands build psi0 before H: a config with an index outside the
+    grid and an overflowing H is refused for the index, by the same line."""
+    out_dir = tmp_path / "never"
+    data = make(out_dir)
+    data[section][key] = value
+    data["initial_state"] = {"basis_state": 99}
+    assert main([command, "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "error: initial_state.basis_state: index 99 outside grid of 16 points\n")
     assert not out_dir.exists()
 
 

@@ -91,6 +91,21 @@ def test_invalid_dt_rejected(dt):
         EvolutionConfig(dt=dt, total_time=1.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "total_time"])
+@pytest.mark.parametrize("bad", [True, False, "0.1", b"1", None, 1j])
+def test_a_time_that_is_not_a_real_number_is_rejected(field, bad):
+    """dt=True would run total_time / 1 steps and dt="0.1" raised a bare
+    TypeError; both are InvalidSpec, as the parser refuses them."""
+    times = {"dt": 0.5, "total_time": 1.0, field: bad}
+    with pytest.raises(InvalidSpec, match=f"{field} must be a real number"):
+        EvolutionConfig(**times)
+
+
+def test_integer_and_numpy_times_are_kept():
+    assert EvolutionConfig(dt=1, total_time=2).steps == 2
+    assert EvolutionConfig(dt=np.float64(0.5), total_time=np.int64(2)).steps == 4
+
+
 def test_negative_horizon_rejected():
     with pytest.raises(InvalidSpec):
         EvolutionConfig(dt=0.1, total_time=-1.0)

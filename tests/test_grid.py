@@ -16,6 +16,7 @@ from qcpusim import (
     InvalidSpec,
     NonFiniteValue,
     NonPositiveMass,
+    NumericalFailure,
     dft_operator,
     hermiticity_defect,
     kinetic_eigenvalue,
@@ -70,10 +71,19 @@ def test_grid_rejects_non_bool_centered(bad):
         GridSpec(length=16.0, qubits=4, centered=bad)
 
 
-@pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan")])
+# float() would read "16" and b"8" as lengths and True as L = 1; the parser
+# refuses them, and so does the spec
+@pytest.mark.parametrize("bad", [0.0, -3.0, float("inf"), float("nan"), "16", b"8", True, False,
+                                 None, 16j])
 def test_grid_rejects_bad_length(bad):
     with pytest.raises(InvalidSpec):
         GridSpec(length=bad, qubits=2)
+
+
+def test_grid_keeps_numpy_and_integer_lengths():
+    assert GridSpec(length=np.float32(2.0), qubits=1).length == 2.0
+    assert GridSpec(length=np.int64(8), qubits=1).length == 8.0
+    assert GridSpec(length=16, qubits=1).length == 16.0
 
 
 def test_sample_position_only_callable():
@@ -508,36 +518,62 @@ def reference_records(grid, amplitudes):
 # sqrt of the largest double: |z| above it overflows |z|^2
 _PROB_OVERFLOW = math.sqrt(np.finfo(float).max)
 _ABOVE_PROB_OVERFLOW = math.nextafter(_PROB_OVERFLOW, math.inf)
+# parts of at most 1e153, so that any two give a finite |z|^2
 _FINITE_PARTS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300,
-                     _PROB_OVERFLOW, -_PROB_OVERFLOW]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e153]),
     st.floats(min_value=-1.0, max_value=1.0),
     st.builds(lambda s, e: s * 10.0 ** e, st.floats(min_value=-10.0, max_value=10.0),
-              st.integers(min_value=-300, max_value=299)),
+              st.integers(min_value=-300, max_value=152)),
 )
-# parts that put a row on the json.dumps path: inf and nan, |z|^2 overflowing
+_EDGE = (_PROB_OVERFLOW, -_PROB_OVERFLOW)
+_EDGE_PARTS = st.sampled_from(_EDGE)
+# rows at the edge |z| = sqrt(max), whose |z|^2 is still finite
+_EDGE_ROWS = st.sampled_from([complex(p, 0.0) for p in _EDGE] + [complex(0.0, p) for p in _EDGE])
+# parts that put a row out of JSON's reach: inf and nan, |z|^2 overflowing
 # (just above the threshold, and far above it), and |z| itself overflowing
 _EXTREME_PARTS = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, _ABOVE_PROB_OVERFLOW, -1e200,
                      1.7976931348623157e308]),
     st.floats(min_value=_ABOVE_PROB_OVERFLOW, max_value=1e155),
 )
+_EXTREME_ROWS = st.one_of(st.builds(complex, _EXTREME_PARTS, _FINITE_PARTS),
+                          st.builds(complex, _FINITE_PARTS, _EXTREME_PARTS),
+                          st.builds(complex, _EXTREME_PARTS, _EXTREME_PARTS),
+                          st.builds(complex, _EDGE_PARTS, _EDGE_PARTS))
+_GRIDS = st.builds(GridSpec, length=st.floats(min_value=1e-3, max_value=1e3),
+                   qubits=st.integers(min_value=1, max_value=6), centered=st.booleans())
+
+
+def drawn_state(data, grid, rows, min_rows):
+    """A state of finite parts with min_rows to 2 rows drawn from `rows` put
+    in; returns it and the first grid point those rows were put at."""
+    amps = np.array(data.draw(st.lists(st.builds(complex, _FINITE_PARTS, _FINITE_PARTS),
+                                       min_size=grid.size, max_size=grid.size)), dtype=complex)
+    put = data.draw(st.lists(st.tuples(st.integers(0, grid.size - 1), rows),
+                             min_size=min_rows, max_size=2))
+    for m, z in put:
+        amps[m] = z
+    return amps, min((m for m, _ in put), default=None)
 
 
 @settings(max_examples=200, deadline=None)
-@given(qubits=st.integers(min_value=1, max_value=6), centered=st.booleans(),
-       length=st.floats(min_value=1e-3, max_value=1e3), data=st.data())
-def test_wavefunction_records_match_json_dumps(qubits, centered, length, data):
-    g = GridSpec(length=length, qubits=qubits, centered=centered)
-    amps = np.array(data.draw(st.lists(st.builds(complex, _FINITE_PARTS, _FINITE_PARTS),
-                                       min_size=g.size, max_size=g.size)), dtype=complex)
-    extreme = st.one_of(st.builds(complex, _EXTREME_PARTS, _FINITE_PARTS),
-                        st.builds(complex, _FINITE_PARTS, _EXTREME_PARTS),
-                        st.builds(complex, _EXTREME_PARTS, _EXTREME_PARTS))
-    for m, z in data.draw(st.lists(st.tuples(st.integers(0, g.size - 1), extreme), max_size=2)):
-        amps[m] = z
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert wavefunction_records(g, amps) == reference_records(g, amps)
+@given(g=_GRIDS, data=st.data())
+def test_wavefunction_records_match_json_dumps(g, data):
+    """A state whose parts and |z|^2 are all finite is written byte for byte
+    as json.dumps writes its rows."""
+    amps, _ = drawn_state(data, g, _EDGE_ROWS, 0)
+    assert wavefunction_records(g, amps) == reference_records(g, amps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_GRIDS, data=st.data())
+def test_wavefunction_records_refuse_a_row_json_cannot_hold(g, data):
+    """JSON has no inf or NaN: a state with a part that is not finite, or
+    with a |z|^2 that overflows, raises NumericalFailure at its first such
+    grid point."""
+    amps, first = drawn_state(data, g, _EXTREME_ROWS, 1)
+    with pytest.raises(NumericalFailure, match=rf"^grid point {first} has amplitude "):
+        wavefunction_records(g, amps)
 
 
 def test_wavefunction_length_check():

@@ -182,11 +182,17 @@ def test_project_aux_invalid_branch():
     lambda: project_aux(np.zeros(4), np.float64(0.0)),
     lambda: factor_matrix(QcpuFactor(m=1.0, n=0, u=1.0), 2),
     lambda: factor_matrix(QcpuFactor(m=0, n=0.5, u=1.0), 2),
-], ids=["branch-float", "branch-numpy-float", "factor-row-float", "factor-column-half"])
+    lambda: project_aux(np.zeros(4), True),
+    lambda: project_aux(np.zeros(4), False),
+    lambda: factor_matrix(QcpuFactor(m=True, n=False, u=1.0), 2),
+    lambda: factor_matrix(QcpuFactor(m=0, n=True, u=1.0), 2),
+], ids=["branch-float", "branch-numpy-float", "factor-row-float", "factor-column-half",
+        "branch-true", "branch-false", "factor-bools", "factor-column-bool"])
 def test_a_non_integer_index_is_out_of_range(call):
-    """An index that is not an integer is refused as IndexOutOfRange, a
-    QcpuSimError, before it reaches numpy's slicing; numpy integers are kept."""
-    with pytest.raises(IndexOutOfRange, match="1.0|0.0|0.5"):
+    """An index that is not an integer, or is a bool, is refused as
+    IndexOutOfRange, a QcpuSimError, before it reaches numpy's slicing;
+    numpy integers are kept."""
+    with pytest.raises(IndexOutOfRange, match="1.0|0.0|0.5|True|False"):
         call()
     assert np.array_equal(project_aux(np.arange(4.0), np.int64(1)), [1.0, 3.0])
     assert factor_matrix(QcpuFactor(m=np.int64(1), n=0, u=2.0), 2)[3, 0] == 2.0
