@@ -6,16 +6,19 @@ row-major nonzeros, and a `FourierOperator` holds the spectral kinds' H =
 F^dag diag(E) F as its mode energies E (Kosloff & Kosloff 1983).  Each form
 gives its Hermiticity defect, norm bound and `gershgorin()` data (each row's
 centre and radius and the cost of a row in a product) in O(nnz) or O(N),
-and `dense()`, built once, for the references and eigh.  Their base class
-`Operator` writes the algebra once over either form's data: the product
-(`matvec`), laid out once, the oracle's product with 2 (H - c) / w, alpha I
-+ beta H (`affine`), so an Euler step I + a H costs O(nnz) or two FFTs a
-product, and the networks' sum rule (`+`).  States are complex vectors.
+and `dense()`, built once, for the references and eigh, and what that eigh
+costs (`eigh_cost()`: a real or a complex eigh, the Fourier form's after
+building F^dag diag(E) F).  Their base class `Operator` writes the algebra
+once over either form's data: the product (`matvec`), laid out once, the
+oracle's product with 2 (H - c) / w, alpha I + beta H (`affine`), so an
+Euler step I + a H costs O(nnz) or two FFTs a product, and the networks'
+sum rule (`+`).  States are complex vectors.
 `nonzero_product` lays nonzeros out once as equal-length rows and
 multiplies a state by them, bit for bit as a bincount of the terms would
 sum them.  The oracle applies e^{sign i H t} to a state by a Chebyshev
 series on that product (Tal-Ezer & Kosloff 1984) or by eigh, whichever one
-gate finds cheaper.
+gate (`oracle_gate`) finds cheaper at each form's own eigh price; above
+EIGH_MAX_SIZE eigh, which needs several N x N arrays, never runs.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -26,7 +29,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,10 +57,15 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
 
 
 def require_real(what: str, *values) -> None:
-    """Refuse each value that is not a real number, such as a string, or is a bool."""
+    """Refuse each value that is not a real number, such as a string, or is a bool,
+    and an integer beyond double range, which no float holds, as not finite."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidSpec(f"{what} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise InvalidSpec(f"{what} must be finite, got {value!r}") from None
 
 
 def require_sign(sign) -> int:
@@ -202,6 +210,11 @@ class SparseOperator(Operator):
         radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), self.size)
         return values[diagonal].real, radii, _row_width(rows, self.size)
 
+    def eigh_cost(self) -> int:
+        """N^3 for an H with no nonzero imaginary value, which eigh diagonalises in
+        real arithmetic, else COMPLEX_EIGH_COST N^3."""
+        return self.size ** 3 * (COMPLEX_EIGH_COST if self.values.imag.any() else 1)
+
 
 @dataclass(frozen=True, eq=False)
 class FourierOperator(Operator):
@@ -242,6 +255,11 @@ class FourierOperator(Operator):
         """The energies as centres, zero radii, and log2 N as a row's cost: at N = 256
         and 1024 an FFT term costs 15-31 eigh units of N^3 per N log2 N, a nonzero 32."""
         return self.energies, np.zeros(self.size), max(1, (self.size - 1).bit_length())
+
+    def eigh_cost(self) -> int:
+        """A complex eigh, F being complex, after dense() builds F^dag diag(E) F:
+        (COMPLEX_EIGH_COST + FOURIER_DENSE_COST) N^3."""
+        return self.size ** 3 * (COMPLEX_EIGH_COST + FOURIER_DENSE_COST)
 
 
 def as_operator(h) -> Operator:
@@ -316,18 +334,19 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
 
     The oracle of every approximate path, for a finite t (InvalidSpec
     otherwise) and one state psi of h's dimension (DimensionMismatch
-    otherwise), by the cheaper of two routes, both exact
-    to round-off: a Chebyshev series on h's product (`_chebyshev_evolution`),
-    whose cost grows with one product's and with |t| times h's spectral width,
-    or the eigendecomposition of h.dense(), V (e^{sign i lambda t} * (V^dag psi))
-    at O(N^3), in real arithmetic for an h with no nonzero imaginary entry.
+    otherwise), by the cheaper of two routes, both exact to round-off, as
+    `oracle_gate` prices them: a Chebyshev series on h's product
+    (`_chebyshev_evolution`), whose cost grows with one product's and with |t|
+    times h's spectral width, or the eigendecomposition of h.dense(),
+    V (e^{sign i lambda t} * (V^dag psi)) at O(N^3), in real arithmetic for an h
+    with no nonzero imaginary entry, which never runs above EIGH_MAX_SIZE.
     """
     require_sign(sign)
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
     h = require_hermitian(h)
     psi = as_state(psi, h.size)
-    out = _chebyshev_evolution(h, t, psi, sign, h.size ** 3)
+    out = _chebyshev_evolution(h, t, psi, sign, oracle_gate(h, t))
     if out is not None:
         return out
     h = h.dense()
@@ -346,38 +365,74 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
 # of 7 x 400 terms, five runs): ratio 23-36 at N = 1024 and 23-38 at N = 256,
 # so a term on one nonzero weighs about 32 units of N^3.
 CHEBYSHEV_COST = 32
+# eigh's price in those units, per form (`eigh_cost`).  With one BLAS thread on
+# the same host, against the real eigh of the stencil H (best of 3-7): the complex
+# eigh of the spectral H took 2.4x at N = 256, 4.6x at 512 and 5.3x at 1024
+# (7.1x on random Hermitian matrices at 2048), and building that H's dense()
+# (`systems.spectral_kinetic_matrix`) 0.9-1.0x at N = 256 to 1024.
+COMPLEX_EIGH_COST = 4
+FOURIER_DENSE_COST = 1
+# Above this N eigh never runs and the series always does: a complex eigh took
+# +102 MB and 2.0 s at N = 1024, and +328 MB and 24.6 s at N = 2048.
+EIGH_MAX_SIZE = 1024
 BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
 
-def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, budget: float):
-    """e^{sign i h t} psi by a Chebyshev series, or None where its cost,
-    terms * N * (a row's cost: its nonzeros, or log2 N by FFT) * CHEBYSHEV_COST,
-    exceeds budget (N^3 for the eigendecomposition it replaces).
+class OracleGate(NamedTuple):
+    """The oracle's choice for e^{sign i h t}, made before any product or
+    Bessel coefficient: h's spectrum lies in centre -+ width, the Chebyshev
+    series runs J_0(z), J_1(z), ... with z = |t| width, one term costing
+    `nonzeros` (N times a row's cost: its padded nonzeros, or log2 N by FFT)
+    times CHEBYSHEV_COST, and it runs where its terms cost at most `budget`,
+    h's `eigh_cost()`, or inf above EIGH_MAX_SIZE, where eigh never runs."""
 
-    The spectrum lies in the Gershgorin interval [lo, hi] = c -+ w, read with
-    a row's cost from `h.gershgorin()`, so e^{sign i h t} = e^{sign i c t}
-    e^{i s z X} with X = (h - c) / w, z = |t| w and s = sign * sign(t), and the
-    Jacobi-Anger expansion gives e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z)
-    T_k(X), T_k the Chebyshev polynomials.  Each term is one product with 2X,
-    `h.scaled_product`, made only once the series is affordable: by FFT, or
-    laid out once as a `nonzero_product` on h's nonzeros.
-    """
+    centre: float
+    width: float
+    z: float
+    nonzeros: int
+    budget: float
+
+    def affords(self, terms: float) -> bool:
+        """Whether this many series terms cost no more than the eigh they replace."""
+        return terms * self.nonzeros * CHEBYSHEV_COST <= self.budget
+
+
+def oracle_gate(h, t: float) -> OracleGate:
+    """The oracle's one gate, for both forms of h, in O(nnz) or O(N): the
+    Gershgorin interval [lo, hi] = c -+ w and a row's cost from `h.gershgorin()`,
+    and the eigh it weighs the series against, priced by `h.eigh_cost()`.
+    An empty h has no spectrum: its series is J_0(0) = 1, at no cost."""
     h = as_operator(h)
     n = h.size
     if n == 0:
-        return None
+        return OracleGate(0.0, 0.0, 0.0, 0, 0)
     centres, radii, row_cost = h.gershgorin()
     lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
     pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
     centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
-    z = abs(t) * width
-    nonzeros = row_cost * n  # padded, per term, or their FFT equivalent
-    if not (z + 1) * nonzeros * CHEBYSHEV_COST <= budget:  # more than z terms: spare the Bessel loop
+    budget = math.inf if n > EIGH_MAX_SIZE else h.eigh_cost()
+    return OracleGate(centre, width, abs(t) * width, row_cost * n, budget)
+
+
+def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, gate: OracleGate):
+    """e^{sign i h t} psi by a Chebyshev series, or None where the gate
+    (`oracle_gate(h, t)`) affords fewer than z + 1 terms or its Bessel terms.
+
+    With c, w and z the gate's, e^{sign i h t} = e^{sign i c t} e^{i s z X}
+    with X = (h - c) / w and s = sign * sign(t), and the Jacobi-Anger
+    expansion gives e^{i s z X} = J_0(z) + 2 sum_k (s i)^k J_k(z) T_k(X), T_k
+    the Chebyshev polynomials.  Each term is one product with 2X,
+    `h.scaled_product`, made only once the series is affordable: by FFT, or
+    laid out once as a `nonzero_product` on h's nonzeros.
+    """
+    if not gate.affords(gate.z + 1):  # more than z terms: spare the Bessel loop
         return None
-    bessel = bessel_series(z)
-    if not len(bessel) * nonzeros * CHEBYSHEV_COST <= budget:
+    bessel = bessel_series(gate.z)
+    if not gate.affords(len(bessel)):
         return None
+    h = as_operator(h)
+    centre, width = gate.centre, gate.width
     s = sign if t >= 0 else -sign
     coefficients = 2 * bessel * np.array([1, s * 1j, -1, -s * 1j])[np.arange(len(bessel)) % 4]
     coefficients[0] /= 2

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import stat
+import time
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 
 from qcpusim import (ConfigError, EvolutionSettings, evolve_euler, load_run_config,
                      spectral_norm_upper_bound)
-from qcpusim import evolve, systems
+from qcpusim import cli, evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
 
@@ -563,6 +564,66 @@ def test_free_particle_at_n_2048_builds_no_n_by_n_array(tmp_path, monkeypatch):
     assert summary["method"] == "spectral_momentum" and summary["steps"] == 790
     assert summary["final_fidelity"] >= 1 - 1e-12
     assert peak < 8 * 2**20
+
+
+def free_k11_config(out_dir, total_time):
+    """The free particle at k = 11 (N = 2048), dt 0.5, a centred packet."""
+    data = free_particle_config(out_dir)
+    data["grid"] = {"L": 181.01933598375618, "k": 11, "centered": True}
+    data["evolution"] = {"dt": 0.5, "total_time": total_time}
+    data["initial_state"]["gaussian"]["x0"] = 0.0
+    data["outputs"]["snapshot_every"] = 10**6
+    return data
+
+
+def test_long_free_particle_at_n_2048_runs_the_series_not_eigh(tmp_path, monkeypatch):
+    """At T = 40 (z about 12600) the oracle's series costs more than the real
+    eigh price of N^3, but N = 2048 is above numerics.EIGH_MAX_SIZE: H's
+    dense() (64 MB, then a complex eigh of 17 s and 359 MB) is never built,
+    and the run finishes under 3 s (timed untraced, then run again traced)
+    within an 8 MB traced peak, with the closed form's fidelity to the
+    series' state 1 to 1e-12."""
+    built = []
+
+    def spied_route(system, grid):
+        route = system_route(system, grid)
+        h = route.hamiltonian
+        spy = dataclasses.replace(h, dense=lambda: built.append(h.size) or h.dense())
+        return dataclasses.replace(route, hamiltonian=spy)
+
+    monkeypatch.setattr(cli, "system_route", spied_route)
+    out_dir = tmp_path / "k11"
+    cfg = load_run_config(write_config(tmp_path, free_k11_config(out_dir, 40.0)))
+    started = time.perf_counter()
+    run_simulation(cfg, out_dir)
+    assert time.perf_counter() - started < 3.0
+    tracemalloc.start()
+    try:
+        summary = run_simulation(cfg, out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert summary["method"] == "spectral_momentum" and summary["steps"] == 80
+    assert abs(summary["final_fidelity"] - 1.0) <= 1e-12
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
+def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, capsys, command):
+    """At T = 4000 the k = 11 free particle's oracle would need about 1.3 million
+    series terms, more than config.MAX_STEPS, with no eigh above
+    numerics.EIGH_MAX_SIZE: both commands exit 2 on one `error:` line at once,
+    from the gate's z alone, and create no output directory."""
+    out_dir = tmp_path / "never"
+    config = write_config(tmp_path, free_k11_config(out_dir, 4000.0))
+    started = time.perf_counter()
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        "error: evolution.total_time: the exact oracle would need a Chebyshev series of at least "
+        "1.26331e+06 terms, more than 1048576, as eigh does not run above N = 1024\n")
+    assert not out_dir.exists()
 
 
 def test_simulate_diagnostics_match_evolve_euler(tmp_path):

@@ -36,8 +36,8 @@ from qcpusim import (
 from qcpusim.cli import main
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
-    BESSEL_FLOOR, FourierOperator, SparseOperator, _chebyshev_evolution, as_operator,
-    bessel_series, nonzero_product,
+    BESSEL_FLOOR, CHEBYSHEV_COST, EIGH_MAX_SIZE, FourierOperator, SparseOperator,
+    _chebyshev_evolution, as_operator, bessel_series, nonzero_product, oracle_gate,
 )
 from qcpusim.systems import spectral_evolution, system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -183,8 +183,8 @@ def test_exact_evolution_refuses_a_time_that_is_not_finite(t):
                            GridSpec(length=16.0, qubits=6, centered=True)).hamiltonian
     dense = random_hermitian(np.random.default_rng(5), 4)
     psi = np.ones(64, dtype=complex)
-    assert _chebyshev_evolution(stencil, 0.5, psi, -1, 64**3) is not None
-    assert _chebyshev_evolution(dense, 0.5, psi[:4], -1, 4**3) is None
+    assert _chebyshev_evolution(stencil, 0.5, psi, -1, oracle_gate(stencil, 0.5)) is not None
+    assert _chebyshev_evolution(dense, 0.5, psi[:4], -1, oracle_gate(dense, 0.5)) is None
     for h, state in ((stencil, psi), (dense, psi[:4])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -239,7 +239,7 @@ def test_exact_evolution_diagonalises_real_h_in_real_arithmetic(monkeypatch):
     spectral_h = spectral_kinetic_matrix(g, 0.7)
     psi = np.ones(g.size, dtype=complex)
     for h in (stencil_h, spectral_h):
-        assert _chebyshev_evolution(h, 50.0, psi, -1, g.size ** 3) is None
+        assert _chebyshev_evolution(h, 50.0, psi, -1, oracle_gate(h, 50.0)) is None
     seen = []
     eigh = np.linalg.eigh
 
@@ -259,7 +259,7 @@ def test_exact_evolution_of_real_h_forms_no_complex_propagator():
     g = GridSpec(length=32.0, qubits=8)
     h = kinetic_operator(g, 1.0) + np.diag(np.linspace(0.0, 1.0, g.size))
     psi = np.ones(g.size, dtype=complex)
-    assert _chebyshev_evolution(h, 50.0, psi, -1, g.size ** 3) is None
+    assert _chebyshev_evolution(h, 50.0, psi, -1, oracle_gate(h, 50.0)) is None
     tracemalloc.start()
     try:
         exact_evolution(h, 50.0, psi)
@@ -267,6 +267,29 @@ def test_exact_evolution_of_real_h_forms_no_complex_propagator():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * h.nbytes
+
+
+def test_above_eigh_max_size_the_series_runs_whatever_it_costs(monkeypatch):
+    """At N = 2048, above EIGH_MAX_SIZE, the oracle never calls eigh, even for a
+    real H over a horizon where the series (z = 45000 terms on 3N nonzeros)
+    costs more than the N^3 of a real eigh; its state is the circulant
+    stencil's closed form, e^{-i fft(c) t} in the Fourier basis."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran above EIGH_MAX_SIZE")
+
+    g = GridSpec(length=2048.0, qubits=11)
+    h = system_route(SystemSpec(kind="grid_schrodinger", mu=1.0,
+                                potential=PotentialSpec(form="constant", value=0.0)), g).hamiltonian
+    t = 45000.0 / oracle_gate(h, 1.0).width
+    gate = oracle_gate(h, t)
+    assert g.size > EIGH_MAX_SIZE and gate.budget == math.inf
+    assert (gate.z + 1) * gate.nonzeros * CHEBYSHEV_COST > g.size ** 3 == h.eigh_cost()
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    psi = np.exp(-(g.points - 1024.0) ** 2 / 1600.0 + 0.5j * g.points)
+    energies = np.fft.fft(h.matvec(np.eye(1, g.size, 0, dtype=complex)[0])).real
+    closed_form = np.fft.ifft(np.exp(-1j * energies * t) * np.fft.fft(psi))
+    assert np.max(np.abs(exact_evolution(h, t, psi) - closed_form)) < 1e-9
 
 
 @settings(max_examples=80, deadline=None)
@@ -666,7 +689,7 @@ def test_chebyshev_series_matches_eigh(case):
     eigenvalues, v = np.linalg.eigh(h)
     propagator = (v * np.exp(1j * sign * eigenvalues * t)) @ v.conj().T
     for psi in columns.T:
-        out = _chebyshev_evolution(h, t, psi, sign, math.inf)
+        out = _chebyshev_evolution(h, t, psi, sign, oracle_gate(h, t)._replace(budget=math.inf))
         assert np.max(np.abs(out - propagator @ psi)) < 1e-12
 
 
@@ -719,10 +742,10 @@ FREE_STREAM = {
 
 
 def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
-    """The grid kind at k = 8 and the free particle at k = 10 run the oracle
-    as a Chebyshev series; the README configs, the spectral H as a matrix, an
-    oscillator at t * ||H|| about 1e5, and the free particle in the `stream`
-    workload's shape and its self-test's take eigh."""
+    """The grid kind at k = 8, the free particle in the `stream` workload's
+    shape and at k = 10 run the oracle as a Chebyshev series; the README
+    configs, the spectral H as a matrix, an oscillator at t * ||H|| about 1e5,
+    and the free particle in the `stream` self-test's shape take eigh."""
     calls = _count_eigh(monkeypatch)
     grid_k8 = json.loads(json.dumps(README_GRID))
     grid_k8["grid"]["k"] = 8
@@ -740,17 +763,20 @@ def test_oracle_branch_follows_the_cost_inequality(tmp_path, monkeypatch):
     harmonic["outputs"]["snapshot_every"] = 1000
     _simulate(tmp_path, harmonic, "harmonic")
     assert calls[-1] == (64, 64) and len(calls) == 4
-    # z = 2 * 158 = 316: over the N^2 / (32 log2 N) - 1 = 255 terms eigh affords
+    # z = 2 * 158 = 316: within the 5 N^2 / (32 log2 N) = 1280 terms that a complex
+    # eigh, after building the dense F^dag diag(E) F, affords
     _simulate(tmp_path, FREE_STREAM, "stream")
+    assert len(calls) == 4
+    # z = 2.5, but its 22 Bessel terms cost 11 units of N^3 at N = 16, over 5
     tiny = json.loads(json.dumps(FREE_STREAM))
     tiny["grid"], tiny["evolution"] = {"L": 8.0, "k": 4}, {"dt": 0.0625, "total_time": 0.25}
     _simulate(tmp_path, tiny, "stream_tiny")
-    assert calls[4:] == [(256, 256), (16, 16)]
+    assert calls[4:] == [(16, 16)]
     free_k10 = json.loads(json.dumps(FREE_STREAM))
     free_k10["grid"] = {"L": 128.0, "k": 10}
     free_k10["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.0625}
     _simulate(tmp_path, free_k10, "free_k10")
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 @st.composite
@@ -792,7 +818,8 @@ def test_fourier_operator_matches_the_dense_spectral_h(case):
         <= 1e-12 * 2 * scale / width
     reference = v @ (np.exp(1j * sign * eigenvalues * t) * (v.conj().T @ psi))
     closed_form = spectral_evolution(grid, system.mu, t, psi, sign, u)
-    for out in (exact_evolution(op, t, psi, sign), _chebyshev_evolution(op, t, psi, sign, math.inf)):
+    series = _chebyshev_evolution(op, t, psi, sign, oracle_gate(op, t)._replace(budget=math.inf))
+    for out in (exact_evolution(op, t, psi, sign), series):
         assert np.max(np.abs(out - reference)) <= 1e-12
         assert np.max(np.abs(out - closed_form)) <= 1e-12
 

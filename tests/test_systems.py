@@ -42,7 +42,7 @@ from qcpusim import (
     spectral_momentum_values,
 )
 from qcpusim.numerics import (
-    _chebyshev_evolution, as_operator, hermiticity_defect, spectral_norm_upper_bound,
+    _chebyshev_evolution, as_operator, hermiticity_defect, oracle_gate, spectral_norm_upper_bound,
 )
 from qcpusim.systems import (
     POTENTIAL_PARAMETER, SYSTEM_PARAMETERS, _free_energies, system_route,
@@ -199,6 +199,30 @@ def test_potential_spec_rejects_non_real_parameters(form, params, message):
     with pytest.raises(InvalidSpec) as info:
         PotentialSpec(form=form, **params)
     assert str(info.value) == message
+
+
+HUGE = 10 ** 400  # an int that no double holds: float() raises OverflowError
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: GridSpec(length=HUGE, qubits=4), "box length"),
+    (lambda: EvolutionConfig(dt=HUGE, total_time=1.0), "dt"),
+    (lambda: EvolutionConfig(dt=0.5, total_time=HUGE), "total_time"),
+    (lambda: SystemSpec(kind="free_particle", mu=HUGE), "system parameter 'mu'"),
+    (lambda: SystemSpec(kind="constant_field", mu=1.0, u=HUGE), "system parameter 'u'"),
+    (lambda: SystemSpec(kind="harmonic", omega=HUGE), "system parameter 'omega'"),
+    (lambda: PotentialSpec(form="quadratic", coefficient=HUGE), "potential parameter 'coefficient'"),
+    (lambda: PotentialSpec(form="linear", slope=HUGE), "potential parameter 'slope'"),
+    (lambda: PotentialSpec(form="constant", value=HUGE), "potential parameter 'value'"),
+    (lambda: PotentialSpec(form="table", values=(1.0, HUGE)), "potential parameter 'values' entry"),
+], ids=["grid-length", "dt", "total_time", "mu", "u", "omega", "coefficient", "slope", "value",
+        "table-entry"])
+def test_an_integer_beyond_double_range_is_refused_as_not_finite(build, what):
+    """Each constructor refuses such an int as the parser does, `must be
+    finite`, where it raised a bare OverflowError from float() or math.isfinite."""
+    with pytest.raises(InvalidSpec) as info:
+        build()
+    assert str(info.value) == f"{what} must be finite, got {HUGE!r}"
 
 
 def test_specs_accept_numpy_reals():
@@ -698,6 +722,6 @@ def test_route_nonzeros_match_their_dense_form(case, t, sign, seed):
     assert spectral_norm_upper_bound(op) == spectral_norm_upper_bound(h)
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    series = [_chebyshev_evolution(m, t, psi, sign, grid.size ** 3) is not None for m in (op, h)]
+    series = [_chebyshev_evolution(m, t, psi, sign, oracle_gate(m, t)) is not None for m in (op, h)]
     assert series[0] == series[1]
     assert exact_evolution(op, t, psi, sign).tobytes() == exact_evolution(h, t, psi, sign).tobytes()
