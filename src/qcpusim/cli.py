@@ -97,13 +97,14 @@ def _resolve_out_dir(configured: str) -> Path:
 def _require_oracle_within_max_steps(h, t: float) -> None:
     """Refuse, before the lock, a run whose exact oracle would take a Chebyshev
     series of more than MAX_STEPS terms (at least z + 1, read from the oracle's
-    gate, so no Bessel loop runs): only above numerics.EIGH_MAX_SIZE, where no
-    eigh stands in.  An H that is not finite is left to the oracle's checks."""
+    gate, so no Bessel loop runs): only for a complex H above
+    numerics.EIGH_MAX_SIZE, whose eigh never runs and whose gate's budget is
+    inf.  An H that is not finite is left to the oracle's checks."""
     gate = oracle_gate(h, t)
-    if gate.affords(gate.z + 1) and MAX_STEPS < gate.z + 1 < math.inf:
+    if gate.budget == math.inf and MAX_STEPS < gate.z + 1 < math.inf:
         raise ConfigError("evolution.total_time", f"the exact oracle would need a Chebyshev series "
-                          f"of at least {gate.z + 1:.6g} terms, more than {MAX_STEPS}, as eigh does "
-                          f"not run above N = {EIGH_MAX_SIZE}")
+                          f"of at least {gate.z + 1:.6g} terms, more than {MAX_STEPS}, as a complex "
+                          f"eigh does not run above N = {EIGH_MAX_SIZE}")
 
 
 @contextmanager

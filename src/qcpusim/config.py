@@ -36,9 +36,9 @@ from .systems import (
 _SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
 # Every parameter some system kind takes, in table order.
 _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() for key in keys))
-# N = 2**k.  Only the oracle's eigh, on H's dense form, builds an N x N array, and
-# never above numerics.EIGH_MAX_SIZE (k = 10): every run path at k = 11 is O(nnz)
-# or O(N log N) a product.
+# N = 2**k.  Only the oracle's eigh, on H's dense form, builds an N x N array: at
+# k = 11 a real one of 32 MB, as a complex eigh never runs above
+# numerics.EIGH_MAX_SIZE (k = 10); beyond, not laptop-scale.
 MAX_GRID_QUBITS = 11
 # The most steps a run may take: over 1000 times the longest workload's 896.
 MAX_STEPS = 2**20

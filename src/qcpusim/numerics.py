@@ -8,8 +8,9 @@ gives its Hermiticity defect, norm bound and `gershgorin()` data (each row's
 centre and radius and the cost of a row in a product) in O(nnz) or O(N),
 and `dense()`, built once, for the references and eigh, and what that eigh
 costs (`eigh_cost()`: a real or a complex eigh, the Fourier form's after
-building F^dag diag(E) F).  Their base class `Operator` writes the algebra
-once over either form's data: the product (`matvec`), laid out once, the
+building F^dag diag(E) F, or inf for a complex one above EIGH_MAX_SIZE).
+Their base class `Operator` writes the algebra once over either form's
+data: the product (`matvec`), laid out once, the
 oracle's product with 2 (H - c) / w, alpha I + beta H (`affine`), so an
 Euler step I + a H costs O(nnz) or two FFTs a product, and the networks'
 sum rule (`+`).  States are complex vectors.
@@ -18,7 +19,8 @@ multiplies a state by them, bit for bit as a bincount of the terms would
 sum them.  The oracle applies e^{sign i H t} to a state by a Chebyshev
 series on that product (Tal-Ezer & Kosloff 1984) or by eigh, whichever one
 gate (`oracle_gate`) finds cheaper at each form's own eigh price; above
-EIGH_MAX_SIZE eigh, which needs several N x N arrays, never runs.
+EIGH_MAX_SIZE a complex eigh, which needs several complex N x N arrays, never
+runs.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -210,10 +212,12 @@ class SparseOperator(Operator):
         radii = np.bincount(rows, np.abs(np.where(diagonal, 0.0, values)), self.size)
         return values[diagonal].real, radii, _row_width(rows, self.size)
 
-    def eigh_cost(self) -> int:
+    def eigh_cost(self) -> float:
         """N^3 for an H with no nonzero imaginary value, which eigh diagonalises in
-        real arithmetic, else COMPLEX_EIGH_COST N^3."""
-        return self.size ** 3 * (COMPLEX_EIGH_COST if self.values.imag.any() else 1)
+        real arithmetic, else a complex eigh's COMPLEX_EIGH_COST N^3."""
+        if not self.values.imag.any():
+            return self.size ** 3
+        return _complex_eigh_cost(self.size, COMPLEX_EIGH_COST)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +260,15 @@ class FourierOperator(Operator):
         and 1024 an FFT term costs 15-31 eigh units of N^3 per N log2 N, a nonzero 32."""
         return self.energies, np.zeros(self.size), max(1, (self.size - 1).bit_length())
 
-    def eigh_cost(self) -> int:
+    def eigh_cost(self) -> float:
         """A complex eigh, F being complex, after dense() builds F^dag diag(E) F:
         (COMPLEX_EIGH_COST + FOURIER_DENSE_COST) N^3."""
-        return self.size ** 3 * (COMPLEX_EIGH_COST + FOURIER_DENSE_COST)
+        return _complex_eigh_cost(self.size, COMPLEX_EIGH_COST + FOURIER_DENSE_COST)
+
+
+def _complex_eigh_cost(n: int, units: int) -> float:
+    """units N^3, or inf above EIGH_MAX_SIZE, where a complex eigh never runs."""
+    return math.inf if n > EIGH_MAX_SIZE else units * n ** 3
 
 
 def as_operator(h) -> Operator:
@@ -339,7 +348,8 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     (`_chebyshev_evolution`), whose cost grows with one product's and with |t|
     times h's spectral width, or the eigendecomposition of h.dense(),
     V (e^{sign i lambda t} * (V^dag psi)) at O(N^3), in real arithmetic for an h
-    with no nonzero imaginary entry, which never runs above EIGH_MAX_SIZE.
+    with no nonzero imaginary entry; a complex one never runs above
+    EIGH_MAX_SIZE.
     """
     require_sign(sign)
     if not math.isfinite(t):
@@ -372,8 +382,11 @@ CHEBYSHEV_COST = 32
 # (`systems.spectral_kinetic_matrix`) 0.9-1.0x at N = 256 to 1024.
 COMPLEX_EIGH_COST = 4
 FOURIER_DENSE_COST = 1
-# Above this N eigh never runs and the series always does: a complex eigh took
-# +102 MB and 2.0 s at N = 1024, and +328 MB and 24.6 s at N = 2048.
+# Above this N a complex eigh never runs and the series always does: it took
+# +102 MB and 2.0 s at N = 1024, and +328 MB and 24.6 s at N = 2048.  A real
+# eigh still runs there where it is cheaper, as the grid kind's and the
+# oscillator's at k = 11 over long horizons: 1.7-2.5 s and +163-197 MB at
+# N = 2048 (their dense() and the real eigh, one BLAS thread).
 EIGH_MAX_SIZE = 1024
 BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
@@ -385,7 +398,7 @@ class OracleGate(NamedTuple):
     series runs J_0(z), J_1(z), ... with z = |t| width, one term costing
     `nonzeros` (N times a row's cost: its padded nonzeros, or log2 N by FFT)
     times CHEBYSHEV_COST, and it runs where its terms cost at most `budget`,
-    h's `eigh_cost()`, or inf above EIGH_MAX_SIZE, where eigh never runs."""
+    h's `eigh_cost()`: inf for a complex h above EIGH_MAX_SIZE."""
 
     centre: float
     width: float
@@ -411,8 +424,7 @@ def oracle_gate(h, t: float) -> OracleGate:
     lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
     pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
     centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
-    budget = math.inf if n > EIGH_MAX_SIZE else h.eigh_cost()
-    return OracleGate(centre, width, abs(t) * width, row_cost * n, budget)
+    return OracleGate(centre, width, abs(t) * width, row_cost * n, h.eigh_cost())
 
 
 def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, gate: OracleGate):

@@ -340,9 +340,9 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     form.  The grid kind: the shift-stencil kinetic nonzeros plus the potential
     on the diagonal, built in O(N), stepped by Euler.  The free particle and
     constant field: the mode energies E + u by FFT (`spectral_evolution`).
-    Each dense(), built only for eigh (at N <= numerics.EIGH_MAX_SIZE) and the
-    references, is `np.diag(energies)`, `grid.kinetic_operator` plus diag(V),
-    or `spectral_kinetic_matrix` plus u."""
+    Each dense(), built only for eigh (the spectral kinds' complex one at
+    N <= numerics.EIGH_MAX_SIZE) and the references, is `np.diag(energies)`,
+    `grid.kinetic_operator` plus diag(V), or `spectral_kinetic_matrix` plus u."""
     n = grid.size
     if system.kind == "harmonic":
         energies = harmonic_energies(system.omega, n)

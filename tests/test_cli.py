@@ -577,12 +577,12 @@ def free_k11_config(out_dir, total_time):
 
 
 def test_long_free_particle_at_n_2048_runs_the_series_not_eigh(tmp_path, monkeypatch):
-    """At T = 40 (z about 12600) the oracle's series costs more than the real
-    eigh price of N^3, but N = 2048 is above numerics.EIGH_MAX_SIZE: H's
-    dense() (64 MB, then a complex eigh of 17 s and 359 MB) is never built,
-    and the run finishes under 3 s (timed untraced, then run again traced)
-    within an 8 MB traced peak, with the closed form's fidelity to the
-    series' state 1 to 1e-12."""
+    """At T = 40 (z about 12600) the oracle's series costs more than a real
+    eigh's N^3 but less than the complex eigh after dense() that H, a
+    FourierOperator, would take: its dense() (64 MB, then a complex eigh of
+    17 s and 359 MB) is never built, and the run finishes under 3 s (timed
+    untraced, then run again traced) within an 8 MB traced peak, with the
+    closed form's fidelity to the series' state 1 to 1e-12."""
     built = []
 
     def spied_route(system, grid):
@@ -612,7 +612,7 @@ def test_long_free_particle_at_n_2048_runs_the_series_not_eigh(tmp_path, monkeyp
 @pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
 def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, capsys, command):
     """At T = 4000 the k = 11 free particle's oracle would need about 1.3 million
-    series terms, more than config.MAX_STEPS, with no eigh above
+    series terms, more than config.MAX_STEPS, with no complex eigh above
     numerics.EIGH_MAX_SIZE: both commands exit 2 on one `error:` line at once,
     from the gate's z alone, and create no output directory."""
     out_dir = tmp_path / "never"
@@ -622,8 +622,32 @@ def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, ca
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err == (
         "error: evolution.total_time: the exact oracle would need a Chebyshev series of at least "
-        "1.26331e+06 terms, more than 1048576, as eigh does not run above N = 1024\n")
+        "1.26331e+06 terms, more than 1048576, as a complex eigh does not run above N = 1024\n")
     assert not out_dir.exists()
+
+
+def test_long_harmonic_at_n_2048_keeps_its_real_eigh(tmp_path, monkeypatch):
+    """The oscillator's H is real: above numerics.EIGH_MAX_SIZE its eigh keeps
+    its N^3 price, so at k = 11 and T = 1100, where the series would need 1.1
+    million terms (over config.MAX_STEPS), `simulate` runs its 1100 steps and
+    the oracle takes one real eigh of the 2048 x 2048 H, as it always has."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spied_eigh(a):
+        calls.append((a.shape, a.dtype))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spied_eigh)
+    out_dir = tmp_path / "k11"
+    data = harmonic_config(out_dir, snapshot_every=10**6)
+    data["grid"] = {"L": 16.0, "k": 11}
+    data["evolution"] = {"dt": 1.0, "total_time": 1100.0}
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert calls == [((2048, 2048), np.float64)]
+    assert summary["steps"] == 1100
+    assert abs(summary["final_fidelity"] - 1.0) <= 1e-12
 
 
 def test_simulate_diagnostics_match_evolve_euler(tmp_path):

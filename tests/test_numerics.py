@@ -1,5 +1,6 @@
 """Tests for the dense linear-algebra substrate."""
 
+import dataclasses
 import json
 import math
 import re
@@ -36,8 +37,9 @@ from qcpusim import (
 from qcpusim.cli import main
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
-    BESSEL_FLOOR, CHEBYSHEV_COST, EIGH_MAX_SIZE, FourierOperator, SparseOperator,
-    _chebyshev_evolution, as_operator, bessel_series, nonzero_product, oracle_gate,
+    BESSEL_FLOOR, CHEBYSHEV_COST, COMPLEX_EIGH_COST, EIGH_MAX_SIZE, FOURIER_DENSE_COST,
+    FourierOperator, SparseOperator, _chebyshev_evolution, as_operator, bessel_series,
+    nonzero_product, oracle_gate,
 )
 from qcpusim.systems import spectral_evolution, system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -269,27 +271,45 @@ def test_exact_evolution_of_real_h_forms_no_complex_propagator():
     assert peak < 2.5 * h.nbytes
 
 
-def test_above_eigh_max_size_the_series_runs_whatever_it_costs(monkeypatch):
-    """At N = 2048, above EIGH_MAX_SIZE, the oracle never calls eigh, even for a
-    real H over a horizon where the series (z = 45000 terms on 3N nonzeros)
-    costs more than the N^3 of a real eigh; its state is the circulant
-    stencil's closed form, e^{-i fft(c) t} in the Fourier basis."""
+def test_above_eigh_max_size_a_complex_h_runs_the_series_whatever_it_costs(monkeypatch):
+    """At N = 2048, above EIGH_MAX_SIZE, a complex eigh is priced at inf: the
+    free particle's FourierOperator takes its series (z = 60000 terms) over a
+    horizon where it costs more than the 5 N^3 its eigh would cost below the
+    ceiling, and eigh is never called; its state is the closed form
+    F^dag e^{-i E t} F psi."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigh ran above EIGH_MAX_SIZE")
+        raise AssertionError("a complex eigh ran above EIGH_MAX_SIZE")
 
+    g = GridSpec(length=2048.0, qubits=11)
+    h = system_route(SystemSpec(kind="free_particle", mu=1.0), g).hamiltonian
+    t = 60000.0 / oracle_gate(h, 1.0).width
+    gate = oracle_gate(h, t)
+    assert g.size > EIGH_MAX_SIZE and h.eigh_cost() == gate.budget == math.inf
+    below_ceiling = (COMPLEX_EIGH_COST + FOURIER_DENSE_COST) * g.size ** 3
+    assert (gate.z + 1) * gate.nonzeros * CHEBYSHEV_COST > below_ceiling
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    psi = np.exp(-(g.points - 1024.0) ** 2 / 1600.0 + 0.5j * g.points)
+    closed_form = np.fft.fft(np.exp(-1j * h.energies * t) * np.fft.ifft(psi, norm="ortho"),
+                             norm="ortho")
+    assert np.max(np.abs(exact_evolution(h, t, psi) - closed_form)) < 1e-9
+
+
+def test_above_eigh_max_size_only_a_real_h_keeps_its_eigh_price():
+    """At N = 2048 the grid kind's real stencil keeps the N^3 price of a real
+    eigh, which stands in for its series over a long horizon as below the
+    ceiling, while the same stencil with a Peierls phase on its hopping, a
+    complex Hermitian H, is priced at inf."""
     g = GridSpec(length=2048.0, qubits=11)
     h = system_route(SystemSpec(kind="grid_schrodinger", mu=1.0,
                                 potential=PotentialSpec(form="constant", value=0.0)), g).hamiltonian
-    t = 45000.0 / oracle_gate(h, 1.0).width
-    gate = oracle_gate(h, t)
-    assert g.size > EIGH_MAX_SIZE and gate.budget == math.inf
-    assert (gate.z + 1) * gate.nonzeros * CHEBYSHEV_COST > g.size ** 3 == h.eigh_cost()
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    psi = np.exp(-(g.points - 1024.0) ** 2 / 1600.0 + 0.5j * g.points)
-    energies = np.fft.fft(h.matvec(np.eye(1, g.size, 0, dtype=complex)[0])).real
-    closed_form = np.fft.ifft(np.exp(-1j * energies * t) * np.fft.fft(psi))
-    assert np.max(np.abs(exact_evolution(h, t, psi) - closed_form)) < 1e-9
+    gate = oracle_gate(h, 45000.0 / oracle_gate(h, 1.0).width)
+    assert h.eigh_cost() == gate.budget == g.size ** 3
+    assert not gate.affords(gate.z + 1)
+    phases = np.exp(0.3j * np.sign(h.cols - h.rows))
+    phased = dataclasses.replace(h, values=h.values * phases)
+    assert phased.defect == 0.0
+    assert phased.eigh_cost() == oracle_gate(phased, 1.0).budget == math.inf
 
 
 @settings(max_examples=80, deadline=None)
