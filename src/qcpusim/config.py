@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
+from .numerics import shown
 from .systems import (
     POTENTIAL_PARAMETER,
     SYSTEM_PARAMETERS,
@@ -61,7 +63,7 @@ def _as_number(value, field: str) -> float:
     except OverflowError:  # an integer beyond double range
         out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(field, f"must be finite, got {value!r}")
+        raise ConfigError(field, f"must be finite, got {shown(value)}")
     return out
 
 
@@ -114,7 +116,7 @@ class EvolutionSettings:
                     raise ConfigError(f"evolution.{key}", f"must be positive, got {value}")
         sign = _as_int(self.sign, "evolution.sign")
         if sign not in (1, -1):
-            raise ConfigError("evolution.sign", f"must be 1 or -1, got {sign!r}")
+            raise ConfigError("evolution.sign", f"must be 1 or -1, got {shown(sign)}")
         if self.dt is not None:
             self._check_steps(self.total_time / self.dt)
             try:
@@ -195,7 +197,7 @@ class InitialStateSpec:
             if not (0 <= self.basis_state < grid.size):
                 raise ConfigError(
                     "initial_state.basis_state",
-                    f"index {self.basis_state} outside grid of {grid.size} points",
+                    f"index {shown(self.basis_state)} outside grid of {grid.size} points",
                 )
             state = np.zeros(grid.size, dtype=complex)
             state[self.basis_state] = 1.0
@@ -225,7 +227,8 @@ class OutputSpec:
             raise ConfigError("outputs.directory",
                               f"expected a nonempty path, got {self.directory!r}")
         if _as_int(self.snapshot_every, "outputs.snapshot_every") < 1:
-            raise ConfigError("outputs.snapshot_every", f"must be >= 1, got {self.snapshot_every}")
+            raise ConfigError("outputs.snapshot_every",
+                              f"must be >= 1, got {shown(self.snapshot_every)}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +241,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.grid.qubits > MAX_GRID_QUBITS:
-            raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, got {self.grid.qubits}")
+            raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, "
+                                        f"got {shown(self.grid.qubits)}")
         if self.system.potential is not None:
             try:
                 self.system.potential.values_on(self.grid)
@@ -355,4 +359,7 @@ def load_run_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                                       f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than Python reads
+        raise ConfigError("<config>", f"holds an integer of more than "
+                                      f"{sys.get_int_max_str_digits()} digits") from exc
     return parse_run_config(data)

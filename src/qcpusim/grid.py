@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteValue,
     NumericalFailure,
 )
-from .numerics import as_state, nonzero_product, require_mass, require_real, tensor
+from .numerics import as_state, nonzero_product, require_mass, require_real, shown, tensor
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class GridSpec:
         if not isinstance(self.qubits, int) or isinstance(self.qubits, bool):
             raise InvalidSpec(f"qubit count must be an integer, got {self.qubits!r}")
         if self.qubits < 1:
-            raise InvalidSpec(f"qubit count must be >= 1, got {self.qubits}")
+            raise InvalidSpec(f"qubit count must be >= 1, got {shown(self.qubits)}")
         if not isinstance(self.centered, bool):
             raise InvalidSpec(f"centered must be True or False, got {self.centered!r}")
         require_real("box length", self.length)

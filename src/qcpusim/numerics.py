@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, NamedTuple
@@ -58,6 +59,17 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     return out
 
 
+def shown(value) -> str:
+    """repr(value), or for an int of more digits than Python prints
+    (sys.get_int_max_str_digits(), 4300 by default) a count of its digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not isinstance(value, int) or not limit or abs(value).bit_length() <= 3 * limit:
+        return repr(value)  # below 2**(3 limit) < 10**limit
+    digits = int(abs(value).bit_length() * math.log10(2))  # the count, or one less
+    digits += abs(value) >= 10 ** digits
+    return f"an integer of {digits} digits" if digits > limit else repr(value)
+
+
 def require_real(what: str, *values) -> None:
     """Refuse each value that is not a real number, such as a string, or is a bool,
     and an integer beyond double range, which no float holds, as not finite."""
@@ -67,7 +79,7 @@ def require_real(what: str, *values) -> None:
         try:
             float(value)
         except OverflowError:
-            raise InvalidSpec(f"{what} must be finite, got {value!r}") from None
+            raise InvalidSpec(f"{what} must be finite, got {shown(value)}") from None
 
 
 def require_sign(sign) -> int:

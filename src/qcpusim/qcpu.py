@@ -26,7 +26,12 @@ apply_network multiplies a state by the blocks right to left, each by its
 block's input as the connector does; the blocks' left-to-right N x N
 product is formed only when .payload is read.
 Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
-(the identity suite and the tests), which keep the literal chain.
+(the identity suite and the tests), which keep the literal chain, and from
+dense_from_factors, the factors' product in a given order.  A factor only
+adds u times an odd column to an even one, so that product runs in rounds,
+one per rank of a factor among those on its column: each round updates
+distinct columns in one array operation, and each column takes its sums in
+the given order, bit for bit the one-factor-at-a-time product.
 identity_suite checks this algebra on seeded random payloads: the closed
 form, factor order, sum and product rules, block extraction, feeding and
 projecting a state, and the auxiliary ladder pair.
@@ -101,7 +106,8 @@ class QcpuNetwork:
     matrix block a `SparseOperator` on its nonzeros (`as_operator`), so a
     later write to the caller's matrix changes nothing here; it refuses an
     empty tuple or blocks on registers of different dims.  `payload`,
-    `factors` and `dense()` read the blocks' dense(), for the references only.
+    `nonzeros`, `factors` and `dense()` read the blocks' dense(), for the
+    references only.
     """
 
     blocks: tuple[Operator, ...]
@@ -126,11 +132,16 @@ class QcpuNetwork:
         return reduce(np.matmul, (block.dense() for block in self.blocks))
 
     @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The payload's nonzero entries in row-major order: rows, columns, values."""
+        rows, cols = np.nonzero(self.payload)
+        return rows, cols, self.payload[rows, cols]
+
+    @cached_property
     def factors(self) -> tuple[QcpuFactor, ...]:
         """One factor per nonzero payload entry, in row-major order."""
-        rows, cols = np.nonzero(self.payload)
-        return tuple(QcpuFactor(m=int(m), n=int(n), u=complex(self.payload[m, n]))
-                     for m, n in zip(rows, cols))
+        return tuple(QcpuFactor(m=int(m), n=int(n), u=complex(u))
+                     for m, n, u in zip(*self.nonzeros))
 
     def dense(self) -> np.ndarray:
         """Closed form I (x) I + payload (x) |1><0| by direct block assembly."""
@@ -150,21 +161,39 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
 
     Any order yields the same matrix: cross terms between factors vanish
     because they contain the squared auxiliary raising operator.  Each
-    right-multiplication by I + u * E[2m+1, 2n] is done as the column
-    update it is, adding u times column 2m+1 to column 2n; factor_matrix
-    stays the dense reference for one factor.  An order that is not a
-    permutation of the factor indices, integers all, is refused.
+    right-multiplication by I + u * E[2m+1, 2n] is the column update it is,
+    adding u times column 2m+1 to column 2n; factor_matrix stays the dense
+    reference for one factor.  Factors read odd columns and write even ones
+    only, so the updates run in rounds: a factor's rank is its place among
+    the factors on its column, in the given order, and one round updates
+    every column that has a factor of its rank at once, as one gather,
+    multiply and add on the product held transposed.  Each entry takes the
+    same products, and each column its sums in the same order, as one factor
+    at a time would give, so the result is the same bit for bit.  An order
+    that is not a permutation of the factor indices, integers all, is refused.
     """
-    count = len(net.factors)
-    indices = range(count) if order is None else np.asarray(order)
-    if order is not None and (indices.size and indices.dtype.kind not in "iu"
-                              or not np.array_equal(np.sort(indices), np.arange(count))):
-        raise IndexOutOfRange(f"factor order must be a permutation of range({count})")
-    out = np.eye(2 * net.register_dim, dtype=complex)
-    for i in indices:
-        f = net.factors[i]
-        out[:, 2 * f.n] += f.u * out[:, 2 * f.m + 1]
-    return out
+    rows, cols, values = net.nonzeros
+    count = rows.size
+    if order is not None:
+        indices = np.asarray(order)
+        if (indices.size and indices.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(indices), np.arange(count))):
+            raise IndexOutOfRange(f"factor order must be a permutation of range({count})")
+        indices = indices.astype(np.intp)  # an empty list arrives as floats
+        rows, cols, values = rows[indices], cols[indices], values[indices]
+    # A factor's rank is its place among the factors on its column, in order.
+    by_column = np.argsort(cols, kind="stable")
+    sorted_cols = cols[by_column]
+    rank = np.empty(count, dtype=np.intp)
+    rank[by_column] = np.arange(count) - np.searchsorted(sorted_cols, sorted_cols)
+    # Round r is the slice bounds[r]:bounds[r + 1] of the factors sorted by rank.
+    by_rank = np.argsort(rank, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
+    targets, sources, values = 2 * cols[by_rank], 2 * rows[by_rank] + 1, values[by_rank, None]
+    t = np.eye(2 * net.register_dim, dtype=complex)  # t[c] is column c of the product
+    for start, stop in zip(bounds[:-1], bounds[1:]):  # one round per rank
+        t[targets[start:stop]] += values[start:stop] * t[sources[start:stop]]
+    return t.T.copy()
 
 
 def apply_network(net: QcpuNetwork, register_state) -> np.ndarray:
@@ -268,7 +297,7 @@ def identity_suite(seed: int, dim: int) -> dict:
     for _ in range(2):
         net = build_network(_random_payload(rng, dim))
         for _ in range(3):
-            order = rng.permutation(len(net.factors))
+            order = rng.permutation(np.count_nonzero(net.payload))
             record("factor_orders", dense_from_factors(net, order), net.dense())
 
     for _ in range(3):

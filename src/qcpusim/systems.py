@@ -39,7 +39,7 @@ from .errors import (
 from .evolve import EvolutionConfig, euler_states
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
 from .numerics import (FourierOperator, Operator, SparseOperator, as_state, require_frequency,
-                       require_mass, require_real, require_sign)
+                       require_mass, require_real, require_sign, shown)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -290,7 +290,7 @@ def harmonic_energies(omega: float, levels: int) -> np.ndarray:
 def harmonic_network(omega: float, qubits: int, t: float, sign: int = -1) -> QcpuNetwork:
     """Oscillator evolution in its energy eigenbasis, truncated at 2**qubits levels."""
     if not isinstance(qubits, int) or isinstance(qubits, bool) or qubits < 1:
-        raise InvalidSpec(f"qubit count must be a positive integer, got {qubits!r}")
+        raise InvalidSpec(f"qubit count must be a positive integer, got {shown(qubits)}")
     return diagonal_phase_network(harmonic_energies(omega, 2 ** qubits), t, sign)
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import stat
+import sys
 import time
 import tracemalloc
 
@@ -451,6 +452,20 @@ def test_spectrum_at_a_huge_mass_keeps_the_kinetic_scale(tmp_path):
     expected = 2.0 * (16.0 / 1e-150) ** 2 / 8.0 / 1e308 * (1.0 - math.cos(math.pi / 4.0))
     assert float(row["kinetic_analytic"]) == pytest.approx(expected, rel=1e-12)
     assert float(row["kinetic_numeric"]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
+def test_an_integer_too_long_to_read_is_a_config_error(tmp_path, capsys, command):
+    """json.loads refuses an int of more digits than Python converts; that
+    ValueError once left simulate on a traceback and exit 1."""
+    out_dir = tmp_path / "never"
+    text = json.dumps(free_particle_config(out_dir)).replace('"mu": 1.0', '"mu": 1' + "0" * 5000)
+    config = tmp_path / "run.json"
+    config.write_text(text)
+    assert main([*command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: <config>: holds an integer of more than {sys.get_int_max_str_digits()} digits\n")
+    assert not out_dir.exists()
 
 
 def test_simulate_missing_config_exit_2(tmp_path):

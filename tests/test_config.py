@@ -165,6 +165,25 @@ def test_system_potential_rejects_unknown_keys():
         parse_run_config(data)
 
 
+@pytest.mark.parametrize("section, key, value, line", [
+    ("system", "omega", 10 ** 5000, "system.omega: must be finite, got an integer of 5001 digits"),
+    ("grid", "k", 10 ** 5000, "grid.k: must be at most 11, got an integer of 5001 digits"),
+    ("evolution", "sign", 10 ** 5000,
+     "evolution.sign: must be 1 or -1, got an integer of 5001 digits"),
+    ("outputs", "snapshot_every", -10 ** 5000,
+     "outputs.snapshot_every: must be >= 1, got an integer of 5001 digits"),
+    ("initial_state", "basis_state", 10 ** 5000,
+     "initial_state.basis_state: index an integer of 5001 digits outside grid of 16 points"),
+], ids=["omega", "k", "sign", "snapshot_every", "basis_state"])
+def test_an_integer_too_long_to_print_is_named_by_its_digits(section, key, value, line):
+    """An in-memory config may hold an int that repr cannot print."""
+    data = base_config()
+    data[section][key] = value
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(data).initial_state.build(GridSpec(length=16.0, qubits=4))
+    assert str(info.value) == line
+
+
 @pytest.mark.parametrize(
     "system, field",
     [

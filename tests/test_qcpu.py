@@ -7,6 +7,7 @@ equality rather than tolerances.
 """
 
 import functools
+import json
 import re
 
 import numpy as np
@@ -140,6 +141,64 @@ def test_dense_from_factors_equals_factor_matrix_product(u, data):
         np.matmul, [factor_matrix(net.factors[i], n) for i in order], np.eye(2 * n, dtype=complex)
     )
     assert np.array_equal(dense_from_factors(net, order), reference)
+
+
+def one_factor_at_a_time(net, order=None):
+    """The factor product as one column update per factor, in order: the
+    loop that dense_from_factors's rounds replace, kept as their reference."""
+    count = len(net.factors)
+    indices = range(count) if order is None else np.asarray(order)
+    if order is not None and (indices.size and indices.dtype.kind not in "iu"
+                              or not np.array_equal(np.sort(indices), np.arange(count))):
+        raise IndexOutOfRange(f"factor order must be a permutation of range({count})")
+    out = np.eye(2 * net.register_dim, dtype=complex)
+    for i in indices:
+        f = net.factors[i]
+        out[:, 2 * f.n] += f.u * out[:, 2 * f.m + 1]
+    return out
+
+
+@st.composite
+def sparse_payloads_and_orders(draw):
+    """A payload at n = 1..12 whose columns hold 0 to n factors, and an order
+    given as None, a list, an int32 array, or an empty list on a zero payload."""
+    n = draw(st.integers(1, 12))
+    form = draw(st.sampled_from(["none", "list", "int32", "empty"]))
+    if form == "empty":
+        return np.zeros((n, n), dtype=complex), []
+    u = draw(arrays(np.complex128, (n, n), elements=complex_entries))
+    u = np.where(draw(arrays(np.bool_, (n, n))), u, 0.0)
+    if form == "none":
+        return u, None
+    order = draw(st.permutations(range(np.count_nonzero(u))))
+    return u, order if form == "list" else np.array(order, dtype=np.int32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_payloads_and_orders())
+def test_dense_from_factors_in_rounds_equals_one_factor_at_a_time(payload_and_order):
+    """Each column takes its updates in the given order, so the rounds give
+    the one-at-a-time product bit for bit, C-contiguous."""
+    u, order = payload_and_order
+    net = build_network(u)
+    out = dense_from_factors(net, order)
+    assert out.tobytes() == one_factor_at_a_time(net, order).tobytes()
+    assert out.flags.c_contiguous
+
+
+def test_identity_suite_builds_no_factor_objects(monkeypatch):
+    """The suite draws its orders from the payload's nonzero count and
+    dense_from_factors reads the nonzeros as arrays: no QcpuFactor is made,
+    and the report keeps its bytes."""
+    from qcpusim import qcpu
+
+    expected = json.dumps(qcpu.identity_suite(7, 8), sort_keys=True, indent=2)
+
+    def refuse(net):
+        raise AssertionError("QcpuNetwork.factors was built")
+
+    monkeypatch.setattr(QcpuNetwork, "factors", property(refuse))
+    assert json.dumps(qcpu.identity_suite(7, 8), sort_keys=True, indent=2) == expected
 
 
 def test_apply_network_branches():

@@ -225,6 +225,26 @@ def test_an_integer_beyond_double_range_is_refused_as_not_finite(build, what):
     assert str(info.value) == f"{what} must be finite, got {HUGE!r}"
 
 
+TOO_LONG = 10 ** 5000  # more digits than Python's int-to-str conversion allows
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec(length=TOO_LONG, qubits=4), "box length must be finite"),
+    (lambda: GridSpec(length=1.0, qubits=-TOO_LONG), "qubit count must be >= 1"),
+    (lambda: harmonic_network(1.0, -TOO_LONG, 1.0), "qubit count must be a positive integer"),
+    (lambda: EvolutionConfig(dt=TOO_LONG, total_time=1.0), "dt must be finite"),
+    (lambda: SystemSpec(kind="free_particle", mu=TOO_LONG), "system parameter 'mu' must be finite"),
+    (lambda: PotentialSpec(form="table", values=(1.0, -TOO_LONG)),
+     "potential parameter 'values' entry must be finite"),
+], ids=["grid-length", "grid-qubits", "harmonic-qubits", "dt", "mu", "table-entry"])
+def test_an_integer_too_long_to_print_is_named_by_its_digits(build, message):
+    """The message once formatted such an int by repr, which raised a bare
+    ValueError in place of the spec's own error."""
+    with pytest.raises(InvalidSpec) as info:
+        build()
+    assert str(info.value) == f"{message}, got an integer of 5001 digits"
+
+
 def test_specs_accept_numpy_reals():
     assert SystemSpec(kind="harmonic", omega=np.float64(1.5)).omega == 1.5
     table = PotentialSpec(form="table", values=np.array([1, 2]))
