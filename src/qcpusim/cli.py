@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -35,11 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, MAX_STEPS, RunConfig, load_run_config
+from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
 from .evolve import compare_ladder, run_report, run_states, warn_if_drifted, warn_if_unstable
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
-from .numerics import EIGH_MAX_SIZE, oracle_gate, spectral_norm_upper_bound
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
 from .systems import system_route
 
@@ -92,19 +90,6 @@ def _write_snapshot(path: Path, grid: GridSpec, state: np.ndarray) -> None:
 
 def _resolve_out_dir(configured: str) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR) or configured)
-
-
-def _require_oracle_within_max_steps(h, t: float) -> None:
-    """Refuse, before the lock, a run whose exact oracle would take a Chebyshev
-    series of more than MAX_STEPS terms (at least z + 1, read from the oracle's
-    gate, so no Bessel loop runs): only for a complex H above
-    numerics.EIGH_MAX_SIZE, whose eigh never runs and whose gate's budget is
-    inf.  An H that is not finite is left to the oracle's checks."""
-    gate = oracle_gate(h, t)
-    if gate.budget == math.inf and MAX_STEPS < gate.z + 1 < math.inf:
-        raise ConfigError("evolution.total_time", f"the exact oracle would need a Chebyshev series "
-                          f"of at least {gate.z + 1:.6g} terms, more than {MAX_STEPS}, as a complex "
-                          f"eigh does not run above N = {EIGH_MAX_SIZE}")
 
 
 @contextmanager
@@ -162,15 +147,13 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     psi0 = cfg.initial_state.build(grid)
     route = system_route(cfg.system, grid)
     h = route.hamiltonian
-    norm_bound = spectral_norm_upper_bound(h)
-    evo = cfg.evolution.resolve(norm_bound)
+    evo = cfg.evolution.resolve(h)
     every = cfg.outputs.snapshot_every
     snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
         raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
-    _require_oracle_within_max_steps(h, evo.steps * evo.dt)
-    warned = route.method == "euler_network" and warn_if_unstable(evo, norm_bound)
+    warned = route.method == "euler_network" and warn_if_unstable(evo, h.norm_bound())
 
     def snapshot(step, state):
         if step % every == 0 or step == evo.steps:
@@ -210,11 +193,9 @@ def _cmd_simulate(args) -> int:
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
     psi0 = cfg.initial_state.build(cfg.grid)
     h = system_route(cfg.system, cfg.grid).hamiltonian
-    norm_bound = spectral_norm_upper_bound(h)
-    base = cfg.evolution.resolve(norm_bound, refinement=2 ** (ladder - 1))
+    base = cfg.evolution.resolve(h, refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
-    _require_oracle_within_max_steps(h, base.total_time)
     report = {"config": cfg.to_dict(), **compare_ladder(h, psi0, base, ladder)}
     with _directory_lock(out_dir):
         _write_json_atomic(out_dir / "compare_report.json", report)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
-from .numerics import shown
+from .numerics import EIGH_MAX_SIZE, oracle_gate, shown, spectral_norm_upper_bound
 from .systems import (
     POTENTIAL_PARAMETER,
     SYSTEM_PARAMETERS,
@@ -93,7 +93,7 @@ def _reject_unknown(data: dict, known: set, field: str) -> None:
 
 @dataclass(frozen=True)
 class EvolutionSettings:
-    """Raw time-stepping choices before a Hamiltonian norm bound is known;
+    """Raw time-stepping choices before the route's H is known;
     total_time, dt and auto_epsilon are stored as the floats a parsed config holds."""
 
     total_time: float
@@ -129,24 +129,38 @@ class EvolutionSettings:
             raise ConfigError("evolution.dt" if self.dt is not None else "evolution.auto_epsilon",
                               f"the run would take {steps:.6g} steps, more than {MAX_STEPS}")
 
-    def resolve(self, norm_bound: float, refinement: int = 1) -> EvolutionConfig:
-        """Turn the settings into a concrete EvolutionConfig.
+    def resolve(self, h, refinement: int = 1) -> EvolutionConfig:
+        """Turn the settings into a concrete EvolutionConfig for the route's H,
+        applying each of the run's MAX_STEPS caps.
 
         An explicit dt is used as given; the auto policy takes the fewest whole
-        steps of dt = total_time/steps that keep dt * norm_bound <= auto_epsilon.
-        At dt / refinement (compare's finest rung) it takes at most MAX_STEPS steps.
+        steps of dt = total_time/steps that keep dt * norm_bound <= auto_epsilon,
+        norm_bound being `spectral_norm_upper_bound(h)`.  At dt / refinement
+        (compare's finest rung) it takes at most MAX_STEPS steps.  Over steps * dt
+        the exact oracle's Chebyshev series takes at most MAX_STEPS terms (z + 1
+        at least, read from its gate, so no Bessel loop runs): a cap only on a
+        complex H above numerics.EIGH_MAX_SIZE, whose eigh never runs and whose
+        gate's budget is inf.  An H that is not finite is left to the oracle.
         """
-        if self.dt is not None:
+        norm_bound = spectral_norm_upper_bound(h)
+        if self.dt is None:
+            if not math.isfinite(norm_bound) or norm_bound < 0.0:
+                raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
+            self._check_steps(self.total_time * norm_bound / self.auto_epsilon * refinement)
+            if self.total_time == 0.0:
+                return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
+            steps = max(1, math.ceil(self.total_time * norm_bound / self.auto_epsilon))
+            dt = self.total_time / steps
+        else:
             self._check_steps(self.total_time / self.dt * refinement)
-            return EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
-        if not math.isfinite(norm_bound) or norm_bound < 0.0:
-            raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
-        self._check_steps(self.total_time * norm_bound / self.auto_epsilon * refinement)
-        if self.total_time == 0.0:
-            return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
-        steps = max(1, math.ceil(self.total_time * norm_bound / self.auto_epsilon))
-        return EvolutionConfig(dt=self.total_time / steps, total_time=self.total_time,
-                               sign=self.sign)
+            dt = self.dt
+        evo = EvolutionConfig(dt=dt, total_time=self.total_time, sign=self.sign)
+        gate = oracle_gate(h, evo.steps * evo.dt)
+        if gate.budget == math.inf and MAX_STEPS < gate.z + 1 < math.inf:
+            raise ConfigError("evolution.total_time", f"the exact oracle would need a Chebyshev "
+                              f"series of at least {gate.z + 1:.6g} terms, more than {MAX_STEPS}, "
+                              f"as a complex eigh does not run above N = {EIGH_MAX_SIZE}")
+        return evo
 
 
 @dataclass(frozen=True)

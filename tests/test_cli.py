@@ -21,8 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcpusim import (ConfigError, EvolutionSettings, evolve_euler, load_run_config,
-                     spectral_norm_upper_bound)
+from qcpusim import ConfigError, EvolutionSettings, evolve_euler, load_run_config
 from qcpusim import cli, evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
@@ -97,7 +96,8 @@ def test_cli_binds_no_physics():
     from qcpusim import cli
 
     parts = ("exact_evolution", "fidelity", "apply_network", "project_aux", "tensor", "connector",
-             "dense_from_factors", "momentum_operator", "kinetic_operator")
+             "dense_from_factors", "momentum_operator", "kinetic_operator", "oracle_gate",
+             "spectral_norm_upper_bound", "EIGH_MAX_SIZE")
     assert [name for name in parts if hasattr(cli, name)] == []
 
 
@@ -624,14 +624,21 @@ def test_long_free_particle_at_n_2048_runs_the_series_not_eigh(tmp_path, monkeyp
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("snapshot_every", [10**6, 1])
 @pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
-def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, capsys, command):
+def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, capsys, command,
+                                                                    snapshot_every):
     """At T = 4000 the k = 11 free particle's oracle would need about 1.3 million
     series terms, more than config.MAX_STEPS, with no complex eigh above
     numerics.EIGH_MAX_SIZE: both commands exit 2 on one `error:` line at once,
-    from the gate's z alone, and create no output directory."""
+    from the gate's z alone, and create no output directory.  At snapshot_every
+    1 the run would also write 8001 snapshots of 2048 points, more than
+    config.MAX_SNAPSHOT_POINTS: both commands still name the oracle's cap, which
+    `resolve` checks with the steps cap."""
     out_dir = tmp_path / "never"
-    config = write_config(tmp_path, free_k11_config(out_dir, 4000.0))
+    data = free_k11_config(out_dir, 4000.0)
+    data["outputs"]["snapshot_every"] = snapshot_every
+    config = write_config(tmp_path, data)
     started = time.perf_counter()
     assert main([command[0], "--config", str(config), *command[1:]]) == 2
     assert time.perf_counter() - started < 1.0
@@ -672,7 +679,7 @@ def test_simulate_diagnostics_match_evolve_euler(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
     cfg = load_run_config(config)
     h = system_route(cfg.system, cfg.grid).hamiltonian
-    evo = cfg.evolution.resolve(spectral_norm_upper_bound(h))
+    evo = cfg.evolution.resolve(h)
     _, euler_norm_sq = evolve_euler(h, cfg.initial_state.build(cfg.grid), evo)
     with open(out_dir / "diagnostics.csv", newline="") as handle:
         norm_sq = [float(row["norm_sq"]) for row in csv.DictReader(handle)]

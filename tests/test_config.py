@@ -25,6 +25,8 @@ from qcpusim import (
     parse_run_config,
 )
 from qcpusim.config import MAX_STEPS, GaussianPacketSpec
+from qcpusim.numerics import oracle_gate
+from qcpusim.systems import system_route
 
 
 def base_config():
@@ -429,7 +431,7 @@ def test_build_gaussian_normalized():
 
 def test_resolve_explicit_dt():
     settings = EvolutionSettings(total_time=1.0, dt=0.125)
-    cfg = settings.resolve(norm_bound=100.0)
+    cfg = settings.resolve(np.diag([100.0]))
     assert cfg.dt == 0.125
     assert cfg.steps == 8
 
@@ -444,14 +446,64 @@ def test_resolve_explicit_dt_residual_error():
 
 def test_resolve_auto_policy():
     settings = EvolutionSettings(total_time=2.0, auto_epsilon=0.05)
-    cfg = settings.resolve(norm_bound=10.0)
+    cfg = settings.resolve(np.diag([10.0]))
     assert cfg.dt * 10.0 <= 0.05 + 1e-12
     assert cfg.steps * cfg.dt == pytest.approx(2.0, abs=1e-12)
 
 
 def test_resolve_propagates_sign():
     settings = EvolutionSettings(total_time=1.0, dt=0.5, sign=1)
-    assert settings.resolve(norm_bound=1.0).sign == 1
+    assert settings.resolve(np.diag([1.0])).sign == 1
+
+
+def free_k11_hamiltonian():
+    """The free particle's H at k = 11 (N = 2048), L = 181.02: a FourierOperator,
+    whose complex eigh never runs, with norm bound about 632."""
+    grid = GridSpec(length=181.01933598375618, qubits=11, centered=True)
+    return system_route(SystemSpec(kind="free_particle", mu=1.0), grid).hamiltonian
+
+
+ORACLE_REFUSAL = ("evolution.total_time: the exact oracle would need a Chebyshev series of "
+                  "at least 1.263")
+
+
+@pytest.mark.parametrize("step", [{"dt": 0.5}, {"auto_epsilon": 4.0}])
+def test_resolve_refuses_an_oracle_series_over_max_steps(step):
+    """At T = 4000 the k = 11 free particle's oracle would need about 1.3 million
+    series terms: refused at dt 0.5 (8000 steps) and at auto_epsilon 4, whose
+    632,000 or so steps stay within MAX_STEPS, so the oracle's cap is the one
+    that fires."""
+    h = free_k11_hamiltonian()
+    settings = EvolutionSettings(total_time=4000.0, **step)
+    if "auto_epsilon" in step:
+        assert 600_000 < 4000.0 * h.norm_bound() / 4.0 < MAX_STEPS
+    with pytest.raises(ConfigError, match=ORACLE_REFUSAL):
+        settings.resolve(h)
+
+
+def test_resolve_keeps_a_real_eigh_for_a_long_series():
+    """The oscillator's H at N = 2048 is real: its eigh stands in for the 1.1
+    million series terms of T = 1100, so nothing is refused."""
+    h = system_route(SystemSpec(kind="harmonic", omega=1.0),
+                     GridSpec(length=16.0, qubits=11)).hamiltonian
+    assert oracle_gate(h, 1100.0).z + 1 > MAX_STEPS
+    assert EvolutionSettings(total_time=1100.0, dt=1.0).resolve(h).steps == 1100
+
+
+def test_resolve_checks_the_oracle_at_the_run_horizon_whatever_the_refinement():
+    """compare's refinement scales the steps cap only: the oracle runs over
+    the run's horizon, so T = 3000 (about 950,000 terms) passes at refinement 4,
+    where four times the horizon would be refused, and T = 4000 is refused on
+    the same line at both."""
+    h = free_k11_hamiltonian()
+    settings = EvolutionSettings(total_time=3000.0, dt=0.5)
+    assert settings.resolve(h, refinement=4) == settings.resolve(h)
+    messages = []
+    for refinement in (1, 4):
+        with pytest.raises(ConfigError, match=ORACLE_REFUSAL) as info:
+            EvolutionSettings(total_time=4000.0, dt=0.5).resolve(h, refinement=refinement)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
@@ -605,20 +657,20 @@ def test_parsed_and_in_memory_configs_agree(sections):
 
 def test_steps_are_capped_at_max_steps():
     at_cap = EvolutionSettings(total_time=1.0, dt=2.0 ** -20)
-    assert at_cap.resolve(norm_bound=1.0).steps == MAX_STEPS
+    assert at_cap.resolve(np.diag([1.0])).steps == MAX_STEPS
     with pytest.raises(ConfigError, match="evolution.dt: the run would take 2.09715e[+]06"):
-        at_cap.resolve(norm_bound=1.0, refinement=2)
+        at_cap.resolve(np.diag([1.0]), refinement=2)
     for dt in (1e-300, 1e-310):  # 1e-310: total_time / dt overflows to inf
         with pytest.raises(ConfigError, match="evolution.dt: the run would take"):
             EvolutionSettings(total_time=1.0, dt=dt)
     for total_time in (1.0, 1e300):
         auto = EvolutionSettings(total_time=total_time, auto_epsilon=1e-300)
         with pytest.raises(ConfigError, match="evolution.auto_epsilon: the run would take"):
-            auto.resolve(norm_bound=100.0)
+            auto.resolve(np.diag([100.0]))
     auto = EvolutionSettings(total_time=1.0, auto_epsilon=1.0)
-    assert auto.resolve(norm_bound=float(MAX_STEPS)).steps == MAX_STEPS
+    assert auto.resolve(np.diag([float(MAX_STEPS)])).steps == MAX_STEPS
     with pytest.raises(ConfigError, match="evolution.auto_epsilon"):
-        auto.resolve(norm_bound=float(MAX_STEPS), refinement=2)
+        auto.resolve(np.diag([float(MAX_STEPS)]), refinement=2)
 
 
 # ---------------------------------------------------------------------------

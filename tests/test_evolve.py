@@ -118,14 +118,14 @@ def test_invalid_sign_rejected():
 
 
 def test_auto_policy_bounds_dt_times_norm():
-    cfg = EvolutionSettings(total_time=3.0, auto_epsilon=0.01).resolve(norm_bound=40.0)
+    cfg = EvolutionSettings(total_time=3.0, auto_epsilon=0.01).resolve(np.diag([40.0]))
     assert cfg.dt * 40.0 <= 0.01 + 1e-12
     assert cfg.steps == math.ceil(3.0 * 40.0 / 0.01)
     assert cfg.steps * cfg.dt == pytest.approx(3.0, abs=1e-12)
 
 
 def test_auto_policy_zero_horizon():
-    cfg = EvolutionSettings(total_time=0.0, auto_epsilon=0.01).resolve(norm_bound=5.0)
+    cfg = EvolutionSettings(total_time=0.0, auto_epsilon=0.01).resolve(np.diag([5.0]))
     assert cfg.steps == 0
 
 
@@ -133,7 +133,7 @@ def test_auto_policy_validates_epsilon():
     with pytest.raises(ConfigError, match="evolution.auto_epsilon: must be positive"):
         EvolutionSettings(total_time=1.0, auto_epsilon=0.0)
     with pytest.raises(InvalidSpec):
-        EvolutionSettings(total_time=1.0, auto_epsilon=0.01).resolve(norm_bound=math.inf)
+        EvolutionSettings(total_time=1.0, auto_epsilon=0.01).resolve(np.diag([math.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +799,7 @@ def test_compare_and_simulate_bound_the_same_h(tmp_path, monkeypatch, system):
         seen.append((type(h), spectral_norm_upper_bound(h)))
         return seen[-1][1]
 
-    monkeypatch.setattr(cli, "spectral_norm_upper_bound", recording)
+    monkeypatch.setattr("qcpusim.config.spectral_norm_upper_bound", recording)
     data = grid_compare_config(None, 16.0, 4, None, 0.25)
     data["system"] = system
     data["evolution"] = {"auto_epsilon": 0.05, "total_time": 0.25}
@@ -960,7 +960,7 @@ def test_whole_network_approximates_exact_evolution():
     mu = 1.0
     h = kinetic_operator(g, mu)
     bound = spectral_norm_upper_bound(h)
-    cfg = EvolutionSettings(total_time=0.25, auto_epsilon=0.005).resolve(norm_bound=bound)
+    cfg = EvolutionSettings(total_time=0.25, auto_epsilon=0.005).resolve(np.diag([bound]))
     block = whole_network(h, cfg).payload
     psi = np.zeros(8, dtype=complex)
     psi[4] = 1.0
