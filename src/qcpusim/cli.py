@@ -5,9 +5,9 @@ computes its report:
 
 * ``verify-identities`` writes `qcpu.identity_suite`, the per-identity max
   errors of the network algebra on seeded random payloads, as JSON.
-* ``simulate`` steps a configured system's route (`systems.system_route`),
-  writing wavefunction snapshots (JSONL) as it goes, then per-step
-  diagnostics (CSV) and a summary (JSON).
+* ``simulate`` runs a configured system's route (`systems.Route.run`) in
+  one call, writing wavefunction snapshots (JSONL) as it goes, then its
+  per-step diagnostics (CSV) and summary (JSON).
 * ``compare`` writes `evolve.compare_ladder` on that route's H: the
   connector-chained network, the Euler loop and the exact oracle over a
   dt-halving ladder, their agreement and the observed convergence order.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import MAX_GRID_QUBITS, MAX_SNAPSHOT_POINTS, RunConfig, load_run_config
 from .errors import ConfigError, NumericalFailure, QcpuSimError
-from .evolve import compare_ladder, run_report, run_states, warn_if_drifted, warn_if_unstable
+from .evolve import compare_ladder
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
 from .systems import system_route
@@ -146,22 +146,19 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     grid = cfg.grid
     psi0 = cfg.initial_state.build(grid)
     route = system_route(cfg.system, grid)
-    h = route.hamiltonian
-    evo = cfg.evolution.resolve(h)
+    evo = cfg.evolution.resolve(route.hamiltonian)
     every = cfg.outputs.snapshot_every
     snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
         raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
-    warned = route.method == "euler_network" and warn_if_unstable(evo, h.norm_bound())
 
     def snapshot(step, state):
         if step % every == 0 or step == evo.steps:
             _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
 
     with _directory_lock(out_dir):
-        state, norm_sq = run_states(route.states(psi0, evo), snapshot)
-        fields, rows = run_report(h, psi0, evo, state, norm_sq)
+        fields, rows = route.run(psi0, evo, snapshot)
         _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
         summary = {
             "config": cfg.to_dict(),
@@ -170,8 +167,6 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
             "wall_time_s": time.perf_counter() - started,
         }
         _write_json_atomic(out_dir / "summary.json", summary)
-    if not warned:  # one warning a run: at r >= 1 the drift was foretold
-        warn_if_drifted(fields, norm_sq[0])
     return summary
 
 

@@ -7,7 +7,8 @@ by Omega as h's operator makes it, `affine(sign*i*dt, 1)`, so a stencil step
 costs O(N) and a spectral one two FFTs; euler_step's dense Omega is only
 the reference.
 Every run, Euler or closed form, steps through run_states, which checks
-each state and collects the squared norms.
+each state and collects the squared norms; `systems.Route.run` runs a
+route so and reports it against the exact oracle.
 The same step is realized as an auxiliary-qubit network by the sum rule,
 Q(I) composed with Q(sign*i*dt*h), both on h's operator, whose block is
 the operator Omega, and a whole evolution is the connector-chained product
@@ -17,9 +18,9 @@ step, so a rung of compare costs O(steps nnz) and holds no N x N array.
 Both are built from h alone, any `numerics` operator.  Steps with
 dt * ||h|| bound r >= 1 may grow the norm by up to (1 + r^2) each, and
 warn_if_unstable says so before they run; at r < 1 a long run can still
-drift, and warn_if_drifted says so after it.  compare_ladder runs the
-network and the Euler loop against the exact oracle over a dt-halving
-ladder and fits their order.
+drift, and warn_if_drifted says so after it (`Route.run` gives a run one
+of the two).  compare_ladder runs the network and the Euler loop against
+the exact oracle over a dt-halving ladder and fits their order.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ DRIFT_LIMIT = 1.0
 
 
 def warn_if_drifted(summary: dict, initial_norm_sq: float) -> None:
-    """Warn (StabilityWarning) after a run whose `run_report` summary shows
-    ||psi||^2 drifting by more than DRIFT_LIMIT times initial_norm_sq."""
+    """Warn (StabilityWarning) after a run whose summary (`systems.Route.run`)
+    shows ||psi||^2 drifting by more than DRIFT_LIMIT times initial_norm_sq."""
     drift = summary["max_norm_drift"] / initial_norm_sq
     if drift > DRIFT_LIMIT:
         warnings.warn(
@@ -170,34 +171,9 @@ def run_states(states, visit=None):
     return state, np.array(norm_sq)
 
 
-def run_report(h, psi0, cfg: EvolutionConfig, final, norm_sq) -> tuple[dict, list[dict]]:
-    """Summary fields and per-step diagnostic rows of a finished run.
-
-    The summary carries the final state's fidelity against the exact
-    propagator for the same h and horizon, and the largest squared-norm
-    excess over the initial state; each row carries one step's squared norm
-    and that excess (its drift).
-    """
-    oracle = exact_evolution(h, cfg.steps * cfg.dt, psi0, cfg.sign)
-    norm_sq = np.array(norm_sq)
-    drift = norm_sq - norm_sq[0]
-    summary = {
-        "steps": cfg.steps,
-        "dt": cfg.dt,
-        "sign": cfg.sign,
-        "final_fidelity": fidelity(final, oracle),
-        "max_norm_drift": float(np.max(np.abs(drift))),
-    }
-    rows = [
-        {"step": i, "time": i * cfg.dt, "norm_sq": float(norm_sq[i]), "drift": float(drift[i])}
-        for i in range(norm_sq.shape[0])
-    ]
-    return summary, rows
-
-
 def evolve_euler(h, psi, cfg: EvolutionConfig):
     """cfg.steps Euler steps of psi, checked by run_states: returns (final
-    state, squared norms of steps 0..cfg.steps), the run for run_report."""
+    state, squared norms of steps 0..cfg.steps)."""
     h = _check_step(h, cfg.dt, cfg.sign)
     return run_states(euler_states(h, as_state(psi, h.size).copy(), cfg))
 

@@ -36,10 +36,11 @@ from .errors import (
     PacketWidthWarning,
     ZeroVector,
 )
-from .evolve import EvolutionConfig, euler_states
+from .evolve import EvolutionConfig, euler_states, run_states, warn_if_drifted, warn_if_unstable
 from .grid import GridSpec, dft_operator, kinetic_nonzeros, kinetic_operator
-from .numerics import (FourierOperator, Operator, SparseOperator, as_state, require_frequency,
-                       require_mass, require_real, require_sign, shown)
+from .numerics import (FourierOperator, Operator, SparseOperator, as_state, exact_evolution,
+                       fidelity, require_frequency, require_mass, require_real, require_sign,
+                       shown)
 from .qcpu import QcpuNetwork, build_network
 if TYPE_CHECKING:  # only for annotations: config.py imports this module
     from .config import GaussianPacketSpec
@@ -306,11 +307,33 @@ class Route:
     for the spectral kinds, and `states(psi0, evo)`, which yields (step, state)
     for steps 0..evo.steps without an N x N product: Euler steps by H's
     `affine(a, 1)` (`evolve.euler_states`), or psi0 evolved in closed form to
-    each step's time (`_eigenbasis_states`)."""
+    each step's time (`_eigenbasis_states`).  `run` is a whole `simulate` run
+    but for its files."""
 
     method: str
     hamiltonian: Operator
     states: Callable[[np.ndarray, EvolutionConfig], Iterator[tuple[int, np.ndarray]]]
+
+    def run(self, psi0: np.ndarray, evo: EvolutionConfig, visit=None) -> tuple[dict, list[dict]]:
+        """Step psi0 over evo through `evolve.run_states`, passing each checked
+        state to visit(step, state); return the summary fields (the final state's
+        fidelity against the exact oracle, the largest ||psi||^2 drift from psi0's)
+        and one row per step (its ||psi||^2 and drift).  A run warns once: the
+        Euler route before steps at dt * ||H|| bound >= 1, any other run after
+        steps that drifted past DRIFT_LIMIT."""
+        h = self.hamiltonian
+        warned = self.method == "euler_network" and warn_if_unstable(evo, h.norm_bound())
+        final, norm_sq = run_states(self.states(psi0, evo), visit)
+        oracle = exact_evolution(h, evo.steps * evo.dt, psi0, evo.sign)
+        drift = norm_sq - norm_sq[0]
+        summary = {"steps": evo.steps, "dt": evo.dt, "sign": evo.sign,
+                   "final_fidelity": fidelity(final, oracle),
+                   "max_norm_drift": float(np.max(np.abs(drift)))}
+        rows = [{"step": i, "time": i * evo.dt, "norm_sq": float(ns), "drift": float(drift[i])}
+                for i, ns in enumerate(norm_sq)]
+        if not warned:
+            warn_if_drifted(summary, norm_sq[0])
+        return summary, rows
 
 
 def _eigenbasis_states(energies: np.ndarray, spectral: bool, u: float = 0.0):

@@ -97,7 +97,8 @@ def test_cli_binds_no_physics():
 
     parts = ("exact_evolution", "fidelity", "apply_network", "project_aux", "tensor", "connector",
              "dense_from_factors", "momentum_operator", "kinetic_operator", "oracle_gate",
-             "spectral_norm_upper_bound", "EIGH_MAX_SIZE")
+             "spectral_norm_upper_bound", "EIGH_MAX_SIZE", "run_states", "run_report",
+             "warn_if_unstable", "warn_if_drifted")
     assert [name for name in parts if hasattr(cli, name)] == []
 
 

@@ -43,11 +43,16 @@ from qcpusim import (
 from qcpusim import cli
 from qcpusim.cli import main
 from qcpusim.evolve import (
-    DRIFT_LIMIT, compare_ladder, euler_states, run_report, run_states, warn_if_drifted,
-    warn_if_unstable,
+    DRIFT_LIMIT, compare_ladder, euler_states, run_states, warn_if_drifted, warn_if_unstable,
 )
 from qcpusim.numerics import FourierOperator, SparseOperator, as_operator, hermiticity_defect
-from qcpusim.systems import system_route
+from qcpusim.systems import Route, system_route
+
+
+def euler_route(h):
+    """The grid kind's route shape on any H: Euler steps by H's own product."""
+    op = as_operator(h)
+    return Route("euler_network", op, functools.partial(euler_states, op))
 
 
 def random_hermitian(rng, n):
@@ -308,8 +313,7 @@ def test_evolve_euler_fidelity_improves_with_smaller_dt():
     fidelities = []
     for dt in (0.1, 0.01):
         cfg = EvolutionConfig(dt=dt, total_time=1.0)
-        final, norm_sq = evolve_euler(h, psi, cfg)
-        fidelities.append(run_report(h, psi, cfg, final, norm_sq)[0]["final_fidelity"])
+        fidelities.append(euler_route(h).run(psi, cfg)[0]["final_fidelity"])
     coarse, fine = fidelities
     assert fine > coarse
 
@@ -428,7 +432,7 @@ def test_report_rows_and_summary():
     psi = random_state(rng, 4)
     cfg = EvolutionConfig(dt=0.1, total_time=0.3)
     final, norm_sq = evolve_euler(h, psi, cfg)
-    summary, rows = run_report(h, psi, cfg, final, norm_sq)
+    summary, rows = euler_route(h).run(psi, cfg)
     assert [r["step"] for r in rows] == [0, 1, 2, 3]
     assert [r["norm_sq"] for r in rows] == list(norm_sq)
     assert rows[2]["time"] == pytest.approx(0.2)

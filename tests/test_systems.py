@@ -1,6 +1,7 @@
 """Built-in systems: packets, spectral free dynamics, oscillator, constant field."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qcpusim import (
     PacketWidthWarning,
     PotentialSpec,
     RunConfig,
+    StabilityWarning,
     SystemSpec,
     analytic_free_gaussian,
     dft_operator,
@@ -41,6 +43,7 @@ from qcpusim import (
     spectral_kinetic_matrix,
     spectral_momentum_values,
 )
+from qcpusim.evolve import DRIFT_LIMIT
 from qcpusim.numerics import (
     _chebyshev_evolution, as_operator, hermiticity_defect, oracle_gate, spectral_norm_upper_bound,
 )
@@ -701,6 +704,51 @@ def test_free_energies_survive_a_huge_mass():
     assert np.all(energies[1:] > 0.0)
     np.testing.assert_allclose(energies, (spectral_momentum_values(grid) / 1e154) ** 2 / 2.0,
                                rtol=1e-12)
+
+
+def _warnings_seen_by_run(route, psi0, evo):
+    """route.run's summary, how many warnings each visited step saw, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seen = []
+        summary, _ = route.run(psi0, evo, lambda step, state: seen.append(len(caught)))
+    return summary, seen, [str(w.message) for w in caught if w.category is StabilityWarning]
+
+
+@pytest.mark.parametrize("dt, before_steps, message", [
+    (0.5, True, "Euler steps run at dt * ||H|| bound r = 1.85 >= 1; "),
+    (0.125, False, "||psi||^2 drifted by up to 6.17e+04 times its initial value "),
+], ids=["unstable", "drifted"])
+def test_a_grid_run_warns_once(dt, before_steps, message):
+    """The grid route warns before its steps at r = dt * ||H|| bound >= 1 and
+    not again for the drift that foretold; at r < 1 a run that drifts past
+    DRIFT_LIMIT (a basis state at the well's edge, 64 steps at r = 0.46)
+    warns once, after its steps."""
+    grid = GridSpec(length=16.0, qubits=4, centered=True)
+    system = SystemSpec(kind="grid_schrodinger", mu=1.0,
+                        potential=PotentialSpec(form="quadratic", coefficient=0.05))
+    psi0 = np.zeros(grid.size, dtype=complex)
+    psi0[0] = 1.0
+    evo = EvolutionConfig(dt=dt, total_time=dt * 64)
+    summary, seen, messages = _warnings_seen_by_run(system_route(system, grid), psi0, evo)
+    assert summary["max_norm_drift"] > DRIFT_LIMIT
+    assert seen == [1 if before_steps else 0] * (evo.steps + 1)
+    assert len(messages) == 1 and messages[0].startswith(message)
+
+
+def test_a_harmonic_run_at_r_over_1_does_not_warn():
+    """The oscillator's route phases psi0 in closed form: at r = 3.04 (the
+    README harmonic config) nothing drifts and nothing warns."""
+    grid = GridSpec(length=16.0, qubits=4)
+    route = system_route(SystemSpec(kind="harmonic", omega=1.0), grid)
+    evo = EvolutionConfig(dt=2.0 * math.pi / 32.0, total_time=2.0 * math.pi)
+    assert evo.dt * route.hamiltonian.norm_bound() > 3.0
+    psi0 = np.zeros(grid.size, dtype=complex)
+    psi0[3] = 1.0
+    summary, seen, messages = _warnings_seen_by_run(route, psi0, evo)
+    assert summary["max_norm_drift"] < 1e-12
+    assert seen == [0] * (evo.steps + 1)
+    assert messages == []
 
 
 # ---------------------------------------------------------------------------
