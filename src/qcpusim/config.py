@@ -26,7 +26,7 @@ from .errors import (
 )
 from .evolve import EvolutionConfig
 from .grid import GridSpec
-from .numerics import EIGH_MAX_SIZE, oracle_gate, shown, spectral_norm_upper_bound
+from .numerics import oracle_gate, shown, spectral_norm_upper_bound
 from .systems import (
     POTENTIAL_PARAMETER,
     SYSTEM_PARAMETERS,
@@ -131,16 +131,16 @@ class EvolutionSettings:
 
     def resolve(self, h, refinement: int = 1) -> EvolutionConfig:
         """Turn the settings into a concrete EvolutionConfig for the route's H,
-        applying each of the run's MAX_STEPS caps.
+        applying its caps on the steps and on the exact oracle's series.
 
         An explicit dt is used as given; the auto policy takes the fewest whole
         steps of dt = total_time/steps that keep dt * norm_bound <= auto_epsilon,
         norm_bound being `spectral_norm_upper_bound(h)`.  At dt / refinement
         (compare's finest rung) it takes at most MAX_STEPS steps.  Over steps * dt
-        the exact oracle's Chebyshev series takes at most MAX_STEPS terms (z + 1
-        at least, read from its gate, so no Bessel loop runs): a cap only on a
-        complex H above numerics.EIGH_MAX_SIZE, whose eigh never runs and whose
-        gate's budget is inf.  An H that is not finite is left to the oracle.
+        the exact oracle's Chebyshev series takes at most numerics.MAX_SERIES_TERMS
+        terms, as the oracle's own gate requires (`require_bounded_series`, from
+        z alone): a cap only on a complex H above numerics.EIGH_MAX_SIZE, whose
+        eigh never runs.  An H that is not finite is left to the oracle.
         """
         norm_bound = spectral_norm_upper_bound(h)
         if self.dt is None:
@@ -155,11 +155,10 @@ class EvolutionSettings:
             self._check_steps(self.total_time / self.dt * refinement)
             dt = self.dt
         evo = EvolutionConfig(dt=dt, total_time=self.total_time, sign=self.sign)
-        gate = oracle_gate(h, evo.steps * evo.dt)
-        if gate.budget == math.inf and MAX_STEPS < gate.z + 1 < math.inf:
-            raise ConfigError("evolution.total_time", f"the exact oracle would need a Chebyshev "
-                              f"series of at least {gate.z + 1:.6g} terms, more than {MAX_STEPS}, "
-                              f"as a complex eigh does not run above N = {EIGH_MAX_SIZE}")
+        try:
+            oracle_gate(h, evo.steps * evo.dt).require_bounded_series()
+        except InvalidSpec as exc:
+            raise ConfigError("evolution.total_time", str(exc)) from exc
         return evo
 
 

@@ -361,14 +361,16 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     times h's spectral width, or the eigendecomposition of h.dense(),
     V (e^{sign i lambda t} * (V^dag psi)) at O(N^3), in real arithmetic for an h
     with no nonzero imaginary entry; a complex one never runs above
-    EIGH_MAX_SIZE.
+    EIGH_MAX_SIZE, where a series past MAX_SERIES_TERMS is refused (InvalidSpec).
     """
     require_sign(sign)
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
     h = require_hermitian(h)
     psi = as_state(psi, h.size)
-    out = _chebyshev_evolution(h, t, psi, sign, oracle_gate(h, t))
+    gate = oracle_gate(h, t)
+    gate.require_bounded_series()
+    out = _chebyshev_evolution(h, t, psi, sign, gate)
     if out is not None:
         return out
     h = h.dense()
@@ -400,6 +402,10 @@ FOURIER_DENSE_COST = 1
 # oscillator's at k = 11 over long horizons: 1.7-2.5 s and +163-197 MB at
 # N = 2048 (their dense() and the real eigh, one BLAS thread).
 EIGH_MAX_SIZE = 1024
+# The most terms the series may take where no eigh may replace it: as many as
+# the steps a run may take (config.MAX_STEPS).  A longer series, which would
+# allocate and loop over its Bessel terms for minutes to hours, is refused.
+MAX_SERIES_TERMS = 2**20
 BESSEL_FLOOR = 1e-18  # the first J_k past z below this ends the series
 GERSHGORIN_PAD = 1e-12  # relative widening of the spectral interval
 
@@ -421,6 +427,14 @@ class OracleGate(NamedTuple):
     def affords(self, terms: float) -> bool:
         """Whether this many series terms cost no more than the eigh they replace."""
         return terms * self.nonzeros * CHEBYSHEV_COST <= self.budget
+
+    def require_bounded_series(self) -> None:
+        """Refuse (InvalidSpec), from z alone, a series of z + 1 or more terms
+        past MAX_SERIES_TERMS where no eigh may replace it (budget inf)."""
+        if self.budget == math.inf and MAX_SERIES_TERMS < self.z + 1:
+            raise InvalidSpec(f"the exact oracle would need a Chebyshev series of at least "
+                              f"{self.z + 1:.6g} terms, more than {MAX_SERIES_TERMS}, as a "
+                              f"complex eigh does not run above N = {EIGH_MAX_SIZE}")
 
 
 def oracle_gate(h, t: float) -> OracleGate:

@@ -103,11 +103,14 @@ class PotentialSpec:
             raise InvalidSpec(f"potential form {self.form!r} does not take {stray}")
 
     def values_on(self, grid: GridSpec) -> np.ndarray:
+        """V at each grid point; a value past double range is left as inf or
+        NaN, for `system_route` to refuse with the H it would make."""
         xs = grid.points
-        if self.form == "quadratic":
-            return self.coefficient * xs ** 2
-        if self.form == "linear":
-            return self.slope * xs
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.form == "quadratic":
+                return self.coefficient * xs ** 2
+            if self.form == "linear":
+                return self.slope * xs
         if self.form == "constant":
             return np.full(grid.size, float(self.value))
         vals = np.asarray(self.values, dtype=float)
@@ -173,7 +176,9 @@ def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> np.ndarray:
     The envelope is normalized before the momentum phase is attached, so a
     boosted packet is exactly the unboosted one times the plane-wave phase.
     Packets wider than a sixth of the box are flagged: periodic wrap-around
-    starts to distort them.
+    starts to distort them.  A sigma whose square overflows gives the flat
+    packet; a momentum phase that is not finite (p0 x past double range) is
+    refused (NonFiniteValue).
     """
     if spec.sigma >= grid.length / 6.0:
         warnings.warn(
@@ -182,12 +187,19 @@ def gaussian_packet(grid: GridSpec, spec: GaussianPacketSpec) -> np.ndarray:
             PacketWidthWarning,
         )
     xs = grid.points
+    try:
+        width = 4.0 * spec.sigma ** 2
+    except OverflowError:  # sigma ** 2 past double range: inf, as 4 sigma^2 is at 1e154
+        width = math.inf
     with np.errstate(all="ignore"):  # sigma ** 2 may underflow: x / 0 = inf, and 0 / 0 at x0
-        envelope = np.exp(-((xs - spec.x0) ** 2) / (4.0 * spec.sigma ** 2))
+        envelope = np.exp(-((xs - spec.x0) ** 2) / width)
         nrm = np.linalg.norm(envelope)
+        phase = np.exp(1j * spec.p0 * xs)
     if not nrm > 0.0:  # all zero, or NaN
         raise ZeroVector("packet envelope underflowed to zero on every grid point")
-    return (envelope / nrm) * np.exp(1j * spec.p0 * xs)
+    if not np.isfinite(phase).all():
+        raise NonFiniteValue(f"packet phase e^(i p0 x) is not finite at p0 = {spec.p0!r}")
+    return (envelope / nrm) * phase
 
 
 def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
@@ -377,9 +389,14 @@ def system_route(system: SystemSpec, grid: GridSpec) -> Route:
     if system.kind == "grid_schrodinger":
         rows, cols, kinetic = kinetic_nonzeros(grid, mu)
         values = system.potential.values_on(grid)
-        h = SparseOperator(
-            n, rows, cols, kinetic + np.where(rows == cols, values[rows], 0.0).astype(complex),
-            lambda: kinetic_operator(grid, mu) + np.diag(values).astype(complex))
+        with np.errstate(over="ignore"):
+            entries = kinetic + np.where(rows == cols, values[rows], 0.0).astype(complex)
+        if not np.isfinite(entries).all():  # refused here, before any output is written
+            bad = int(rows[np.flatnonzero(~np.isfinite(entries))[0]])
+            raise NonFiniteValue(f"H's diagonal, kinetic + potential, is not finite at grid point "
+                                 f"{bad} (x = {grid.points[bad]})")
+        h = SparseOperator(n, rows, cols, entries,
+                           lambda: kinetic_operator(grid, mu) + np.diag(values).astype(complex))
         return Route("euler_network", h, partial(euler_states, h))
 
     energies = levels = _free_energies(grid, mu)

@@ -379,7 +379,10 @@ OVERFLOWING_H = pytest.mark.parametrize("make, section, key, value, line", [
      "oscillator energy omega (m + 1/2) overflows at omega = 1e+308"),
     (overflowing_field_config, "system", "u", 1e308,
      "constant-field energy p^2/2mu + u overflows at L = 1.0, mu = 1e-305, u = 1e+308"),
-], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast", "field-overflow"])
+    (grid_config, "system", "potential", {"form": "quadratic", "coefficient": 1e308},
+     "H's diagonal, kinetic + potential, is not finite at grid point 0 (x = -8.0)"),
+], ids=["grid-short-box", "grid-light-mass", "free-light-mass", "harmonic-fast", "field-overflow",
+        "grid-potential-overflow"])
 
 
 @OVERFLOWING_H
@@ -506,30 +509,28 @@ def test_simulate_overflow_exits_1_without_bad_snapshot(tmp_path, capsys):
     assert not (out_dir / LOCK_NAME).exists()
 
 
-@pytest.mark.parametrize("evolution, code, lines, files", [
-    ({"dt": 0.0625, "total_time": 1.0}, 1, [
-        "warning: Euler steps run at dt * ||H|| bound r = inf >= 1; ||psi||^2 may grow by up to "
-        "(1 + r^2)^16 = 10^inf",
-        "numerical failure: non-finite amplitude detected at step 1",
-    ], ["snapshot_000000.jsonl"]),
-    ({"auto_epsilon": 0.05, "total_time": 1.0}, 2, [
-        "error: norm bound must be finite and nonnegative, got inf",
-    ], None),
+@pytest.mark.parametrize("potential", [
+    {"form": "quadratic", "coefficient": 1e308}, {"form": "linear", "slope": 1e308},
+], ids=["quadratic", "linear"])
+@pytest.mark.parametrize("evolution", [
+    {"dt": 0.0625, "total_time": 1.0}, {"auto_epsilon": 0.05, "total_time": 1.0},
 ], ids=["dt", "auto_epsilon"])
 @pytest.mark.filterwarnings("default::RuntimeWarning")  # as a console run sees it
-def test_potential_that_overflows_keeps_its_exit(tmp_path, capsys, evolution, code, lines, files):
-    """A quadratic coefficient of 1e308 makes the potential inf away from the
-    centre: with an explicit dt the first Euler step is NaN (exit 1), and
-    with auto_epsilon the norm bound is inf (exit 2), each after the one
-    overflow warning of the potential's values."""
+def test_potential_that_overflows_is_refused_whatever_the_dt(tmp_path, capsys, evolution,
+                                                             potential):
+    """A quadratic coefficient or a linear slope of 1e308 makes the potential
+    inf away from the centre.  `system_route` refuses the H it would make,
+    for an explicit dt and for auto_epsilon alike (`compare` too, by
+    OVERFLOWING_H): exit 2 on one error line, no overflow warning, and no
+    output directory."""
     out_dir = tmp_path / "out"
     data = grid_config(out_dir)
-    data["system"]["potential"]["coefficient"] = 1e308
+    data["system"]["potential"] = potential
     data["evolution"] = evolution
-    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == code
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: overflow encountered in multiply", *lines]
-    assert (sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else None) == files
+    assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "error: H's diagonal, kinetic + potential, is not finite at grid point 0 (x = -8.0)\n")
+    assert not out_dir.exists()
 
 
 def test_grid_route_at_n_2048_builds_no_n_by_n_array(tmp_path):
@@ -781,6 +782,39 @@ def test_packet_width_warning_is_one_line(tmp_path, capsys, command):
         "warning: packet width sigma = 5.0 is >= L/6 = 2.6666666666666665; "
         "periodic images will overlap the packet\n"
     )
+
+
+def test_a_packet_whose_width_overflows_is_flat(tmp_path, capsys):
+    """At sigma = 1e155 sigma^2 is past double range: the packet is the flat
+    one of sigma = 1e154, where 4 sigma^2 is inf, and the run exits 0 with one
+    PacketWidthWarning line and the same snapshots and diagnostics."""
+    written = []
+    for sigma in (1e154, 1e155):
+        out_dir = tmp_path / f"sigma{sigma:g}"
+        data = free_particle_config(out_dir)
+        data["initial_state"]["gaussian"]["sigma"] = sigma
+        assert main(["simulate", "--config", str(write_config(tmp_path, data))]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: packet width sigma = {sigma} is >= L/6 = 2.6666666666666665; "
+            "periodic images will overlap the packet\n")
+        written.append({p.name: p.read_bytes() for p in out_dir.iterdir() if p.suffix != ".json"})
+    assert written[0] == written[1] and len(written[1]) == 6
+    first = (tmp_path / "sigma1e+155" / "snapshot_000000.jsonl").read_text().splitlines()[1:]
+    assert {json.loads(line)["prob"] for line in first} == {1.0 / 16}
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_packet_whose_phase_overflows_is_refused_before_the_lock(tmp_path, capsys, command):
+    """At p0 = 1e308 p0 x overflows wherever |x| >= 2 on the centred grid, so
+    e^(i p0 x) is NaN there: the packet is refused where it is built, on one
+    error line with no numpy warning, and no output directory is made."""
+    out_dir = tmp_path / "never"
+    data = grid_config(out_dir)
+    data["initial_state"]["gaussian"]["p0"] = 1e308
+    assert main([command, "--config", str(write_config(tmp_path, data))]) == 2
+    assert capsys.readouterr().err == (
+        "error: packet phase e^(i p0 x) is not finite at p0 = 1e+308\n")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

@@ -34,12 +34,13 @@ from qcpusim import (
     spectral_norm_upper_bound,
     tensor,
 )
+from qcpusim import numerics
 from qcpusim.cli import main
 from qcpusim.grid import kinetic_nonzeros, momentum_nonzeros
 from qcpusim.numerics import (
     BESSEL_FLOOR, CHEBYSHEV_COST, COMPLEX_EIGH_COST, EIGH_MAX_SIZE, FOURIER_DENSE_COST,
-    FourierOperator, SparseOperator, _chebyshev_evolution, as_operator, bessel_series,
-    nonzero_product, oracle_gate,
+    MAX_SERIES_TERMS, FourierOperator, SparseOperator, _chebyshev_evolution, as_operator,
+    bessel_series, nonzero_product, oracle_gate,
 )
 from qcpusim.systems import spectral_evolution, system_route
 from test_grid import shift_matrix, transposition_matrix
@@ -293,6 +294,28 @@ def test_above_eigh_max_size_a_complex_h_runs_the_series_whatever_it_costs(monke
     closed_form = np.fft.fft(np.exp(-1j * h.energies * t) * np.fft.ifft(psi, norm="ortho"),
                              norm="ortho")
     assert np.max(np.abs(exact_evolution(h, t, psi) - closed_form)) < 1e-9
+
+
+@pytest.mark.parametrize("t, terms", [(1e300, "3.15827e+302"), (1e306, "inf")],
+                         ids=["t1e300", "t1e306"])
+def test_a_series_past_max_series_terms_is_refused_before_any_bessel_term(monkeypatch, t, terms):
+    """The k = 11 free particle's FourierOperator has no eigh to fall back on:
+    over a horizon whose series would need more than MAX_SERIES_TERMS terms
+    (z = 3.2e302, or inf) exact_evolution refuses it with the sentence
+    `EvolutionSettings.resolve` prints, before `bessel_series` runs."""
+    def refuse(z):
+        raise AssertionError("bessel_series ran")
+
+    g = GridSpec(length=181.01933598375618, qubits=11, centered=True)
+    h = system_route(SystemSpec(kind="free_particle", mu=1.0), g).hamiltonian
+    monkeypatch.setattr(numerics, "bessel_series", refuse)
+    psi = np.zeros(g.size, dtype=complex)
+    psi[0] = 1.0
+    with pytest.raises(InvalidSpec) as caught:
+        exact_evolution(h, t, psi)
+    assert str(caught.value).startswith(
+        f"the exact oracle would need a Chebyshev series of at least {terms} terms, more than "
+        f"{MAX_SERIES_TERMS}, as a complex eigh does not run above N = {EIGH_MAX_SIZE}")
 
 
 def test_above_eigh_max_size_only_a_real_h_keeps_its_eigh_price():

@@ -706,6 +706,19 @@ def test_free_energies_survive_a_huge_mass():
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("potential", [
+    PotentialSpec(form="quadratic", coefficient=1e308), PotentialSpec(form="linear", slope=-1e308),
+], ids=["quadratic", "linear"])
+def test_grid_route_refuses_a_potential_past_double_range(potential):
+    """A potential whose values overflow is computed without a warning and
+    refused where the grid kind's H is made, at its first such grid point."""
+    grid = GridSpec(length=16.0, qubits=4, centered=True)
+    assert np.isinf(potential.values_on(grid)[0])
+    with pytest.raises(NonFiniteValue, match=r"^H's diagonal, kinetic \+ potential, is not "
+                                             r"finite at grid point 0 \(x = -8\.0\)$"):
+        system_route(SystemSpec(kind="grid_schrodinger", mu=1.0, potential=potential), grid)
+
+
 def _warnings_seen_by_run(route, psi0, evo):
     """route.run's summary, how many warnings each visited step saw, and its warnings."""
     with warnings.catch_warnings(record=True) as caught:
