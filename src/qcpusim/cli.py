@@ -159,13 +159,8 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
 
     with _directory_lock(out_dir):
         fields, rows = route.run(psi0, evo, snapshot)
-        _write_csv_atomic(out_dir / "diagnostics.csv", ["step", "time", "norm_sq", "drift"], rows)
-        summary = {
-            "config": cfg.to_dict(),
-            **fields,
-            "method": route.method,
-            "wall_time_s": time.perf_counter() - started,
-        }
+        _write_csv_atomic(out_dir / "diagnostics.csv", list(rows[0]), rows)
+        summary = {"config": cfg.to_dict(), **fields, "wall_time_s": time.perf_counter() - started}
         _write_json_atomic(out_dir / "summary.json", summary)
     return summary
 

@@ -15,15 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GridMismatch,
-    InvalidSpec,
-    NonFiniteValue,
-    NonPositiveFrequency,
-    NonPositiveMass,
-    ResidualTimeError,
-)
+from .errors import ConfigError, GridMismatch, InvalidSpec, QcpuSimError, ResidualTimeError
 from .evolve import EvolutionConfig
 from .grid import GridSpec
 from .numerics import oracle_gate, shown, spectral_norm_upper_bound
@@ -35,7 +27,6 @@ from .systems import (
     gaussian_packet,
 )
 
-_SPEC_ERRORS = (InvalidSpec, NonPositiveMass, NonPositiveFrequency, NonFiniteValue)
 # Every parameter some system kind takes, in table order.
 _SYSTEM_KEYS = tuple(dict.fromkeys(key for keys in SYSTEM_PARAMETERS.values() for key in keys))
 # N = 2**k.  Only the oracle's eigh, on H's dense form, builds an N x N array: at
@@ -288,7 +279,7 @@ def _parse_potential(data, field: str) -> PotentialSpec:
               for key in POTENTIAL_PARAMETER.values() if key in pot}
     try:
         return PotentialSpec(form=form, **params)
-    except _SPEC_ERRORS as exc:
+    except QcpuSimError as exc:
         raise ConfigError(field, str(exc)) from exc
 
 
@@ -301,7 +292,7 @@ def _parse_system(data) -> SystemSpec:
               for key in _SYSTEM_KEYS if key in system}
     try:
         return SystemSpec(kind=kind, **params)
-    except _SPEC_ERRORS as exc:
+    except QcpuSimError as exc:
         raise ConfigError("system", str(exc)) from exc
 
 
@@ -322,6 +313,11 @@ def _parse_amplitudes(raw, field: str) -> tuple[complex, ...]:
 
 
 def parse_run_config(data) -> RunConfig:
+    """A run config from its parsed JSON.  This reads each section's keys, shapes
+    and types only, naming the dotted field of a fault; the specs check their own
+    values, and a system or potential spec's refusal, any package error, is a
+    ConfigError on its section.  `outputs` reaches OutputSpec as written, so its
+    defaults are OutputSpec's."""
     top = _as_object(data, "<config>")
     _reject_unknown(top, {"system", "grid", "evolution", "initial_state", "outputs"}, "<config>")
 
@@ -354,8 +350,8 @@ def parse_run_config(data) -> RunConfig:
 
     out_data = _as_object(_require(top, "outputs", "outputs"), "outputs")
     _reject_unknown(out_data, {"directory", "snapshot_every"}, "outputs")
-    outputs = OutputSpec(directory=_require(out_data, "directory", "outputs.directory"),
-                         snapshot_every=out_data.get("snapshot_every", 1))
+    _require(out_data, "directory", "outputs.directory")
+    outputs = OutputSpec(**out_data)
     return RunConfig(system=system, grid=grid, evolution=evolution,
                      initial_state=initial, outputs=outputs)
 

@@ -328,9 +328,10 @@ class Route:
 
     def run(self, psi0: np.ndarray, evo: EvolutionConfig, visit=None) -> tuple[dict, list[dict]]:
         """Step psi0 over evo through `evolve.run_states`, passing each checked
-        state to visit(step, state); return the summary fields (the final state's
-        fidelity against the exact oracle, the largest ||psi||^2 drift from psi0's)
-        and one row per step (its ||psi||^2 and drift).  A run warns once: the
+        state to visit(step, state); return the summary fields (the route's
+        method, the steps, dt and sign, the final state's fidelity against the
+        exact oracle and the largest ||psi||^2 drift from psi0's) and one row per
+        step (its step, time, ||psi||^2 and drift).  A run warns once: the
         Euler route before steps at dt * ||H|| bound >= 1, any other run after
         steps that drifted past DRIFT_LIMIT."""
         h = self.hamiltonian
@@ -338,7 +339,7 @@ class Route:
         final, norm_sq = run_states(self.states(psi0, evo), visit)
         oracle = exact_evolution(h, evo.steps * evo.dt, psi0, evo.sign)
         drift = norm_sq - norm_sq[0]
-        summary = {"steps": evo.steps, "dt": evo.dt, "sign": evo.sign,
+        summary = {"method": self.method, "steps": evo.steps, "dt": evo.dt, "sign": evo.sign,
                    "final_fidelity": fidelity(final, oracle),
                    "max_norm_drift": float(np.max(np.abs(drift)))}
         rows = [{"step": i, "time": i * evo.dt, "norm_sq": float(ns), "drift": float(drift[i])}

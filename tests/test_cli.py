@@ -173,6 +173,48 @@ def test_simulate_grid_system_euler_route(tmp_path):
     assert summary["max_norm_drift"] > 0.0  # Euler drift is real and visible
 
 
+def test_simulate_writes_what_route_run_returns(tmp_path):
+    """summary.json holds the config, Route.run's fields as they are and the
+    wall time; diagnostics.csv has Route.run's rows under their own keys."""
+    out_dir = tmp_path / "grid"
+    path = write_config(tmp_path, grid_config(out_dir))
+    cfg = load_run_config(path)
+    route = system_route(cfg.system, cfg.grid)
+    fields, rows = route.run(cfg.initial_state.build(cfg.grid),
+                             cfg.evolution.resolve(route.hamiltonian))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary.pop("config") == cfg.to_dict()
+    assert summary.pop("wall_time_s") > 0.0
+    assert summary == fields
+    with open(out_dir / "diagnostics.csv", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert reader.fieldnames == list(rows[0])
+        assert [{key: float(value) for key, value in row.items()} for row in reader] == rows
+
+
+@pytest.mark.parametrize("section, key, line", [
+    ("evolution", "dt", "error: evolution.dt: expected a number, got None"),
+    ("evolution", "auto_epsilon", "error: evolution.auto_epsilon: expected a number, got None"),
+    ("initial_state", "basis_state",
+     "error: initial_state.basis_state: expected an integer, got None"),
+    ("outputs", "snapshot_every", "error: outputs.snapshot_every: expected an integer, got None"),
+], ids=["dt", "auto_epsilon", "basis_state", "snapshot_every"])
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
+def test_a_json_null_is_refused_not_read_as_absent(tmp_path, capsys, command, section, key, line):
+    """A JSON null is a value the parser refuses, not a key left out: a null
+    dt or auto_epsilon does not become the other policy, a null basis state
+    is not a missing variant and a null snapshot_every is not OutputSpec's
+    default of 1.  Both commands exit 2 on one `error:` line and create no
+    output directory."""
+    out_dir = tmp_path / "never"
+    data = harmonic_config(out_dir)
+    data[section][key] = None
+    assert main([command[0], "--config", str(write_config(tmp_path, data)), *command[1:]]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_free_particle_spectral_route(tmp_path):
     out_dir = tmp_path / "free"
     config = write_config(tmp_path, free_particle_config(out_dir))

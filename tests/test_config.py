@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qcpusim import (
     ConfigError,
+    DimensionMismatch,
     EvolutionSettings,
     GridSpec,
     InitialStateSpec,
@@ -24,6 +25,7 @@ from qcpusim import (
     load_run_config,
     parse_run_config,
 )
+from qcpusim import config
 from qcpusim.config import MAX_STEPS, GaussianPacketSpec
 from qcpusim.numerics import oracle_gate
 from qcpusim.systems import system_route
@@ -712,6 +714,25 @@ def test_load_invalid_json_reports_location(tmp_path):
     path.write_text('{"system": }')
     with pytest.raises(ConfigError, match=r"line 1, column \d+"):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("spec, section", [("SystemSpec", "system"),
+                                           ("PotentialSpec", "system.potential")])
+def test_any_package_error_of_a_spec_is_a_config_error_on_its_section(monkeypatch, spec,
+                                                                      section):
+    """The parser wraps whatever package error a system or potential spec raises,
+    not a list of the types the specs raise today: a new check's refusal, here a
+    DimensionMismatch, reaches the user as one line on its section."""
+    def refuse(**params):
+        raise DimensionMismatch("a check the parser does not know")
+
+    monkeypatch.setattr(config, spec, refuse)
+    data = base_config()
+    data["system"] = {"kind": "grid_schrodinger", "mu": 1.0,
+                      "potential": {"form": "quadratic", "coefficient": 0.05}}
+    with pytest.raises(ConfigError) as caught:
+        parse_run_config(data)
+    assert str(caught.value) == f"{section}: a check the parser does not know"
 
 
 def test_load_wraps_spec_errors_in_config_error(tmp_path):

@@ -764,6 +764,26 @@ def test_a_harmonic_run_at_r_over_1_does_not_warn():
     assert messages == []
 
 
+@pytest.mark.parametrize("system, method", [
+    (SystemSpec(kind="harmonic", omega=1.0), "energy_eigenbasis"),
+    (SystemSpec(kind="grid_schrodinger", mu=1.0,
+                potential=PotentialSpec(form="quadratic", coefficient=0.05)), "euler_network"),
+    (SystemSpec(kind="free_particle", mu=1.0), "spectral_momentum"),
+    (SystemSpec(kind="constant_field", mu=1.0, u=2.0), "interaction_picture"),
+], ids=["harmonic", "grid", "free", "field"])
+def test_route_run_reports_its_method_and_row_keys(system, method):
+    """Route.run's summary fields name the route's method, which `simulate`
+    writes as given, and every row holds the same keys, the diagnostics columns."""
+    grid = GridSpec(length=16.0, qubits=4, centered=True)
+    route = system_route(system, grid)
+    psi0 = np.zeros(grid.size, dtype=complex)
+    psi0[7] = 1.0
+    fields, rows = route.run(psi0, EvolutionConfig(dt=0.0625, total_time=0.25))
+    assert fields["method"] == route.method == method
+    assert list(fields) == ["method", "steps", "dt", "sign", "final_fidelity", "max_norm_drift"]
+    assert [list(row) for row in rows] == [["step", "time", "norm_sq", "drift"]] * 5
+
+
 # ---------------------------------------------------------------------------
 # The route's sparse H: its O(N) nonzeros against its dense form
 # ---------------------------------------------------------------------------
