@@ -131,7 +131,9 @@ class EvolutionSettings:
         the exact oracle's Chebyshev series takes at most numerics.MAX_SERIES_TERMS
         terms, as the oracle's own gate requires (`require_bounded_series`, from
         z alone): a cap only on a complex H above numerics.EIGH_MAX_SIZE, whose
-        eigh never runs.  An H that is not finite is left to the oracle.
+        eigh never runs.  That gate also refuses a total_time whose phases
+        |t| max |E| on H's Gershgorin interval are not finite, as those of an H
+        that is not finite are.
         """
         norm_bound = spectral_norm_upper_bound(h)
         if self.dt is None:

@@ -45,8 +45,8 @@ _RESIDUAL_FRACTION = 1e-9
 class EvolutionConfig:
     """Time-stepping parameters: step size, horizon, and phase sign.
 
-    The horizon must be a whole number of steps: a leftover fraction of a
-    step is rejected rather than silently evolved or dropped.
+    The horizon must be a whole, finite number of steps: a leftover fraction
+    of a step is rejected rather than silently evolved or dropped.
     """
 
     dt: float
@@ -61,6 +61,9 @@ class EvolutionConfig:
         if not math.isfinite(self.total_time) or self.total_time < 0.0:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {self.total_time!r}")
         require_sign(self.sign)
+        if not math.isfinite(self.total_time / self.dt):
+            raise InvalidSpec(f"total_time {self.total_time!r} / dt {self.dt!r} overflows: "
+                              f"the step count is not finite")
         steps = round(self.total_time / self.dt)
         residual = abs(self.total_time - steps * self.dt)
         if residual > self.dt * _RESIDUAL_FRACTION:

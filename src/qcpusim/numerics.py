@@ -353,7 +353,8 @@ def _row_width(rows, n: int) -> int:
 def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     """exp(sign * i * h * t) @ psi for Hermitian h, never forming the propagator.
 
-    The oracle of every approximate path, for a finite t (InvalidSpec
+    The oracle of every approximate path, for a finite t whose phases
+    |t| max |E| on h's Gershgorin interval are finite too (InvalidSpec
     otherwise) and one state psi of h's dimension (DimensionMismatch
     otherwise), by the cheaper of two routes, both exact to round-off, as
     `oracle_gate` prices them: a Chebyshev series on h's product
@@ -416,13 +417,16 @@ class OracleGate(NamedTuple):
     series runs J_0(z), J_1(z), ... with z = |t| width, one term costing
     `nonzeros` (N times a row's cost: its padded nonzeros, or log2 N by FFT)
     times CHEBYSHEV_COST, and it runs where its terms cost at most `budget`,
-    h's `eigh_cost()`: inf for a complex h above EIGH_MAX_SIZE."""
+    h's `eigh_cost()`: inf for a complex h above EIGH_MAX_SIZE.  `phase` is
+    |t| max(|lo|, |hi|) on the interval [lo, hi]: no eigenvalue's phase E t,
+    nor the series' centre one, is larger."""
 
     centre: float
     width: float
     z: float
     nonzeros: int
     budget: float
+    phase: float
 
     def affords(self, terms: float) -> bool:
         """Whether this many series terms cost no more than the eigh they replace."""
@@ -430,11 +434,16 @@ class OracleGate(NamedTuple):
 
     def require_bounded_series(self) -> None:
         """Refuse (InvalidSpec), from z alone, a series of z + 1 or more terms
-        past MAX_SERIES_TERMS where no eigh may replace it (budget inf)."""
+        past MAX_SERIES_TERMS where no eigh may replace it (budget inf), then a
+        t whose `phase` is not finite, where e^{i E t} would be NaN on either route."""
         if self.budget == math.inf and MAX_SERIES_TERMS < self.z + 1:
             raise InvalidSpec(f"the exact oracle would need a Chebyshev series of at least "
                               f"{self.z + 1:.6g} terms, more than {MAX_SERIES_TERMS}, as a "
                               f"complex eigh does not run above N = {EIGH_MAX_SIZE}")
+        if not math.isfinite(self.phase):
+            raise InvalidSpec(f"the exact oracle's phases e^(i E t) would overflow: |t| max |E| "
+                              f"is not finite on H's Gershgorin interval, centre "
+                              f"{self.centre:.6g} and half-width {self.width:.6g}")
 
 
 def oracle_gate(h, t: float) -> OracleGate:
@@ -445,12 +454,12 @@ def oracle_gate(h, t: float) -> OracleGate:
     h = as_operator(h)
     n = h.size
     if n == 0:
-        return OracleGate(0.0, 0.0, 0.0, 0, 0)
+        return OracleGate(0.0, 0.0, 0.0, 0, 0, 0.0)
     centres, radii, row_cost = h.gershgorin()
     lo, hi = float(np.min(centres - radii)), float(np.max(centres + radii))
-    pad = GERSHGORIN_PAD * max(abs(lo), abs(hi))
-    centre, width = (lo + hi) / 2, (hi - lo) / 2 + pad
-    return OracleGate(centre, width, abs(t) * width, row_cost * n, h.eigh_cost())
+    extent = max(abs(lo), abs(hi))
+    centre, width = (lo + hi) / 2, (hi - lo) / 2 + GERSHGORIN_PAD * extent
+    return OracleGate(centre, width, abs(t) * width, row_cost * n, h.eigh_cost(), abs(t) * extent)
 
 
 def _chebyshev_evolution(h, t: float, psi: np.ndarray, sign: int, gate: OracleGate):

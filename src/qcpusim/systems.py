@@ -207,19 +207,31 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
 
     Width grows as sigma * sqrt(1 + (t / (2 mu sigma^2))^2) and the center
     drifts at p0/mu.  Continuum physics: used as a reference profile to
-    sample on a grid, not as a grid object itself.
+    sample on a grid, not as a grid object itself.  A packet, mass and time
+    whose closed-form constants are not finite, or whose sigma^2 is not a
+    normal double, is refused (NonFiniteValue): the profile divides by
+    4 sigma^2 alpha, and numpy's complex division takes its reciprocal.
     """
     require_mass(mu)
-    sigma_sq = spec.sigma ** 2
-    alpha = 1.0 + 1j * t / (2.0 * mu * sigma_sq)
-    prefactor = (2.0 * math.pi * sigma_sq) ** -0.25 / np.sqrt(alpha)
+    try:  # a float ** past double range raises, as does a complex / 0.0
+        sigma_sq = spec.sigma ** 2
+        alpha = 1.0 + 1j * t / (2.0 * mu * sigma_sq)
+        phase_const = -1j * spec.p0 ** 2 * t / (2.0 * mu)
+    except (OverflowError, ZeroDivisionError):
+        sigma_sq = alpha = phase_const = math.nan
+    width = 4.0 * sigma_sq * alpha
+    with np.errstate(all="ignore"):  # an alpha past double range: refused below
+        prefactor = (2.0 * math.pi * sigma_sq) ** -0.25 / np.sqrt(alpha)
     center = spec.x0 + spec.p0 * t / mu
-    phase_const = -1j * spec.p0 ** 2 * t / (2.0 * mu)
+    if not (sigma_sq >= np.finfo(float).tiny and prefactor != 0.0  # else 1 / width overflows
+            and np.isfinite([width, prefactor, center, phase_const]).all()):
+        raise NonFiniteValue(f"free Gaussian at sigma = {spec.sigma!r}, p0 = {spec.p0!r}, "
+                             f"mu = {mu!r}, t = {t!r} has no finite closed form")
 
     def profile(x):
         x = np.asarray(x, dtype=float)
         return prefactor * np.exp(
-            -(x - center) ** 2 / (4.0 * sigma_sq * alpha) + 1j * spec.p0 * (x - spec.x0) + phase_const)
+            -(x - center) ** 2 / width + 1j * spec.p0 * (x - spec.x0) + phase_const)
 
     return profile
 
@@ -229,7 +241,8 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
 # ---------------------------------------------------------------------------
 
 def _phases(values, t: float, sign: int) -> np.ndarray:
-    """The diagonal phases e^{sign * i * value * t}, one per value."""
+    """The diagonal phases e^{sign * i * value * t}, one per value; a value * t
+    past double range, whose phase would be NaN, is refused (NonFiniteValue)."""
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise DimensionMismatch(f"phase values must be a vector, got shape {vals.shape}")
@@ -237,7 +250,12 @@ def _phases(values, t: float, sign: int) -> np.ndarray:
         raise NonFiniteValue("phase values contain non-finite entries")
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
-    return np.exp((require_sign(sign) * 1j * t) * vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arguments = (require_sign(sign) * 1j * t) * vals
+    if not np.isfinite(arguments).all():
+        raise NonFiniteValue(f"phase value * t overflows at t = {t!r}, where the largest "
+                             f"|value| is {np.max(np.abs(vals)):.6g}")
+    return np.exp(arguments)
 
 
 def diagonal_phase_network(values, t: float, sign: int = -1) -> QcpuNetwork:

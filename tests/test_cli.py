@@ -692,6 +692,30 @@ def test_an_oracle_series_over_max_steps_is_refused_before_the_lock(tmp_path, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("system, interval", [
+    ({"kind": "harmonic", "omega": 1e300}, "centre 8e+300 and half-width 7.5e+300"),
+    ({"kind": "constant_field", "mu": 1.0, "u": 1e300}, "centre 1e+300 and half-width 1e+288"),
+], ids=["omega", "field"])
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
+def test_a_horizon_whose_phases_overflow_is_refused_before_the_lock(tmp_path, capsys, command,
+                                                                     system, interval):
+    """Over T = 1e12 (100 steps of 1e10) the phases E t of an H near 1e300 are
+    past double range.  `simulate` wrote snapshot_000000.jsonl and exited 1 on a
+    non-finite amplitude, `compare` printed an `r = inf` warning and numpy's
+    lines; both now exit 2 on the oracle gate's one `error:` line and create no
+    output directory.  The field's interval is narrow, so its z = |t| w is only
+    1e300: only |t| max |E| = 1e312 shows the overflow."""
+    out_dir = tmp_path / "never"
+    data = harmonic_config(out_dir)
+    data["system"] = system
+    data["evolution"] = {"dt": 1e10, "total_time": 1e12}
+    assert main([command[0], "--config", str(write_config(tmp_path, data)), *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "error: evolution.total_time: the exact oracle's phases e^(i E t) would overflow: "
+        f"|t| max |E| is not finite on H's Gershgorin interval, {interval}\n")
+    assert not out_dir.exists()
+
+
 def test_long_harmonic_at_n_2048_keeps_its_real_eigh(tmp_path, monkeypatch):
     """The oscillator's H is real: above numerics.EIGH_MAX_SIZE its eigh keeps
     its N^3 price, so at k = 11 and T = 1100, where the series would need 1.1

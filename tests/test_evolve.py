@@ -90,6 +90,15 @@ def test_tiny_residual_tolerated():
     assert cfg.steps == 10
 
 
+@pytest.mark.parametrize("dt, total_time", [(5e-324, 1.0), (1e-300, 1e10)],
+                         ids=["denormal_dt", "long_horizon"])
+def test_a_step_count_past_double_range_is_refused(dt, total_time):
+    """total_time / dt overflows to inf, which round() cannot make an int: a
+    package error, not a bare OverflowError.  (The CLI caps the steps first.)"""
+    with pytest.raises(InvalidSpec, match=r"overflows: the step count is not finite$"):
+        EvolutionConfig(dt=dt, total_time=total_time)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.1, float("inf")])
 def test_invalid_dt_rejected(dt):
     with pytest.raises(InvalidSpec):

@@ -318,6 +318,24 @@ def test_a_series_past_max_series_terms_is_refused_before_any_bessel_term(monkey
         f"{MAX_SERIES_TERMS}, as a complex eigh does not run above N = {EIGH_MAX_SIZE}")
 
 
+@pytest.mark.parametrize("h, t", [
+    (np.diag([1e300, 2e300]), 1e10),
+    (np.diag([1e300, 1e300]), 1e10),
+    (np.diag([-1e308, 1.0]), -2.0),
+], ids=["wide", "narrow", "negative"])
+def test_a_horizon_whose_phases_overflow_is_refused(h, t):
+    """|t| max(|lo|, |hi|) of the Gershgorin interval past double range makes
+    e^{i E t} NaN on either route; the gate refuses it, even where z = |t| w
+    is finite because the interval is narrow (w = 1e288 at [1e300, 1e300])."""
+    gate = oracle_gate(h, t)
+    assert gate.phase == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match=r"^the exact oracle's phases e\^\(i E t\) would "
+                                              r"overflow: \|t\| max \|E\| is not finite on H's"):
+            exact_evolution(h, t, np.ones(2))
+
+
 def test_above_eigh_max_size_only_a_real_h_keeps_its_eigh_price():
     """At N = 2048 the grid kind's real stencil keeps the N^3 price of a real
     eigh, which stands in for its series over a long horizon as below the

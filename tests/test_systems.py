@@ -396,6 +396,25 @@ def test_analytic_gaussian_width_grows():
     assert w4 == pytest.approx(math.sqrt(1.0 + (4.0 / 2.0) ** 2), abs=1e-3)
 
 
+@pytest.mark.parametrize("sigma, p0, t", [
+    (1e155, 0.5, 1.0), (1e154, 0.5, 1.0), (1e-200, 0.5, 1.0), (1e-200, 0.5, 0.0),
+    (1e-160, 0.5, 1.0), (1e-160, 0.5, 0.0), (1e-150, 0.5, 1e300), (1.0, 1e155, 1.0),
+], ids=["sigma_sq_overflows", "prefactor_underflows", "sigma_sq_underflows",
+        "sigma_sq_underflows_at_t0", "alpha_overflows", "subnormal_sigma_sq_at_t0", "long_time",
+        "p0_sq_overflows"])
+def test_analytic_gaussian_without_a_finite_closed_form_is_refused(sigma, p0, t):
+    """A width, momentum or time whose closed-form constants leave double range
+    is refused as NonFiniteValue, without a numpy warning: once a bare
+    OverflowError (sigma^2 or p0^2 past double range), a ZeroDivisionError
+    (sigma^2 = 0) or a NaN profile (alpha = 1 + i t / 2 mu sigma^2 = inf, or a
+    subnormal sigma^2, whose 4 sigma^2 alpha numpy's division inverts to inf)."""
+    spec = GaussianPacketSpec(x0=0.0, p0=p0, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="has no finite closed form$"):
+            analytic_free_gaussian(spec, 1.0, t)
+
+
 # ---------------------------------------------------------------------------
 # Spectral free dynamics
 # ---------------------------------------------------------------------------
@@ -528,6 +547,20 @@ def test_diagonal_phase_network_validation():
         diagonal_phase_network([1.0], 1.0, sign=3)
     with pytest.raises(InvalidSpec):
         diagonal_phase_network([1.0], 1.0, sign=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: harmonic_network(1e300, 2, 1e10),
+    lambda: diagonal_phase_network([1e308], 10.0),
+    lambda: spectral_evolution(GridSpec(16.0, 4), 1.0, 1e10, np.ones(16), u=1e300),
+], ids=["harmonic_network", "diagonal_phase_network", "spectral_evolution"])
+def test_a_phase_argument_past_double_range_is_refused(build):
+    """value * t past double range would make e^{i value t} NaN: the closed-form
+    phases refuse it as NonFiniteValue, where numpy warned and returned NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"^phase value \* t overflows at t = "):
+            build()
 
 
 # ---------------------------------------------------------------------------
