@@ -61,10 +61,11 @@ class EvolutionConfig:
         if not math.isfinite(self.total_time) or self.total_time < 0.0:
             raise InvalidSpec(f"total_time must be finite and nonnegative, got {self.total_time!r}")
         require_sign(self.sign)
-        if not math.isfinite(self.total_time / self.dt):
+        ratio = self.total_time / self.dt
+        if not math.isfinite(ratio):  # round() would raise OverflowError
             raise InvalidSpec(f"total_time {self.total_time!r} / dt {self.dt!r} overflows: "
                               f"the step count is not finite")
-        steps = round(self.total_time / self.dt)
+        steps = round(ratio)
         residual = abs(self.total_time - steps * self.dt)
         if residual > self.dt * _RESIDUAL_FRACTION:
             raise ResidualTimeError(

@@ -223,7 +223,8 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
     with np.errstate(all="ignore"):  # an alpha past double range: refused below
         prefactor = (2.0 * math.pi * sigma_sq) ** -0.25 / np.sqrt(alpha)
     center = spec.x0 + spec.p0 * t / mu
-    if not (sigma_sq >= np.finfo(float).tiny and prefactor != 0.0  # else 1 / width overflows
+    # A subnormal sigma^2 makes 1 / width overflow; a prefactor of 0 is 2 pi sigma^2 = inf.
+    if not (sigma_sq >= np.finfo(float).tiny and prefactor != 0.0
             and np.isfinite([width, prefactor, center, phase_const]).all()):
         raise NonFiniteValue(f"free Gaussian at sigma = {spec.sigma!r}, p0 = {spec.p0!r}, "
                              f"mu = {mu!r}, t = {t!r} has no finite closed form")
