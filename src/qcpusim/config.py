@@ -40,12 +40,6 @@ MAX_STEPS = 2**20
 MAX_SNAPSHOT_POINTS = 2**22
 
 
-def _require(data: dict, key: str, field: str):
-    if key not in data:
-        raise ConfigError(field, "missing required key")
-    return data[key]
-
-
 def _as_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
@@ -76,10 +70,14 @@ def _as_object(value, field: str) -> dict:
     return value
 
 
-def _reject_unknown(data: dict, known: set, field: str) -> None:
-    stray = sorted(set(data) - known)
-    if stray:
-        raise ConfigError(field, f"unknown keys {stray}")
+def _as_bool(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(field, f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_given(value, field: str):
+    return value
 
 
 @dataclass(frozen=True)
@@ -272,38 +270,6 @@ def _given_fields(spec) -> dict:
     return {key: value for key, value in asdict(spec).items() if value is not None}
 
 
-def _parse_potential(data, field: str) -> PotentialSpec:
-    pot = _as_object(data, field)
-    _reject_unknown(pot, {"form", *POTENTIAL_PARAMETER.values()}, field)
-    form = _require(pot, "form", f"{field}.form")
-    read = {POTENTIAL_PARAMETER["table"]: _as_numbers}
-    params = {key: read.get(key, _as_number)(pot[key], f"{field}.{key}")
-              for key in POTENTIAL_PARAMETER.values() if key in pot}
-    try:
-        return PotentialSpec(form=form, **params)
-    except QcpuSimError as exc:
-        raise ConfigError(field, str(exc)) from exc
-
-
-def _parse_system(data) -> SystemSpec:
-    system = _as_object(data, "system")
-    _reject_unknown(system, {"kind", *_SYSTEM_KEYS}, "system")
-    kind = _require(system, "kind", "system.kind")
-    read = {"potential": _parse_potential}
-    params = {key: read.get(key, _as_number)(system[key], f"system.{key}")
-              for key in _SYSTEM_KEYS if key in system}
-    try:
-        return SystemSpec(kind=kind, **params)
-    except QcpuSimError as exc:
-        raise ConfigError("system", str(exc)) from exc
-
-
-def _parse_packet(data, field: str) -> GaussianPacketSpec:
-    g = _as_object(data, field)
-    _reject_unknown(g, {"x0", "p0", "sigma"}, field)
-    return GaussianPacketSpec(*(_require(g, key, f"{field}.{key}") for key in ("x0", "p0", "sigma")))
-
-
 def _parse_amplitudes(raw, field: str) -> tuple[complex, ...]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(field, "expected a nonempty list of [re, im] pairs")
@@ -314,48 +280,77 @@ def _parse_amplitudes(raw, field: str) -> tuple[complex, ...]:
                  for i, (re, im) in enumerate(raw))
 
 
-def parse_run_config(data) -> RunConfig:
-    """A run config from its parsed JSON.  This reads each section's keys, shapes
-    and types only, naming the dotted field of a fault; the specs check their own
-    values, and a system or potential spec's refusal, any package error, is a
-    ConfigError on its section.  `outputs` reaches OutputSpec as written, so its
-    defaults are OutputSpec's."""
-    top = _as_object(data, "<config>")
-    _reject_unknown(top, {"system", "grid", "evolution", "initial_state", "outputs"}, "<config>")
+def _section(data, field: str, readers: dict, required: tuple = ()) -> dict:
+    """The values of the JSON object `data` at `field`, read by its table:
+    `readers` maps each key, in order, to reader(value, dotted field), a
+    top-level section's field being its bare name.  Keys outside the table are
+    refused first (`unknown keys`), then each key in table order: one present
+    is read, one missing refused if `required` (`missing required key`).  So
+    the first fault in that order wins."""
+    given = _as_object(data, field)
+    stray = sorted(set(given) - set(readers))
+    if stray:
+        raise ConfigError(field, f"unknown keys {stray}")
+    prefix = "" if field == "<config>" else f"{field}."
+    values = {}
+    for key, read in readers.items():
+        if key in given:
+            values[key] = read(given[key], prefix + key)
+        elif key in required:
+            raise ConfigError(prefix + key, "missing required key")
+    return values
 
-    system = _parse_system(_require(top, "system", "system"))
 
-    grid_data = _as_object(_require(top, "grid", "grid"), "grid")
-    _reject_unknown(grid_data, {"L", "k", "centered"}, "grid")
-    length = _as_number(_require(grid_data, "L", "grid.L"), "grid.L")
-    qubits = _as_int(_require(grid_data, "k", "grid.k"), "grid.k")
-    centered = grid_data.get("centered", False)
-    if not isinstance(centered, bool):
-        raise ConfigError("grid.centered", f"expected true or false, got {centered!r}")
+def _spec(build, field: str, *args, **kwargs):
+    """build(*args, **kwargs), a system, potential or grid spec, whose refusal,
+    any package error but a ConfigError, is a ConfigError on its section."""
     try:
-        grid = GridSpec(length=length, qubits=qubits, centered=centered)
-    except InvalidSpec as exc:
-        raise ConfigError("grid", str(exc)) from exc
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except QcpuSimError as exc:
+        raise ConfigError(field, str(exc)) from exc
 
-    evo_data = _as_object(_require(top, "evolution", "evolution"), "evolution")
-    _reject_unknown(evo_data, {"dt", "auto_epsilon", "total_time", "sign"}, "evolution")
-    _require(evo_data, "total_time", "evolution.total_time")
-    read = {"total_time": _as_number, "dt": _as_number, "auto_epsilon": _as_number, "sign": _as_int}
-    evolution = EvolutionSettings(**{key: read[key](evo_data[key], f"evolution.{key}")
-                                     for key in read if key in evo_data})
 
-    init_data = _as_object(_require(top, "initial_state", "initial_state"), "initial_state")
-    _reject_unknown(init_data, {"gaussian", "basis_state", "table"}, "initial_state")
-    read = {"gaussian": _parse_packet, "basis_state": _as_int, "table": _parse_amplitudes}
-    initial = InitialStateSpec(**{key: read[key](init_data[key], f"initial_state.{key}")
-                                  for key in read if key in init_data})
+# Each object of a run config as its table for `_section`: key -> reader, in the
+# order its keys are read and refused.  A key read as given is checked by its spec.
+_POTENTIAL = {"form": _as_given, **dict.fromkeys(POTENTIAL_PARAMETER.values(), _as_number),
+              POTENTIAL_PARAMETER["table"]: _as_numbers}
+_SYSTEM = {"kind": _as_given, **dict.fromkeys(_SYSTEM_KEYS, _as_number),
+           "potential": lambda data, field: _spec(PotentialSpec, field,
+                                                  **_section(data, field, _POTENTIAL, ("form",)))}
+_GRID = {"L": _as_number, "k": _as_int, "centered": _as_bool}  # GridSpec's order
+_EVOLUTION = {**dict.fromkeys(("total_time", "dt", "auto_epsilon"), _as_number), "sign": _as_int}
+_PACKET = dict.fromkeys(("x0", "p0", "sigma"), _as_given)
+_INITIAL_STATE = {
+    "gaussian": lambda data, field: GaussianPacketSpec(**_section(data, field, _PACKET,
+                                                                  tuple(_PACKET))),
+    "basis_state": _as_int,
+    "table": _parse_amplitudes,
+}
+_OUTPUTS = dict.fromkeys(("directory", "snapshot_every"), _as_given)
+_RUN_CONFIG = {
+    "system": lambda data, field: _spec(SystemSpec, field,
+                                        **_section(data, field, _SYSTEM, ("kind",))),
+    "grid": lambda data, field: _spec(GridSpec, field,
+                                      *_section(data, field, _GRID, ("L", "k")).values()),
+    "evolution": lambda data, field: EvolutionSettings(**_section(data, field, _EVOLUTION,
+                                                                  ("total_time",))),
+    "initial_state": lambda data, field: InitialStateSpec(**_section(data, field,
+                                                                     _INITIAL_STATE)),
+    "outputs": lambda data, field: OutputSpec(**_section(data, field, _OUTPUTS,
+                                                         ("directory",))),
+}
 
-    out_data = _as_object(_require(top, "outputs", "outputs"), "outputs")
-    _reject_unknown(out_data, {"directory", "snapshot_every"}, "outputs")
-    _require(out_data, "directory", "outputs.directory")
-    outputs = OutputSpec(**out_data)
-    return RunConfig(system=system, grid=grid, evolution=evolution,
-                     initial_state=initial, outputs=outputs)
+
+def parse_run_config(data) -> RunConfig:
+    """A run config from its parsed JSON, each object read by `_section` from
+    its table.  This reads keys, shapes and types only, naming the dotted field
+    of a fault; the specs check their own values, and a system, potential or
+    grid spec's refusal, any package error, is a ConfigError on its section.
+    `outputs` and the packet reach their specs as written, so `snapshot_every`'s
+    default is OutputSpec's."""
+    return RunConfig(**_section(data, "<config>", _RUN_CONFIG, tuple(_RUN_CONFIG)))
 
 
 def load_run_config(path) -> RunConfig:
