@@ -39,7 +39,6 @@ from .errors import ConfigError, NumericalFailure, QcpuSimError
 from .evolve import compare_ladder
 from .grid import GridSpec, spectrum_rows, wavefunction_header, wavefunction_records
 from .qcpu import identity_suite  # bound here too: benchmarks trace cli.identity_suite
-from .systems import system_route
 
 ENV_OUT_DIR = "QCPU_SIM_OUT_DIR"
 LOCK_NAME = ".qcpusim.lock"
@@ -144,9 +143,7 @@ def _cmd_verify_identities(args) -> int:
 def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     started = time.perf_counter()
     grid = cfg.grid
-    psi0 = cfg.initial_state.build(grid)
-    route = system_route(cfg.system, grid)
-    evo = cfg.evolution.resolve(route.hamiltonian)
+    psi0, route, evo = cfg.plan()
     every = cfg.outputs.snapshot_every
     snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
@@ -181,12 +178,10 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_compare(cfg: RunConfig, ladder: int, out_dir: Path) -> dict:
-    psi0 = cfg.initial_state.build(cfg.grid)
-    h = system_route(cfg.system, cfg.grid).hamiltonian
-    base = cfg.evolution.resolve(h, refinement=2 ** (ladder - 1))
+    psi0, route, base = cfg.plan(refinement=2 ** (ladder - 1))
     if base.steps < 1:
         raise ConfigError("evolution.total_time", "compare needs at least one step")
-    report = {"config": cfg.to_dict(), **compare_ladder(h, psi0, base, ladder)}
+    report = {"config": cfg.to_dict(), **compare_ladder(route.hamiltonian, psi0, base, ladder)}
     with _directory_lock(out_dir):
         _write_json_atomic(out_dir / "compare_report.json", report)
     return report

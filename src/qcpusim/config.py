@@ -23,8 +23,10 @@ from .systems import (
     POTENTIAL_PARAMETER,
     SYSTEM_PARAMETERS,
     PotentialSpec,
+    Route,
     SystemSpec,
     gaussian_packet,
+    system_route,
 )
 
 # Every parameter some system kind takes, in table order.
@@ -252,6 +254,15 @@ class RunConfig:
                 self.system.potential.values_on(self.grid)
             except GridMismatch as exc:
                 raise ConfigError("system.potential.values", str(exc)) from exc
+
+    def plan(self, refinement: int = 1) -> tuple[np.ndarray, Route, EvolutionConfig]:
+        """The run this config asks for, as (psi0, route, evo), prepared in one
+        fixed order so both commands refuse the first fault alike: the initial
+        state, then the system's route on the grid, then the steps resolved
+        for the route's H at dt / refinement (`EvolutionSettings.resolve`)."""
+        psi0 = self.initial_state.build(self.grid)
+        route = system_route(self.system, self.grid)
+        return psi0, route, self.evolution.resolve(route.hamiltonian, refinement)
 
     def to_dict(self) -> dict:
         initial = _given_fields(self.initial_state)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from qcpusim import ConfigError, EvolutionSettings, evolve_euler, load_run_config
-from qcpusim import cli, evolve, systems
+from qcpusim import evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
 from qcpusim.systems import system_route
 
@@ -98,7 +98,7 @@ def test_cli_binds_no_physics():
     parts = ("exact_evolution", "fidelity", "apply_network", "project_aux", "tensor", "connector",
              "dense_from_factors", "momentum_operator", "kinetic_operator", "oracle_gate",
              "spectral_norm_upper_bound", "EIGH_MAX_SIZE", "run_states", "run_report",
-             "warn_if_unstable", "warn_if_drifted")
+             "warn_if_unstable", "warn_if_drifted", "system_route")
     assert [name for name in parts if hasattr(cli, name)] == []
 
 
@@ -650,7 +650,7 @@ def test_long_free_particle_at_n_2048_runs_the_series_not_eigh(tmp_path, monkeyp
         spy = dataclasses.replace(h, dense=lambda: built.append(h.size) or h.dense())
         return dataclasses.replace(route, hamiltonian=spy)
 
-    monkeypatch.setattr(cli, "system_route", spied_route)
+    monkeypatch.setattr("qcpusim.config.system_route", spied_route)
     out_dir = tmp_path / "k11"
     cfg = load_run_config(write_config(tmp_path, free_k11_config(out_dir, 40.0)))
     started = time.perf_counter()

@@ -40,7 +40,6 @@ from qcpusim import (
     step_network,
     whole_network,
 )
-from qcpusim import cli
 from qcpusim.cli import main
 from qcpusim.evolve import (
     DRIFT_LIMIT, compare_ladder, euler_states, run_states, warn_if_drifted, warn_if_unstable,
@@ -507,7 +506,7 @@ def test_compare_checks_and_scans_h_once(tmp_path, monkeypatch):
     prop = functools.cached_property(counting("defect", defect))
     prop.__set_name__(SparseOperator, "defect")
     monkeypatch.setattr(SparseOperator, "defect", prop)
-    monkeypatch.setattr(cli, "system_route", counting_builder)
+    monkeypatch.setattr("qcpusim.config.system_route", counting_builder)
     config = {
         "system": {"kind": "grid_schrodinger", "mu": 1.0,
                    "potential": {"form": "quadratic", "coefficient": 0.05}},
@@ -773,7 +772,7 @@ def test_compare_runs_no_n_by_n_block(tmp_path, monkeypatch):
         assert not any(isinstance(block, np.ndarray) for block in net.blocks)
         return apply_network(net, psi)
 
-    monkeypatch.setattr(cli, "system_route", spied_route)
+    monkeypatch.setattr("qcpusim.config.system_route", spied_route)
     monkeypatch.setattr(evolve, "apply_network", operator_blocks_only)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(grid_compare_config(tmp_path / "out", *GRID_COMPARES[1])))
