@@ -81,6 +81,7 @@ class EvolutionConfig:
 def _check_step(h, dt: float, sign: int):
     """Validate the (h, dt, sign) of an Euler step; returns h as an operator."""
     h = require_hermitian(h)
+    require_real("dt", dt)
     if not math.isfinite(dt) or dt < 0.0:
         raise InvalidSpec(f"dt must be finite and nonnegative, got {dt!r}")
     require_sign(sign)

@@ -90,13 +90,15 @@ def require_sign(sign) -> int:
 
 
 def require_mass(mu) -> None:
-    """Refuse a particle mass that is not positive and finite."""
+    """Refuse a particle mass that is not a real number, or not positive and finite."""
+    require_real("mu", mu)
     if not (mu > 0.0) or not math.isfinite(mu):
         raise NonPositiveMass(f"mu must be positive and finite, got {mu!r}")
 
 
 def require_frequency(omega) -> None:
-    """Refuse an oscillator frequency that is not positive and finite."""
+    """Refuse an oscillator frequency that is not a real number, or not positive and finite."""
+    require_real("omega", omega)
     if not (omega > 0.0) or not math.isfinite(omega):
         raise NonPositiveFrequency(f"omega must be positive and finite, got {omega!r}")
 
@@ -365,6 +367,7 @@ def exact_evolution(h, t: float, psi, sign: int = -1) -> np.ndarray:
     EIGH_MAX_SIZE, where a series past MAX_SERIES_TERMS is refused (InvalidSpec).
     """
     require_sign(sign)
+    require_real("time", t)
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
     h = require_hermitian(h)

@@ -213,6 +213,7 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
     4 sigma^2 alpha, and numpy's complex division takes its reciprocal.
     """
     require_mass(mu)
+    require_real("time", t)
     try:  # a float ** past double range raises, as does a complex / 0.0
         sigma_sq = spec.sigma ** 2
         alpha = 1.0 + 1j * t / (2.0 * mu * sigma_sq)
@@ -242,13 +243,18 @@ def analytic_free_gaussian(spec: GaussianPacketSpec, mu: float, t: float):
 # ---------------------------------------------------------------------------
 
 def _phases(values, t: float, sign: int) -> np.ndarray:
-    """The diagonal phases e^{sign * i * value * t}, one per value; a value * t
-    past double range, whose phase would be NaN, is refused (NonFiniteValue)."""
-    vals = np.asarray(values, dtype=float)
+    """The diagonal phases e^{sign * i * value * t}, one per value of an integer
+    or float vector (InvalidSpec otherwise); a value * t past double range,
+    whose phase would be NaN, is refused (NonFiniteValue)."""
+    vals = np.asarray(values)
+    if vals.dtype.kind not in "iuf":
+        raise InvalidSpec(f"phase values must be integers or floats, got dtype {vals.dtype}")
+    vals = vals.astype(float, copy=False)
     if vals.ndim != 1:
         raise DimensionMismatch(f"phase values must be a vector, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("phase values contain non-finite entries")
+    require_real("time", t)
     if not math.isfinite(t):
         raise InvalidSpec(f"time must be finite, got {t!r}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,8 +297,10 @@ def spectral_evolution(
     """e^{sign i (p^2/2mu + u) t} psi, as F^dag diag(e^{sign i p^2 t/2mu}) F psi by FFT.
 
     dft_operator's F is ifft(., norm="ortho") and F^dag is fft(., norm="ortho").
-    The constant u factors into the global phase e^{sign i u t}; u = 0 is free.
+    The constant u, a real number, factors into the global phase e^{sign i u t};
+    u = 0 is free.
     """
+    require_real("field constant u", u)
     coefficients = np.fft.ifft(as_state(psi, grid.size), norm="ortho")
     out = np.fft.fft(_phases(_free_energies(grid, mu), t, sign) * coefficients, norm="ortho")
     return out if u == 0.0 else _phases([u], t, sign)[0] * out
@@ -312,8 +320,8 @@ def spectral_kinetic_matrix(grid: GridSpec, mu: float) -> np.ndarray:
 def harmonic_energies(omega: float, levels: int) -> np.ndarray:
     """Ladder spectrum omega * (m + 1/2) for m = 0 .. levels-1."""
     require_frequency(omega)
-    if levels < 1:
-        raise InvalidSpec(f"need at least one level, got {levels}")
+    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
+        raise InvalidSpec(f"level count must be a positive integer, got {shown(levels)}")
     if not math.isfinite(omega * (levels - 0.5)):  # the top level's energy
         raise NonFiniteValue(f"oscillator energy omega (m + 1/2) overflows at omega = {omega!r}")
     return omega * (np.arange(levels) + 0.5)

@@ -31,17 +31,21 @@ from qcpusim import (
     analytic_free_gaussian,
     dft_operator,
     diagonal_phase_network,
+    euler_step,
     exact_evolution,
     fidelity,
     gaussian_packet,
     harmonic_energies,
     harmonic_network,
+    kinetic_eigenvalue,
+    kinetic_operator,
     parse_run_config,
     sample,
     spectral_evolution,
     require_hermitian,
     spectral_kinetic_matrix,
     spectral_momentum_values,
+    step_network,
 )
 from qcpusim.evolve import DRIFT_LIMIT
 from qcpusim.numerics import (
@@ -205,6 +209,9 @@ def test_potential_spec_rejects_non_real_parameters(form, params, message):
 
 
 HUGE = 10 ** 400  # an int that no double holds: float() raises OverflowError
+_H = np.diag([1.0, 2.0])
+_GRID = GridSpec(length=8.0, qubits=3)
+_PACKET = GaussianPacketSpec(0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("build, what", [
@@ -218,14 +225,59 @@ HUGE = 10 ** 400  # an int that no double holds: float() raises OverflowError
     (lambda: PotentialSpec(form="linear", slope=HUGE), "potential parameter 'slope'"),
     (lambda: PotentialSpec(form="constant", value=HUGE), "potential parameter 'value'"),
     (lambda: PotentialSpec(form="table", values=(1.0, HUGE)), "potential parameter 'values' entry"),
+    (lambda: exact_evolution(_H, HUGE, [1.0, 0.0]), "time"),
+    (lambda: spectral_evolution(_GRID, 1.0, HUGE, np.ones(8)), "time"),
+    (lambda: spectral_evolution(_GRID, 1.0, 1.0, np.ones(8), u=HUGE), "field constant u"),
+    (lambda: diagonal_phase_network([1.0], HUGE), "time"),
+    (lambda: harmonic_network(1.0, 2, HUGE), "time"),
+    (lambda: euler_step(_H, HUGE), "dt"),
+    (lambda: step_network(_H, HUGE), "dt"),
+    (lambda: analytic_free_gaussian(_PACKET, 1.0, HUGE), "time"),
+    (lambda: kinetic_operator(_GRID, HUGE), "mu"),
+    (lambda: harmonic_energies(HUGE, 4), "omega"),
+    (lambda: analytic_free_gaussian(_PACKET, HUGE, 1.0), "mu"),
 ], ids=["grid-length", "dt", "total_time", "mu", "u", "omega", "coefficient", "slope", "value",
-        "table-entry"])
+        "table-entry", "exact-evolution-t", "spectral-t", "spectral-u", "diagonal-phase-t",
+        "harmonic-network-t", "euler-step-dt", "step-network-dt", "free-gaussian-t",
+        "kinetic-mu", "harmonic-omega", "free-gaussian-mu"])
 def test_an_integer_beyond_double_range_is_refused_as_not_finite(build, what):
-    """Each constructor refuses such an int as the parser does, `must be
-    finite`, where it raised a bare OverflowError from float() or math.isfinite."""
+    """Each constructor and library call refuses such an int as the parser
+    does, `must be finite`, where it raised a bare OverflowError from float(),
+    math.isfinite or the arithmetic on it."""
     with pytest.raises(InvalidSpec) as info:
         build()
     assert str(info.value) == f"{what} must be finite, got {HUGE!r}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: exact_evolution(_H, "1", [1.0, 0.0]), "time must be a real number, got '1'"),
+    (lambda: step_network(_H, "1"), "dt must be a real number, got '1'"),
+    (lambda: spectral_evolution(_GRID, "1", 1.0, np.ones(8)), "mu must be a real number, got '1'"),
+    (lambda: spectral_evolution(_GRID, 1.0, "1", np.ones(8)),
+     "time must be a real number, got '1'"),
+    (lambda: kinetic_eigenvalue(_GRID, "1", 1), "mu must be a real number, got '1'"),
+    (lambda: analytic_free_gaussian(_PACKET, "a", 1.0), "mu must be a real number, got 'a'"),
+    (lambda: analytic_free_gaussian(_PACKET, 1.0, "a"), "time must be a real number, got 'a'"),
+    (lambda: harmonic_energies(1.0, "3"), "level count must be a positive integer, got '3'"),
+    (lambda: exact_evolution(_H, True, [1.0, 0.0]), "time must be a real number, got True"),
+    (lambda: step_network(_H, True), "dt must be a real number, got True"),
+    (lambda: kinetic_operator(_GRID, True), "mu must be a real number, got True"),
+    (lambda: spectral_evolution(_GRID, 1.0, 1.0, np.ones(8), u="2"),
+     "field constant u must be a real number, got '2'"),
+    (lambda: diagonal_phase_network(["1", "2"], 1.0),
+     "phase values must be integers or floats, got dtype <U1"),
+    (lambda: harmonic_energies(1.0, 2.5), "level count must be a positive integer, got 2.5"),
+], ids=["exact-evolution-str", "step-network-str", "spectral-mu-str", "spectral-t-str",
+        "kinetic-eigenvalue-str", "free-gaussian-mu-str", "free-gaussian-t-str",
+        "harmonic-levels-str", "exact-evolution-bool", "step-network-bool", "kinetic-bool",
+        "spectral-u-str", "diagonal-phase-strs", "harmonic-levels-float"])
+def test_a_library_number_that_is_not_one_is_refused(build, message):
+    """A string, a bool or a float level count reaches no arithmetic: each is
+    refused with InvalidSpec where it raised a bare TypeError or was read as a
+    number (True as 1, "2" by numpy, 2.5 levels as 3)."""
+    with pytest.raises(InvalidSpec) as info:
+        build()
+    assert str(info.value) == message
 
 
 TOO_LONG = 10 ** 5000  # more digits than Python's int-to-str conversion allows
