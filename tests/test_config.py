@@ -562,7 +562,8 @@ def test_run_config_checks_the_grid_rules_when_built(grid, system, field):
 
 
 # One fault at a time: two faults in one section may be reported in a
-# different order by the parser (types first) and the constructors.
+# different order by the parser (types first) and the constructors.  The
+# parser's own order is pinned by test_two_faults_in_one_object_refuse_the_first.
 _SECTION_FAULTS = [
     *(("evolution", "total_time", v) for v in (-1.0, math.inf, math.nan, "1", True, None)),
     *(("evolution", "step", v) for v in (0.0, -0.5, "x", True, math.inf)),
@@ -673,6 +674,53 @@ def test_steps_are_capped_at_max_steps():
     assert auto.resolve(np.diag([float(MAX_STEPS)])).steps == MAX_STEPS
     with pytest.raises(ConfigError, match="evolution.auto_epsilon"):
         auto.resolve(np.diag([float(MAX_STEPS)]), refinement=2)
+
+
+def readme_grid_config():
+    return {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "quadratic", "coefficient": 0.05}},
+        "grid": {"L": 16.0, "k": 4, "centered": True},
+        "evolution": {"dt": 0.0625, "total_time": 1.0},
+        "initial_state": {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5}},
+        "outputs": {"directory": "out"},
+    }
+
+
+@pytest.mark.parametrize("path, faulty, line", [
+    ((), {"grid": [], "evolution": {"dt": 0.0625, "total_time": 1.0},
+          "initial_state": {"basis_state": 0}, "outputs": {"directory": "out"}},
+     "error: system: missing required key"),
+    (("system",), {"mu": "x", "potential": {"form": "linear", "slope": 1.0}},
+     "error: system.kind: missing required key"),
+    (("system", "potential"), {"form": "quadratic", "coefficient": "x", "scale": 2.0},
+     "error: system.potential: unknown keys ['scale']"),
+    (("grid",), {"L": "x", "centered": True}, "error: grid.L: expected a number, got 'x'"),
+    (("evolution",), {"sign": 0, "dt": -1}, "error: evolution.total_time: missing required key"),
+    (("initial_state",), {"gaussian": 5, "basis_state": "x"},
+     "error: initial_state.gaussian: expected an object, got int"),
+    (("initial_state", "gaussian"), {"sigma": -1.0, "p0": "x"},
+     "error: initial_state.gaussian.x0: missing required key"),
+    (("outputs",), {"snapshot_every": "x", "every": 1}, "error: outputs: unknown keys ['every']"),
+], ids=["<config>", "system", "system.potential", "grid", "evolution", "initial_state",
+        "initial_state.gaussian", "outputs"])
+def test_two_faults_in_one_object_refuse_the_first(tmp_path, path, faulty, line):
+    """Each object of the README grid config, given two faults, is refused for
+    the first in its table's order: unknown keys first, then each key in turn,
+    present and read or missing and required."""
+    data = readme_grid_config()
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = faulty
+    else:
+        data = faulty
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as caught:
+        load_run_config(config_path)
+    assert f"error: {caught.value}" == line
 
 
 # ---------------------------------------------------------------------------
