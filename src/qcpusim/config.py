@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatch, InvalidSpec, QcpuSimError, ResidualTimeError
+from .errors import ConfigError, InvalidSpec, QcpuSimError
 from .evolve import EvolutionConfig
 from .grid import GridSpec
 from .numerics import oracle_gate, shown, spectral_norm_upper_bound
@@ -110,10 +110,8 @@ class EvolutionSettings:
             raise ConfigError("evolution.sign", f"must be 1 or -1, got {shown(sign)}")
         if self.dt is not None:
             self._check_steps(self.total_time / self.dt)
-            try:
-                EvolutionConfig(dt=self.dt, total_time=self.total_time, sign=self.sign)
-            except ResidualTimeError as exc:
-                raise ConfigError("evolution.dt", str(exc)) from exc
+            _on_field("evolution.dt", EvolutionConfig, dt=self.dt, total_time=self.total_time,
+                      sign=self.sign)
 
     def _check_steps(self, steps: float) -> None:
         if steps > MAX_STEPS:
@@ -148,10 +146,7 @@ class EvolutionSettings:
             self._check_steps(self.total_time / self.dt * refinement)
             dt = self.dt
         evo = EvolutionConfig(dt=dt, total_time=self.total_time, sign=self.sign)
-        try:
-            oracle_gate(h, evo.steps * evo.dt).require_bounded_series()
-        except InvalidSpec as exc:
-            raise ConfigError("evolution.total_time", str(exc)) from exc
+        _on_field("evolution.total_time", oracle_gate(h, evo.steps * evo.dt).require_bounded_series)
         return evo
 
 
@@ -250,10 +245,7 @@ class RunConfig:
             raise ConfigError("grid.k", f"must be at most {MAX_GRID_QUBITS}, "
                                         f"got {shown(self.grid.qubits)}")
         if self.system.potential is not None:
-            try:
-                self.system.potential.values_on(self.grid)
-            except GridMismatch as exc:
-                raise ConfigError("system.potential.values", str(exc)) from exc
+            _on_field("system.potential.values", self.system.potential.values_on, self.grid)
 
     def plan(self, refinement: int = 1) -> tuple[np.ndarray, Route, EvolutionConfig]:
         """The run this config asks for, as (psi0, route, evo), prepared in one
@@ -312,13 +304,11 @@ def _section(data, field: str, readers: dict, required: tuple = ()) -> dict:
     return values
 
 
-def _spec(build, field: str, *args, **kwargs):
-    """build(*args, **kwargs), a system, potential or grid spec, whose refusal,
-    any package error but a ConfigError, is a ConfigError on its section."""
+def _on_field(field: str, call, *args, **kwargs):
+    """call(*args, **kwargs), whose refusal, any package error, is a ConfigError
+    on `field`: the one place a library check is reported on a config field."""
     try:
-        return build(*args, **kwargs)
-    except ConfigError:
-        raise
+        return call(*args, **kwargs)
     except QcpuSimError as exc:
         raise ConfigError(field, str(exc)) from exc
 
@@ -328,8 +318,8 @@ def _spec(build, field: str, *args, **kwargs):
 _POTENTIAL = {"form": _as_given, **dict.fromkeys(POTENTIAL_PARAMETER.values(), _as_number),
               POTENTIAL_PARAMETER["table"]: _as_numbers}
 _SYSTEM = {"kind": _as_given, **dict.fromkeys(_SYSTEM_KEYS, _as_number),
-           "potential": lambda data, field: _spec(PotentialSpec, field,
-                                                  **_section(data, field, _POTENTIAL, ("form",)))}
+           "potential": lambda data, field: _on_field(field, PotentialSpec,
+                                                      **_section(data, field, _POTENTIAL, ("form",)))}
 _GRID = {"L": _as_number, "k": _as_int, "centered": _as_bool}  # GridSpec's order
 _EVOLUTION = {**dict.fromkeys(("total_time", "dt", "auto_epsilon"), _as_number), "sign": _as_int}
 _PACKET = dict.fromkeys(("x0", "p0", "sigma"), _as_given)
@@ -341,10 +331,10 @@ _INITIAL_STATE = {
 }
 _OUTPUTS = dict.fromkeys(("directory", "snapshot_every"), _as_given)
 _RUN_CONFIG = {
-    "system": lambda data, field: _spec(SystemSpec, field,
-                                        **_section(data, field, _SYSTEM, ("kind",))),
-    "grid": lambda data, field: _spec(GridSpec, field,
-                                      *_section(data, field, _GRID, ("L", "k")).values()),
+    "system": lambda data, field: _on_field(field, SystemSpec,
+                                            **_section(data, field, _SYSTEM, ("kind",))),
+    "grid": lambda data, field: _on_field(field, GridSpec,
+                                          *_section(data, field, _GRID, ("L", "k")).values()),
     "evolution": lambda data, field: EvolutionSettings(**_section(data, field, _EVOLUTION,
                                                                   ("total_time",))),
     "initial_state": lambda data, field: InitialStateSpec(**_section(data, field,
