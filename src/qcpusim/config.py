@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpec, QcpuSimError
+from .errors import ConfigError, QcpuSimError
 from .evolve import EvolutionConfig
 from .grid import GridSpec
 from .numerics import oracle_gate, shown, spectral_norm_upper_bound
@@ -93,21 +93,20 @@ class EvolutionSettings:
     sign: int = -1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "total_time", _as_number(self.total_time, "evolution.total_time"))
+        for key, read in _EVOLUTION.items():  # every type, in the parser's order, before any value
+            value = getattr(self, key)
+            if value is not None or key in ("total_time", "sign"):
+                object.__setattr__(self, key, read(value, f"evolution.{key}"))
         if self.total_time < 0.0:
             raise ConfigError("evolution.total_time", f"must be nonnegative, got {self.total_time}")
         if (self.dt is None) == (self.auto_epsilon is None):
             raise ConfigError("evolution", "give exactly one of 'dt' or 'auto_epsilon'")
         for key in ("dt", "auto_epsilon"):
             value = getattr(self, key)
-            if value is not None:
-                value = _as_number(value, f"evolution.{key}")
-                object.__setattr__(self, key, value)
-                if value <= 0.0:
-                    raise ConfigError(f"evolution.{key}", f"must be positive, got {value}")
-        sign = _as_int(self.sign, "evolution.sign")
-        if sign not in (1, -1):
-            raise ConfigError("evolution.sign", f"must be 1 or -1, got {shown(sign)}")
+            if value is not None and value <= 0.0:
+                raise ConfigError(f"evolution.{key}", f"must be positive, got {value}")
+        if self.sign not in (1, -1):
+            raise ConfigError("evolution.sign", f"must be 1 or -1, got {shown(self.sign)}")
         if self.dt is not None:
             self._check_steps(self.total_time / self.dt)
             _on_field("evolution.dt", EvolutionConfig, dt=self.dt, total_time=self.total_time,
@@ -136,7 +135,8 @@ class EvolutionSettings:
         norm_bound = spectral_norm_upper_bound(h)
         if self.dt is None:
             if not math.isfinite(norm_bound) or norm_bound < 0.0:
-                raise InvalidSpec(f"norm bound must be finite and nonnegative, got {norm_bound!r}")
+                raise ConfigError("evolution.auto_epsilon",
+                                  f"norm bound must be finite and nonnegative, got {norm_bound!r}")
             self._check_steps(self.total_time * norm_bound / self.auto_epsilon * refinement)
             if self.total_time == 0.0:
                 return EvolutionConfig(dt=1.0, total_time=0.0, sign=self.sign)
@@ -174,14 +174,7 @@ class InitialStateSpec:
     table: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        variants = [key for key in ("gaussian", "basis_state", "table")
-                    if getattr(self, key) is not None]
-        if len(variants) != 1:
-            raise ConfigError(
-                "initial_state",
-                f"exactly one of 'gaussian', 'basis_state', 'table' required, got {variants or 'none'}",
-            )
-        if self.basis_state is not None:
+        if self.basis_state is not None:  # each variant's type, as parsed, before the count
             _as_int(self.basis_state, "initial_state.basis_state")
         if self.table is not None:
             amps = []
@@ -190,6 +183,13 @@ class InitialStateSpec:
                 field = f"initial_state.table[{i}]"
                 amps.append(complex(_as_number(re, field), _as_number(im, field)))
             object.__setattr__(self, "table", tuple(amps))
+        variants = [key for key in ("gaussian", "basis_state", "table")
+                    if getattr(self, key) is not None]
+        if len(variants) != 1:
+            raise ConfigError(
+                "initial_state",
+                f"exactly one of 'gaussian', 'basis_state', 'table' required, got {variants or 'none'}",
+            )
 
     def build(self, grid: GridSpec) -> np.ndarray:
         if self.gaussian is not None:

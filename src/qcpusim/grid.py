@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from functools import lru_cache
 from typing import Callable
 
@@ -222,7 +223,7 @@ def two_body_potential(grid1: GridSpec, grid2: GridSpec, u) -> np.ndarray:
 
 def lift_one(op, slot: int, dims: tuple[int, int]) -> np.ndarray:
     """Embed a one-particle operator into the pair space on the given slot."""
-    if slot not in (1, 2):
+    if isinstance(slot, bool) or slot not in (1, 2):
         raise IndexOutOfRange(f"slot must be 1 or 2, got {slot}")
     n1, n2 = dims
     own = n1 if slot == 1 else n2
@@ -251,8 +252,15 @@ def dft_operator(grid: GridSpec) -> np.ndarray:
     return np.exp(2j * np.pi * phase / n) / np.sqrt(n)
 
 
+def _require_mode_index(n) -> None:
+    """Refuse a plane-wave mode index that is a bool or not an integer."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidSpec(f"mode index must be an integer, got {shown(n)}")
+
+
 def plane_wave_mode(grid: GridSpec, n: int) -> np.ndarray:
     """Normalized plane-wave vector with components e^{i 2 pi n m / N} / sqrt(N)."""
+    _require_mode_index(n)
     size = grid.size
     phase = (n * np.arange(size)) % size
     return np.exp(2j * np.pi * phase / size) / np.sqrt(size)
@@ -260,6 +268,7 @@ def plane_wave_mode(grid: GridSpec, n: int) -> np.ndarray:
 
 def momentum_eigenvalue(grid: GridSpec, n: int) -> float:
     """Eigenvalue of the central-difference momentum on plane-wave mode n."""
+    _require_mode_index(n)
     return _momentum_scale(grid) * math.sin(2.0 * math.pi * n / grid.size)
 
 
@@ -271,6 +280,7 @@ def kinetic_eigenvalue(grid: GridSpec, mu: float, n: int) -> float:
     merely up to trig rounding.
     """
     require_mass(mu)
+    _require_mode_index(n)
     size = grid.size
     folded = n % size
     folded = min(folded, size - folded)

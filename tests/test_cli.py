@@ -24,6 +24,7 @@ import pytest
 from qcpusim import ConfigError, EvolutionSettings, evolve_euler, load_run_config
 from qcpusim import evolve, systems
 from qcpusim.cli import LOCK_NAME, _write_csv_atomic, _write_snapshot, main, run_simulation
+from qcpusim.qcpu import identity_suite
 from qcpusim.systems import system_route
 
 
@@ -118,6 +119,24 @@ def test_verify_identities_dim_bounds(tmp_path, capsys):
         assert main(["verify-identities", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+def test_verify_identities_failing_report_exits_1(tmp_path, monkeypatch, capsys):
+    """A failing identity exits 1 on one line that names it, and the report
+    is still written, so the failure can be read."""
+    def failing_suite(seed, dim):
+        report = identity_suite(seed, dim)
+        report["identities"]["sum_rule"]["pass"] = False
+        report["all_pass"] = False
+        return report
+
+    monkeypatch.setattr("qcpusim.cli.identity_suite", failing_suite)
+    out = tmp_path / "r.json"
+    assert main(["verify-identities", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "identity check failed: sum_rule\n"
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    assert report["identities"]["sum_rule"]["pass"] is False
 
 
 def test_unknown_subcommand_exits_2():
@@ -713,6 +732,26 @@ def test_a_horizon_whose_phases_overflow_is_refused_before_the_lock(tmp_path, ca
     assert capsys.readouterr().err == (
         "error: evolution.total_time: the exact oracle's phases e^(i E t) would overflow: "
         f"|t| max |E| is not finite on H's Gershgorin interval, {interval}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--ladder", "2"]])
+def test_an_infinite_norm_bound_is_refused_on_auto_epsilon(tmp_path, capsys, command):
+    """A constant potential of 1.26e308 on L = 1.21e-153 gives H a finite
+    diagonal whose Gershgorin bound overflows: the auto policy has no step to
+    take, and both commands exit 2 on one line naming `evolution.auto_epsilon`."""
+    out_dir = tmp_path / "never"
+    data = {
+        "system": {"kind": "grid_schrodinger", "mu": 1.0,
+                   "potential": {"form": "constant", "value": 1.26e308}},
+        "grid": {"L": 1.21e-153, "k": 4},
+        "evolution": {"auto_epsilon": 0.05, "total_time": 1.0},
+        "initial_state": {"basis_state": 1},
+        "outputs": {"directory": str(out_dir)},
+    }
+    assert main([command[0], "--config", str(write_config(tmp_path, data)), *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "error: evolution.auto_epsilon: norm bound must be finite and nonnegative, got inf\n")
     assert not out_dir.exists()
 
 

@@ -302,6 +302,15 @@ def test_table_initial_state_parses():
     assert cfg.initial_state.table == (1.0 + 0.0j, -1.0j)
 
 
+@pytest.mark.parametrize("table", [[], 5], ids=["empty", "number"])
+def test_table_must_be_a_nonempty_list(table):
+    data = base_config()
+    data["initial_state"] = {"table": table}
+    with pytest.raises(ConfigError) as caught:
+        parse_run_config(data)
+    assert str(caught.value) == "initial_state.table: expected a nonempty list of [re, im] pairs"
+
+
 def test_table_bad_pair():
     data = base_config()
     data["initial_state"] = {"table": [[1.0, 0.0], [2.0]]}
@@ -561,8 +570,8 @@ def test_run_config_checks_the_grid_rules_when_built(grid, system, field):
     assert in_memory == outcome(lambda: parse_run_config(data))
 
 
-# One fault at a time: two faults in one section may be reported in a
-# different order by the parser (types first) and the constructors.  The
+# Up to two faults at a time: the constructors check every type before any
+# value, in the parser's order, so both refuse the same first fault.  The
 # parser's own order is pinned by test_two_faults_in_one_object_refuse_the_first.
 _SECTION_FAULTS = [
     *(("evolution", "total_time", v) for v in (-1.0, math.inf, math.nan, "1", True, None)),
@@ -600,10 +609,9 @@ def run_sections(draw):
     if draw(st.booleans()):
         outputs["snapshot_every"] = draw(st.integers(1, 4))
     sections = {"evolution": evolution, "initial_state": initial, "outputs": outputs}
-    fault = draw(st.sampled_from([None, *_SECTION_FAULTS]))
-    if fault is not None:
-        section, key, value = fault
-        target = sections[section]
+    for section, key, value in draw(st.lists(st.sampled_from(_SECTION_FAULTS), max_size=2,
+                                             unique=True)):
+        target, initial = sections[section], sections["initial_state"]
         step = "dt" if "dt" in evolution else "auto_epsilon"
         if key == "step":
             evolution[step] = value
@@ -618,8 +626,8 @@ def run_sections(draw):
             initial.update(basis_state=0, gaussian={"x0": 0.0, "p0": 0.0, "sigma": 1.0})
         elif key == "none":
             initial.clear()
-        elif key == "basis_state":
-            sections["initial_state"] = {"basis_state": value}
+        elif key == "basis_state":  # beside any other variant: its type is refused first
+            initial["basis_state"] = value
         elif key in ("x0", "p0", "sigma"):
             sections["initial_state"] = {"gaussian": {"x0": 0.0, "p0": 0.5, "sigma": 1.5, key: value}}
         else:
@@ -656,6 +664,20 @@ def test_parsed_and_in_memory_configs_agree(sections):
     assert parsed == built
     if isinstance(parsed, RunConfig):
         assert parse_run_config(parsed.to_dict()) == parsed
+
+
+@pytest.mark.parametrize("section, faulty, line", [
+    ("evolution", {"total_time": -1.0, "dt": "x"}, "evolution.dt: expected a number, got 'x'"),
+    ("initial_state", {"basis_state": "x", "table": [[1.0, 0.0]]},
+     "initial_state.basis_state: expected an integer, got 'x'"),
+], ids=["evolution", "initial_state"])
+def test_a_built_spec_refuses_two_faults_as_parsed(section, faulty, line):
+    """A type fault beside a value fault, or beside a second variant, is
+    refused first by the constructor as by the parser."""
+    build = {"evolution": lambda: EvolutionSettings(**faulty),
+             "initial_state": lambda: initial_state_in_memory(faulty)}[section]
+    assert outcome(build)[1] == line
+    assert outcome(lambda: parse_run_config({**base_config(), section: faulty}))[1] == line
 
 
 def test_steps_are_capped_at_max_steps():

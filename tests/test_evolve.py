@@ -145,13 +145,21 @@ def test_auto_policy_zero_horizon():
 def test_auto_policy_validates_epsilon():
     with pytest.raises(ConfigError, match="evolution.auto_epsilon: must be positive"):
         EvolutionSettings(total_time=1.0, auto_epsilon=0.0)
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(ConfigError, match="evolution.auto_epsilon: norm bound"):
         EvolutionSettings(total_time=1.0, auto_epsilon=0.01).resolve(np.diag([math.inf]))
 
 
 # ---------------------------------------------------------------------------
 # Euler stepping
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, -0.5])
+@pytest.mark.parametrize("build", [euler_step, step_network], ids=["euler_step", "step_network"])
+def test_a_step_refuses_a_dt_not_finite_and_nonnegative(build, dt):
+    with pytest.raises(InvalidSpec) as caught:
+        build(np.diag([1.0, 2.0]), dt)
+    assert str(caught.value) == f"dt must be finite and nonnegative, got {dt!r}"
+
 
 def test_euler_step_closed_form():
     h = np.diag([1.0, 2.0]).astype(complex)

@@ -282,6 +282,28 @@ def test_kinetic_eigenvalue_degeneracy_is_exact():
         assert kinetic_eigenvalue(g, 1.0, n) == kinetic_eigenvalue(g, 1.0, g.size - n)
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda g: momentum_eigenvalue(g, "1"), "'1'"),
+    (lambda g: kinetic_eigenvalue(g, 1.0, 1.5), "1.5"),
+    (lambda g: kinetic_eigenvalue(g, 1.0, True), "True"),
+    (lambda g: plane_wave_mode(g, 0.5), "0.5"),
+    (lambda g: plane_wave_mode(g, 1.0), "1.0"),
+], ids=["momentum-str", "kinetic-float", "kinetic-bool", "mode-half", "mode-float"])
+def test_a_mode_index_that_is_not_an_integer_is_refused(call, shown):
+    """A mode index is an integer: a string, a float or a bool is refused, not
+    read as a number (a half-integer mode is no eigenvector)."""
+    with pytest.raises(InvalidSpec) as caught:
+        call(GridSpec(4.0, 2))
+    assert str(caught.value) == f"mode index must be an integer, got {shown}"
+
+
+def test_a_numpy_integer_is_a_mode_index():
+    g = GridSpec(4.0, 2)
+    assert momentum_eigenvalue(g, np.int64(1)) == momentum_eigenvalue(g, 1)
+    assert kinetic_eigenvalue(g, 1.0, np.int64(3)) == kinetic_eigenvalue(g, 1.0, 3)
+    assert np.array_equal(plane_wave_mode(g, np.int64(2)), plane_wave_mode(g, 2))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: kinetic_eigenvalue(GridSpec(1e-160, 4), 1.0, 1),
      "kinetic scale (N/L)^2/2mu overflows at N = 16, L = 1e-160, mu = 1.0"),
@@ -445,6 +467,13 @@ def test_two_body_potential_index_layout():
     assert np.array_equal(np.diag(diag).real, np.array(expected))
 
 
+def test_two_body_potential_refuses_a_value_not_finite():
+    g = GridSpec(length=4.0, qubits=1)
+    with pytest.raises(NonFiniteValue, match="^two-body potential takes a non-finite value "
+                                             "on the grid product$"):
+        two_body_potential(g, g, lambda a, b: math.nan if a == b else 1.0)
+
+
 def test_lift_one_slot_placement():
     g = GridSpec(length=4.0, qubits=1)
     op = potential_operator(g, lambda x: x)
@@ -460,6 +489,8 @@ def test_lift_one_bad_slot():
     op = potential_operator(g, lambda x: x)
     with pytest.raises(IndexOutOfRange):
         lift_one(op, 3, (2, 2))
+    with pytest.raises(IndexOutOfRange, match="^slot must be 1 or 2, got True$"):
+        lift_one(op, True, (2, 2))  # not read as slot 1
 
 
 def test_lift_one_dimension_check():

@@ -170,6 +170,11 @@ def test_exact_evolution_phases_eigenvector():
     assert np.max(np.abs(u @ e1 - np.exp(-1j * vals[1] * 2.0) * e1)) < 1e-14
 
 
+def test_exact_evolution_of_an_empty_h_is_the_empty_state():
+    out = exact_evolution(np.zeros((0, 0)), 1.0, np.zeros(0))
+    assert out.shape == (0,) and out.dtype == complex
+
+
 def test_exact_evolution_invalid_sign():
     for sign in (0, True, -1.0):
         with pytest.raises(InvalidSpec):

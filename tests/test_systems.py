@@ -592,6 +592,11 @@ def test_diagonal_phase_network_payload():
     assert np.array_equal(net.payload, expected)
 
 
+def test_diagonal_phase_network_refuses_a_phase_value_not_finite():
+    with pytest.raises(NonFiniteValue, match="^phase values contain non-finite entries$"):
+        diagonal_phase_network([math.inf, 1.0], 1.0)
+
+
 def test_diagonal_phase_network_validation():
     with pytest.raises(DimensionMismatch):
         diagonal_phase_network(np.eye(2), 1.0)
