@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
