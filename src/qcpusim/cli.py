@@ -144,14 +144,14 @@ def run_simulation(cfg: RunConfig, out_dir: Path) -> dict:
     started = time.perf_counter()
     grid = cfg.grid
     psi0, route, evo = cfg.plan()
-    every = cfg.outputs.snapshot_every
-    snapshots = evo.steps // every + 1 + (evo.steps % every != 0)
+    every, steps = cfg.outputs.snapshot_every, evo.steps
+    snapshots = steps // every + 1 + (steps % every != 0)
     if snapshots * grid.size > MAX_SNAPSHOT_POINTS:
         raise ConfigError("outputs.snapshot_every", f"the run would write {snapshots} snapshots of "
                           f"{grid.size} points, more than {MAX_SNAPSHOT_POINTS} points")
 
     def snapshot(step, state):
-        if step % every == 0 or step == evo.steps:
+        if step % every == 0 or step == steps:
             _write_snapshot(out_dir / f"snapshot_{step:06d}.jsonl", grid, state)
 
     with _directory_lock(out_dir):

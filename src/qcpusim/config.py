@@ -174,9 +174,15 @@ class InitialStateSpec:
     table: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.basis_state is not None:  # each variant's type, as parsed, before the count
+        # each variant's type, as parsed, before the count
+        if self.gaussian is not None and not isinstance(self.gaussian, GaussianPacketSpec):
+            raise ConfigError("initial_state.gaussian",
+                              f"expected an object, got {type(self.gaussian).__name__}")
+        if self.basis_state is not None:
             _as_int(self.basis_state, "initial_state.basis_state")
         if self.table is not None:
+            if not isinstance(self.table, (list, tuple)) or not self.table:
+                raise ConfigError("initial_state.table", "expected a nonempty list of [re, im] pairs")
             amps = []
             for i, z in enumerate(self.table):
                 re, im = (z.real, z.imag) if isinstance(z, complex) else (z, 0.0)

@@ -15,12 +15,12 @@ oracle's product with 2 (H - c) / w, alpha I + beta H (`affine`), so an
 Euler step I + a H costs O(nnz) or two FFTs a product, and the networks'
 sum rule (`+`).  States are complex vectors.
 `nonzero_product` lays nonzeros out once as equal-length rows and
-multiplies a state by them, bit for bit as a bincount of the terms would
-sum them.  The oracle applies e^{sign i H t} to a state by a Chebyshev
-series on that product (Tal-Ezer & Kosloff 1984) or by eigh, whichever one
-gate (`oracle_gate`) finds cheaper at each form's own eigh price; above
-EIGH_MAX_SIZE a complex eigh, which needs several complex N x N arrays, never
-runs.
+multiplies a state by them, summing the rows in one ordered reduction, bit
+for bit as a bincount of the terms would sum them.  The oracle applies
+e^{sign i H t} to a state by a Chebyshev series on that product (Tal-Ezer &
+Kosloff 1984) or by eigh, whichever one gate (`oracle_gate`) finds cheaper
+at each form's own eigh price; above EIGH_MAX_SIZE a complex eigh, which
+needs several complex N x N arrays, never runs.
 
 All functions are pure; values are never mutated after construction.
 """
@@ -322,7 +322,8 @@ def nonzero_product(rows, cols, values, n: int) -> Callable[[np.ndarray], np.nda
     The nonzeros are laid out once as w slabs of length n, slab j holding
     each row's j-th term (ELLPACK; Rice & Boisvert 1985); a row shorter than
     w is padded at its end with 0 on its own column.  A product is one gather
-    and multiply and w - 1 slab additions, which sum each row as
+    and multiply and one np.add.reduce over the slab axis from 0j: a reduction
+    over the outer axis adds slab after slab, so it sums each row as
     ((0.0 + t_0) + t_1) + ... in column order: the float additions of
     np.bincount over the nonzeros, so every finite state gets their bits.  (A
     padded row also reads its own entry of v, which shows only where that
@@ -337,11 +338,7 @@ def nonzero_product(rows, cols, values, n: int) -> Callable[[np.ndarray], np.nda
     values_t[slots, rows] = values
 
     def product(v: np.ndarray) -> np.ndarray:
-        terms = values_t * v[cols_t]
-        out = 0j + terms[0]
-        for term in terms[1:]:
-            out += term
-        return out
+        return np.add.reduce(values_t * v[cols_t], axis=0, initial=0j)
 
     return product
 

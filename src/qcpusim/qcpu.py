@@ -29,9 +29,10 @@ Dense 2N x 2N forms come only from QcpuNetwork.dense(), for the references
 (the identity suite and the tests), which keep the literal chain, and from
 dense_from_factors, the factors' product in a given order.  A factor only
 adds u times an odd column to an even one, so that product runs in rounds,
-one per rank of a factor among those on its column: each round updates
-distinct columns in one array operation, and each column takes its sums in
-the given order, bit for bit the one-factor-at-a-time product.
+one per rank of a factor among those on its column.  The even columns are
+held as one slab, ordered by descending factor count, so each round is one
+multiply and add on the slab's leading rows, and each column takes its sums
+in the given order, bit for bit the one-factor-at-a-time product.
 identity_suite checks this algebra on seeded random payloads: the closed
 form, factor order, sum and product rules, block extraction, feeding and
 projecting a state, and the auxiliary ladder pair.
@@ -166,11 +167,16 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     reference for one factor.  Factors read odd columns and write even ones
     only, so the updates run in rounds: a factor's rank is its place among
     the factors on its column, in the given order, and one round updates
-    every column that has a factor of its rank at once, as one gather,
-    multiply and add on the product held transposed.  Each entry takes the
-    same products, and each column its sums in the same order, as one factor
-    at a time would give, so the result is the same bit for bit.  An order
-    that is not a permutation of the factor indices, integers all, is refused.
+    every column that has a factor of its rank at once.  On the product held
+    transposed, the even columns are copied once into a slab, ordered by
+    descending factor count (stably), so the n_r columns round r updates are
+    the slab's first n_r rows; with the factors sorted by rank and then by
+    their column's place, a round is one gather of odd columns and one
+    multiply and add on contiguous rows, and the slab is written back at the
+    end.  Each entry takes the same products, and each column its sums in the
+    same order, as one factor at a time would give, so the result is the same
+    bit for bit.  An order that is not a permutation of the factor indices,
+    integers all, is refused.
     """
     rows, cols, values = net.nonzeros
     count = rows.size
@@ -186,13 +192,19 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     sorted_cols = cols[by_column]
     rank = np.empty(count, dtype=np.intp)
     rank[by_column] = np.arange(count) - np.searchsorted(sorted_cols, sorted_cols)
-    # Round r is the slice bounds[r]:bounds[r + 1] of the factors sorted by rank.
-    by_rank = np.argsort(rank, kind="stable")
+    # Columns by descending factor count: round r updates the first n_r of them.
+    dim = net.register_dim
+    col_order = np.argsort(-np.bincount(cols, minlength=dim), kind="stable")
+    # Round r is the slice bounds[r]:bounds[r + 1] of the factors sorted by
+    # (rank, place of their column), so its factors meet its columns in order.
+    by_round = np.argsort(rank * dim + np.argsort(col_order)[cols], kind="stable")
     bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
-    targets, sources, values = 2 * cols[by_rank], 2 * rows[by_rank] + 1, values[by_rank, None]
-    t = np.eye(2 * net.register_dim, dtype=complex)  # t[c] is column c of the product
+    sources, values = rows[by_round], values[by_round, None]
+    t = np.eye(2 * dim, dtype=complex)  # t[c] is column c of the product
+    even, odd = t[2 * col_order], t[1::2]  # the written columns as one slab; the read ones
     for start, stop in zip(bounds[:-1], bounds[1:]):  # one round per rank
-        t[targets[start:stop]] += values[start:stop] * t[sources[start:stop]]
+        even[:stop - start] += values[start:stop] * odd[sources[start:stop]]
+    t[2 * col_order] = even
     return t.T.copy()
 
 

@@ -322,7 +322,11 @@ def harmonic_energies(omega: float, levels: int) -> np.ndarray:
     require_frequency(omega)
     if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
         raise InvalidSpec(f"level count must be a positive integer, got {shown(levels)}")
-    if not math.isfinite(omega * (levels - 0.5)):  # the top level's energy
+    try:
+        top = omega * (levels - 0.5)  # the top level's energy
+    except OverflowError:  # a level count beyond double range
+        top = math.inf
+    if not math.isfinite(top):
         raise NonFiniteValue(f"oscillator energy omega (m + 1/2) overflows at omega = {omega!r}")
     return omega * (np.arange(levels) + 0.5)
 

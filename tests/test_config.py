@@ -389,6 +389,23 @@ def test_initial_state_spec_table_entries_are_finite_numbers(entry, message):
     assert str(info.value) == f"initial_state.table[1]: {message}"
 
 
+@pytest.mark.parametrize("variant, value", [
+    ("gaussian", 5), ("gaussian", "packet"), ("table", 5), ("table", []),
+], ids=["gaussian-number", "gaussian-str", "table-number", "table-empty"])
+def test_initial_state_spec_refuses_a_variant_of_the_wrong_shape_as_parsed(variant, value):
+    """A gaussian that is not a GaussianPacketSpec once built into a bare
+    AttributeError, and a table of 5 raised a bare TypeError: each is refused
+    when the spec is made, on the field and with the message of the parser."""
+    data = base_config()
+    data["initial_state"] = {variant: value}
+    with pytest.raises(ConfigError) as parsed:
+        parse_run_config(data)
+    with pytest.raises(ConfigError) as built:
+        InitialStateSpec(**{variant: value})
+    assert built.value.field == parsed.value.field == f"initial_state.{variant}"
+    assert str(built.value) == str(parsed.value)
+
+
 @pytest.mark.parametrize("directory, snapshot_every, field, message", [
     ("out", 0, "outputs.snapshot_every", "must be >= 1, got 0"),
     ("out", -2, "outputs.snapshot_every", "must be >= 1, got -2"),

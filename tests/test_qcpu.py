@@ -158,19 +158,35 @@ def one_factor_at_a_time(net, order=None):
     return out
 
 
+def ragged_payload(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n x n payload whose column c holds a random count of 0 to n factors,
+    on random rows, so the columns' counts are ragged and often tied."""
+    u = random_payload(rng, n)
+    counts = rng.integers(0, n + 1, n)
+    return np.where(rng.random((n, n)).argsort(axis=0) < counts, u, 0.0)
+
+
 @st.composite
 def sparse_payloads_and_orders(draw):
-    """A payload at n = 1..12 whose columns hold 0 to n factors, and an order
-    given as None, a list, an int32 array, or an empty list on a zero payload."""
-    n = draw(st.integers(1, 12))
+    """A payload at n = 1..40 whose columns hold 0 to n factors, and an order
+    given as None, a list, an int32 array, or an empty list on a zero payload.
+    At n <= 12 Hypothesis draws each entry and the order; above, up to the
+    identity workload's n = 40, a drawn seed draws a `ragged_payload` and its
+    order."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 40)))
     form = draw(st.sampled_from(["none", "list", "int32", "empty"]))
     if form == "empty":
         return np.zeros((n, n), dtype=complex), []
-    u = draw(arrays(np.complex128, (n, n), elements=complex_entries))
-    u = np.where(draw(arrays(np.bool_, (n, n))), u, 0.0)
-    if form == "none":
+    if n <= 12:
+        u = draw(arrays(np.complex128, (n, n), elements=complex_entries))
+        u = np.where(draw(arrays(np.bool_, (n, n))), u, 0.0)
+        order = None if form == "none" else draw(st.permutations(range(np.count_nonzero(u))))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u = ragged_payload(rng, n)
+        order = None if form == "none" else rng.permutation(np.count_nonzero(u)).tolist()
+    if order is None:
         return u, None
-    order = draw(st.permutations(range(np.count_nonzero(u))))
     return u, order if form == "list" else np.array(order, dtype=np.int32)
 
 
@@ -184,6 +200,15 @@ def test_dense_from_factors_in_rounds_equals_one_factor_at_a_time(payload_and_or
     out = dense_from_factors(net, order)
     assert out.tobytes() == one_factor_at_a_time(net, order).tobytes()
     assert out.flags.c_contiguous
+
+
+def test_dense_from_factors_at_the_dim_cap_equals_one_factor_at_a_time():
+    """At dim 64, the CI and --dim cap, a ragged payload in a shuffled order
+    gives the one-at-a-time product bit for bit."""
+    rng = np.random.default_rng(64)
+    net = build_network(ragged_payload(rng, 64))
+    order = rng.permutation(len(net.factors))
+    assert dense_from_factors(net, order).tobytes() == one_factor_at_a_time(net, order).tobytes()
 
 
 def test_identity_suite_builds_no_factor_objects(monkeypatch):

@@ -642,6 +642,18 @@ def test_harmonic_energies_validation():
         harmonic_energies(1.0, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: harmonic_energies(1.0, 10 ** 400),
+    lambda: harmonic_network(1.0, 4000, 1.0),
+], ids=["levels-10**400", "qubits-4000"])
+def test_a_level_count_past_double_range_is_refused(build):
+    """The top level's energy omega (levels - 1/2) once raised a bare
+    OverflowError from converting the level count to a float."""
+    with pytest.raises(NonFiniteValue) as info:
+        build()
+    assert str(info.value) == "oscillator energy omega (m + 1/2) overflows at omega = 1.0"
+
+
 def test_harmonic_network_revival():
     """After one classical period every level phase returns, up to the
     overall minus sign from the half-quantum of zero-point energy."""
