@@ -182,7 +182,8 @@ class InitialStateSpec:
             _as_int(self.basis_state, "initial_state.basis_state")
         if self.table is not None:
             if not isinstance(self.table, (list, tuple)) or not self.table:
-                raise ConfigError("initial_state.table", "expected a nonempty list of [re, im] pairs")
+                raise ConfigError("initial_state.table",
+                                  "expected a nonempty list of [re, im] pairs")
             amps = []
             for i, z in enumerate(self.table):
                 re, im = (z.real, z.imag) if isinstance(z, complex) else (z, 0.0)

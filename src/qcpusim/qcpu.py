@@ -201,7 +201,7 @@ def dense_from_factors(net: QcpuNetwork, order: Sequence[int] | None = None) -> 
     bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
     sources, values = rows[by_round], values[by_round, None]
     t = np.eye(2 * dim, dtype=complex)  # t[c] is column c of the product
-    even, odd = t[2 * col_order], t[1::2]  # the written columns as one slab; the read ones
+    even, odd = t[2 * col_order], t[1::2]  # written columns, copied as one slab; read ones, a view
     for start, stop in zip(bounds[:-1], bounds[1:]):  # one round per rank
         even[:stop - start] += values[start:stop] * odd[sources[start:stop]]
     t[2 * col_order] = even
